@@ -15,10 +15,12 @@ from .classical import (
     bistochastic_from_unitary,
     entropy_finite,
     jensen_step_oracle,
+    majorization_margin,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
 from .gpt import enumerate_basic_decompositions, gpt_entropy, gpt_majorant
 from .quantum import (
+    RANK_CUTOFF,
     conjugate_isometry,
     eigen_spectrum,
     inf_ensemble_entropy,
@@ -73,17 +75,7 @@ def _draw_dim(rng, dims) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def _majorization_margin(upper, lower) -> float:
-    """Minimum slack of the partial-sum dominance of ``upper`` over ``lower``."""
-    a = np.sort(np.asarray(upper, dtype=float))[::-1]
-    b = np.sort(np.asarray(lower, dtype=float))[::-1]
-    size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
-    return float(np.min(np.cumsum(a) - np.cumsum(b)))
-
-
-def run_schur_audit(trials=500, seed=7, dims=(2, 8), functional_specs=None) -> AuditReport:
+def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Doubly stochastic mixing: majorization, Schur concavity, Jensen rows."""
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
@@ -96,7 +88,7 @@ def run_schur_audit(trials=500, seed=7, dims=(2, 8), functional_specs=None) -> A
         entries.append(
             AuditEntry.check(
                 "mixing-majorization",
-                _majorization_margin(p.entries, q.entries),
+                majorization_margin(p.entries, q.entries),
                 EQ_TOL,
                 dim=n,
             )
@@ -126,7 +118,7 @@ def run_schur_audit(trials=500, seed=7, dims=(2, 8), functional_specs=None) -> A
     return build_report("schur", trials, seed, INEQ_TOL, entries)
 
 
-def run_pinching_audit(trials=500, seed=7, dims=(2, 8), functional_specs=None) -> AuditReport:
+def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """H never drops under pinching, with equality in the eigenbasis."""
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
@@ -152,7 +144,7 @@ def run_pinching_audit(trials=500, seed=7, dims=(2, 8), functional_specs=None) -
     return build_report("pinching", trials, seed, INEQ_TOL, entries)
 
 
-def run_isometry_audit(trials=200, seed=7, dims=(2, 8), functional_specs=None) -> AuditReport:
+def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Entropy invariance under unitaries and under embedding isometries."""
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
@@ -177,7 +169,7 @@ def run_isometry_audit(trials=200, seed=7, dims=(2, 8), functional_specs=None) -
     return build_report("isometry", trials, seed, ISOMETRY_EQ_TOL, entries)
 
 
-def run_ensemble_audit(trials=1000, seed=7, dims=(2, 6), functional_specs=None) -> AuditReport:
+def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Ensemble weights against the spectrum: majorization, entropy, infimum."""
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
@@ -189,7 +181,7 @@ def run_ensemble_audit(trials=1000, seed=7, dims=(2, 6), functional_specs=None) 
         rank = int(rng.integers(1, d + 1))
         rho = random_density(d, rng, rank=rank)
         spectrum, _ = eigen_spectrum(rho)
-        r = int(np.sum(spectrum.values > 1e-12))
+        r = int(np.sum(spectrum.entries > RANK_CUTOFF))
         spectral_h = {F.name: quantum_entropy(rho, F).value for F in functionals}
         budget = (int(trials) - drawn) // (n_states - s) if n_states - s else 0
         for _ in range(max(1, budget)):
@@ -200,7 +192,7 @@ def run_ensemble_audit(trials=1000, seed=7, dims=(2, 6), functional_specs=None) 
             entries.append(
                 AuditEntry.check(
                     "ensemble-majorization",
-                    _majorization_margin(spectrum.values, w),
+                    majorization_margin(spectrum.entries, w),
                     EQ_TOL,
                     dim=d,
                 )
@@ -232,7 +224,7 @@ def run_ensemble_audit(trials=1000, seed=7, dims=(2, 6), functional_specs=None) 
     return build_report("ensemble", trials, seed, INEQ_TOL, entries)
 
 
-def run_gpt_argmin_audit(trials=200, seed=7, dims=(2, 3), functional_specs=None) -> AuditReport:
+def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Blended decompositions never beat the basic-decomposition minimum."""
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)

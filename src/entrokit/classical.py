@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import EntropicFunctional, FunctionalCase
+from .functionals import EntropicFunctional, FunctionalCase, parse_spec
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -86,6 +86,15 @@ class ProbVector:
 
     def __len__(self) -> int:
         return int(self.entries.size)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Alias of ``entries``.
+
+        Spectra from quantum.eigen_spectrum were once a separate type read
+        through ``.values``; the acceptance tests still read them that way.
+        """
+        return self.entries
 
     def __repr__(self) -> str:
         return f"ProbVector({np.array2string(self.entries, threshold=8)})"
@@ -251,9 +260,9 @@ class SequenceSource:
         The normalized sequence sums to one but its Shannon-type entropy sums
         diverge, so truncated evaluation must end in DeclaredDivergent.
         """
+        if not float(offset).is_integer() or offset < 2:
+            raise ValueError(f"offset must be an integer of at least 2, got {offset}")
         offset = int(offset)
-        if offset < 2:
-            raise ValueError("offset must be at least 2")
         if offset not in _LOG_SQUARE_CACHE:
             _LOG_SQUARE_CACHE[offset] = _log_square_normalizer(offset)
         c = _LOG_SQUARE_CACHE[offset]
@@ -296,18 +305,7 @@ class SequenceSource:
 
 def sequence_from_spec(spec: str) -> SequenceSource:
     """Build a named sequence family from a spec string like ``geometric:r=0.5``."""
-    name, _, rest = spec.strip().partition(":")
-    name = name.strip().lower()
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed parameter {item!r} in spec {spec!r}")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise ValueError(f"non-numeric value for {key.strip()!r} in spec {spec!r}") from None
+    name, params = parse_spec(spec)
     if name == "geometric":
         if set(params) != {"r"}:
             raise ValueError("geometric takes exactly the parameter r")
@@ -315,7 +313,7 @@ def sequence_from_spec(spec: str) -> SequenceSource:
     if name == "heavytail":
         if not set(params) <= {"offset"}:
             raise ValueError("heavytail takes at most the parameter offset")
-        return SequenceSource.heavy_tail(int(params.get("offset", 2)))
+        return SequenceSource.heavy_tail(params.get("offset", 2))
     raise ValueError(f"unknown sequence family {name!r} (known: geometric, heavytail)")
 
 
@@ -371,12 +369,12 @@ def entropy_sequence(
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 
 
-def majorizes(p, q, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> bool:
-    """True iff q is majorized by p (every partial sum of sorted q is below p's).
+def majorization_margin(p, q, total_tol: float = SUM_TOL) -> float:
+    """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
 
     Inputs are sorted defensively in nonincreasing order and zero-padded to a
     common length.  Totals must agree within ``total_tol``; a mismatch is a
-    domain error, not a False verdict.
+    domain error, not a negative margin.
     """
     a = np.sort(np.asarray(p, dtype=float).ravel())[::-1]
     b = np.sort(np.asarray(q, dtype=float).ravel())[::-1]
@@ -389,7 +387,12 @@ def majorizes(p, q, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM
         raise ValueError(
             f"totals differ beyond {total_tol}: {float(a.sum())!r} vs {float(b.sum())!r}"
         )
-    return bool(np.all(np.cumsum(b) <= np.cumsum(a) + partial_tol))
+    return float(np.min(np.cumsum(a) - np.cumsum(b)))
+
+
+def majorizes(p, q, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> bool:
+    """True iff q is majorized by p within ``partial_tol``; see majorization_margin."""
+    return majorization_margin(p, q, total_tol) >= -partial_tol
 
 
 class BistochasticMatrix:
@@ -403,6 +406,8 @@ class BistochasticMatrix:
             raise ValueError("bistochastic matrix must be square")
         if Q.size == 0:
             raise ValueError("bistochastic matrix must be non-empty")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("bistochastic matrix entries must be finite")
         if float(Q.min()) < 0.0:
             raise ValueError("bistochastic matrix entries must be nonnegative")
         rows = np.abs(Q.sum(axis=1) - 1.0)

@@ -34,13 +34,6 @@ EXIT_VIOLATIONS = 4
 JSON_DIGITS = 12
 TABLE_DIGITS = 6
 
-_CASE_RULES = {
-    "shannon": "increasing_concave",
-    "renyi": "increasing_concave for alpha < 1, decreasing_convex for alpha > 1",
-    "tsallis": "increasing_concave",
-    "kaniadakis": "increasing_concave",
-}
-
 
 def _round_floats(obj):
     """Round floats to 12 significant digits; non-finite values to strings."""
@@ -227,7 +220,7 @@ def cmd_functional(args) -> int:
                     "family": name,
                     "params": ",".join(entry["params"]) or "none",
                     "constraint": entry["constraint"],
-                    "case": _CASE_RULES[name],
+                    "case": entry["case"],
                 }
             )
         _emit(records, args.format)

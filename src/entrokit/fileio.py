@@ -80,7 +80,7 @@ def _square_matrix(path: str, data, key: str, dim: int) -> np.ndarray:
     return m
 
 
-def read_density(path: str) -> DensityOperator:
+def _complex_matrix(path: str) -> np.ndarray:
     """JSON object with keys dim, re, im (im optional, defaults to zero)."""
     data = _json_object(path, required=("dim", "re"))
     try:
@@ -95,23 +95,17 @@ def read_density(path: str) -> DensityOperator:
         if "im" in data
         else np.zeros((dim, dim))
     )
-    return DensityOperator(re + 1j * im)
+    return re + 1j * im
+
+
+def read_density(path: str) -> DensityOperator:
+    """JSON object with keys dim, re, im (im optional, defaults to zero)."""
+    return DensityOperator(_complex_matrix(path))
 
 
 def read_basis(path: str) -> np.ndarray:
     """Same shape as a density file; columns are the basis vectors."""
-    data = _json_object(path, required=("dim", "re"))
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: 'dim' must be an integer") from None
-    re = _square_matrix(path, data["re"], "re", dim)
-    im = (
-        _square_matrix(path, data["im"], "im", dim)
-        if "im" in data
-        else np.zeros((dim, dim))
-    )
-    return re + 1j * im
+    return _complex_matrix(path)
 
 
 def read_model(path: str) -> ConvexModel:

@@ -297,35 +297,58 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
 
 # Parameter schema of the built-in families, keyed by spec-string name.
 BUILTIN_FAMILIES = {
-    "shannon": {"factory": make_shannon, "params": {}, "constraint": "no parameters"},
-    "renyi": {"factory": make_renyi, "params": ("alpha",), "constraint": "alpha > 0, alpha != 1"},
-    "tsallis": {"factory": make_tsallis, "params": ("q",), "constraint": "q > 0, q != 1"},
+    "shannon": {
+        "factory": make_shannon,
+        "params": (),
+        "constraint": "no parameters",
+        "case": "increasing_concave",
+    },
+    "renyi": {
+        "factory": make_renyi,
+        "params": ("alpha",),
+        "constraint": "alpha > 0, alpha != 1",
+        "case": "increasing_concave for alpha < 1, decreasing_convex for alpha > 1",
+    },
+    "tsallis": {
+        "factory": make_tsallis,
+        "params": ("q",),
+        "constraint": "q > 0, q != 1",
+        "case": "increasing_concave",
+    },
     "kaniadakis": {
         "factory": make_kaniadakis,
         "params": ("kappa",),
         "constraint": "0 < |kappa| < 1",
+        "case": "increasing_concave",
     },
 }
 
 
+def parse_spec(spec: str) -> tuple[str, dict]:
+    """Split ``name:key=value,...`` into a lowercase name and finite float params."""
+    name, _, rest = spec.strip().partition(":")
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise ValueError(f"malformed parameter {item!r} in spec {spec!r}")
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"non-numeric value for {key.strip()!r} in spec {spec!r}") from None
+        if not np.isfinite(number):
+            raise ValueError(f"non-finite value for {key.strip()!r} in spec {spec!r}")
+        params[key.strip()] = number
+    return name.strip().lower(), params
+
+
 def functional_from_spec(spec: str) -> EntropicFunctional:
     """Build a built-in functional from a spec string like ``renyi:alpha=2``."""
-    name, _, rest = spec.strip().partition(":")
-    name = name.strip().lower()
+    name, params = parse_spec(spec)
     if name not in BUILTIN_FAMILIES:
         known = ", ".join(sorted(BUILTIN_FAMILIES))
         raise ValueError(f"unknown functional family {name!r} (known: {known})")
     entry = BUILTIN_FAMILIES[name]
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed parameter {item!r} in spec {spec!r}")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError:
-                raise ValueError(f"non-numeric value for {key.strip()!r} in spec {spec!r}") from None
     expected = set(entry["params"])
     if set(params) != expected:
         raise ValueError(

@@ -39,6 +39,8 @@ class DensityOperator:
         rho = np.array(matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise ValueError("density operator must be a square matrix")
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("density operator entries must be finite")
         dev = float(np.max(np.abs(rho - rho.conj().T)))
         if dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev:.3e})")
@@ -67,53 +69,28 @@ def pure_state(psi) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues in nonincreasing order, clipped and renormalized."""
+def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
+    """Spectrum in nonincreasing order and matching eigenbasis (columns).
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size == 0:
-            raise ValueError("spectrum must be non-empty")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValueError("spectrum must be sorted in nonincreasing order")
-        if float(vals.min()) < 0.0 or float(vals.max()) > 1.0 + 1e-9:
-            raise ValueError("spectrum values must lie in [0, 1]")
-        if abs(float(vals.sum()) - 1.0) > 1e-8:
-            raise ValueError("spectrum must sum to 1 within 1e-8")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
-def eigen_spectrum(rho: DensityOperator) -> tuple[Spectrum, np.ndarray]:
-    """Sorted spectrum and matching eigenbasis (columns are eigenvectors).
-
-    Eigenvalues below the solver's noise floor are set to exactly zero and
-    the list is renormalized when the resulting drift exceeds 1e-12.  The
-    hard zero matters: structurally null eigenvalues come back from the
-    solver as +-1e-16 jitter, and sub-linear phi (x**alpha, alpha < 1)
-    amplifies that jitter to ~1e-8 unless it is removed.  Degenerate
-    clusters come out of the Hermitian solver already orthonormalized.
+    Eigenvalues below RANK_CUTOFF are set to exactly zero, and
+    ProbVector.from_computation renormalizes when the resulting drift exceeds
+    PARTIAL_SUM_TOL.  The hard zero matters: structurally null eigenvalues
+    come back from the solver as +-1e-16 jitter, and sub-linear phi
+    (x**alpha, alpha < 1) amplifies that jitter to ~1e-8 unless it is
+    removed.  Degenerate clusters come out of the Hermitian solver already
+    orthonormalized.
     """
     w, v = np.linalg.eigh(rho.matrix)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     w[w < RANK_CUTOFF] = 0.0
-    total = float(w.sum())
-    if abs(total - 1.0) > 1e-12:
-        w = w / total
-    return Spectrum(values=w), v
+    return ProbVector.from_computation(w), v
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
     """h(Tr phi(rho)), evaluated as the classical entropy of the spectrum."""
     spectrum, _ = eigen_spectrum(rho)
-    return entropy_finite(ProbVector(spectrum.values), F)
+    return entropy_finite(spectrum, F)
 
 
 def conjugate_isometry(rho: DensityOperator, V) -> DensityOperator:
@@ -206,7 +183,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     from .rand import as_rng, random_isometry
 
     spectrum, basis = eigen_spectrum(rho)
-    lam = spectrum.values
+    lam = spectrum.entries
     r = int(np.sum(lam > RANK_CUTOFF))
     if r == 0:
         raise ValueError("state has no eigenvalue above the rank cutoff")
@@ -240,7 +217,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
 def spectral_ensemble(rho: DensityOperator) -> Ensemble:
     """The eigendecomposition of rho presented as an ensemble."""
     spectrum, _ = eigen_spectrum(rho)
-    r = int(np.sum(spectrum.values > RANK_CUTOFF))
+    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     return random_ensemble(rho, r, mixing=np.eye(r))
 
 
@@ -261,7 +238,7 @@ def inf_ensemble_entropy(
 
     rng = as_rng(rng_seed)
     spectrum, _ = eigen_spectrum(rho)
-    r = int(np.sum(spectrum.values > RANK_CUTOFF))
+    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     if m_max is None:
         m_max = r + 2
     if m_max < r:

@@ -21,16 +21,16 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(d: int, rng=None) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with phases fixed."""
-    rng = as_rng(rng)
-    q, r = np.linalg.qr(_ginibre(d, d, rng))
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    """Haar-distributed unitary: the square case of random_isometry."""
+    return random_isometry(d, d, rng)
 
 
 def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
-    """A rows x cols matrix with orthonormal columns, rows >= cols."""
+    """A rows x cols matrix with orthonormal columns, rows >= cols.
+
+    QR of a complex Gaussian with the phases of R's diagonal moved into Q,
+    which makes the square case Haar-distributed.
+    """
     if rows < cols:
         raise ValueError("an isometry needs rows >= cols")
     rng = as_rng(rng)

@@ -1,5 +1,8 @@
 """Randomized audit suites and their report plumbing."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from entrokit.audit import DEFAULT_TRIALS, SUITES, run_audit
@@ -20,6 +23,12 @@ def test_suites_run_clean_at_small_scale(suite):
     assert len(report.cases) > 0
     assert report.violations == 0, [c for c in report.cases if not c.passed][:3]
     assert report.worst_margin >= -report.tolerance
+
+
+def test_readme_suite_table_matches_default_trials():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z-]+)` \| (\d+) \|", readme, flags=re.MULTILINE)
+    assert {suite: int(trials) for suite, trials in rows} == DEFAULT_TRIALS
 
 
 def test_unknown_suite_rejected():

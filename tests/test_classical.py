@@ -14,7 +14,9 @@ from entrokit.classical import (
     bistochastic_from_unitary,
     entropy_finite,
     entropy_sequence,
+    PARTIAL_SUM_TOL,
     jensen_step_oracle,
+    majorization_margin,
     majorizes,
     sequence_from_spec,
 )
@@ -158,6 +160,28 @@ def test_majorizes_rejects_total_mismatch():
         majorizes([0.7, 0.2], [0.5, 0.5])
 
 
+def test_margin_rejects_total_mismatch():
+    with pytest.raises(ValueError):
+        majorization_margin([0.7, 0.2], [0.5, 0.5])
+    with pytest.raises(ValueError):
+        majorization_margin([], [1.0])
+
+
+def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        p = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
+        q = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
+        assert majorizes(p, q) == (majorization_margin(p, q) >= -PARTIAL_SUM_TOL)
+        assert majorizes(q, p) == (majorization_margin(q, p) >= -PARTIAL_SUM_TOL)
+
+
+def test_margin_frozen_values():
+    # partial sums (0.6, 0.9, 1) - (0.55, 0.95, 1) -> min is -0.05
+    assert majorization_margin([0.1, 0.6, 0.3], [0.55, 0.4, 0.05]) == pytest.approx(-0.05, abs=1e-15)
+    assert majorization_margin([1.0], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_majorization_implies_entropy_ordering():
     rng = np.random.default_rng(21)
     fs = [functional_from_spec(s) for s in ALL_SPECS]
@@ -184,6 +208,9 @@ def test_bistochastic_validation():
         BistochasticMatrix([[1.1, -0.1], [-0.1, 1.1]])
     with pytest.raises(ValueError):
         BistochasticMatrix([[1.0, 0.0]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            BistochasticMatrix([[bad, 0.5], [0.5, 0.5]])
 
 
 def test_bistochastic_from_unitary_hadamard():
@@ -350,7 +377,10 @@ def test_heavy_tail_normalization():
 
 
 def test_sequence_spec_errors():
-    for spec in ("geometric", "geometric:r=1", "geometric:q=0.5", "nosuch:r=0.5", "heavytail:offset=1"):
+    for spec in (
+        "geometric", "geometric:r=1", "geometric:q=0.5", "nosuch:r=0.5", "heavytail:offset=1",
+        "geometric:r=nan", "heavytail:offset=inf", "heavytail:offset=nan", "heavytail:offset=2.9",
+    ):
         with pytest.raises(ValueError):
             sequence_from_spec(spec)
 

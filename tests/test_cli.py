@@ -274,6 +274,32 @@ def test_functional_validate_rejects_alpha_one(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("functional", "validate", "renyi:alpha=nan"),
+        ("functional", "validate", "tsallis:q=inf"),
+        ("functional", "validate", "kaniadakis:kappa=nan"),
+        ("entropy", "--kind", "classical", "--sequence", "heavytail:offset=inf"),
+        ("entropy", "--kind", "classical", "--sequence", "heavytail:offset=2.9"),
+    ],
+)
+def test_non_finite_or_non_integer_spec_is_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("domain error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_non_finite_density_file_is_domain_error(tmp_path, capsys):
+    # json accepts the NaN literal, so the file parses and the state is invalid
+    bad = write(tmp_path, "rho.json", '{"dim": 2, "re": [[0.5, NaN], [NaN, 0.5]]}')
+    code, _, err = run(capsys, "entropy", bad, "--kind", "quantum")
+    assert code == 3
+    assert err.startswith("domain error:")
+
+
 def test_functional_validate_needs_spec(capsys):
     code, _, err = run(capsys, "functional", "validate")
     assert code == 2

@@ -80,6 +80,8 @@ def test_read_basis(tmp_path):
     basis = read_basis(p)
     assert basis.shape == (2, 2)
     assert basis.dtype == complex
+    with pytest.raises(SchemaError, match="positive"):
+        read_basis(write(tmp_path, "empty.json", json.dumps({"dim": 0, "re": []})))
 
 
 def test_read_model(tmp_path):

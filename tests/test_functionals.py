@@ -164,6 +164,11 @@ def test_spec_roundtrip_and_names():
         "renyi:beta=2",
         "renyi:alpha=2,beta=3",
         "shannon:alpha=2",
+        "renyi:alpha=nan",
+        "renyi:alpha=inf",
+        "tsallis:q=inf",
+        "tsallis:q=-inf",
+        "kaniadakis:kappa=nan",
     ],
 )
 def test_bad_specs_raise(spec):

@@ -8,6 +8,7 @@ import pytest
 from entrokit.classical import ProbVector, entropy_finite, majorizes
 from entrokit.functionals import functional_from_spec, make_renyi, make_shannon
 from entrokit.quantum import (
+    RANK_CUTOFF,
     DensityOperator,
     Ensemble,
     conjugate_isometry,
@@ -53,6 +54,11 @@ def test_density_rejections():
         DensityOperator(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
     with pytest.raises(ValueError):
         DensityOperator(np.ones((2, 3)))
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        m = RHO_2x2.astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(m)
 
 
 def test_pure_state_has_zero_entropy():
@@ -91,6 +97,19 @@ def test_structural_zeros_are_exact():
     spectrum, _ = eigen_spectrum(rho)
     assert np.count_nonzero(spectrum.values) == 3
     assert spectrum.values[3:].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_eigen_spectrum_is_a_sorted_probvector_with_hard_zeros():
+    rng = as_rng(31)
+    for d, rank in ((2, 1), (4, 2), (6, 6), (7, 3)):
+        rho = random_density(d, rng, rank=rank)
+        spectrum, _ = eigen_spectrum(rho)
+        assert isinstance(spectrum, ProbVector)
+        assert spectrum.values is spectrum.entries
+        assert np.all(np.diff(spectrum.entries) <= 0.0)
+        raw = np.linalg.eigvalsh(rho.matrix)
+        assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw >= RANK_CUTOFF)
+        assert np.all((spectrum.entries == 0.0) | (spectrum.entries >= RANK_CUTOFF))
 
 
 def test_quantum_entropy_frozen_values():
