@@ -18,7 +18,7 @@ from .classical import (
     majorization_margin,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
-from .gpt import enumerate_basic_decompositions, gpt_entropy, gpt_majorant
+from .gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from .quantum import (
     RANK_CUTOFF,
     conjugate_isometry,
@@ -88,7 +88,7 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
         entries.append(
             AuditEntry.check(
                 "mixing-majorization",
-                majorization_margin(p.entries, q.entries),
+                majorization_margin(p, q),
                 EQ_TOL,
                 dim=n,
             )
@@ -237,7 +237,7 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
         for F in functionals:
-            value, _ = gpt_entropy(model, x, F)
+            value, _ = minimize_entropy(decs, F)
             if len(decs) >= 2:
                 i, j = rng.choice(len(decs), size=2, replace=False)
                 t = float(rng.uniform(0.2, 0.8))
@@ -294,6 +294,8 @@ def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None)
     """Dispatch to a named suite with its default trial count and dims."""
     if suite not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r} (known: {sorted(SUITES)})")
+    if trials is not None and trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[suite](
         trials=DEFAULT_TRIALS[suite] if trials is None else trials,
         seed=seed,

@@ -372,10 +372,12 @@ def entropy_sequence(
 def majorization_margin(p, q, total_tol: float = SUM_TOL) -> float:
     """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
 
-    Inputs are sorted defensively in nonincreasing order and zero-padded to a
-    common length.  Totals must agree within ``total_tol``; a mismatch is a
-    domain error, not a negative margin.
+    Either input may be a ProbVector or any array-like.  Inputs are sorted
+    defensively in nonincreasing order and zero-padded to a common length.
+    Totals must agree within ``total_tol``; a mismatch is a domain error,
+    not a negative margin.
     """
+    p, q = (v.entries if isinstance(v, ProbVector) else v for v in (p, q))
     a = np.sort(np.asarray(p, dtype=float).ravel())[::-1]
     b = np.sort(np.asarray(q, dtype=float).ravel())[::-1]
     if a.size == 0 or b.size == 0:

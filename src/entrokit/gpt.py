@@ -8,6 +8,10 @@ decomposition polytope sits at one of its extreme points; those are exactly
 the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
+
+Each subset size is first screened by batched SVDs; only the subsets the
+screen cannot rule out reach the exact per-subset solve, which alone accepts
+a decomposition and supplies its weights.
 """
 
 from __future__ import annotations
@@ -25,6 +29,17 @@ RESIDUAL_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
 VERTEX_CAP = 12
 DIM_CAP = 4
+# Screen slack.  On a system with s_min/s_max >= SCREEN_COND, lstsq truncates
+# no singular value, and it and the batched pseudo-inverse are both backward
+# stable: for weights of norm <= 1 (any the exact solve accepts) they differ
+# by about (s_max/s_min) * eps <= 1e6 * eps ~ 2e-10, and their residuals by
+# about s_max * eps.  Worse-conditioned systems skip the screen.
+SCREEN_COND = 1e-6
+SCREEN_RESIDUAL = 1e3 * RESIDUAL_TOL
+SCREEN_WEIGHT = 1e-6
+# Subsets per batched SVD: at the default caps one block holds every subset
+# of a size (at most C(12, 5) = 792); widened caps stay within bounded memory.
+SCREEN_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +88,54 @@ def _solve_support(points: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     return w
 
 
+def _subset_blocks(n: int, k: int):
+    """The k-subsets of range(n) in lex order, as (<= SCREEN_BLOCK, k) arrays."""
+    combos = itertools.combinations(range(n), k)
+    while block := list(itertools.islice(combos, SCREEN_BLOCK)):
+        yield np.array(block, dtype=np.intp)
+
+
+def _screen(V: np.ndarray, targets: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Which of the row-index ``subsets`` of V may write each row of ``targets``.
+
+    Solves the stacked systems [V[S]^T; 1] w = [t; 1] for every subset S and
+    every target t through one batched SVD.  ``keep[c, j]`` is False only
+    when ``_solve_support`` certainly rejects subset c for target j: the
+    pseudo-inverse solution leaves a residual above SCREEN_RESIDUAL * s_max
+    or a weight below -SCREEN_WEIGHT.  Systems with s_min/s_max below
+    SCREEN_COND are always kept.  As s_max >= 1 (the row of ones), every
+    system judged here passes the rank test at PIVOT_TOL.
+    """
+    (count, k), d = subsets.shape, V.shape[1]
+    a = np.ones((count, d + 1, k))
+    a[:, :d, :] = V[subsets].transpose(0, 2, 1)
+    b = np.vstack([targets.T, np.ones((1, targets.shape[0]))])
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    ill = s[:, -1] < SCREEN_COND * s[:, 0]
+    s = np.where(ill[:, None], 1.0, s)
+    w = vh.transpose(0, 2, 1) @ ((u.transpose(0, 2, 1) @ b) / s[:, :, None])
+    residual = np.abs(a @ w - b).max(axis=1)
+    keep = (residual <= SCREEN_RESIDUAL * s[:, :1]) & (w.min(axis=1) > -SCREEN_WEIGHT)
+    return keep | ill[:, None]
+
+
+def _first_non_extreme(V: np.ndarray) -> int | None:
+    """Smallest index of a vertex that is a convex combination of the others."""
+    n, d = V.shape
+    screens = []
+    for k in range(1, min(n - 1, d + 1) + 1):
+        for subsets in _subset_blocks(n, k):
+            keep = _screen(V, V, subsets)
+            np.put_along_axis(keep, subsets, False, axis=1)  # a vertex never counts itself
+            screens.append((subsets, keep))
+    for i in range(n):
+        for subsets, keep in screens:
+            for support in subsets[keep[:, i]]:
+                if _solve_support(V[support], V[i]) is not None:
+                    return i
+    return None
+
+
 class ConvexModel:
     """Convex hull of validated extreme points (rows of ``vertices``).
 
@@ -98,10 +161,9 @@ class ConvexModel:
         if not np.all(np.isfinite(V)):
             raise ValueError("vertices must be finite")
         if check_extreme:
-            for i in range(n):
-                others = np.delete(V, i, axis=0)
-                if others.shape[0] and _first_solution(others, V[i], d) is not None:
-                    raise ValueError(f"vertex {i} is a convex combination of the others")
+            i = _first_non_extreme(V)
+            if i is not None:
+                raise ValueError(f"vertex {i} is a convex combination of the others")
         V.setflags(write=False)
         self.vertices = V
 
@@ -129,14 +191,12 @@ def _iter_solutions(V: np.ndarray, x: np.ndarray, d: int):
     # Lexicographic subset order fixes tie-breaking everywhere downstream.
     n = V.shape[0]
     for k in range(1, min(n, d + 1) + 1):
-        for support in itertools.combinations(range(n), k):
-            w = _solve_support(V[list(support)], x)
-            if w is not None:
-                yield support, w
-
-
-def _first_solution(V: np.ndarray, x: np.ndarray, d: int):
-    return next(_iter_solutions(V, x, d), None)
+        for subsets in _subset_blocks(n, k):
+            keep = _screen(V, x[None, :], subsets)
+            for support in subsets[keep[:, 0]]:
+                w = _solve_support(V[support], x)
+                if w is not None:
+                    yield tuple(support.tolist()), w
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
@@ -151,7 +211,7 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
 def membership(model: ConvexModel, x) -> Decomposition | None:
     """First basic decomposition of x, or None when x is outside the hull."""
     x = _check_point(model, x)
-    found = _first_solution(model.vertices, x, model.ambient_dim)
+    found = next(_iter_solutions(model.vertices, x, model.ambient_dim), None)
     if found is None:
         return None
     support, w = found
@@ -191,9 +251,20 @@ def gpt_entropy(
     Returns (+inf, None) when x is outside the hull.  Ties are broken by
     the lexicographically first support.
     """
+    return minimize_entropy(enumerate_basic_decompositions(model, x), F)
+
+
+def minimize_entropy(
+    decs: list[Decomposition], F: EntropicFunctional
+) -> tuple[float, Decomposition | None]:
+    """Minimum of h(sum phi(weights)) over ``decs``, and the first that attains it.
+
+    Returns (+inf, None) for an empty list.  Enumerate once and call this per
+    functional to evaluate several functionals on one state.
+    """
     best_value = np.inf
     best = None
-    for dec in enumerate_basic_decompositions(model, x):
+    for dec in decs:
         value = entropy_finite(ProbVector.from_computation(dec.weights), F).value
         if value < best_value:
             best_value = value

@@ -36,6 +36,12 @@ def test_unknown_suite_rejected():
         run_audit("nosuch", trials=4)
 
 
+@pytest.mark.parametrize("suite,trials", [("schur", 0), ("ensemble", -3)])
+def test_trials_below_one_rejected(suite, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_audit(suite, trials=trials)
+
+
 def test_same_seed_reproduces_bitwise():
     a = run_audit("schur", trials=8, seed=123)
     b = run_audit("schur", trials=8, seed=123)

@@ -176,6 +176,17 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
         assert majorizes(q, p) == (majorization_margin(q, p) >= -PARTIAL_SUM_TOL)
 
 
+def test_margin_accepts_probvectors_mixed_with_lists():
+    p, q = [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]
+    want = majorization_margin(p, q)
+    assert majorization_margin(ProbVector(p), q) == want
+    assert majorization_margin(p, ProbVector(q)) == want
+    assert majorization_margin(ProbVector(p), ProbVector(q)) == want
+    assert majorizes(ProbVector([0.5, 0.5]), ProbVector([0.5, 0.5]))
+    assert majorizes(ProbVector(p), q)
+    assert not majorizes(q, ProbVector(p))
+
+
 def test_margin_frozen_values():
     # partial sums (0.6, 0.9, 1) - (0.55, 0.95, 1) -> min is -0.05
     assert majorization_margin([0.1, 0.6, 0.3], [0.55, 0.4, 0.05]) == pytest.approx(-0.05, abs=1e-15)

@@ -238,6 +238,14 @@ def test_audit_bad_dims_is_domain_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("suite,trials", [("schur", "0"), ("ensemble", "-3")])
+def test_audit_trials_below_one_is_domain_error(capsys, suite, trials):
+    code, out, err = run(capsys, "audit", suite, "--trials", trials)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error:")
+
+
 # -------------------------------------------------------------- functional
 
 def test_functional_list(capsys):

@@ -6,17 +6,22 @@ import math
 import numpy as np
 import pytest
 
+from entrokit import gpt
+from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
 from entrokit.classical import ProbVector, entropy_finite, majorizes
 from entrokit.functionals import functional_from_spec, make_shannon
 from entrokit.gpt import (
+    VERTEX_CAP,
     ConvexModel,
     Decomposition,
     GptState,
+    _solve_support,
     enumerate_basic_decompositions,
     gpt_entropy,
     gpt_majorant,
     gpt_majorization,
     membership,
+    minimize_entropy,
 )
 from entrokit.quantum import DensityOperator, quantum_entropy
 from entrokit.rand import as_rng, random_interior_point, random_simplex_model, random_sphere_model
@@ -52,6 +57,56 @@ def oracle_decompositions(vertices, x, tol=1e-9):
                 continue
             out.append((support, w))
     return out
+
+
+def reference_solutions(V, x, d):
+    """The unscreened enumeration: the exact solve on every subset, lex order."""
+    n = V.shape[0]
+    for k in range(1, min(n, d + 1) + 1):
+        for support in itertools.combinations(range(n), k):
+            w = _solve_support(V[list(support)], x)
+            if w is not None:
+                yield support, w
+
+
+def reference_first_non_extreme(V):
+    """The unscreened extremality check: each vertex against the others."""
+    n, d = V.shape
+    for i in range(n):
+        others = np.delete(V, i, axis=0)
+        if others.shape[0] and next(reference_solutions(others, V[i], d), None) is not None:
+            return i
+    return None
+
+
+def facet_point(V, rng):
+    """A random point on some facet of the hull of V (V in general position)."""
+    n, d = V.shape
+    for support in itertools.combinations(range(n), d):
+        P = V[list(support)]
+        normal = np.linalg.svd(P[1:] - P[0])[2][-1] if d > 1 else np.ones(1)
+        side = (V - P[0]) @ normal
+        if np.all(side <= 1e-12) or np.all(side >= -1e-12):
+            return rng.dirichlet(np.ones(d)) @ P
+    raise AssertionError("no facet found")
+
+
+def assert_enumeration_is_the_reference(model, x):
+    got = enumerate_basic_decompositions(model, x)
+    want = list(reference_solutions(model.vertices, x, model.ambient_dim))
+    assert [dec.support for dec in got] == [s for s, _ in want]
+    assert all(np.array_equal(dec.weights, w) for dec, (_, w) in zip(got, want))
+    return want
+
+
+def screen_targets(model, rng):
+    V = model.vertices
+    n = V.shape[0]
+    yield from (random_interior_point(model, rng) for _ in range(3))
+    yield from V
+    yield from (0.5 * (V[i] + V[(i + 1) % n]) for i in range(0, n, 3))  # some on edges
+    yield facet_point(V, rng)
+    yield 3.0 * V[0]  # sphere models: outside the hull
 
 
 # ------------------------------------------------------------------- models
@@ -132,6 +187,65 @@ def test_enumeration_matches_independent_oracle():
             assert np.max(np.abs(d.barycenter(model) - np.asarray(x))) < 1e-9
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_screened_enumeration_is_bitwise_the_unscreened_one(d):
+    rng = as_rng(41 + d)
+    for n in (d + 2, VERTEX_CAP):
+        model = random_sphere_model(n, d, rng)
+        for x in screen_targets(model, rng):
+            want = assert_enumeration_is_the_reference(model, x)
+            first = membership(model, x)
+            assert (first is None) == (not want)
+            if first is not None:
+                assert first.support == want[0][0]
+                assert np.array_equal(first.weights, want[0][1])
+
+
+def _with_vertex(V, position, point):
+    return np.insert(V, position, point, axis=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_extremality_names_the_same_vertex_as_the_unscreened_check(d):
+    rng = as_rng(53 + d)
+    V = random_sphere_model(d + 4, d, rng).vertices
+    assert reference_first_non_extreme(V) is None
+    ConvexModel(V)
+    # a hull edge: its midpoint has the one decomposition over its two ends
+    a, b = next(
+        pair for pair in itertools.combinations(range(len(V)), 2)
+        if len(list(reference_solutions(V, V[list(pair)].mean(axis=0), d))) == 1
+    )
+    nudge = np.full(d, 1e-11 / math.sqrt(d))
+    bad = {
+        "interior": _with_vertex(V, 2, V[:d + 1].mean(axis=0)),
+        "duplicate": _with_vertex(V, 1, V[4]),
+        "edge-midpoint": _with_vertex(V, 3, 0.5 * (V[a] + V[b])),
+        "near-duplicate": _with_vertex(V, 2, V[3] + nudge),
+        # vertex 1 needs a larger support than the duplicate at the end
+        "two-faults": _with_vertex(_with_vertex(V, 1, V[:d + 1].mean(axis=0)), len(V) + 1, V[3]),
+    }
+    for label, W in bad.items():
+        i = reference_first_non_extreme(W)
+        assert i is not None, label
+        with pytest.raises(ValueError, match=f"^vertex {i} is a convex combination of the others$"):
+            ConvexModel(W)
+
+
+def test_screen_blocks_keep_lex_order_and_results(monkeypatch):
+    # several blocks per subset size, the last one partial: C(8, 4) = 70
+    monkeypatch.setattr(gpt, "SCREEN_BLOCK", 16)
+    rng = as_rng(67)
+    model = random_sphere_model(8, 3, rng)
+    for x in screen_targets(model, rng):
+        assert_enumeration_is_the_reference(model, x)
+    V = model.vertices
+    W = _with_vertex(_with_vertex(V, 1, V[:4].mean(axis=0)), len(V) + 1, V[3])
+    i = reference_first_non_extreme(W)
+    with pytest.raises(ValueError, match=f"^vertex {i} is"):
+        ConvexModel(W)
+
+
 def test_decomposition_validation():
     model = ConvexModel(SQUARE)
     with pytest.raises(ValueError):
@@ -168,6 +282,23 @@ def test_center_is_entropy_minimal_on_its_cross_section():
     for x in ([0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]):
         value, _ = gpt_entropy(model, x, F)
         assert value > center_value
+
+
+def test_one_enumeration_gives_every_functional_its_gpt_entropy():
+    rng = as_rng(61)
+    functionals = [functional_from_spec(spec) for spec in DEFAULT_FUNCTIONAL_SPECS]
+    for _ in range(8):
+        d = int(rng.integers(2, 4))
+        model = random_sphere_model(int(rng.integers(d + 2, 9)), d, rng)
+        x = random_interior_point(model, rng)
+        decs = enumerate_basic_decompositions(model, x)
+        for F in functionals:
+            value, dec = minimize_entropy(decs, F)
+            want_value, want_dec = gpt_entropy(model, x, F)
+            assert value == want_value
+            assert dec.support == want_dec.support
+            assert np.array_equal(dec.weights, want_dec.weights)
+    assert minimize_entropy([], make_shannon()) == (math.inf, None)
 
 
 def test_gpt_entropy_outside_hull():
