@@ -18,7 +18,7 @@ from .classical import (
     majorization_margin,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
-from .gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
+from .gpt import DIM_CAP, enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from .quantum import (
     RANK_CUTOFF,
     conjugate_isometry,
@@ -99,16 +99,13 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
             entries.append(
                 AuditEntry.check("entropy-monotone", hq - hp, INEQ_TOL, functional=F.name, dim=n)
             )
-            eq_worst = np.inf
-            dir_worst = np.inf
-            for i in range(n):
-                int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix[i], p, F)
-                eq_worst = min(eq_worst, -abs(int_f - disc_q), -abs(int_phi - disc_sum))
-                point = float(F.phi(disc_q))
-                if F.case is FunctionalCase.INCREASING_CONCAVE:
-                    dir_worst = min(dir_worst, point - disc_sum)
-                else:
-                    dir_worst = min(dir_worst, disc_sum - point)
+            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix, p, F)
+            eq_worst = float(min(np.min(-np.abs(int_f - disc_q)), np.min(-np.abs(int_phi - disc_sum))))
+            points = F.phi(disc_q)
+            if F.case is FunctionalCase.INCREASING_CONCAVE:
+                dir_worst = float(np.min(points - disc_sum))
+            else:
+                dir_worst = float(np.min(disc_sum - points))
             entries.append(
                 AuditEntry.check("jensen-integral-match", eq_worst, EQ_TOL, functional=F.name, dim=n)
             )
@@ -226,6 +223,9 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
 
 def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Blended decompositions never beat the basic-decomposition minimum."""
+    lo, hi = dims
+    if lo < 2 or hi > DIM_CAP:
+        raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
     entries = []

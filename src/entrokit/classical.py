@@ -22,6 +22,7 @@ PARTIAL_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 UNITARY_TOL = 1e-8
 STOP_WINDOW = 64  # trailing-window length for sequence truncation
+MAX_BLOCK = 65_536  # largest sequence read; reads double from STOP_WINDOW up to it
 
 
 class ProbVector:
@@ -333,6 +334,14 @@ def entropy_sequence(
     certified tail is reported DeclaredDivergent with value +inf; for a
     decreasing/convex functional the phi-sum is bounded, so the truncated
     estimate is returned instead.
+
+    The sequence is read in blocks that double from STOP_WINDOW up to
+    MAX_BLOCK terms and never reach past ``max_terms``.  Both stopping checks
+    still run after every window, in order, so the value, status and
+    ``terms_used`` are those of a window-by-window read.  A read can reach
+    past the stopping window, at most to the end of its block; a value there
+    outside [0, 1], or breaking a declared monotonicity, raises ValueError
+    although it would not have entered the sum.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -341,24 +350,30 @@ def entropy_sequence(
     partial = 0.0
     n = 0
     last_chunk = math.inf
+    block = STOP_WINDOW
     while n < max_terms:
-        stop = min(n + STOP_WINDOW, max_terms)
-        vals = src.values(n, stop)
-        chunk = float(np.sum(np.asarray(F.phi(vals))))
-        partial += chunk
-        full_window = stop - n == STOP_WINDOW
-        n = stop
-        last_chunk = abs(chunk)
-        if src.tail is not None:
-            rem = src.tail.remainder(F, n)
-            if rem is not None and abs(rem) < increment_tol:
+        stop = min(n + block, max_terms)
+        phis = np.asarray(F.phi(src.values(n, stop)))
+        full = phis.size - phis.size % STOP_WINDOW
+        chunks = phis[:full].reshape(-1, STOP_WINDOW).sum(axis=1).tolist()
+        if full < phis.size:
+            chunks.append(float(np.sum(phis[full:])))
+        for chunk in chunks:
+            partial += chunk
+            full_window = stop - n >= STOP_WINDOW
+            n = min(n + STOP_WINDOW, stop)
+            last_chunk = abs(chunk)
+            if src.tail is not None:
+                rem = src.tail.remainder(F, n)
+                if rem is not None and abs(rem) < increment_tol:
+                    return EntropyResult(
+                        float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem)
+                    )
+            if full_window and last_chunk < increment_tol:
                 return EntropyResult(
-                    float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem)
+                    float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk
                 )
-        if full_window and last_chunk < increment_tol:
-            return EntropyResult(
-                float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk
-            )
+        block = min(2 * block, MAX_BLOCK)
     if src.tail is not None:
         rem = src.tail.remainder(F, n)
         if rem is not None:
@@ -390,6 +405,33 @@ def majorization_margin(p, q, total_tol: float = SUM_TOL) -> float:
             f"totals differ beyond {total_tol}: {float(a.sum())!r} vs {float(b.sum())!r}"
         )
     return float(np.min(np.cumsum(a) - np.cumsum(b)))
+
+
+def majorant_index(vectors, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> int | None:
+    """Index of the first vector that majorizes every one in ``vectors``, or None.
+
+    Gives the verdicts of majorizes(vectors[i], v) over all v from one
+    zero-padded matrix C of partial sums: row i qualifies iff
+    min(C[i] - C.max(axis=0)) >= -partial_tol, which is exact because
+    rounding is monotone, so min_j fl(a - b_j) = fl(a - max_j b_j).  Totals
+    must agree within ``total_tol``, as in majorization_margin.
+    """
+    rows = [
+        np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
+        for v in vectors
+    ]
+    if not rows or min(r.size for r in rows) == 0:
+        raise ValueError("majorization needs non-empty inputs")
+    size = max(r.size for r in rows)
+    padded = np.array([np.pad(r, (0, size - r.size)) for r in rows])
+    totals = padded.sum(axis=1)
+    if float(totals.max() - totals.min()) > total_tol:
+        raise ValueError(
+            f"totals differ beyond {total_tol}: {float(totals.min())!r} vs {float(totals.max())!r}"
+        )
+    partial = np.cumsum(padded, axis=1)
+    hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -partial_tol)
+    return int(hits[0]) if hits.size else None
 
 
 def majorizes(p, q, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> bool:
@@ -447,8 +489,8 @@ def apply_bistochastic(Q: BistochasticMatrix, p: ProbVector) -> ProbVector:
     return ProbVector.from_computation(Q.matrix @ p.entries)
 
 
-def jensen_step_oracle(q_row, p, F: EntropicFunctional):
-    """Integrate the step function behind one row of a bistochastic mix.
+def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
+    """Integrate the step function behind rows of a bistochastic mix.
 
     The row lengths Q_ik partition [0, 1]; the step function takes value p_k
     on the k-th segment.  Returns (integral_f, integral_phi_f, discrete_q_i,
@@ -456,24 +498,33 @@ def jensen_step_oracle(q_row, p, F: EntropicFunctional):
     and the discrete values from dot products; the pairs agree within 1e-12
     and Jensen's inequality relates phi(q_i) to the discrete phi-sum in the
     direction fixed by F.case.
+
+    A 2-d ``q_rows`` holds one row per line and gives four arrays, whose entry
+    i equals, bit for bit, the four floats that row i alone gives; any other
+    shape is flattened to one row.
     """
-    row = np.asarray(q_row, dtype=float).ravel()
-    if row.size == 0:
+    rows = np.asarray(q_rows, dtype=float)
+    batch = rows.ndim == 2
+    rows = rows if batch else rows.reshape(1, -1)
+    if rows.size == 0:
         raise ValueError("row must be non-empty")
-    if float(row.min()) < 0.0:
+    if float(rows.min()) < 0.0:
         raise ValueError("row entries must be nonnegative")
-    if abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
+    if float(np.max(np.abs(rows.sum(axis=1) - 1.0))) > ROW_SUM_TOL:
         raise ValueError(f"row must sum to 1 within {ROW_SUM_TOL}")
     if not isinstance(p, ProbVector):
         p = ProbVector(p)
-    if row.size != len(p):
+    if rows.shape[1] != len(p):
         raise ValueError("row and vector dimensions differ")
     vals = p.entries
     phis = np.asarray(F.phi(vals))
-    bounds = np.concatenate([[0.0], np.cumsum(row)])
-    lengths = np.diff(bounds)
-    integral_f = float(np.sum(lengths * vals))
-    integral_phi_f = float(np.sum(lengths * phis))
-    discrete_q_i = float(np.dot(row, vals))
-    discrete_sum = float(np.dot(row, phis))
-    return integral_f, integral_phi_f, discrete_q_i, discrete_sum
+    lengths = np.diff(np.cumsum(rows, axis=1), axis=1, prepend=0.0)
+    integral_f = np.sum(lengths * vals, axis=1)
+    integral_phi_f = np.sum(lengths * phis, axis=1)
+    if not batch:
+        row = rows[0]
+        return float(integral_f[0]), float(integral_phi_f[0]), float(np.dot(row, vals)), float(np.dot(row, phis))
+    # A stacked matmul repeats np.dot row by row, bit for bit; rows @ vals does not.
+    discrete_q = (rows[:, None, :] @ vals[:, None])[:, 0, 0]
+    discrete_sum = (rows[:, None, :] @ phis[:, None])[:, 0, 0]
+    return integral_f, integral_phi_f, discrete_q, discrete_sum

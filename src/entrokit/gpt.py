@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ProbVector, entropy_finite, majorizes
+from .classical import ProbVector, entropy_finite, majorant_index, majorizes
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -283,10 +283,8 @@ def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:
     if not decs:
         return None
     spectra = [np.sort(d.weights)[::-1] for d in decs]
-    for candidate in spectra:
-        if all(majorizes(candidate, other) for other in spectra):
-            return candidate
-    return None
+    best = majorant_index(spectra)
+    return None if best is None else spectra[best]
 
 
 def gpt_majorization(model: ConvexModel, x, y) -> bool | None:

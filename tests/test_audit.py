@@ -42,6 +42,12 @@ def test_trials_below_one_rejected(suite, trials):
         run_audit(suite, trials=trials)
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (1, 3), (7, 7), (2, 5)])
+def test_gpt_argmin_rejects_dims_outside_the_cap(dims):
+    with pytest.raises(ValueError, match="gpt-argmin dims must lie in 2..4"):
+        run_audit("gpt-argmin", trials=2, dims=dims)
+
+
 def test_same_seed_reproduces_bitwise():
     a = run_audit("schur", trials=8, seed=123)
     b = run_audit("schur", trials=8, seed=123)

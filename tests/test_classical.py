@@ -1,12 +1,16 @@
 """Probability vectors, finite and sequence entropies, majorization, mixing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from entrokit.classical import (
+    MAX_BLOCK,
+    STOP_WINDOW,
     BistochasticMatrix,
+    EntropyResult,
     EntropyStatus,
     ProbVector,
     SequenceSource,
@@ -20,7 +24,8 @@ from entrokit.classical import (
     majorizes,
     sequence_from_spec,
 )
-from entrokit.functionals import functional_from_spec, make_renyi, make_shannon, make_tsallis
+from entrokit.functionals import FunctionalCase, functional_from_spec, make_renyi, make_shannon, make_tsallis
+from entrokit.rand import random_prob_vector, random_unitary
 
 LN2 = 0.6931471805599453
 ALL_SPECS = ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5"]
@@ -285,6 +290,39 @@ def test_jensen_direction_flips_for_convex_phi():
             assert F.phi(q_i) <= disc + 1e-12
 
 
+def test_jensen_rows_in_one_call_are_the_one_row_calls():
+    rng = np.random.default_rng(17)
+    fs = [functional_from_spec(s) for s in ALL_SPECS]
+    for n in range(2, 9):
+        for _ in range(4):
+            Q = bistochastic_from_unitary(random_unitary(n, rng))
+            p = random_prob_vector(n, rng)
+            for F in fs:
+                batch = jensen_step_oracle(Q.matrix, p, F)
+                assert all(isinstance(a, np.ndarray) and a.shape == (n,) for a in batch)
+                for i in range(n):
+                    one = jensen_step_oracle(Q.matrix[i], p, F)
+                    assert all(isinstance(v, float) for v in one)
+                    assert tuple(a[i] for a in batch) == one
+
+
+def test_jensen_bad_rows_raise_in_both_forms():
+    rng = np.random.default_rng(19)
+    F = make_shannon()
+    Q = bistochastic_from_unitary(random_unitary(4, rng)).matrix
+    p = random_prob_vector(4, rng)
+    negative = Q.copy()
+    negative[1, 0], negative[1, 1] = -1e-3, negative[1, 1] + negative[1, 0] + 1e-3
+    off_sum = Q.copy()
+    off_sum[2, 0] += 1e-6
+    too_wide = np.hstack([Q, np.zeros((4, 1))])
+    for rows, bad in ((negative, 1), (off_sum, 2), (too_wide, 0)):
+        with pytest.raises(ValueError):
+            jensen_step_oracle(rows, p, F)
+        with pytest.raises(ValueError):
+            jensen_step_oracle(rows[bad], p, F)
+
+
 # ------------------------------------------------------------------ sequences
 
 def test_geometric_sequence_values():
@@ -377,6 +415,110 @@ def test_heavy_tail_never_divergent_for_convex_case():
     res = entropy_sequence(src, make_renyi(2), max_terms=10_000)
     assert res.status is EntropyStatus.TRUNCATED_ESTIMATE
     assert math.isfinite(res.value)
+
+
+def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
+    """The window-by-window loop: one read of STOP_WINDOW terms per step."""
+    partial = 0.0
+    n = 0
+    last_chunk = math.inf
+    while n < max_terms:
+        stop = min(n + STOP_WINDOW, max_terms)
+        vals = src.values(n, stop)
+        chunk = float(np.sum(np.asarray(F.phi(vals))))
+        partial += chunk
+        full_window = stop - n == STOP_WINDOW
+        n = stop
+        last_chunk = abs(chunk)
+        if src.tail is not None:
+            rem = src.tail.remainder(F, n)
+            if rem is not None and abs(rem) < increment_tol:
+                return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
+        if full_window and last_chunk < increment_tol:
+            return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+    if src.tail is not None:
+        rem = src.tail.remainder(F, n)
+        if rem is not None:
+            status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
+            return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
+    if F.case is FunctionalCase.INCREASING_CONCAVE:
+        return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
+    return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+
+
+def assert_blocked_is_windowed(src, F, **kwargs):
+    got = dataclasses.astuple(entropy_sequence(src, F, **kwargs))
+    want = dataclasses.astuple(reference_entropy_sequence(src, F, **kwargs))
+    assert got == want, (src.name, F.name, kwargs)
+
+
+@pytest.mark.parametrize("r", [0.5, 0.95, 0.975, 0.999, 0.999999])
+def test_blocked_geometric_is_the_windowed_loop(r):
+    src = SequenceSource.geometric(r)
+    for spec in ALL_SPECS:
+        for max_terms in (10, 64, 100, 10_000, 1_000_000):
+            assert_blocked_is_windowed(src, functional_from_spec(spec), max_terms=max_terms)
+
+
+def test_blocked_heavy_tail_and_finite_are_the_windowed_loop():
+    heavy = SequenceSource.heavy_tail()
+    for spec in ("shannon", "renyi:alpha=2"):
+        for max_terms in (10, 1000, 100_001):
+            assert_blocked_is_windowed(heavy, functional_from_spec(spec), max_terms=max_terms)
+    rng = np.random.default_rng(23)
+    for vec in ([1.0, 0.0, 0.0], [0.5, 0.25, 0.25], rng.dirichlet(np.ones(300))):
+        for spec in ALL_SPECS:
+            assert_blocked_is_windowed(SequenceSource.from_vector(vec), functional_from_spec(spec))
+
+
+def test_blocked_custom_scalar_source_is_the_windowed_loop():
+    src = SequenceSource(fn=lambda i: 6.0 / (math.pi * (i + 1)) ** 2, declared_monotone=True)
+    for spec in ALL_SPECS:
+        assert_blocked_is_windowed(src, functional_from_spec(spec), max_terms=5000)
+
+
+@pytest.mark.parametrize("support", [64, 384, 400])
+def test_zero_window_stops_on_and_inside_block_ends(support):
+    # no tail descriptor: the first all-zero window stops the read, which is
+    # the last window of a block for support 384 (blocks end at 64, 192, 448)
+    src = SequenceSource(fn=lambda i: 1.0 / support if i < support else 0.0, declared_monotone=True)
+    for spec in ALL_SPECS:
+        assert_blocked_is_windowed(src, functional_from_spec(spec))
+    res = entropy_sequence(src, make_shannon())
+    assert res.status is EntropyStatus.TRUNCATED_ESTIMATE
+    assert res.terms_used == -(-support // STOP_WINDOW) * STOP_WINDOW + STOP_WINDOW
+
+
+class CountingSource(SequenceSource):
+    def __init__(self, base):
+        super().__init__(base._fn, base.declared_monotone, base.tail, base.name, base._vectorized)
+        self.reads = []
+
+    def values(self, start, stop):
+        self.reads.append((start, stop))
+        return super().values(start, stop)
+
+
+@pytest.mark.parametrize(
+    "base,F,max_terms",
+    [
+        (SequenceSource.heavy_tail(), make_shannon(), 100_001),
+        (SequenceSource.heavy_tail(), make_shannon(), 1_000_000),
+        (SequenceSource.geometric(0.999), make_shannon(), 1_000_000),
+        (SequenceSource.geometric(0.5), make_renyi(2), 10_000),
+    ],
+)
+def test_sequence_reads_stay_within_max_terms_and_one_block(base, F, max_terms):
+    src = CountingSource(base)
+    res = entropy_sequence(src, F, max_terms=max_terms)
+    starts, stops = zip(*src.reads)
+    assert starts[0] == 0 and list(starts[1:]) == list(stops[:-1])
+    assert stops[-1] <= max_terms
+    assert all(b - a <= MAX_BLOCK for a, b in src.reads)
+    # the last read holds the stopping window: read-ahead is within one block
+    assert starts[-1] < res.terms_used <= stops[-1]
+    if max_terms > MAX_BLOCK and res.terms_used == max_terms:
+        assert len(src.reads) < 100
 
 
 def test_heavy_tail_normalization():

@@ -246,6 +246,14 @@ def test_audit_trials_below_one_is_domain_error(capsys, suite, trials):
     assert err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("dims", ["1", "7"])
+def test_audit_gpt_dims_outside_the_cap_is_domain_error(capsys, dims):
+    code, out, err = run(capsys, "audit", "gpt-argmin", "--trials", "2", "--dims", dims)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: gpt-argmin dims")
+
+
 # -------------------------------------------------------------- functional
 
 def test_functional_list(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from entrokit import gpt
 from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
-from entrokit.classical import ProbVector, entropy_finite, majorizes
+from entrokit.classical import ProbVector, entropy_finite, majorant_index, majorizes
 from entrokit.functionals import functional_from_spec, make_shannon
 from entrokit.gpt import (
     VERTEX_CAP,
@@ -398,6 +398,44 @@ def test_majorant_entropy_is_minimal_across_decompositions():
         for dec in enumerate_basic_decompositions(model, x):
             h_dec = entropy_finite(ProbVector.from_computation(dec.weights), F).value
             assert h_dec >= h_maj - 1e-9
+
+
+def reference_majorant(spectra):
+    """The pairwise loop: the first spectrum that majorizes every other one."""
+    for candidate in spectra:
+        if all(majorizes(candidate, other) for other in spectra):
+            return candidate
+    return None
+
+
+def test_majorant_matrix_picks_the_pairwise_candidate():
+    rng = as_rng(41)
+    found = missing = 0
+    for d in (2, 3, 4):
+        for _ in range(40):
+            model = random_sphere_model(int(rng.integers(d + 2, 9)), d, rng)
+            x = random_interior_point(model, rng)
+            spectra = [np.sort(dec.weights)[::-1] for dec in enumerate_basic_decompositions(model, x)]
+            want = reference_majorant(spectra)
+            got = gpt_majorant(model, x)
+            if want is None:
+                missing += 1
+                assert got is None and majorant_index(spectra) is None
+            else:
+                found += 1
+                assert spectra[majorant_index(spectra)] is want and np.array_equal(got, want)
+    assert found and missing
+
+
+def test_majorant_index_on_unequal_lengths_and_totals():
+    assert majorant_index([[0.5, 0.5], [1.0], [0.4, 0.3, 0.3]]) == 1
+    assert majorant_index([[0.5, 0.5], [1.0], [0.0, 1.0]]) == 1  # ties: the first one
+    assert majorant_index([[0.6, 0.3, 0.1], [0.55, 0.4, 0.05]]) is None
+    assert majorant_index([ProbVector([0.25, 0.75])]) == 0
+    with pytest.raises(ValueError):
+        majorant_index([[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(ValueError):
+        majorant_index([])
 
 
 # -------------------------------------------------------------------- state
