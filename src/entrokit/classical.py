@@ -335,13 +335,15 @@ def entropy_sequence(
     decreasing/convex functional the phi-sum is bounded, so the truncated
     estimate is returned instead.
 
-    The sequence is read in blocks that double from STOP_WINDOW up to
+    A vectorized source is read in blocks that double from STOP_WINDOW up to
     MAX_BLOCK terms and never reach past ``max_terms``.  Both stopping checks
     still run after every window, in order, so the value, status and
     ``terms_used`` are those of a window-by-window read.  A read can reach
     past the stopping window, at most to the end of its block; a value there
     outside [0, 1], or breaking a declared monotonicity, raises ValueError
-    although it would not have entered the sum.
+    although it would not have entered the sum.  A non-vectorized source
+    calls its function once per index, so blocks would save it nothing; it is
+    read one window at a time and never past the stopping window.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -351,6 +353,7 @@ def entropy_sequence(
     n = 0
     last_chunk = math.inf
     block = STOP_WINDOW
+    block_cap = MAX_BLOCK if src._vectorized else STOP_WINDOW
     while n < max_terms:
         stop = min(n + block, max_terms)
         phis = np.asarray(F.phi(src.values(n, stop)))
@@ -373,7 +376,7 @@ def entropy_sequence(
                 return EntropyResult(
                     float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk
                 )
-        block = min(2 * block, MAX_BLOCK)
+        block = min(2 * block, block_cap)
     if src.tail is not None:
         rem = src.tail.remainder(F, n)
         if rem is not None:
@@ -407,14 +410,18 @@ def majorization_margin(p, q, total_tol: float = SUM_TOL) -> float:
     return float(np.min(np.cumsum(a) - np.cumsum(b)))
 
 
-def majorant_index(vectors, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> int | None:
+def majorant_index(vectors) -> int | None:
     """Index of the first vector that majorizes every one in ``vectors``, or None.
 
-    Gives the verdicts of majorizes(vectors[i], v) over all v from one
-    zero-padded matrix C of partial sums: row i qualifies iff
-    min(C[i] - C.max(axis=0)) >= -partial_tol, which is exact because
-    rounding is monotone, so min_j fl(a - b_j) = fl(a - max_j b_j).  Totals
-    must agree within ``total_tol``, as in majorization_margin.
+    Row i is picked iff majorizes(vectors[i], v) holds for every v, decided
+    from one zero-padded matrix C of partial sums: row i qualifies iff
+    min(C[i] - C.max(axis=0)) >= -PARTIAL_SUM_TOL, which is exact because
+    rounding is monotone, so min_j fl(a - b_j) = fl(a - max_j b_j).
+
+    All totals must agree within SUM_TOL, largest against smallest, or
+    ValueError is raised.  This is stricter than a pairwise majorizes loop,
+    which compares totals only pair by pair and stops at the first failing
+    pair: totals 1 - 0.9e-9, 1 and 1 + 0.9e-9 raise here.
     """
     rows = [
         np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
@@ -425,12 +432,12 @@ def majorant_index(vectors, total_tol: float = SUM_TOL, partial_tol: float = PAR
     size = max(r.size for r in rows)
     padded = np.array([np.pad(r, (0, size - r.size)) for r in rows])
     totals = padded.sum(axis=1)
-    if float(totals.max() - totals.min()) > total_tol:
+    if float(totals.max() - totals.min()) > SUM_TOL:
         raise ValueError(
-            f"totals differ beyond {total_tol}: {float(totals.min())!r} vs {float(totals.max())!r}"
+            f"totals differ beyond {SUM_TOL}: {float(totals.min())!r} vs {float(totals.max())!r}"
         )
     partial = np.cumsum(padded, axis=1)
-    hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -partial_tol)
+    hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -PARTIAL_SUM_TOL)
     return int(hits[0]) if hits.size else None
 
 
@@ -499,9 +506,11 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     and Jensen's inequality relates phi(q_i) to the discrete phi-sum in the
     direction fixed by F.case.
 
-    A 2-d ``q_rows`` holds one row per line and gives four arrays, whose entry
-    i equals, bit for bit, the four floats that row i alone gives; any other
-    shape is flattened to one row.
+    Any 2-d ``q_rows`` is a batch with one row per line and gives four arrays
+    of shape (rows,), whose entry i equals, bit for bit, the four floats that
+    row i alone gives.  So a (1, n) slice gives four arrays of shape (1,), and
+    an (n, 1) column is n rows of width 1, not one row.  Any other shape is
+    flattened to one row and gives four floats.
     """
     rows = np.asarray(q_rows, dtype=float)
     batch = rows.ndim == 2

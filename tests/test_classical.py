@@ -306,6 +306,19 @@ def test_jensen_rows_in_one_call_are_the_one_row_calls():
                     assert tuple(a[i] for a in batch) == one
 
 
+def test_jensen_single_row_slice_is_a_batch_of_one():
+    rng = np.random.default_rng(23)
+    F = make_shannon()
+    Q = bistochastic_from_unitary(random_unitary(3, rng)).matrix
+    p = random_prob_vector(3, rng)
+    batch = jensen_step_oracle(Q[1:2], p, F)
+    assert all(isinstance(a, np.ndarray) and a.shape == (1,) for a in batch)
+    assert tuple(a[0] for a in batch) == jensen_step_oracle(Q[1], p, F)
+    # an (n, 1) column is n rows of width 1, not one row of width n
+    with pytest.raises(ValueError):
+        jensen_step_oracle(Q[1].reshape(-1, 1), p, F)
+
+
 def test_jensen_bad_rows_raise_in_both_forms():
     rng = np.random.default_rng(19)
     F = make_shannon()
@@ -481,7 +494,11 @@ def test_blocked_custom_scalar_source_is_the_windowed_loop():
 def test_zero_window_stops_on_and_inside_block_ends(support):
     # no tail descriptor: the first all-zero window stops the read, which is
     # the last window of a block for support 384 (blocks end at 64, 192, 448)
-    src = SequenceSource(fn=lambda i: 1.0 / support if i < support else 0.0, declared_monotone=True)
+    src = SequenceSource(
+        fn=lambda idx: np.where(idx < support, 1.0 / support, 0.0),
+        declared_monotone=True,
+        vectorized=True,
+    )
     for spec in ALL_SPECS:
         assert_blocked_is_windowed(src, functional_from_spec(spec))
     res = entropy_sequence(src, make_shannon())
@@ -519,6 +536,18 @@ def test_sequence_reads_stay_within_max_terms_and_one_block(base, F, max_terms):
     assert starts[-1] < res.terms_used <= stops[-1]
     if max_terms > MAX_BLOCK and res.terms_used == max_terms:
         assert len(src.reads) < 100
+    if base.tail is None and max_terms == 1_000_000:
+        assert res.status is EntropyStatus.DECLARED_DIVERGENT
+
+
+def test_scalar_source_is_read_one_window_at_a_time():
+    # a per-index function gains nothing from blocks, so it is never asked
+    # for a value past the stopping window
+    base = SequenceSource(fn=lambda i: 6.0 / (math.pi * (i + 1)) ** 2, declared_monotone=True)
+    src = CountingSource(base)
+    res = entropy_sequence(src, make_shannon(), max_terms=5000)
+    assert all(b - a <= STOP_WINDOW for a, b in src.reads)
+    assert src.reads[-1][1] == res.terms_used
 
 
 def test_heavy_tail_normalization():

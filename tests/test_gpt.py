@@ -436,6 +436,13 @@ def test_majorant_index_on_unequal_lengths_and_totals():
         majorant_index([[0.5, 0.5], [0.5, 0.4]])
     with pytest.raises(ValueError):
         majorant_index([])
+    # each pair of totals agrees within SUM_TOL but the spread does not: the
+    # pairwise loop fails every candidate on a partial sum before it compares
+    # the outer two totals and returns None; the matrix form raises
+    spread = [[1.0], [0.5, 0.5 - 0.9e-9], [0.4 + 0.9e-9, 0.3, 0.3]]
+    assert reference_majorant(spread) is None
+    with pytest.raises(ValueError):
+        majorant_index(spread)
 
 
 # -------------------------------------------------------------------- state
