@@ -517,9 +517,10 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     rows = rows if batch else rows.reshape(1, -1)
     if rows.size == 0:
         raise ValueError("row must be non-empty")
-    if float(rows.min()) < 0.0:
-        raise ValueError("row entries must be nonnegative")
-    if float(np.max(np.abs(rows.sum(axis=1) - 1.0))) > ROW_SUM_TOL:
+    # Both tests are written to be false for NaN, so NaN rows are rejected.
+    if not (float(rows.min()) >= 0.0):
+        raise ValueError("row entries must be finite and nonnegative")
+    if not (float(np.max(np.abs(rows.sum(axis=1) - 1.0))) <= ROW_SUM_TOL):
         raise ValueError(f"row must sum to 1 within {ROW_SUM_TOL}")
     if not isinstance(p, ProbVector):
         p = ProbVector(p)

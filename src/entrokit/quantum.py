@@ -31,9 +31,11 @@ class DensityOperator:
 
     The stored matrix is the Hermitian average (A + A*)/2 of the input, which
     is within the acceptance tolerance of it and keeps eigensolves stable.
+    The eigendecomposition is computed on the first eigen_spectrum call and
+    kept for every later one.
     """
 
-    __slots__ = ("matrix", "dim")
+    __slots__ = ("matrix", "dim", "_eigen")
 
     def __init__(self, matrix):
         rho = np.array(matrix, dtype=complex)
@@ -54,6 +56,7 @@ class DensityOperator:
         rho.setflags(write=False)
         self.matrix = rho
         self.dim = rho.shape[0]
+        self._eigen = None
 
     def __repr__(self) -> str:
         return f"DensityOperator(dim={self.dim})"
@@ -79,12 +82,18 @@ def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
     (x**alpha, alpha < 1) amplifies that jitter to ~1e-8 unless it is
     removed.  Degenerate clusters come out of the Hermitian solver already
     orthonormalized.
+
+    The solve runs once per state: every call returns the same pair, and the
+    basis is read-only.
     """
-    w, v = np.linalg.eigh(rho.matrix)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    w[w < RANK_CUTOFF] = 0.0
-    return ProbVector.from_computation(w), v
+    if rho._eigen is None:
+        w, v = np.linalg.eigh(rho.matrix)
+        w = w[::-1].copy()
+        v = v[:, ::-1].copy()
+        w[w < RANK_CUTOFF] = 0.0
+        v.setflags(write=False)
+        rho._eigen = (ProbVector.from_computation(w), v)
+    return rho._eigen
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
@@ -151,8 +160,9 @@ class Ensemble:
         if states.ndim != 2 or states.shape[0] != len(self.weights):
             raise ValueError("states must be one row per weight")
         norms = np.linalg.norm(states, axis=1)
-        if float(np.max(np.abs(norms - 1.0))) > STATE_NORM_TOL:
-            raise ValueError(f"ensemble states must be unit vectors within {STATE_NORM_TOL}")
+        # Written to be false for NaN, so non-finite states are rejected too.
+        if not (float(np.max(np.abs(norms - 1.0))) <= STATE_NORM_TOL):
+            raise ValueError(f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}")
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 

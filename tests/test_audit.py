@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from entrokit.audit import DEFAULT_TRIALS, SUITES, run_audit
+from entrokit.audit import DEFAULT_TRIALS, INEQ_TOL, SUITES, default_functionals, run_audit
+from entrokit.classical import entropy_finite
+from entrokit.quantum import eigen_spectrum, pinch, pinching_inequality_audit, quantum_entropy
+from entrokit.rand import as_rng, random_density, random_unitary
 from entrokit.reporting import AuditEntry, AuditReport, build_report
 
 
@@ -46,6 +49,34 @@ def test_trials_below_one_rejected(suite, trials):
 def test_gpt_argmin_rejects_dims_outside_the_cap(dims):
     with pytest.raises(ValueError, match="gpt-argmin dims must lie in 2..4"):
         run_audit("gpt-argmin", trials=2, dims=dims)
+
+
+def reference_pinching_entries(trials, seed, dims):
+    """The pinching suite as a per-functional loop that pinches inside it."""
+    rng = as_rng(seed)
+    entries = []
+    for _ in range(trials):
+        d = int(rng.integers(dims[0], dims[1] + 1))
+        rho = random_density(d, rng)
+        basis = random_unitary(d, rng)
+        _, eigenbasis = eigen_spectrum(rho)
+        for F in default_functionals():
+            entries.append(pinching_inequality_audit(rho, basis, F, tolerance=INEQ_TOL))
+            base = quantum_entropy(rho, F).value
+            pinned = entropy_finite(pinch(rho, eigenbasis), F).value
+            entries.append(
+                AuditEntry.check(
+                    "pinching-eigenbasis-equality", -abs(pinned - base), INEQ_TOL, functional=F.name, dim=d
+                )
+            )
+    return entries
+
+
+@pytest.mark.parametrize("seed", [3, 7, 2024])
+def test_pinching_suite_is_the_per_functional_loop(seed):
+    report = run_audit("pinching", trials=40, seed=seed, dims=(2, 8))
+    reference = reference_pinching_entries(40, seed, (2, 8))
+    assert [repr(c) for c in report.cases] == [repr(e) for e in reference]
 
 
 def test_same_seed_reproduces_bitwise():

@@ -329,7 +329,11 @@ def test_jensen_bad_rows_raise_in_both_forms():
     off_sum = Q.copy()
     off_sum[2, 0] += 1e-6
     too_wide = np.hstack([Q, np.zeros((4, 1))])
-    for rows, bad in ((negative, 1), (off_sum, 2), (too_wide, 0)):
+    nan_row = Q.copy()
+    nan_row[3] = math.nan
+    nan_entry = Q.copy()
+    nan_entry[0, 2] = math.nan
+    for rows, bad in ((negative, 1), (off_sum, 2), (too_wide, 0), (nan_row, 3), (nan_entry, 0)):
         with pytest.raises(ValueError):
             jensen_step_oracle(rows, p, F)
         with pytest.raises(ValueError):

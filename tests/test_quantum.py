@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrokit.audit import run_audit
 from entrokit.classical import ProbVector, entropy_finite, majorizes
 from entrokit.functionals import functional_from_spec, make_renyi, make_shannon
 from entrokit.quantum import (
@@ -110,6 +111,61 @@ def test_eigen_spectrum_is_a_sorted_probvector_with_hard_zeros():
         raw = np.linalg.eigvalsh(rho.matrix)
         assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw >= RANK_CUTOFF)
         assert np.all((spectrum.entries == 0.0) | (spectrum.entries >= RANK_CUTOFF))
+
+
+def reference_eigen_spectrum(rho):
+    """A fresh solve: eigh, nonincreasing order, hard zeros below RANK_CUTOFF."""
+    w, v = np.linalg.eigh(rho.matrix)
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    w[w < RANK_CUTOFF] = 0.0
+    return ProbVector.from_computation(w), v
+
+
+def test_eigen_spectrum_is_cached_and_read_only():
+    rho = random_density(5, as_rng(37))
+    spectrum, basis = eigen_spectrum(rho)
+    again, again_basis = eigen_spectrum(rho)
+    assert again is spectrum
+    assert again_basis is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0, 0] = 0.0
+
+
+def test_cached_spectrum_is_a_fresh_solve_bit_for_bit():
+    rng = as_rng(41)
+    fs = [functional_from_spec(s) for s in ALL_SPECS]
+    states = [DensityOperator(RHO_2x2), DensityOperator(np.eye(3) / 3.0)]
+    states += [random_density(d, rng, rank=rank) for d, rank in ((2, 1), (4, 2), (6, 6), (8, 3), (8, 8))]
+    for rho in states:
+        spectrum, basis = eigen_spectrum(rho)
+        ref_spectrum, ref_basis = reference_eigen_spectrum(rho)
+        assert np.array_equal(spectrum.entries, ref_spectrum.entries)
+        assert np.array_equal(basis, ref_basis)
+        for F in fs:
+            assert quantum_entropy(rho, F) == entropy_finite(spectrum, F)
+
+
+@pytest.mark.parametrize("suite", ["pinching", "isometry", "ensemble"])
+def test_one_eigh_per_state_in_the_quantum_suites(monkeypatch, suite):
+    counts = {"eigh": 0, "states": 0}
+    eigh = np.linalg.eigh
+    init = DensityOperator.__init__
+
+    def counted_eigh(a):
+        counts["eigh"] += 1
+        return eigh(a)
+
+    def counted_init(self, matrix):
+        counts["states"] += 1
+        init(self, matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(DensityOperator, "__init__", counted_init)
+    run_audit(suite, trials=12, seed=5)
+    assert counts["states"] > 0
+    assert counts["eigh"] == counts["states"]
 
 
 def test_quantum_entropy_frozen_values():
@@ -291,3 +347,6 @@ def test_ensemble_validation():
         Ensemble(weights=ProbVector([0.5, 0.5]), states=np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         Ensemble(weights=ProbVector([1.0]), states=np.array([[0.7, 0.0]]))
+    for bad in (math.nan, math.inf):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            Ensemble(weights=ProbVector([0.5, 0.5]), states=np.array([[bad, 0.0], [1.0, 0.0]]))
