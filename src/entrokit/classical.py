@@ -18,6 +18,7 @@ from .functionals import EntropicFunctional, FunctionalCase, parse_spec
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
+COMPUTED_FLOOR = 1e-9  # negativity absorbed by ProbVector.from_computation
 PARTIAL_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 UNITARY_TOL = 1e-8
@@ -29,54 +30,46 @@ class ProbVector:
     """A validated finite probability vector.
 
     Entries in [-ENTRY_TOL, 0) are clipped to zero; anything more negative is
-    rejected.  The total must be within ``sum_tol`` of one.  Renormalization
-    is off by default because silently rescaling masks data errors; pass
+    rejected.  The total must be within SUM_TOL of one.  Renormalization is
+    off by default because silently rescaling masks data errors; pass
     renormalize=True to opt in.  Entries are stored read-only.
     """
 
-    __slots__ = ("entries", "entry_tol", "sum_tol")
+    __slots__ = ("entries",)
 
-    def __init__(
-        self,
-        values,
-        renormalize: bool = False,
-        entry_tol: float = ENTRY_TOL,
-        sum_tol: float = SUM_TOL,
-    ):
+    def __init__(self, values, renormalize: bool = False):
         arr = np.array(values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("probability vector must be non-empty")
         if not np.all(np.isfinite(arr)):
             raise ValueError("probability vector entries must be finite")
         low = float(arr.min())
-        if low < -entry_tol:
-            raise ValueError(f"entry {low} is below the negativity tolerance -{entry_tol}")
+        if low < -ENTRY_TOL:
+            raise ValueError(f"entry {low} is below the negativity tolerance -{ENTRY_TOL}")
         arr = np.where(arr < 0.0, 0.0, arr)
         total = float(arr.sum())
         if renormalize:
             if total <= 0.0:
                 raise ValueError("cannot renormalize a vector with non-positive total")
             arr = arr / total
-        elif abs(total - 1.0) > sum_tol:
-            raise ValueError(f"entries sum to {total!r}, outside 1 +/- {sum_tol}")
+        elif abs(total - 1.0) > SUM_TOL:
+            raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SUM_TOL}")
         arr.setflags(write=False)
         self.entries = arr
-        self.entry_tol = entry_tol
-        self.sum_tol = sum_tol
 
     @classmethod
-    def from_computation(cls, values, negative_floor: float = 1e-9) -> "ProbVector":
+    def from_computation(cls, values) -> "ProbVector":
         """Wrap an internally computed vector, absorbing bounded roundoff.
 
-        Negative entries down to ``-negative_floor`` are clipped to zero, and
-        the vector is renormalized only when the drift |sum - 1| exceeds
+        Negative entries down to -COMPUTED_FLOOR are clipped to zero, and the
+        vector is renormalized only when the drift |sum - 1| exceeds
         PARTIAL_SUM_TOL.  Intended for spectra, pinched diagonals, and other
         arithmetic products, not for user data.
         """
         arr = np.asarray(values, dtype=float).ravel()
         low = float(arr.min()) if arr.size else 0.0
-        if low < -negative_floor:
-            raise ValueError(f"computed entry {low} below floor -{negative_floor}")
+        if low < -COMPUTED_FLOOR:
+            raise ValueError(f"computed entry {low} below floor -{COMPUTED_FLOOR}")
         arr = np.where(arr < 0.0, 0.0, arr)
         total = float(arr.sum())
         if total <= 0.0:
@@ -224,7 +217,8 @@ class SequenceSource:
             vals = np.asarray(self._fn(idx), dtype=float)
         else:
             vals = np.array([float(self._fn(int(i))) for i in idx], dtype=float)
-        if vals.size and (float(vals.min()) < -1e-15 or float(vals.max()) > 1.0 + 1e-15):
+        # Written to be false for NaN, so a NaN value is rejected too.
+        if vals.size and not (-1e-15 <= float(vals.min()) and float(vals.max()) <= 1.0 + 1e-15):
             raise ValueError(f"sequence {self.name!r} produced a value outside [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         if self.declared_monotone and vals.size:
@@ -387,34 +381,41 @@ def entropy_sequence(
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 
 
-def majorization_margin(p, q, total_tol: float = SUM_TOL) -> float:
-    """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
+def _partial_sums(vectors) -> np.ndarray:
+    """Partial sums of each vector sorted nonincreasing, one row per vector.
 
-    Either input may be a ProbVector or any array-like.  Inputs are sorted
-    defensively in nonincreasing order and zero-padded to a common length.
-    Totals must agree within ``total_tol``; a mismatch is a domain error,
-    not a negative margin.
+    Inputs may be ProbVectors or any array-likes; they are zero-padded to a
+    common length.  All totals must agree within SUM_TOL, largest against
+    smallest; a mismatch is a domain error, not a negative margin.
     """
-    p, q = (v.entries if isinstance(v, ProbVector) else v for v in (p, q))
-    a = np.sort(np.asarray(p, dtype=float).ravel())[::-1]
-    b = np.sort(np.asarray(q, dtype=float).ravel())[::-1]
-    if a.size == 0 or b.size == 0:
+    rows = [
+        np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
+        for v in vectors
+    ]
+    if not rows or min(r.size for r in rows) == 0:
         raise ValueError("majorization needs non-empty inputs")
-    size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
-    if abs(float(a.sum()) - float(b.sum())) > total_tol:
+    padded = np.zeros((len(rows), max(r.size for r in rows)))
+    for row, r in zip(padded, rows):
+        row[: r.size] = r
+    totals = padded.sum(axis=1)
+    if float(totals.max() - totals.min()) > SUM_TOL:
         raise ValueError(
-            f"totals differ beyond {total_tol}: {float(a.sum())!r} vs {float(b.sum())!r}"
+            f"totals differ beyond {SUM_TOL}: {float(totals.min())!r} vs {float(totals.max())!r}"
         )
-    return float(np.min(np.cumsum(a) - np.cumsum(b)))
+    return np.cumsum(padded, axis=1)
+
+
+def majorization_margin(p, q) -> float:
+    """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0."""
+    partial = _partial_sums((p, q))
+    return float(np.min(partial[0] - partial[1]))
 
 
 def majorant_index(vectors) -> int | None:
     """Index of the first vector that majorizes every one in ``vectors``, or None.
 
     Row i is picked iff majorizes(vectors[i], v) holds for every v, decided
-    from one zero-padded matrix C of partial sums: row i qualifies iff
+    from the partial-sum matrix C: row i qualifies iff
     min(C[i] - C.max(axis=0)) >= -PARTIAL_SUM_TOL, which is exact because
     rounding is monotone, so min_j fl(a - b_j) = fl(a - max_j b_j).
 
@@ -423,27 +424,14 @@ def majorant_index(vectors) -> int | None:
     which compares totals only pair by pair and stops at the first failing
     pair: totals 1 - 0.9e-9, 1 and 1 + 0.9e-9 raise here.
     """
-    rows = [
-        np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
-        for v in vectors
-    ]
-    if not rows or min(r.size for r in rows) == 0:
-        raise ValueError("majorization needs non-empty inputs")
-    size = max(r.size for r in rows)
-    padded = np.array([np.pad(r, (0, size - r.size)) for r in rows])
-    totals = padded.sum(axis=1)
-    if float(totals.max() - totals.min()) > SUM_TOL:
-        raise ValueError(
-            f"totals differ beyond {SUM_TOL}: {float(totals.min())!r} vs {float(totals.max())!r}"
-        )
-    partial = np.cumsum(padded, axis=1)
+    partial = _partial_sums(vectors)
     hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -PARTIAL_SUM_TOL)
     return int(hits[0]) if hits.size else None
 
 
-def majorizes(p, q, total_tol: float = SUM_TOL, partial_tol: float = PARTIAL_SUM_TOL) -> bool:
-    """True iff q is majorized by p within ``partial_tol``; see majorization_margin."""
-    return majorization_margin(p, q, total_tol) >= -partial_tol
+def majorizes(p, q) -> bool:
+    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin."""
+    return majorization_margin(p, q) >= -PARTIAL_SUM_TOL
 
 
 class BistochasticMatrix:
@@ -451,7 +439,7 @@ class BistochasticMatrix:
 
     __slots__ = ("matrix",)
 
-    def __init__(self, matrix, tol: float = ROW_SUM_TOL):
+    def __init__(self, matrix):
         Q = np.array(matrix, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("bistochastic matrix must be square")
@@ -463,8 +451,8 @@ class BistochasticMatrix:
             raise ValueError("bistochastic matrix entries must be nonnegative")
         rows = np.abs(Q.sum(axis=1) - 1.0)
         cols = np.abs(Q.sum(axis=0) - 1.0)
-        if float(rows.max()) > tol or float(cols.max()) > tol:
-            raise ValueError(f"row/column sums deviate from 1 beyond {tol}")
+        if float(rows.max()) > ROW_SUM_TOL or float(cols.max()) > ROW_SUM_TOL:
+            raise ValueError(f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}")
         Q.setflags(write=False)
         self.matrix = Q
 
@@ -473,15 +461,15 @@ class BistochasticMatrix:
         return self.matrix.shape[0]
 
 
-def bistochastic_from_unitary(U, tol: float = UNITARY_TOL) -> BistochasticMatrix:
-    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > tol."""
+def bistochastic_from_unitary(U) -> BistochasticMatrix:
+    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("unitary must be square")
     gram = U.conj().T @ U
     dev = float(np.max(np.abs(gram - np.eye(U.shape[0]))))
-    if dev > tol:
-        raise ValueError(f"matrix is not unitary within {tol} (deviation {dev:.3e})")
+    if dev > UNITARY_TOL:
+        raise ValueError(f"matrix is not unitary within {UNITARY_TOL} (deviation {dev:.3e})")
     return BistochasticMatrix(np.abs(U) ** 2)
 
 

@@ -37,8 +37,8 @@ DIM_CAP = 4
 SCREEN_COND = 1e-6
 SCREEN_RESIDUAL = 1e3 * RESIDUAL_TOL
 SCREEN_WEIGHT = 1e-6
-# Subsets per batched SVD: at the default caps one block holds every subset
-# of a size (at most C(12, 5) = 792); widened caps stay within bounded memory.
+# Subsets per batched SVD: at the caps one block holds every subset of a
+# size (at most C(12, 5) = 792); raising a cap keeps memory bounded.
 SCREEN_BLOCK = 4096
 
 
@@ -55,9 +55,10 @@ class Decomposition:
             raise ValueError("support and weights must have matching nonzero length")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support indices must be distinct")
-        if float(w.min()) <= WEIGHT_FLOOR:
+        # Both tests are written to be false for NaN, so NaN weights are rejected.
+        if not (float(w.min()) > WEIGHT_FLOOR):
             raise ValueError(f"weights must exceed {WEIGHT_FLOOR}")
-        if abs(float(w.sum()) - 1.0) > 1e-10:
+        if not (abs(float(w.sum()) - 1.0) <= 1e-10):
             raise ValueError("weights must sum to 1 within 1e-10")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -139,25 +140,26 @@ def _first_non_extreme(V: np.ndarray) -> int | None:
 class ConvexModel:
     """Convex hull of validated extreme points (rows of ``vertices``).
 
-    Caps keep the subset enumeration exact and fast; both can be widened per
-    instance.  Each vertex is verified extreme at construction by checking it
-    has no convex decomposition over the remaining vertices.
+    At most VERTEX_CAP vertices in at most DIM_CAP dimensions, which keeps the
+    subset enumeration exact and fast.  Each vertex is verified extreme at
+    construction by checking it has no convex decomposition over the
+    remaining vertices; check_extreme=False skips that check for inputs
+    known to be extreme.
     """
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices, vertex_cap: int = VERTEX_CAP, dim_cap: int = DIM_CAP,
-                 check_extreme: bool = True):
+    def __init__(self, vertices, check_extreme: bool = True):
         V = np.array(vertices, dtype=float)
         if V.ndim != 2:
             raise ValueError("vertices must be a 2-d array, one point per row")
         n, d = V.shape
         if n < 1 or d < 1:
             raise ValueError("model needs at least one vertex and one dimension")
-        if n > vertex_cap:
-            raise ValueError(f"{n} vertices exceed the cap {vertex_cap}")
-        if d > dim_cap:
-            raise ValueError(f"ambient dimension {d} exceeds the cap {dim_cap}")
+        if n > VERTEX_CAP:
+            raise ValueError(f"{n} vertices exceed the cap {VERTEX_CAP}")
+        if d > DIM_CAP:
+            raise ValueError(f"ambient dimension {d} exceeds the cap {DIM_CAP}")
         if not np.all(np.isfinite(V)):
             raise ValueError("vertices must be finite")
         if check_extreme:
@@ -225,22 +227,6 @@ def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]
         Decomposition(support=s, weights=w)
         for s, w in _iter_solutions(model.vertices, x, model.ambient_dim)
     ]
-
-
-@dataclass(frozen=True, eq=False)
-class GptState:
-    """A point of a model together with an optional membership witness."""
-
-    point: np.ndarray
-    witness: Decomposition | None = None
-
-    @classmethod
-    def of(cls, model: ConvexModel, point) -> "GptState":
-        point = _check_point(model, point)
-        witness = membership(model, point)
-        if witness is None:
-            raise ValueError("point lies outside the model")
-        return cls(point=point, witness=witness)
 
 
 def gpt_entropy(

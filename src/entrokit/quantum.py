@@ -118,6 +118,23 @@ def conjugate_isometry(rho: DensityOperator, V) -> DensityOperator:
     return DensityOperator(V @ rho.matrix @ V.conj().T)
 
 
+def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
+    """A rows x cols matrix with orthonormal columns, rows >= cols.
+
+    QR of a complex Gaussian with the phases of R's diagonal moved into Q,
+    which makes the square case Haar-distributed.  ``rng`` is a Generator,
+    used as is, or a seed for np.random.default_rng.
+    """
+    if rows < cols:
+        raise ValueError("an isometry needs rows >= cols")
+    rng = np.random.default_rng(rng)
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r).copy()
+    phases = phases / np.abs(phases)
+    return q * phases
+
+
 def pinch(rho: DensityOperator, basis) -> ProbVector:
     """Diagonal of rho in an orthonormal basis (columns are basis vectors)."""
     B = np.asarray(basis, dtype=complex)
@@ -127,7 +144,7 @@ def pinch(rho: DensityOperator, basis) -> ProbVector:
     if dev > BASIS_TOL:
         raise ValueError(f"basis is not orthonormal within {BASIS_TOL} (deviation {dev:.3e})")
     diag = np.einsum("ij,jk,ki->i", B.conj().T, rho.matrix, B).real
-    return ProbVector.from_computation(diag, negative_floor=EIGENVALUE_FLOOR)
+    return ProbVector.from_computation(diag)
 
 
 def pinching_inequality_audit(
@@ -174,10 +191,10 @@ class Ensemble:
         w = self.weights.entries
         return (self.states.T * w) @ self.states.conj()
 
-    def check_reconstructs(self, rho: DensityOperator, tol: float = RECONSTRUCTION_TOL) -> float:
+    def check_reconstructs(self, rho: DensityOperator) -> float:
         dev = float(np.max(np.abs(self.reconstruct() - rho.matrix)))
-        if dev > tol:
-            raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {tol})")
+        if dev > RECONSTRUCTION_TOL:
+            raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {RECONSTRUCTION_TOL})")
         return dev
 
 
@@ -190,8 +207,6 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     isometry.  Pass mixing=np.eye(r) to obtain the spectral decomposition.
     Requires m >= r.
     """
-    from .rand import as_rng, random_isometry
-
     spectrum, basis = eigen_spectrum(rho)
     lam = spectrum.entries
     r = int(np.sum(lam > RANK_CUTOFF))
@@ -200,7 +215,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     if m < r:
         raise ValueError(f"ensemble size m={m} is below the rank {r}")
     if mixing is None:
-        M = random_isometry(m, r, as_rng(rng))
+        M = random_isometry(m, r, rng)
     else:
         M = np.asarray(mixing, dtype=complex)
         if M.shape != (m, r):
@@ -234,29 +249,23 @@ def spectral_ensemble(rho: DensityOperator) -> Ensemble:
 def inf_ensemble_entropy(
     rho: DensityOperator,
     F: EntropicFunctional,
-    m_max: int | None = None,
     trials: int = 200,
     rng_seed=0,
 ) -> tuple[float, Ensemble]:
     """Minimize H(weights) over sampled ensembles of rho.
 
-    The spectral decomposition is always trial 0, and since every ensemble
+    Each trial draws an ensemble of size m in [r, r + 2], r the rank.  The
+    spectral decomposition is always trial 0, and since every ensemble
     weight vector is majorized by the spectrum it attains the infimum; the
     returned value therefore matches quantum_entropy(rho, F) within 1e-9.
     """
-    from .rand import as_rng
-
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     spectrum, _ = eigen_spectrum(rho)
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))
-    if m_max is None:
-        m_max = r + 2
-    if m_max < r:
-        raise ValueError(f"m_max={m_max} is below the rank {r}")
     best_ensemble = spectral_ensemble(rho)
     best_value = entropy_finite(best_ensemble.weights, F).value
     for _ in range(max(0, int(trials))):
-        m = int(rng.integers(r, m_max + 1))
+        m = int(rng.integers(r, r + 3))
         candidate = random_ensemble(rho, m, rng=rng)
         value = entropy_finite(candidate.weights, F).value
         if value < best_value:

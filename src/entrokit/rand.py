@@ -6,7 +6,9 @@ import numpy as np
 
 from .classical import ProbVector
 from .gpt import ConvexModel
-from .quantum import DensityOperator
+from .quantum import DensityOperator, random_isometry  # random_isometry is re-exported
+
+SPHERE_MIN_GAP = 0.05  # least distance between two sphere-model vertices
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -23,21 +25,6 @@ def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def random_unitary(d: int, rng=None) -> np.ndarray:
     """Haar-distributed unitary: the square case of random_isometry."""
     return random_isometry(d, d, rng)
-
-
-def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
-    """A rows x cols matrix with orthonormal columns, rows >= cols.
-
-    QR of a complex Gaussian with the phases of R's diagonal moved into Q,
-    which makes the square case Haar-distributed.
-    """
-    if rows < cols:
-        raise ValueError("an isometry needs rows >= cols")
-    rng = as_rng(rng)
-    q, r = np.linalg.qr(_ginibre(rows, cols, rng))
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
 
 
 def random_state_vector(d: int, rng=None) -> np.ndarray:
@@ -63,7 +50,7 @@ def random_prob_vector(n: int, rng=None) -> ProbVector:
     return ProbVector.from_computation(rng.dirichlet(np.ones(n)))
 
 
-def random_sphere_model(n_vertices: int, dim: int, rng=None, min_gap: float = 0.05) -> ConvexModel:
+def random_sphere_model(n_vertices: int, dim: int, rng=None) -> ConvexModel:
     """A polytope whose vertices sit on the unit sphere, hence all extreme."""
     rng = as_rng(rng)
     for _ in range(256):
@@ -71,7 +58,7 @@ def random_sphere_model(n_vertices: int, dim: int, rng=None, min_gap: float = 0.
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
         gaps = gaps + np.eye(n_vertices)  # ignore the diagonal
-        if float(gaps.min()) >= min_gap:
+        if float(gaps.min()) >= SPHERE_MIN_GAP:
             return ConvexModel(pts)
     raise RuntimeError("failed to place well-separated sphere vertices")
 

@@ -1,6 +1,8 @@
 """The package namespace: every exported name exists and is listed once."""
 
+import ast
 from collections import Counter
+from pathlib import Path
 
 import entrokit
 
@@ -18,3 +20,17 @@ def test_all_names_listed_once():
 def test_one_probability_vector_type():
     assert not hasattr(entrokit, "Spectrum")
     assert "majorization_margin" in entrokit.__all__
+
+
+def test_no_import_inside_a_function():
+    """Every import sits at module level, so no lazy import cycle can hide."""
+    nested = []
+    for path in sorted(Path(entrokit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == []

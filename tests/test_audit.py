@@ -1,13 +1,15 @@
 """Randomized audit suites and their report plumbing."""
 
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from entrokit import audit, quantum
 from entrokit.audit import DEFAULT_TRIALS, INEQ_TOL, SUITES, default_functionals, run_audit
 from entrokit.classical import entropy_finite
-from entrokit.quantum import eigen_spectrum, pinch, pinching_inequality_audit, quantum_entropy
+from entrokit.quantum import eigen_spectrum, pinch, pinching_inequality_audit, quantum_entropy, random_ensemble
 from entrokit.rand import as_rng, random_density, random_unitary
 from entrokit.reporting import AuditEntry, AuditReport, build_report
 
@@ -77,6 +79,28 @@ def test_pinching_suite_is_the_per_functional_loop(seed):
     report = run_audit("pinching", trials=40, seed=seed, dims=(2, 8))
     reference = reference_pinching_entries(40, seed, (2, 8))
     assert [repr(c) for c in report.cases] == [repr(e) for e in reference]
+
+
+@pytest.mark.parametrize("trials", [7, 40, 61])
+def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
+    draws = []
+
+    def counted(rho, m, rng=None, mixing=None):
+        if mixing is None:
+            draws.append(m)
+        return random_ensemble(rho, m, rng=rng, mixing=mixing)
+
+    monkeypatch.setattr(quantum, "random_ensemble", counted)
+    monkeypatch.setattr(audit, "random_ensemble", counted)
+    report = run_audit("ensemble", trials=trials, seed=5)
+    assert len(draws) == trials
+    counts = Counter(c.case for c in report.cases)
+    states = max(1, trials // 20)
+    assert counts == {
+        "ensemble-majorization": trials,
+        "ensemble-entropy": 5 * trials,
+        "infimum-equals-spectrum": 5 * states,
+    }
 
 
 def test_same_seed_reproduces_bitwise():

@@ -20,6 +20,7 @@ from entrokit.classical import (
     entropy_sequence,
     PARTIAL_SUM_TOL,
     jensen_step_oracle,
+    majorant_index,
     majorization_margin,
     majorizes,
     sequence_from_spec,
@@ -179,6 +180,7 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
         q = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
         assert majorizes(p, q) == (majorization_margin(p, q) >= -PARTIAL_SUM_TOL)
         assert majorizes(q, p) == (majorization_margin(q, p) >= -PARTIAL_SUM_TOL)
+        assert (majorant_index([p, q]) == 0) == majorizes(p, q)
 
 
 def test_margin_accepts_probvectors_mixed_with_lists():
@@ -356,9 +358,10 @@ def test_geometric_rejects_bad_ratio():
 
 
 def test_sequence_rejects_out_of_range_values():
-    src = SequenceSource(fn=lambda i: 1.5, name="bad")
-    with pytest.raises(ValueError):
-        src.values(0, 3)
+    for fn in (lambda i: 1.5, lambda i: math.nan if i == 1 else 0.1):
+        src = SequenceSource(fn=fn, name="bad")
+        with pytest.raises(ValueError):
+            src.values(0, 3)
 
 
 def test_sequence_monotone_probe_catches_lies():

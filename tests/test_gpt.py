@@ -14,7 +14,6 @@ from entrokit.gpt import (
     VERTEX_CAP,
     ConvexModel,
     Decomposition,
-    GptState,
     _solve_support,
     enumerate_basic_decompositions,
     gpt_entropy,
@@ -254,6 +253,8 @@ def test_decomposition_validation():
         Decomposition(support=(0, 1), weights=np.array([1.1, -0.1]))
     with pytest.raises(ValueError):
         Decomposition(support=(0, 1), weights=np.array([0.4, 0.4]))
+    with pytest.raises(ValueError):
+        Decomposition(support=(0, 1), weights=np.array([math.nan, math.nan]))
     d = Decomposition(support=(0, 3), weights=np.array([0.5, 0.5]))
     assert np.allclose(d.barycenter(model), [0.0, 0.0], rtol=0, atol=1e-15)
 
@@ -443,13 +444,3 @@ def test_majorant_index_on_unequal_lengths_and_totals():
     assert reference_majorant(spread) is None
     with pytest.raises(ValueError):
         majorant_index(spread)
-
-
-# -------------------------------------------------------------------- state
-
-def test_gpt_state_wrapper():
-    model = ConvexModel(SQUARE)
-    st = GptState.of(model, [0.0, 0.0])
-    assert st.witness.support == (0, 3)
-    with pytest.raises(ValueError):
-        GptState.of(model, [5.0, 5.0])
