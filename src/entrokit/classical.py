@@ -202,31 +202,26 @@ class SequenceSource:
     ):
         self._fn = fn
         self._vectorized = vectorized
+        # Reads go through an index-array function; a per-index fn is lifted
+        # once, and still called with Python ints, in order, once per index.
+        self._read = fn if vectorized else (
+            lambda idx: np.array([float(fn(int(i))) for i in idx], dtype=float)
+        )
         self.declared_monotone = bool(declared_monotone)
         self.tail = tail
         self.name = name
 
-    def value(self, i: int) -> float:
-        return float(self.values(i, i + 1)[0])
-
     def values(self, start: int, stop: int) -> np.ndarray:
         if start < 0 or stop < start:
             raise ValueError("invalid index range")
-        idx = np.arange(start, stop, dtype=np.int64)
-        if self._vectorized:
-            vals = np.asarray(self._fn(idx), dtype=float)
-        else:
-            vals = np.array([float(self._fn(int(i))) for i in idx], dtype=float)
+        vals = np.asarray(self._read(np.arange(start, stop, dtype=np.int64)), dtype=float)
         # Written to be false for NaN, so a NaN value is rejected too.
         if vals.size and not (-1e-15 <= float(vals.min()) and float(vals.max()) <= 1.0 + 1e-15):
             raise ValueError(f"sequence {self.name!r} produced a value outside [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         if self.declared_monotone and vals.size:
             if start > 0:
-                if self._vectorized:
-                    prev = float(self._fn(np.array([start - 1], dtype=np.int64))[0])
-                else:
-                    prev = float(self._fn(start - 1))
+                prev = float(self._read(np.array([start - 1], dtype=np.int64))[0])
                 block = np.concatenate([[min(max(prev, 0.0), 1.0)], vals])
             else:
                 block = vals
@@ -385,8 +380,9 @@ def _partial_sums(vectors) -> np.ndarray:
     """Partial sums of each vector sorted nonincreasing, one row per vector.
 
     Inputs may be ProbVectors or any array-likes; they are zero-padded to a
-    common length.  All totals must agree within SUM_TOL, largest against
-    smallest; a mismatch is a domain error, not a negative margin.
+    common length.  Entries must be finite, and all totals must agree within
+    SUM_TOL, largest against smallest; either failure is a domain error
+    (ValueError), not a negative margin.
     """
     rows = [
         np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
@@ -398,6 +394,9 @@ def _partial_sums(vectors) -> np.ndarray:
     for row, r in zip(padded, rows):
         row[: r.size] = r
     totals = padded.sum(axis=1)
+    # A non-finite entry makes its total non-finite; a NaN spread passes the test below.
+    if not np.all(np.isfinite(totals)):
+        raise ValueError("majorization needs finite entries")
     if float(totals.max() - totals.min()) > SUM_TOL:
         raise ValueError(
             f"totals differ beyond {SUM_TOL}: {float(totals.min())!r} vs {float(totals.max())!r}"

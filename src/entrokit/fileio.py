@@ -24,6 +24,23 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _number_array(text: str, where: str) -> np.ndarray:
+    """A non-empty JSON array of numbers; JSON true, false and strings are not numbers."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON ({exc})") from None
+    if not isinstance(data, list) or not data:
+        raise SchemaError(f"{where}: expected a non-empty JSON array")
+    # bool is a subclass of int, so it is excluded by name.
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
+        raise SchemaError(f"{where}: array entries must be numbers")
+    try:
+        return np.array(data, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"{where}: array entry out of float range") from None
+
+
 def read_vector(path: str) -> np.ndarray:
     """A JSON array of numbers, or a CSV file with one number per line."""
     text = _read_text(path)
@@ -31,16 +48,7 @@ def read_vector(path: str) -> np.ndarray:
     if not stripped:
         raise SchemaError(f"{path}: empty input")
     if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-        if not isinstance(data, list) or not data:
-            raise SchemaError(f"{path}: expected a non-empty JSON array")
-        try:
-            return np.array([float(v) for v in data], dtype=float)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{path}: array entries must be numbers") from None
+        return _number_array(stripped, path)
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -80,15 +88,22 @@ def _square_matrix(path: str, data, key: str, dim: int) -> np.ndarray:
     return m
 
 
+def _dim(path: str, data: dict) -> int:
+    """The positive integer under 'dim'; 2.0 counts, 1.9, true and "2" do not."""
+    dim = data["dim"]
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise SchemaError(f"{path}: 'dim' must be an integer")
+    if dim < 1:
+        raise SchemaError(f"{path}: 'dim' must be positive")
+    return dim
+
+
 def _complex_matrix(path: str) -> np.ndarray:
     """JSON object with keys dim, re, im (im optional, defaults to zero)."""
     data = _json_object(path, required=("dim", "re"))
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: 'dim' must be an integer") from None
-    if dim < 1:
-        raise SchemaError(f"{path}: 'dim' must be positive")
+    dim = _dim(path, data)
     re = _square_matrix(path, data["re"], "re", dim)
     im = (
         _square_matrix(path, data["im"], "im", dim)
@@ -111,10 +126,7 @@ def read_basis(path: str) -> np.ndarray:
 def read_model(path: str) -> ConvexModel:
     """JSON object with keys dim and vertices (list of length-dim points)."""
     data = _json_object(path, required=("dim", "vertices"))
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: 'dim' must be an integer") from None
+    dim = _dim(path, data)
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise SchemaError(f"{path}: 'vertices' must be a non-empty list")
@@ -129,13 +141,4 @@ def read_model(path: str) -> ConvexModel:
 
 def parse_state(text: str) -> np.ndarray:
     """A state given inline as a JSON array of numbers."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"state: invalid JSON ({exc})") from None
-    if not isinstance(data, list) or not data:
-        raise SchemaError("state: expected a non-empty JSON array")
-    try:
-        return np.array([float(v) for v in data], dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError("state: array entries must be numbers") from None
+    return _number_array(text, "state")

@@ -30,35 +30,6 @@ class FunctionalCase(Enum):
     DECREASING_CONVEX = "decreasing_convex"
 
 
-def _elementwise(f: Callable) -> Callable:
-    """Lift a function of 1-d float arrays to scalars and nd arrays."""
-
-    @functools.wraps(f)
-    def wrapper(x):
-        shape = np.shape(x)
-        arr = np.asarray(x, dtype=float).ravel()
-        if arr.size == 0:
-            return np.empty(shape)
-        out = np.asarray(f(arr), dtype=float)
-        if shape == ():
-            return float(out[0])
-        return out.reshape(shape)
-
-    return wrapper
-
-
-def _as_elementwise(f: Callable) -> Callable:
-    """Like _elementwise for user callables that may be scalar-only."""
-    try:
-        probe = f(np.array([0.25, 0.5]))
-        vector_ok = np.shape(probe) == (2,)
-    except Exception:
-        vector_ok = False
-    if vector_ok:
-        return _elementwise(f)
-    return _elementwise(np.vectorize(f, otypes=[float]))
-
-
 @dataclass(frozen=True)
 class EntropicFunctional:
     """A named (h, phi) pair with its declared case and parameters.
@@ -78,20 +49,22 @@ class EntropicFunctional:
     family: str | None = None
 
 
+def _identity(y):
+    return np.asarray(y, dtype=float)[()]
+
+
 def make_shannon() -> EntropicFunctional:
     """The pair phi(x) = -x ln x, h = identity."""
 
-    @_elementwise
     def phi(x):
-        out = np.zeros_like(x)
-        nz = x > 0.0
-        out[nz] = -x[nz] * np.log(x[nz])
-        return out
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x > 0.0, -x * np.log(x), 0.0)[()]
 
     return EntropicFunctional(
         name="shannon",
         phi=phi,
-        h=_elementwise(lambda y: y),
+        h=_identity,
         case=FunctionalCase.INCREASING_CONCAVE,
         params={},
         family="shannon",
@@ -107,20 +80,14 @@ def make_renyi(alpha: float) -> EntropicFunctional:
     alpha = float(alpha)
     if alpha <= 0.0 or alpha == 1.0:
         raise ValueError(f"alpha must be positive and different from 1, got {alpha}")
-
-    @_elementwise
-    def phi(x):
-        out = np.zeros_like(x)
-        nz = x > 0.0
-        out[nz] = x[nz] ** alpha
-        return out
-
     scale = 1.0 - alpha
 
-    @_elementwise
+    def phi(x):
+        return np.asarray(x, dtype=float) ** alpha
+
     def h(y):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(y) / scale
+            return np.log(np.asarray(y, dtype=float)) / scale
 
     case = FunctionalCase.INCREASING_CONCAVE if alpha < 1.0 else FunctionalCase.DECREASING_CONVEX
     return EntropicFunctional(
@@ -143,17 +110,15 @@ def make_tsallis(q: float) -> EntropicFunctional:
     if q <= 0.0 or q == 1.0:
         raise ValueError(f"q must be positive and different from 1, got {q}")
 
-    @_elementwise
     def phi(x):
-        out = np.zeros_like(x)
-        nz = x > 0.0
-        out[nz] = (x[nz] - x[nz] ** q) / (q - 1.0)
-        return out
+        x = np.asarray(x, dtype=float)
+        # The formula gives -0.0 at x = 0 when q < 1; phi(0) is +0.0.
+        return np.where(x > 0.0, (x - x**q) / (q - 1.0), 0.0)[()]
 
     return EntropicFunctional(
         name=f"tsallis:q={q:g}",
         phi=phi,
-        h=_elementwise(lambda y: y),
+        h=_identity,
         case=FunctionalCase.INCREASING_CONCAVE,
         params={"q": q},
         family="tsallis",
@@ -169,22 +134,46 @@ def make_kaniadakis(kappa: float) -> EntropicFunctional:
     if kappa == 0.0 or abs(kappa) >= 1.0:
         raise ValueError(f"kappa must satisfy 0 < |kappa| < 1, got {kappa}")
 
-    @_elementwise
     def phi(x):
-        out = np.zeros_like(x)
-        nz = x > 0.0
-        xs = x[nz]
-        out[nz] = (xs ** (1.0 - kappa) - xs ** (1.0 + kappa)) / (2.0 * kappa)
-        return out
+        x = np.asarray(x, dtype=float)
+        # The formula gives -0.0 at x = 0 when kappa < 0; phi(0) is +0.0.
+        return np.where(x > 0.0, (x ** (1.0 - kappa) - x ** (1.0 + kappa)) / (2.0 * kappa), 0.0)[()]
 
     return EntropicFunctional(
         name=f"kaniadakis:kappa={kappa:g}",
         phi=phi,
-        h=_elementwise(lambda y: y),
+        h=_identity,
         case=FunctionalCase.INCREASING_CONCAVE,
         params={"kappa": kappa},
         family="kaniadakis",
     )
+
+
+def _lift(f: Callable) -> Callable:
+    """Lift a user callable to scalars and nd arrays of floats.
+
+    A callable that maps a 2-vector to a 2-vector is called once on the
+    raveled input; any other, such as one written for scalars only, is run
+    through np.vectorize.  A scalar input gives a Python float.
+    """
+    try:
+        vector_ok = np.shape(f(np.array([0.25, 0.5]))) == (2,)
+    except Exception:
+        vector_ok = False
+    g = f if vector_ok else np.vectorize(f, otypes=[float])
+
+    @functools.wraps(f)
+    def lifted(x):
+        shape = np.shape(x)
+        arr = np.asarray(x, dtype=float).ravel()
+        if arr.size == 0:
+            return np.empty(shape)
+        out = np.asarray(g(arr), dtype=float)
+        if shape == ():
+            return float(out[0])
+        return out.reshape(shape)
+
+    return lifted
 
 
 def make_custom(
@@ -202,8 +191,8 @@ def make_custom(
         raise ValueError(f"case must be a FunctionalCase, got {case!r}")
     return EntropicFunctional(
         name=name,
-        phi=_as_elementwise(phi),
-        h=_as_elementwise(h),
+        phi=_lift(phi),
+        h=_lift(h),
         case=case,
         params=dict(params or {}),
         family=None,
@@ -254,7 +243,7 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
         raise ValueError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
     checks = []
 
-    phi0 = F.phi(0.0)
+    phi0 = float(F.phi(0.0))
     checks.append(ValidationCheck("phi_at_zero", passed=(phi0 == 0.0), margin=-abs(phi0)))
 
     root = abs(float(F.h(F.phi(1.0))))

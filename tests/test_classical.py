@@ -166,6 +166,28 @@ def test_majorizes_rejects_total_mismatch():
         majorizes([0.7, 0.2], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        ([math.nan, 0.5], [0.5, 0.5]),
+        ([0.5, 0.5], [math.nan, 0.5]),
+        ([math.nan, math.nan], [math.nan, math.nan]),
+        ([math.inf, 0.5], [0.5, 0.5]),
+        ([math.inf], [math.inf]),
+    ],
+)
+def test_majorization_rejects_non_finite_entries(p, q):
+    # a NaN total makes the totals test false, so these used to get a verdict
+    for call in (
+        lambda: majorizes(p, q),
+        lambda: majorization_margin(p, q),
+        lambda: majorant_index([p, q]),
+        lambda: majorant_index([q, p]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_margin_rejects_total_mismatch():
     with pytest.raises(ValueError):
         majorization_margin([0.7, 0.2], [0.5, 0.5])

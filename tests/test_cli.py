@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from entrokit import cli
+from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
 from entrokit.reporting import AuditEntry, build_report
 
 LN2 = 0.6931471805599453
@@ -180,6 +181,17 @@ def test_majorize_total_mismatch_is_domain_error(tmp_path, capsys):
     assert "domain error" in err
 
 
+def test_majorize_nan_entry_is_domain_error(tmp_path, capsys):
+    # json accepts the NaN literal, so the file parses and the comparison fails
+    a = write(tmp_path, "a.json", "[NaN, 0.5]")
+    b = write(tmp_path, "b.json", "[0.5, 0.5]")
+    for argv in ((a, b), (b, a)):
+        code, out, err = run(capsys, "majorize", *argv, "--format", "json")
+        assert code == 3
+        assert err.startswith("domain error:")
+        assert out == ""
+
+
 # ------------------------------------------------------------------- audit
 
 def test_audit_json_lines(capsys):
@@ -276,8 +288,9 @@ def test_functional_list_csv_quotes_commas(capsys):
     assert "alpha != 1" in renyi["constraint"]
 
 
-def test_functional_validate_pass(capsys):
-    code, out, _ = run(capsys, "functional", "validate", "tsallis:q=2", "--format", "json")
+@pytest.mark.parametrize("spec", DEFAULT_FUNCTIONAL_SPECS)
+def test_functional_validate_pass(capsys, spec):
+    code, out, _ = run(capsys, "functional", "validate", spec, "--format", "json")
     assert code == 0
     record = json.loads(out)
     assert record["passed"] is True
@@ -340,6 +353,31 @@ def test_vector_schema_error(tmp_path, capsys):
     bad = write(tmp_path, "p.csv", "0.5, 0.5\n")
     code, _, _ = run(capsys, "entropy", bad, "--kind", "classical")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "name,text,kind",
+    [
+        ("p.json", "[true, false]", "classical"),
+        ("p.json", '["0.5", "0.5"]', "classical"),
+        ("rho.json", '{"dim": 1.9, "re": [[1.0]]}', "quantum"),
+        ("rho.json", '{"dim": true, "re": [[1.0]]}', "quantum"),
+        ("m.json", '{"dim": true, "vertices": [[0], [1]]}', "gpt"),
+    ],
+)
+def test_non_numeric_json_values_are_schema_errors(tmp_path, capsys, name, text, kind):
+    path = write(tmp_path, name, text)
+    code, out, err = run(capsys, "entropy", path, "--kind", kind, "--state", "[0.5]")
+    assert code == 2
+    assert err.startswith("schema error:")
+    assert out == ""
+
+
+def test_boolean_inline_state_is_schema_error(tmp_path, capsys):
+    model = write(tmp_path, "m.json", json.dumps({"dim": 1, "vertices": [[0.0], [1.0]]}))
+    code, _, err = run(capsys, "entropy", model, "--kind", "gpt", "--state", "[true, 0.5]")
+    assert code == 2
+    assert err.startswith("schema error: state:")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

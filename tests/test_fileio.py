@@ -67,6 +67,22 @@ def test_read_density_schema_errors(tmp_path):
         read_density(write(tmp_path, "d.json", "[1, 2]"))
 
 
+@pytest.mark.parametrize("dim", [1.9, True, False, "2", None, [2]])
+def test_dim_must_be_an_integer(tmp_path, dim):
+    with pytest.raises(SchemaError, match="'dim' must be an integer"):
+        read_density(write(tmp_path, "rho.json", json.dumps({"dim": dim, "re": [[1.0]]})))
+    with pytest.raises(SchemaError, match="'dim' must be an integer"):
+        read_model(write(tmp_path, "m.json", json.dumps({"dim": dim, "vertices": [[0.0], [1.0]]})))
+
+
+def test_integral_float_dim_is_accepted_and_non_positive_rejected(tmp_path):
+    assert read_density(write(tmp_path, "rho.json", json.dumps({"dim": 1.0, "re": [[1.0]]}))).dim == 1
+    model = read_model(write(tmp_path, "m.json", json.dumps({"dim": 1.0, "vertices": [[0.0], [1.0]]})))
+    assert model.n_vertices == 2
+    with pytest.raises(SchemaError, match="positive"):
+        read_model(write(tmp_path, "m0.json", json.dumps({"dim": 0, "vertices": [[0.0], [1.0]]})))
+
+
 def test_read_density_domain_errors_are_value_errors(tmp_path):
     # structurally fine but not a state: trace 0.9
     p = write(tmp_path, "rho.json", json.dumps({"dim": 2, "re": [[0.45, 0.0], [0.0, 0.45]]}))
@@ -105,6 +121,23 @@ def test_parse_state():
         parse_state("[")
     with pytest.raises(SchemaError):
         parse_state('["a"]')
+
+
+@pytest.mark.parametrize("text", ["[true, false]", "[true, 0.5]", '[0.5, "0.5"]', "[null]", "[[0.5]]"])
+def test_json_arrays_hold_only_numbers(tmp_path, text):
+    # JSON true/false would otherwise be read as 1/0
+    with pytest.raises(SchemaError, match="must be numbers"):
+        read_vector(write(tmp_path, "p.json", text))
+    with pytest.raises(SchemaError, match="state: array entries must be numbers"):
+        parse_state(text)
+
+
+def test_json_integer_beyond_float_range_is_schema_error(tmp_path):
+    text = "[" + "1" * 400 + ", 0.5]"
+    with pytest.raises(SchemaError, match="float range"):
+        read_vector(write(tmp_path, "p.json", text))
+    with pytest.raises(SchemaError, match="float range"):
+        parse_state(text)
 
 
 def test_missing_file_is_oserror(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from entrokit.classical import entropy_finite
 from entrokit.functionals import (
     BUILTIN_FAMILIES,
     EntropicFunctional,
@@ -189,3 +190,85 @@ def test_functional_is_frozen():
     F = make_shannon()
     with pytest.raises(Exception):
         F.name = "other"
+
+
+def reference_pair(family, param=None):
+    """The masked phi and h the built-ins used before they were plain expressions."""
+
+    def phi(x):
+        x = np.asarray(x, dtype=float).ravel()
+        out = np.zeros_like(x)
+        nz = x > 0.0
+        xs = x[nz]
+        if family == "shannon":
+            out[nz] = -xs * np.log(xs)
+        elif family == "renyi":
+            out[nz] = xs**param
+        elif family == "tsallis":
+            out[nz] = (xs - xs**param) / (param - 1.0)
+        else:
+            out[nz] = (xs ** (1.0 - param) - xs ** (1.0 + param)) / (2.0 * param)
+        return out
+
+    def h(y):
+        y = np.asarray(y, dtype=float)
+        if family != "renyi":
+            return y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(y) / (1.0 - param)
+
+    return phi, h
+
+
+REFERENCE_CASES = (
+    [("shannon", None, make_shannon())]
+    + [("renyi", a, make_renyi(a)) for a in (0.1, 0.5, 2.0, 5.0)]
+    + [("tsallis", q, make_tsallis(q)) for q in (0.5, 2.0)]
+    + [("kaniadakis", k, make_kaniadakis(k)) for k in (0.25, 0.5, -0.5)]
+)
+
+
+@pytest.mark.parametrize("family,param,F", REFERENCE_CASES, ids=[c[2].name for c in REFERENCE_CASES])
+def test_builtins_are_the_masked_formulas_bit_for_bit(family, param, F):
+    rng = np.random.default_rng(2024)
+    xs = np.concatenate(
+        [[0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53], np.linspace(0.0, 1.0, 1001), rng.dirichlet(np.ones(10_000))]
+    )
+    ref_phi, ref_h = reference_pair(family, param)
+    got, want = F.phi(xs), ref_phi(xs)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # h on the phi-sums of the grid points and of the range validate_functional probes
+    ys = np.concatenate([[0.0, 1.0, 64.0], want, np.cumsum(want[-64:])])
+    got_h, want_h = F.h(ys), ref_h(ys)
+    assert np.array_equal(got_h, want_h)
+    assert np.array_equal(np.signbit(got_h), np.signbit(want_h))
+    for x in (0.0, 1.0, 5e-324, 0.5):
+        assert np.signbit(F.phi(x)) == np.signbit(ref_phi(x)[0])
+        assert F.phi(x) == ref_phi(x)[0]
+
+
+@pytest.mark.parametrize("spec", ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5"])
+def test_builtins_keep_the_input_shape(spec):
+    F = functional_from_spec(spec)
+    for f in (F.phi, F.h):
+        assert isinstance(f(0.25), float)
+        assert isinstance(f(1), float)
+        assert np.shape(f(np.array(0.25))) == ()
+        assert f(np.full((2, 3), 0.25)).shape == (2, 3)
+        assert f([0.25, 0.5]).shape == (2,)
+        assert f(np.empty(0)).shape == (0,)
+        assert f(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_scalar_only_custom_phi_is_vectorized():
+    # math.log rejects arrays, so the pair is lifted through np.vectorize
+    def phi(x):
+        return -x * math.log(x) if x > 0.0 else 0.0
+
+    F = make_custom("scalar-shannon", phi=phi, h=lambda y: y, case=FunctionalCase.INCREASING_CONCAVE)
+    assert isinstance(F.phi(0.5), float)
+    assert F.phi(np.full((2, 2), 0.5)).shape == (2, 2)
+    p = np.random.default_rng(5).dirichlet(np.ones(12))
+    assert abs(entropy_finite(p, F).value - entropy_finite(p, make_shannon()).value) <= 1e-15
+    assert validate_functional(F).passed
