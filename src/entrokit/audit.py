@@ -14,11 +14,18 @@ from .classical import (
     apply_bistochastic,
     bistochastic_from_unitary,
     entropy_finite,
+    entropy_rows,
     jensen_step_oracle,
     majorization_margin,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
-from .gpt import DIM_CAP, enumerate_basic_decompositions, gpt_majorant, minimize_entropy
+from .gpt import (
+    DIM_CAP,
+    enumerate_basic_decompositions,
+    gpt_majorant,
+    minimize_entropy,
+    weights_by_length,
+)
 from .quantum import (
     RANK_CUTOFF,
     conjugate_isometry,
@@ -249,6 +256,7 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
         x = random_interior_point(model, rng)
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
+        groups = weights_by_length(decs)
         for F in functionals:
             value, _ = minimize_entropy(decs, F)
             if len(decs) >= 2:
@@ -267,9 +275,10 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
                 h_major = entropy_finite(
                     np.pad(majorant, (0, max(0, n - majorant.size))), F
                 ).value
-                worst = min(
-                    entropy_finite(dec.weights, F).value - h_major for dec in decs
-                )
+                values = np.empty(len(decs))
+                for idx, rows in groups:
+                    values[idx] = entropy_rows(rows, F)
+                worst = min((values - h_major).tolist())
                 entries.append(
                     AuditEntry.check(
                         "majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d

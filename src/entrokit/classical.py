@@ -41,12 +41,7 @@ class ProbVector:
         arr = np.array(values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("probability vector must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probability vector entries must be finite")
-        low = float(arr.min())
-        if low < -ENTRY_TOL:
-            raise ValueError(f"entry {low} is below the negativity tolerance -{ENTRY_TOL}")
-        arr = np.where(arr < 0.0, 0.0, arr)
+        arr = _clipped_entries(arr)
         total = float(arr.sum())
         if renormalize:
             if total <= 0.0:
@@ -66,17 +61,7 @@ class ProbVector:
         PARTIAL_SUM_TOL.  Intended for spectra, pinched diagonals, and other
         arithmetic products, not for user data.
         """
-        arr = np.asarray(values, dtype=float).ravel()
-        low = float(arr.min()) if arr.size else 0.0
-        if low < -COMPUTED_FLOOR:
-            raise ValueError(f"computed entry {low} below floor -{COMPUTED_FLOOR}")
-        arr = np.where(arr < 0.0, 0.0, arr)
-        total = float(arr.sum())
-        if total <= 0.0:
-            raise ValueError("computed vector has non-positive total")
-        if abs(total - 1.0) > PARTIAL_SUM_TOL:
-            arr = arr / total
-        return cls(arr)
+        return cls(absorb_roundoff(np.asarray(values, dtype=float).ravel()))
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -118,13 +103,70 @@ class EntropyResult:
     increment_at_stop: float = 0.0
 
 
+def _clipped_entries(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with entries in [-ENTRY_TOL, 0) set to zero; ValueError if not finite or lower."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("probability vector entries must be finite")
+    low = float(arr.min())
+    if low < -ENTRY_TOL:
+        raise ValueError(f"entry {low} is below the negativity tolerance -{ENTRY_TOL}")
+    return np.where(arr < 0.0, 0.0, arr)
+
+
+def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
+    """ProbVector.from_computation's rule, applied along the last axis of ``arr``.
+
+    Entries down to -COMPUTED_FLOOR are clipped to zero, and a vector whose
+    total drifts from one by more than PARTIAL_SUM_TOL is divided by it.
+    """
+    low = float(arr.min()) if arr.size else 0.0
+    if low < -COMPUTED_FLOOR:
+        raise ValueError(f"computed entry {low} below floor -{COMPUTED_FLOOR}")
+    arr = np.where(arr < 0.0, 0.0, arr)
+    totals = arr.sum(axis=-1, keepdims=True)
+    # Python floats: a vector is usually one row, where numpy calls cost more
+    # than the test.  Written to pass NaN on, as the ProbVector check rejects it.
+    sums = totals.ravel().tolist()
+    if not sums or any(t <= 0.0 for t in sums):
+        raise ValueError("computed vector has non-positive total")
+    if any(abs(t - 1.0) > PARTIAL_SUM_TOL for t in sums):
+        arr = np.where(np.abs(totals - 1.0) > PARTIAL_SUM_TOL, arr / totals, arr)
+    return arr
+
+
+def _entropy_kernel(entries: np.ndarray, F: EntropicFunctional):
+    """h(sum phi) along the last axis, each sum taken in sorted order."""
+    return F.h(np.sum(np.sort(np.asarray(F.phi(entries)), axis=-1), axis=-1))
+
+
 def entropy_finite(p, F: EntropicFunctional) -> EntropyResult:
     """h(sum phi(p_i)) for a finite vector; always status Exact."""
     if not isinstance(p, ProbVector):
         p = ProbVector(p)
-    terms = np.sort(np.asarray(F.phi(p.entries)))
-    value = float(F.h(float(np.sum(terms))))
+    value = float(_entropy_kernel(p.entries, F))
     return EntropyResult(value, EntropyStatus.EXACT, terms_used=len(p), increment_at_stop=0.0)
+
+
+def entropy_rows(rows, F: EntropicFunctional) -> np.ndarray:
+    """h(sum phi(p_i)) for each row of a 2-d array of equal-length probability rows.
+
+    Each row is validated as ProbVector validates a vector, without
+    renormalization, and entry i of the result is, bit for bit, the value
+    entropy_finite gives row i: equal-length sorted rows summed along the
+    last axis give the per-row sums exactly.  Rows of different lengths must
+    be passed in separate calls, never zero-padded to a common length:
+    padding moves the entries within numpy's pairwise summation and changes
+    the last bits of the sums.
+    """
+    rows = np.array(rows, dtype=float)
+    if rows.ndim != 2 or rows.size == 0:
+        raise ValueError("entropy_rows needs a non-empty 2-d array, one probability vector per row")
+    rows = _clipped_entries(rows)
+    totals = rows.sum(axis=-1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
+    if off.size:
+        raise ValueError(f"row {int(off[0])} sums to {float(totals[off[0]])!r}, outside 1 +/- {SUM_TOL}")
+    return np.asarray(_entropy_kernel(rows, F), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -187,9 +229,10 @@ class SequenceSource:
     """A lazily indexed probability sequence p_0, p_1, ...
 
     ``fn`` maps an index array to values when ``vectorized`` is true, or a
-    single index to a value otherwise.  ``declared_monotone`` promises
-    nonincreasing values and is probed on every block actually read.  ``tail``
-    optionally supplies certified remainders of sum phi(p_i).
+    single index to a value otherwise; ``vectorized`` is read-only, and
+    entropy_sequence reads a vectorized source in blocks.  ``declared_monotone``
+    promises nonincreasing values and is probed on every block actually read.
+    ``tail`` optionally supplies certified remainders of sum phi(p_i).
     """
 
     def __init__(
@@ -200,8 +243,7 @@ class SequenceSource:
         name: str = "custom",
         vectorized: bool = False,
     ):
-        self._fn = fn
-        self._vectorized = vectorized
+        self._vectorized = bool(vectorized)
         # Reads go through an index-array function; a per-index fn is lifted
         # once, and still called with Python ints, in order, once per index.
         self._read = fn if vectorized else (
@@ -210,6 +252,10 @@ class SequenceSource:
         self.declared_monotone = bool(declared_monotone)
         self.tail = tail
         self.name = name
+
+    @property
+    def vectorized(self) -> bool:
+        return self._vectorized
 
     def values(self, start: int, stop: int) -> np.ndarray:
         if start < 0 or stop < start:
@@ -342,7 +388,7 @@ def entropy_sequence(
     n = 0
     last_chunk = math.inf
     block = STOP_WINDOW
-    block_cap = MAX_BLOCK if src._vectorized else STOP_WINDOW
+    block_cap = MAX_BLOCK if src.vectorized else STOP_WINDOW
     while n < max_terms:
         stop = min(n + block, max_terms)
         phis = np.asarray(F.phi(src.values(n, stop)))

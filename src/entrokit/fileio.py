@@ -24,6 +24,12 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _all_numbers(values) -> bool:
+    """Whether every item is a JSON number; true, false, strings and null are not."""
+    # bool is a subclass of int, so it is excluded by name.
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
+
+
 def _number_array(text: str, where: str) -> np.ndarray:
     """A non-empty JSON array of numbers; JSON true, false and strings are not numbers."""
     try:
@@ -32,8 +38,7 @@ def _number_array(text: str, where: str) -> np.ndarray:
         raise SchemaError(f"{where}: invalid JSON ({exc})") from None
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty JSON array")
-    # bool is a subclass of int, so it is excluded by name.
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data):
+    if not _all_numbers(data):
         raise SchemaError(f"{where}: array entries must be numbers")
     try:
         return np.array(data, dtype=float)
@@ -78,11 +83,20 @@ def _json_object(path: str, required: tuple) -> dict:
     return data
 
 
-def _square_matrix(path: str, data, key: str, dim: int) -> np.ndarray:
+def _number_rows(path: str, data, key: str) -> np.ndarray:
+    """A JSON list of equal-length lists of numbers, as a 2-d float array."""
+    if not (isinstance(data, list) and all(isinstance(row, list) and _all_numbers(row) for row in data)):
+        raise SchemaError(f"{path}: {key!r} must be a list of rows of numbers")
     try:
-        m = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: {key!r} must be a numeric matrix") from None
+        return np.array(data, dtype=float)
+    except ValueError:
+        raise SchemaError(f"{path}: {key!r} rows must have equal lengths") from None
+    except OverflowError:
+        raise SchemaError(f"{path}: {key!r} entry out of float range") from None
+
+
+def _square_matrix(path: str, data, key: str, dim: int) -> np.ndarray:
+    m = _number_rows(path, data, key)
     if m.shape != (dim, dim):
         raise SchemaError(f"{path}: {key!r} must be {dim} x {dim}, got {m.shape}")
     return m
@@ -130,11 +144,8 @@ def read_model(path: str) -> ConvexModel:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise SchemaError(f"{path}: 'vertices' must be a non-empty list")
-    try:
-        V = np.array(vertices, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}: vertices must be numeric") from None
-    if V.ndim != 2 or V.shape[1] != dim:
+    V = _number_rows(path, vertices, "vertices")
+    if V.shape[1] != dim:
         raise SchemaError(f"{path}: vertices must each have {dim} coordinates")
     return ConvexModel(V)
 

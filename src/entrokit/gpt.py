@@ -11,7 +11,11 @@ supported scale (README, "Why basic decompositions suffice").
 
 Each subset size is first screened by batched SVDs; only the subsets the
 screen cannot rule out reach the exact per-subset solve, which alone accepts
-a decomposition and supplies its weights.
+a decomposition and supplies its weights.  The extremality check at model
+construction first tries a separating hyperplane per vertex; a vertex it
+certifies is one the exact solve provably rejects over every support, so
+only the others are screened and solved.  Decompositions are scored with
+one entropy_rows call per support length, never one call per decomposition.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ProbVector, entropy_finite, majorant_index, majorizes
+from .classical import absorb_roundoff, entropy_rows, majorant_index, majorizes
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -40,6 +44,9 @@ SCREEN_WEIGHT = 1e-6
 # Subsets per batched SVD: at the caps one block holds every subset of a
 # size (at most C(12, 5) = 792); raising a cap keeps memory bounded.
 SCREEN_BLOCK = 4096
+# Largest coordinate magnitude at which the hyperplane certificate of
+# _certified_extreme holds despite rounding; larger models skip it.
+CERTIFY_SCALE = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +127,59 @@ def _screen(V: np.ndarray, targets: np.ndarray, subsets: np.ndarray) -> np.ndarr
     return keep | ill[:, None]
 
 
+def _certified_extreme(V: np.ndarray) -> np.ndarray:
+    """Which vertices a separating hyperplane proves extreme for the exact solve.
+
+    For an anchor a (the origin, then the vertex centroid), vertex i is
+    certified when c = v_i - a gives
+        m = c.v_i - M > SCREEN_RESIDUAL * (|c|_1 + |M|),  M = max_{j != i} c.v_j.
+    Then _solve_support rejects v_i over every support S of other vertices.
+    Suppose it accepted weights w.  They are positive, and both its residual
+    tests use RESIDUAL_TOL, so with r = sum_S w_j v_j - v_i and
+    s = sum_S w_j - 1 we have |r|_inf <= t and |s| <= t, where t is
+    RESIDUAL_TOL plus the rounding of the computed residual.  Hence
+        c.v_i + c.r = sum_S w_j c.v_j <= (1 + s) M,
+    so m <= s M - c.r <= t (|M| + |c|_1).  As 0 < w_j, sum w_j <= 1 + t and
+    supports hold at most d + 1 <= 5 points, the residual's rounding is below
+    12 eps max|V|, and the computed m and M are off by at most
+    2 d eps |c|_1 max|V|.  With max|V| <= CERTIFY_SCALE and d <= DIM_CAP,
+    (12 + 2 d) eps max|V| < 4.5e-7 < SCREEN_RESIDUAL - RESIDUAL_TOL, so a
+    certified margin exceeds every margin an accepted support allows.
+    """
+    n = V.shape[0]
+    certified = np.zeros(n, dtype=bool)
+    if n < 2 or float(np.abs(V).max()) > CERTIFY_SCALE:
+        return certified
+    for anchor in (np.zeros(V.shape[1]), V.mean(axis=0)):
+        C = V - anchor
+        G = C @ V.T
+        own = G.diagonal().copy()
+        np.fill_diagonal(G, -np.inf)
+        M = G.max(axis=1)
+        certified |= own - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=1) + np.abs(M))
+    return certified
+
+
 def _first_non_extreme(V: np.ndarray) -> int | None:
-    """Smallest index of a vertex that is a convex combination of the others."""
+    """Smallest index of a vertex that is a convex combination of the others.
+
+    Vertices _certified_extreme proves extreme are skipped; the rest go
+    through the screen and the exact solve, in index order, so the answer is
+    that of the exact solve on every vertex.
+    """
     n, d = V.shape
+    uncertified = np.flatnonzero(~_certified_extreme(V))
+    if not uncertified.size:
+        return None
     screens = []
     for k in range(1, min(n - 1, d + 1) + 1):
         for subsets in _subset_blocks(n, k):
-            keep = _screen(V, V, subsets)
-            np.put_along_axis(keep, subsets, False, axis=1)  # a vertex never counts itself
+            keep = _screen(V, V[uncertified], subsets)
+            keep &= ~np.any(subsets[:, :, None] == uncertified, axis=1)  # a vertex never counts itself
             screens.append((subsets, keep))
-    for i in range(n):
+    for t, i in enumerate(uncertified.tolist()):
         for subsets, keep in screens:
-            for support in subsets[keep[:, i]]:
+            for support in subsets[keep[:, t]]:
                 if _solve_support(V[support], V[i]) is not None:
                     return i
     return None
@@ -240,22 +288,37 @@ def gpt_entropy(
     return minimize_entropy(enumerate_basic_decompositions(model, x), F)
 
 
+def weights_by_length(decs: list[Decomposition]):
+    """(positions in ``decs``, stacked weights) per support length, in list order.
+
+    Rows of one length go to entropy_rows together; they are never padded,
+    as padding would change the last bits of the sums.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, dec in enumerate(decs):
+        groups.setdefault(len(dec.support), []).append(i)
+    return [(idx, np.array([decs[i].weights for i in idx])) for idx in groups.values()]
+
+
 def minimize_entropy(
     decs: list[Decomposition], F: EntropicFunctional
 ) -> tuple[float, Decomposition | None]:
     """Minimum of h(sum phi(weights)) over ``decs``, and the first that attains it.
 
+    Each weight vector is taken through ProbVector.from_computation's rule,
+    and all of one support length are scored in one entropy_rows call.
     Returns (+inf, None) for an empty list.  Enumerate once and call this per
     functional to evaluate several functionals on one state.
     """
-    best_value = np.inf
-    best = None
-    for dec in decs:
-        value = entropy_finite(ProbVector.from_computation(dec.weights), F).value
-        if value < best_value:
-            best_value = value
-            best = dec
-    return float(best_value), best
+    values = np.empty(len(decs))
+    for idx, rows in weights_by_length(decs):
+        values[idx] = entropy_rows(absorb_roundoff(rows), F)
+    # The first position holding the least value below +inf (NaN never counts).
+    below = np.flatnonzero(values < np.inf)
+    if not below.size:
+        return np.inf, None
+    i = int(below[np.argmin(values[below])])
+    return float(values[i]), decs[i]
 
 
 def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:

@@ -17,6 +17,7 @@ from entrokit.classical import (
     apply_bistochastic,
     bistochastic_from_unitary,
     entropy_finite,
+    entropy_rows,
     entropy_sequence,
     PARTIAL_SUM_TOL,
     jensen_step_oracle,
@@ -25,7 +26,14 @@ from entrokit.classical import (
     majorizes,
     sequence_from_spec,
 )
-from entrokit.functionals import FunctionalCase, functional_from_spec, make_renyi, make_shannon, make_tsallis
+from entrokit.functionals import (
+    FunctionalCase,
+    functional_from_spec,
+    make_custom,
+    make_renyi,
+    make_shannon,
+    make_tsallis,
+)
 from entrokit.rand import random_prob_vector, random_unitary
 
 LN2 = 0.6931471805599453
@@ -104,6 +112,56 @@ def test_permutation_invariance_is_bitwise():
             a = entropy_finite(ProbVector(w), F).value
             b = entropy_finite(ProbVector(w[rng.permutation(9)]), F).value
             assert a == b
+
+
+def _scalar_only_shannon():
+    # neither callable accepts an array, so make_custom runs both through np.vectorize
+    return make_custom(
+        "scalar-shannon",
+        phi=lambda x: -x * math.log(x) if x > 0 else 0.0,
+        h=lambda y: float(y),
+        case=FunctionalCase.INCREASING_CONCAVE,
+    )
+
+
+KERNEL_FUNCTIONALS = [
+    *(functional_from_spec(spec) for spec in (*ALL_SPECS, "tsallis:q=0.5", "kaniadakis:kappa=-0.5")),
+    _scalar_only_shannon(),
+]
+
+
+@pytest.mark.parametrize("F", KERNEL_FUNCTIONALS, ids=lambda F: F.name)
+def test_entropy_rows_is_entropy_finite_bit_for_bit(F):
+    rng = np.random.default_rng(73)
+    for n in range(1, 40):
+        dense = rng.dirichlet(np.ones(n), size=12)
+        mask = rng.random((12, n)) < 0.5
+        mask[:, 0] = True
+        sparse = dense * mask
+        sparse = sparse / sparse.sum(axis=1, keepdims=True)  # rows with exact zeros
+        for rows in (dense, sparse):
+            want = np.array([entropy_finite(row, F).value for row in rows])
+            assert np.array_equal(entropy_rows(rows, F).view(np.int64), want.view(np.int64)), n
+
+
+def test_entropy_rows_validates_each_row_as_probvector_does():
+    F = make_shannon()
+    good = [0.5, 0.5]
+    for bad in (
+        [good, [math.nan, 1.0]],
+        [good, [math.inf, 0.0]],
+        [good, [1.0 + 1e-11, -1e-11]],  # below -ENTRY_TOL
+        [good, [0.5, 0.4]],  # off-sum row
+        good,  # 1-d
+        [],
+        [[]],
+        np.ones((2, 2, 2)) / 4,
+    ):
+        with pytest.raises(ValueError):
+            entropy_rows(bad, F)
+    # entries in [-ENTRY_TOL, 0) are clipped to zero, as ProbVector clips them
+    rows = [[1.0 + 5e-13, -5e-13], good]
+    assert entropy_rows(rows, F).tolist() == [entropy_finite(row, F).value for row in rows]
 
 
 def test_uniform_entropy_grows_with_support():
@@ -535,14 +593,19 @@ def test_zero_window_stops_on_and_inside_block_ends(support):
     assert res.terms_used == -(-support // STOP_WINDOW) * STOP_WINDOW + STOP_WINDOW
 
 
-class CountingSource(SequenceSource):
+class CountingSource:
+    """A source that records the (start, stop) of every read of its base."""
+
     def __init__(self, base):
-        super().__init__(base._fn, base.declared_monotone, base.tail, base.name, base._vectorized)
+        self.base = base
         self.reads = []
 
     def values(self, start, stop):
         self.reads.append((start, stop))
-        return super().values(start, stop)
+        return self.base.values(start, stop)
+
+    def __getattr__(self, attr):  # tail, declared_monotone, vectorized, name
+        return getattr(self.base, attr)
 
 
 @pytest.mark.parametrize(
@@ -577,6 +640,9 @@ def test_scalar_source_is_read_one_window_at_a_time():
     res = entropy_sequence(src, make_shannon(), max_terms=5000)
     assert all(b - a <= STOP_WINDOW for a, b in src.reads)
     assert src.reads[-1][1] == res.terms_used
+    assert not base.vectorized and SequenceSource.geometric(0.5).vectorized
+    with pytest.raises(AttributeError):
+        base.vectorized = True
 
 
 def test_heavy_tail_normalization():

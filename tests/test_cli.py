@@ -363,6 +363,16 @@ def test_vector_schema_error(tmp_path, capsys):
         ("rho.json", '{"dim": 1.9, "re": [[1.0]]}', "quantum"),
         ("rho.json", '{"dim": true, "re": [[1.0]]}', "quantum"),
         ("m.json", '{"dim": true, "vertices": [[0], [1]]}', "gpt"),
+        # JSON true/false, numeric strings and null inside matrices and vertex lists
+        ("rho.json", '{"dim": 1, "re": [[true]]}', "quantum"),
+        ("rho.json", '{"dim": 1, "re": [["1"]]}', "quantum"),
+        ("rho.json", '{"dim": 1, "re": [[null]]}', "quantum"),
+        ("rho.json", '{"dim": 1, "re": [[1.0]], "im": [[false]]}', "quantum"),
+        ("rho.json", '{"dim": 1, "re": [[1.0]], "im": [["0"]]}', "quantum"),
+        ("rho.json", '{"dim": 1, "re": [[1.0]], "im": [[null]]}', "quantum"),
+        ("m.json", '{"dim": 1, "vertices": [[true], [false]]}', "gpt"),
+        ("m.json", '{"dim": 1, "vertices": [["0"], [1]]}', "gpt"),
+        ("m.json", '{"dim": 1, "vertices": [[0], [null]]}', "gpt"),
     ],
 )
 def test_non_numeric_json_values_are_schema_errors(tmp_path, capsys, name, text, kind):

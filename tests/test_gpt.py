@@ -208,7 +208,15 @@ def _with_vertex(V, position, point):
 def test_extremality_names_the_same_vertex_as_the_unscreened_check(d):
     rng = as_rng(53 + d)
     V = random_sphere_model(d + 4, d, rng).vertices
+    # the model itself, then shifted and scaled copies
+    for scale, shift in ((1.0, 0.0), (1.0, 3.0), (1e3, -40.0), (1e-2, 0.5)):
+        _assert_extremality_is_the_unscreened_check(scale * V + shift * np.linspace(1.0, -1.0, d))
+
+
+def _assert_extremality_is_the_unscreened_check(V):
+    d = V.shape[1]
     assert reference_first_non_extreme(V) is None
+    assert gpt._first_non_extreme(V) is None
     ConvexModel(V)
     # a hull edge: its midpoint has the one decomposition over its two ends
     a, b = next(
@@ -227,8 +235,42 @@ def test_extremality_names_the_same_vertex_as_the_unscreened_check(d):
     for label, W in bad.items():
         i = reference_first_non_extreme(W)
         assert i is not None, label
+        assert gpt._first_non_extreme(W) == i, label
         with pytest.raises(ValueError, match=f"^vertex {i} is a convex combination of the others$"):
             ConvexModel(W)
+
+
+def _screen_must_not_run(*args):
+    raise AssertionError("the screen ran on a model the certificate should cover")
+
+
+def test_sphere_models_at_audit_sizes_are_fully_certified(monkeypatch):
+    monkeypatch.setattr(gpt, "_screen", _screen_must_not_run)
+    rng = as_rng(59)
+    for d in range(2, gpt.DIM_CAP + 1):
+        for n in (*range(d + 2, 9), VERTEX_CAP):
+            for _ in range(5):
+                model = random_sphere_model(n, d, rng)  # builds a checked ConvexModel
+                assert gpt._certified_extreme(model.vertices).all()
+    # beyond CERTIFY_SCALE rounding could outgrow the bound, so nothing is certified
+    assert not gpt._certified_extreme(2.0 * gpt.CERTIFY_SCALE * model.vertices).any()
+
+
+@pytest.mark.parametrize("push", [1e-10, 1e-7])
+def test_vertex_pushed_out_of_a_face_by_less_than_the_bound_goes_to_the_exact_solve(monkeypatch, push):
+    # (1 + push, 0) lies outside the square's right edge; the exact solve
+    # accepts the edge for it when push is within RESIDUAL_TOL and rejects it
+    # otherwise, and the certificate, which needs a margin near 2e-6 here,
+    # leaves the verdict to it either way
+    V = np.array(SQUARE + [[1.0 + push, 0.0]])
+    assert list(np.flatnonzero(~gpt._certified_extreme(V))) == [4]
+    screened = []
+    screen = gpt._screen
+    monkeypatch.setattr(gpt, "_screen", lambda *args: screened.append(1) or screen(*args))
+    want = reference_first_non_extreme(V)
+    assert want == (4 if push < gpt.RESIDUAL_TOL else None)
+    assert gpt._first_non_extreme(V) == want
+    assert screened
 
 
 def test_screen_blocks_keep_lex_order_and_results(monkeypatch):
@@ -300,6 +342,59 @@ def test_one_enumeration_gives_every_functional_its_gpt_entropy():
             assert dec.support == want_dec.support
             assert np.array_equal(dec.weights, want_dec.weights)
     assert minimize_entropy([], make_shannon()) == (math.inf, None)
+
+
+def reference_minimize_entropy(decs, F):
+    """The per-decomposition loop: one entropy_finite call each, first minimum kept."""
+    best_value, best = math.inf, None
+    for dec in decs:
+        value = entropy_finite(ProbVector.from_computation(dec.weights), F).value
+        if value < best_value:
+            best_value, best = value, dec
+    return best_value, best
+
+
+def test_batched_minimize_entropy_is_the_per_decomposition_loop():
+    rng = as_rng(83)
+    functionals = [functional_from_spec(spec) for spec in (*DEFAULT_FUNCTIONAL_SPECS, "tsallis:q=0.5")]
+    mixed_lengths = 0
+    for d in (2, 3, 4):
+        for _ in range(6):
+            model = random_sphere_model(int(rng.integers(d + 2, 9)), d, rng)
+            V = model.vertices
+            # a chord midpoint adds a two-point support to the (d + 1)-point ones
+            for x in (random_interior_point(model, rng), 0.5 * (V[0] + V[1])):
+                decs = enumerate_basic_decompositions(model, x)
+                mixed_lengths += len({len(dec.support) for dec in decs}) > 1
+                for F in functionals:
+                    value, dec = minimize_entropy(decs, F)
+                    want_value, want = reference_minimize_entropy(decs, F)
+                    assert np.float64(value).view(np.int64) == np.float64(want_value).view(np.int64)
+                    assert dec is want
+    assert mixed_lengths
+
+
+def test_minimize_entropy_keeps_the_first_of_tied_decompositions():
+    decs = [
+        Decomposition(support=(0, 1, 2), weights=np.array([0.4, 0.35, 0.25])),
+        Decomposition(support=(3, 4), weights=np.array([0.7, 0.3])),
+        Decomposition(support=(1, 2, 4), weights=np.array([0.6, 0.3, 0.1])),
+        Decomposition(support=(0, 5), weights=np.array([0.3, 0.7])),  # ties with (3, 4)
+    ]
+    for F in (make_shannon(), functional_from_spec("renyi:alpha=2")):
+        value, dec = minimize_entropy(decs, F)
+        assert dec is decs[1]
+        assert (value, dec) == reference_minimize_entropy(decs, F)
+        assert minimize_entropy(decs[2:], F)[1] is decs[3]
+
+
+def test_minimize_entropy_divides_out_drift_as_from_computation_does():
+    # Decomposition admits a weight sum 1 +/- 1e-10; drift above PARTIAL_SUM_TOL is divided out
+    dec = Decomposition(support=(0, 1), weights=np.array([0.7, 0.3 + 5e-11]))
+    for F in (make_shannon(), functional_from_spec("renyi:alpha=2")):
+        value, _ = minimize_entropy([dec], F)
+        assert value == reference_minimize_entropy([dec], F)[0]
+        assert value != entropy_finite(dec.weights, F).value
 
 
 def test_gpt_entropy_outside_hull():
