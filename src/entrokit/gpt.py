@@ -16,6 +16,11 @@ construction first tries a separating hyperplane per vertex; a vertex it
 certifies is one the exact solve provably rejects over every support, so
 only the others are screened and solved.  Decompositions are scored with
 one entropy_rows call per support length, never one call per decomposition.
+
+A model keeps the basic decompositions of the last state it was asked
+about, so the entropy and the majorant of one state share one enumeration.
+The entry is safe to share because the vertices, the Decomposition objects
+and their weights are all read-only, and every caller gets a fresh list.
 """
 
 from __future__ import annotations
@@ -193,9 +198,13 @@ class ConvexModel:
     construction by checking it has no convex decomposition over the
     remaining vertices; check_extreme=False skips that check for inputs
     known to be extreme.
+
+    The model holds one cache entry: the basic decompositions of the last
+    state enumerate_basic_decompositions was asked about, keyed by the
+    state's bytes.  It relies on the vertices being read-only.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_decompositions")
 
     def __init__(self, vertices, check_extreme: bool = True):
         V = np.array(vertices, dtype=float)
@@ -216,6 +225,7 @@ class ConvexModel:
                 raise ValueError(f"vertex {i} is a convex combination of the others")
         V.setflags(write=False)
         self.vertices = V
+        self._decompositions = None
 
     @property
     def n_vertices(self) -> int:
@@ -269,12 +279,21 @@ def membership(model: ConvexModel, x) -> Decomposition | None:
 
 
 def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]:
-    """All decompositions of x on affinely independent supports, in lex order."""
+    """All decompositions of x on affinely independent supports, in lex order.
+
+    The result for the last state asked about is kept on the model; asking
+    again for the same state returns a new list of the same Decomposition
+    objects without enumerating.
+    """
     x = _check_point(model, x)
-    return [
-        Decomposition(support=s, weights=w)
-        for s, w in _iter_solutions(model.vertices, x, model.ambient_dim)
-    ]
+    key = x.tobytes()
+    if model._decompositions is None or model._decompositions[0] != key:
+        decs = tuple(
+            Decomposition(support=s, weights=w)
+            for s, w in _iter_solutions(model.vertices, x, model.ambient_dim)
+        )
+        model._decompositions = (key, decs)
+    return list(model._decompositions[1])
 
 
 def gpt_entropy(

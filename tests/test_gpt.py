@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entrokit import gpt
-from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
+from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS, run_audit
 from entrokit.classical import ProbVector, entropy_finite, majorant_index, majorizes
 from entrokit.functionals import functional_from_spec, make_shannon
 from entrokit.gpt import (
@@ -186,6 +186,62 @@ def test_enumeration_matches_independent_oracle():
             assert np.max(np.abs(d.barycenter(model) - np.asarray(x))) < 1e-9
 
 
+def count_enumerations(monkeypatch):
+    runs = []
+    iter_solutions = gpt._iter_solutions
+
+    def counted(V, x, d):
+        runs.append(x.copy())
+        return iter_solutions(V, x, d)
+
+    monkeypatch.setattr(gpt, "_iter_solutions", counted)
+    return runs
+
+
+def test_repeated_state_is_served_from_the_model(monkeypatch):
+    runs = count_enumerations(monkeypatch)
+    model = ConvexModel(SQUARE)
+    first = enumerate_basic_decompositions(model, [0.5, 0.0])
+    second = enumerate_basic_decompositions(model, np.array([[0.5, 0.0]]))
+    assert len(runs) == 1
+    assert second == first and second is not first
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    third = enumerate_basic_decompositions(model, [0.5, 0.0])
+    assert [dec.support for dec in second] == [dec.support for dec in third] == [(0, 1, 2), (0, 1, 3)]
+    assert len(runs) == 1
+    assert not second[0].weights.flags.writeable
+
+
+def test_alternating_states_re_enumerate_and_match_the_reference(monkeypatch):
+    runs = count_enumerations(monkeypatch)
+    rng = as_rng(67)
+    model = random_sphere_model(7, 3, rng)
+    x, y = random_interior_point(model, rng), 0.5 * (model.vertices[0] + model.vertices[1])
+    for state in (x, y, x):
+        assert_enumeration_is_the_reference(model, state)
+    assert [r.tobytes() for r in runs] == [x.tobytes(), y.tobytes(), x.tobytes()]
+    other = ConvexModel(model.vertices, check_extreme=False)
+    assert_enumeration_is_the_reference(other, x)  # one entry per model
+    assert len(runs) == 4
+
+
+def test_state_outside_the_hull_caches_the_empty_list(monkeypatch):
+    runs = count_enumerations(monkeypatch)
+    model = ConvexModel(SQUARE)
+    assert enumerate_basic_decompositions(model, [3.0, 0.0]) == []
+    assert gpt_entropy(model, [3.0, 0.0], make_shannon()) == (math.inf, None)
+    assert gpt_majorant(model, [3.0, 0.0]) is None
+    assert len(runs) == 1
+
+
+def test_gpt_argmin_enumerates_once_per_trial(monkeypatch):
+    # the audit's second call, inside gpt_majorant, is served from the model
+    runs = count_enumerations(monkeypatch)
+    assert run_audit("gpt-argmin", trials=20, seed=5).cases
+    assert len(runs) == 20
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_screened_enumeration_is_bitwise_the_unscreened_one(d):
     rng = as_rng(41 + d)
@@ -335,9 +391,11 @@ def test_one_enumeration_gives_every_functional_its_gpt_entropy():
         model = random_sphere_model(int(rng.integers(d + 2, 9)), d, rng)
         x = random_interior_point(model, rng)
         decs = enumerate_basic_decompositions(model, x)
+        # a fresh model enumerates anew, so the cached list is not compared with itself
+        fresh = ConvexModel(model.vertices, check_extreme=False)
         for F in functionals:
             value, dec = minimize_entropy(decs, F)
-            want_value, want_dec = gpt_entropy(model, x, F)
+            want_value, want_dec = gpt_entropy(fresh, x, F)
             assert value == want_value
             assert dec.support == want_dec.support
             assert np.array_equal(dec.weights, want_dec.weights)
