@@ -4,6 +4,11 @@ Each suite draws seeded random cases, records one margin per check, and
 returns an AuditReport.  Margins follow the reporting convention: a case
 passes iff margin >= -tolerance, so worst_margin is the minimum margin.
 All suites are deterministic given (trials, seed, dims, functionals).
+
+The schur, pinching, isometry and ensemble suites draw all their cases
+first and score them afterwards, one kernel call per (vector length,
+functional) through entropy_table.  Their draws, and each margin bit for
+bit, are those of a loop that scores every case as it is drawn.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from .classical import (
     apply_bistochastic,
     bistochastic_from_unitary,
     entropy_finite,
-    entropy_rows,
+    entropy_table,
     jensen_step_oracle,
     majorization_margin,
+    stack_by_length,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
 from .gpt import (
@@ -24,7 +30,6 @@ from .gpt import (
     enumerate_basic_decompositions,
     gpt_majorant,
     minimize_entropy,
-    weights_by_length,
 )
 from .quantum import (
     RANK_CUTOFF,
@@ -32,7 +37,6 @@ from .quantum import (
     eigen_spectrum,
     inf_ensemble_entropy,
     pinch,
-    quantum_entropy,
     random_ensemble,
 )
 from .rand import (
@@ -82,69 +86,86 @@ def _draw_dim(rng, dims) -> int:
 
 
 def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
-    """Doubly stochastic mixing: majorization, Schur concavity, Jensen rows."""
+    """Doubly stochastic mixing: majorization, Schur concavity, Jensen rows.
+
+    The trial loop draws n, Q and p, applies Q and records the majorization
+    margin.  Scoring runs after the draws: every p and q in one entropy_table
+    call, and the Jensen rows with one jensen_step_oracle call per (n,
+    functional) over the stacked Q matrices and p vectors.  Entries keep the
+    trial order, and each margin is bit for bit that of a per-trial loop.
+    """
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    entries = []
+    drawn_dims, matrices, vectors, mixing = [], [], [], []
     for _ in range(int(trials)):
         n = _draw_dim(rng, dims)
         Q = bistochastic_from_unitary(random_unitary(n, rng))
         p = random_prob_vector(n, rng)
         q = apply_bistochastic(Q, p)
-        entries.append(
-            AuditEntry.check(
-                "mixing-majorization",
-                majorization_margin(p, q),
-                EQ_TOL,
-                dim=n,
-            )
-        )
-        for F in functionals:
-            hp = entropy_finite(p, F).value
-            hq = entropy_finite(q, F).value
-            entries.append(
-                AuditEntry.check("entropy-monotone", hq - hp, INEQ_TOL, functional=F.name, dim=n)
-            )
-            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix, p, F)
-            eq_worst = float(min(np.min(-np.abs(int_f - disc_q)), np.min(-np.abs(int_phi - disc_sum))))
+        drawn_dims.append(n)
+        matrices.append(Q.matrix)
+        vectors += [p.entries, q.entries]
+        mixing.append(majorization_margin(p, q))
+    h = entropy_table(vectors, functionals)
+    eq_worst = np.empty_like(h[0::2])
+    dir_worst = np.empty_like(eq_worst)
+    for idx, Qs in stack_by_length(matrices):
+        ps = np.array([vectors[2 * t] for t in idx])
+        for j, F in enumerate(functionals):
+            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Qs, ps, F)
+            f_worst = np.min(-np.abs(int_f - disc_q), axis=1)
+            phi_worst = np.min(-np.abs(int_phi - disc_sum), axis=1)
+            # Python's min(f, phi): phi only where it is strictly smaller.
+            eq_worst[idx, j] = np.where(phi_worst < f_worst, phi_worst, f_worst)
             points = F.phi(disc_q)
             if F.case is FunctionalCase.INCREASING_CONCAVE:
-                dir_worst = float(np.min(points - disc_sum))
+                dir_worst[idx, j] = np.min(points - disc_sum, axis=1)
             else:
-                dir_worst = float(np.min(disc_sum - points))
+                dir_worst[idx, j] = np.min(disc_sum - points, axis=1)
+    entries = []
+    for n, margin, hp, hq, eq_row, dir_row in zip(
+        drawn_dims, mixing, h[0::2].tolist(), h[1::2].tolist(), eq_worst.tolist(), dir_worst.tolist()
+    ):
+        entries.append(AuditEntry.check("mixing-majorization", margin, EQ_TOL, dim=n))
+        for F, hp_F, hq_F, eq_F, dir_F in zip(functionals, hp, hq, eq_row, dir_row):
             entries.append(
-                AuditEntry.check("jensen-integral-match", eq_worst, EQ_TOL, functional=F.name, dim=n)
+                AuditEntry.check("entropy-monotone", hq_F - hp_F, INEQ_TOL, functional=F.name, dim=n)
             )
             entries.append(
-                AuditEntry.check("jensen-direction", dir_worst, EQ_TOL, functional=F.name, dim=n)
+                AuditEntry.check("jensen-integral-match", eq_F, EQ_TOL, functional=F.name, dim=n)
+            )
+            entries.append(
+                AuditEntry.check("jensen-direction", dir_F, EQ_TOL, functional=F.name, dim=n)
             )
     return build_report("schur", trials, seed, INEQ_TOL, entries)
 
 
 def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
-    """H never drops under pinching, with equality in the eigenbasis."""
+    """H never drops under pinching, with equality in the eigenbasis.
+
+    The trial loop draws each state and basis and pinches it in that basis
+    and in its eigenbasis.  The spectra and both diagonals of every trial
+    are then scored in one entropy_table call.
+    """
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    entries = []
+    drawn_dims, vectors = [], []
     for _ in range(int(trials)):
         d = _draw_dim(rng, dims)
         rho = random_density(d, rng)
         basis = random_unitary(d, rng)
-        _, eigenbasis = eigen_spectrum(rho)
-        pinched = pinch(rho, basis)
-        in_eigenbasis = pinch(rho, eigenbasis)
-        for F in functionals:
-            base = quantum_entropy(rho, F).value
+        spectrum, eigenbasis = eigen_spectrum(rho)
+        drawn_dims.append(d)
+        vectors += [spectrum, pinch(rho, basis), pinch(rho, eigenbasis)]
+    h = entropy_table(vectors, functionals).tolist()
+    entries = []
+    for d, base_row, pinched_row, pinned_row in zip(drawn_dims, h[0::3], h[1::3], h[2::3]):
+        for F, base, pinched, pinned in zip(functionals, base_row, pinched_row, pinned_row):
             entries.append(
                 AuditEntry.check(
-                    "pinching-inequality",
-                    entropy_finite(pinched, F).value - base,
-                    INEQ_TOL,
-                    functional=F.name,
-                    dim=d,
+                    "pinching-inequality", pinched - base, INEQ_TOL, functional=F.name, dim=d
                 )
             )
-            pinned = entropy_finite(in_eigenbasis, F).value
             entries.append(
                 AuditEntry.check(
                     "pinching-eigenbasis-equality",
@@ -158,10 +179,15 @@ def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport
 
 
 def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
-    """Entropy invariance under unitaries and under embedding isometries."""
+    """Entropy invariance under unitaries and under embedding isometries.
+
+    The trial loop draws each state and isometry and conjugates; the spectra
+    before and after (of length rows for an embedding) are then scored in
+    one entropy_table call.
+    """
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    entries = []
+    drawn, vectors = [], []
     for t in range(int(trials)):
         d = _draw_dim(rng, dims)
         rho = random_density(d, rng)
@@ -173,9 +199,12 @@ def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport
             v = random_unitary(d, rng)
             case = "isometry-unitary"
         moved = conjugate_isometry(rho, v)
-        for F in functionals:
-            before = quantum_entropy(rho, F).value
-            after = quantum_entropy(moved, F).value
+        drawn.append((case, d))
+        vectors += [eigen_spectrum(rho)[0], eigen_spectrum(moved)[0]]
+    h = entropy_table(vectors, functionals).tolist()
+    entries = []
+    for (case, d), before_row, after_row in zip(drawn, h[0::2], h[1::2]):
+        for F, before, after in zip(functionals, before_row, after_row):
             entries.append(
                 AuditEntry.check(case, -abs(after - before), ISOMETRY_EQ_TOL, functional=F.name, dim=d)
             )
@@ -188,11 +217,18 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     The infimum is taken over the ensembles drawn for the state plus the
     spectral one.  Every ensemble's weights are majorized by the spectrum
     (Nielsen, PRA 62, 052308, 2000), so fresh draws could not lower it.
+
+    The draw loop records each state's spectrum, the spectral ensemble's
+    entropy from inf_ensemble_entropy(rho, F, trials=0), and every drawn
+    weight vector with its majorization margin.  All spectra and weights are
+    then scored in one entropy_table call (one kernel call per length and
+    functional), and a state's infimum is the least of its start value and
+    its scored draws.
     """
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
     n_states = max(1, int(trials) // 20)
-    entries = []
+    states, vectors, mixing = [], [], []
     drawn = 0
     for s in range(n_states):
         d = _draw_dim(rng, dims)
@@ -200,39 +236,38 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
         rho = random_density(d, rng, rank=rank)
         spectrum, _ = eigen_spectrum(rho)
         r = int(np.sum(spectrum.entries > RANK_CUTOFF))
-        spectral_h = {F.name: quantum_entropy(rho, F).value for F in functionals}
-        infimum = {F.name: inf_ensemble_entropy(rho, F, trials=0)[0] for F in functionals}
+        start = [inf_ensemble_entropy(rho, F, trials=0)[0] for F in functionals]
+        first = len(vectors)
+        vectors.append(spectrum)
         budget = (int(trials) - drawn) // (n_states - s)
         for _ in range(max(1, budget)):
             m = r + int(rng.integers(0, 3))
             ensemble = random_ensemble(rho, m, rng=rng)
             drawn += 1
-            w = ensemble.weights.entries
-            entries.append(
-                AuditEntry.check(
-                    "ensemble-majorization",
-                    majorization_margin(spectrum.entries, w),
-                    EQ_TOL,
-                    dim=d,
-                )
-            )
-            for F in functionals:
-                hw = entropy_finite(ensemble.weights, F).value
+            vectors.append(ensemble.weights)
+            mixing.append(majorization_margin(spectrum.entries, ensemble.weights.entries))
+        states.append((d, start, first, len(vectors)))
+    h = entropy_table(vectors, functionals)
+    entries = []
+    margins = iter(mixing)
+    for d, start, first, stop in states:
+        spectral_h = h[first].tolist()
+        weights_h = h[first + 1 : stop]
+        for row in weights_h.tolist():
+            entries.append(AuditEntry.check("ensemble-majorization", next(margins), EQ_TOL, dim=d))
+            for F, hw, spectral in zip(functionals, row, spectral_h):
                 entries.append(
                     AuditEntry.check(
-                        "ensemble-entropy",
-                        hw - spectral_h[F.name],
-                        INEQ_TOL,
-                        functional=F.name,
-                        dim=d,
+                        "ensemble-entropy", hw - spectral, INEQ_TOL, functional=F.name, dim=d
                     )
                 )
-                infimum[F.name] = min(infimum[F.name], hw)
-        for F in functionals:
+        for F, inf_start, column, spectral in zip(functionals, start, weights_h.T.tolist(), spectral_h):
+            # min over a list is the left fold of min(a, b), as a draw-by-draw loop takes it.
+            infimum = min([inf_start] + column)
             entries.append(
                 AuditEntry.check(
                     "infimum-equals-spectrum",
-                    -abs(infimum[F.name] - spectral_h[F.name]),
+                    -abs(infimum - spectral),
                     INEQ_TOL,
                     functional=F.name,
                     dim=d,
@@ -256,8 +291,10 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
         x = random_interior_point(model, rng)
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
-        groups = weights_by_length(decs)
-        for F in functionals:
+        if majorant is not None:
+            # The majorant check reads one column per functional.
+            scores = entropy_table([dec.weights for dec in decs], functionals)
+        for col, F in enumerate(functionals):
             value, _ = minimize_entropy(decs, F)
             if len(decs) >= 2:
                 i, j = rng.choice(len(decs), size=2, replace=False)
@@ -275,10 +312,7 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
                 h_major = entropy_finite(
                     np.pad(majorant, (0, max(0, n - majorant.size))), F
                 ).value
-                values = np.empty(len(decs))
-                for idx, rows in groups:
-                    values[idx] = entropy_rows(rows, F)
-                worst = min((values - h_major).tolist())
+                worst = min((scores[:, col] - h_major).tolist())
                 entries.append(
                     AuditEntry.check(
                         "majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d

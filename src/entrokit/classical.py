@@ -158,15 +158,48 @@ def entropy_rows(rows, F: EntropicFunctional) -> np.ndarray:
     padding moves the entries within numpy's pairwise summation and changes
     the last bits of the sums.
     """
+    return np.asarray(_entropy_kernel(_probability_rows(rows), F), dtype=float)
+
+
+def _probability_rows(rows) -> np.ndarray:
+    """``rows`` as a float array, each row validated as ProbVector validates a vector."""
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
-        raise ValueError("entropy_rows needs a non-empty 2-d array, one probability vector per row")
+        raise ValueError("need a non-empty 2-d array, one probability vector per row")
     rows = _clipped_entries(rows)
     totals = rows.sum(axis=-1)
     off = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
     if off.size:
         raise ValueError(f"row {int(off[0])} sums to {float(totals[off[0]])!r}, outside 1 +/- {SUM_TOL}")
-    return np.asarray(_entropy_kernel(rows, F), dtype=float)
+    return rows
+
+
+def stack_by_length(items) -> list[tuple[list[int], np.ndarray]]:
+    """(positions in ``items``, the items stacked) per length, lengths in first-seen order.
+
+    The length of an item is len(item): the size of a vector, the row count
+    of a matrix.  Items of one length are stacked as they are, never padded.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(len(item), []).append(i)
+    return [(idx, np.array([items[i] for i in idx], dtype=float)) for idx in groups.values()]
+
+
+def entropy_table(vectors, functionals) -> np.ndarray:
+    """h(sum phi(p_i)) of every vector under every functional, as a (vectors, functionals) array.
+
+    Entry [i, j] is, bit for bit, entropy_finite(vectors[i], functionals[j]).value.
+    ``vectors`` holds ProbVectors or 1-d arrays; they are grouped by length,
+    and each group is scored with one entropy_rows call per functional, so
+    the cost is one kernel call per (length, functional), not one per vector.
+    """
+    arrays = [v.entries if isinstance(v, ProbVector) else np.ravel(v) for v in vectors]
+    table = np.empty((len(arrays), len(functionals)))
+    for idx, rows in stack_by_length(arrays):
+        for j, F in enumerate(functionals):
+            table[idx, j] = entropy_rows(rows, F)
+    return table
 
 
 @dataclass(frozen=True)
@@ -382,8 +415,10 @@ def entropy_sequence(
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if not increment_tol > 0.0:
-        raise ValueError("increment_tol must be positive")
+    # Written to be false for NaN and inf: an infinite tolerance would stop
+    # any stream, a divergent one too, after its first window.
+    if not (0.0 < increment_tol < math.inf):
+        raise ValueError(f"increment_tol must be finite and positive, got {increment_tol!r}")
     partial = 0.0
     n = 0
     last_chunk = math.inf
@@ -542,32 +577,46 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     Any 2-d ``q_rows`` is a batch with one row per line and gives four arrays
     of shape (rows,), whose entry i equals, bit for bit, the four floats that
     row i alone gives.  So a (1, n) slice gives four arrays of shape (1,), and
-    an (n, 1) column is n rows of width 1, not one row.  Any other shape is
-    flattened to one row and gives four floats.
+    an (n, 1) column is n rows of width 1, not one row.
+
+    A 3-d ``q_rows`` of shape (k, r, n) is k such batches, one for each row
+    of a (k, n) array ``p``; it gives four arrays of shape (k, r), whose
+    entry [t] equals, bit for bit, the 2-d call on (q_rows[t], p[t]).  The
+    rows of ``p`` are validated as entropy_rows validates rows.  (Before
+    this form existed, a 3-d ``q_rows`` was flattened to one row.)
+
+    Any other shape is flattened to one row and gives four floats.
     """
     rows = np.asarray(q_rows, dtype=float)
-    batch = rows.ndim == 2
-    rows = rows if batch else rows.reshape(1, -1)
+    ndim = rows.ndim
+    if ndim == 3:
+        vals = _probability_rows(p)
+        if vals.shape != (rows.shape[0], rows.shape[2]):
+            raise ValueError(f"p must be {rows.shape[0]} x {rows.shape[2]}, one row per batch")
+    else:
+        if not isinstance(p, ProbVector):
+            p = ProbVector(p)
+        vals = p.entries[None]
+        rows = rows[None] if ndim == 2 else rows.reshape(1, 1, -1)
     if rows.size == 0:
         raise ValueError("row must be non-empty")
     # Both tests are written to be false for NaN, so NaN rows are rejected.
     if not (float(rows.min()) >= 0.0):
         raise ValueError("row entries must be finite and nonnegative")
-    if not (float(np.max(np.abs(rows.sum(axis=1) - 1.0))) <= ROW_SUM_TOL):
+    if not (float(np.max(np.abs(rows.sum(axis=-1) - 1.0))) <= ROW_SUM_TOL):
         raise ValueError(f"row must sum to 1 within {ROW_SUM_TOL}")
-    if not isinstance(p, ProbVector):
-        p = ProbVector(p)
-    if rows.shape[1] != len(p):
+    if rows.shape[2] != vals.shape[1]:
         raise ValueError("row and vector dimensions differ")
-    vals = p.entries
     phis = np.asarray(F.phi(vals))
-    lengths = np.diff(np.cumsum(rows, axis=1), axis=1, prepend=0.0)
-    integral_f = np.sum(lengths * vals, axis=1)
-    integral_phi_f = np.sum(lengths * phis, axis=1)
-    if not batch:
-        row = rows[0]
-        return float(integral_f[0]), float(integral_phi_f[0]), float(np.dot(row, vals)), float(np.dot(row, phis))
+    lengths = np.diff(np.cumsum(rows, axis=-1), axis=-1, prepend=0.0)
+    integral_f = np.sum(lengths * vals[:, None, :], axis=-1)
+    integral_phi_f = np.sum(lengths * phis[:, None, :], axis=-1)
     # A stacked matmul repeats np.dot row by row, bit for bit; rows @ vals does not.
-    discrete_q = (rows[:, None, :] @ vals[:, None])[:, 0, 0]
-    discrete_sum = (rows[:, None, :] @ phis[:, None])[:, 0, 0]
-    return integral_f, integral_phi_f, discrete_q, discrete_sum
+    discrete_q = (rows[:, :, None, :] @ vals[:, None, :, None])[:, :, 0, 0]
+    discrete_sum = (rows[:, :, None, :] @ phis[:, None, :, None])[:, :, 0, 0]
+    out = (integral_f, integral_phi_f, discrete_q, discrete_sum)
+    if ndim == 3:
+        return out
+    if ndim == 2:
+        return tuple(a[0] for a in out)
+    return tuple(float(a[0, 0]) for a in out)

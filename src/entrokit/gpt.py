@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import absorb_roundoff, entropy_rows, majorant_index, majorizes
+from .classical import absorb_roundoff, entropy_rows, majorant_index, majorizes, stack_by_length
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -307,18 +307,6 @@ def gpt_entropy(
     return minimize_entropy(enumerate_basic_decompositions(model, x), F)
 
 
-def weights_by_length(decs: list[Decomposition]):
-    """(positions in ``decs``, stacked weights) per support length, in list order.
-
-    Rows of one length go to entropy_rows together; they are never padded,
-    as padding would change the last bits of the sums.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, dec in enumerate(decs):
-        groups.setdefault(len(dec.support), []).append(i)
-    return [(idx, np.array([decs[i].weights for i in idx])) for idx in groups.values()]
-
-
 def minimize_entropy(
     decs: list[Decomposition], F: EntropicFunctional
 ) -> tuple[float, Decomposition | None]:
@@ -330,7 +318,7 @@ def minimize_entropy(
     functional to evaluate several functionals on one state.
     """
     values = np.empty(len(decs))
-    for idx, rows in weights_by_length(decs):
+    for idx, rows in stack_by_length([d.weights for d in decs]):
         values[idx] = entropy_rows(absorb_roundoff(rows), F)
     # The first position holding the least value below +inf (NaN never counts).
     below = np.flatnonzero(values < np.inf)

@@ -1,16 +1,43 @@
 """Randomized audit suites and their report plumbing."""
 
+import math
 import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entrokit import audit, quantum
-from entrokit.audit import DEFAULT_TRIALS, INEQ_TOL, SUITES, default_functionals, run_audit
-from entrokit.classical import entropy_finite
-from entrokit.quantum import eigen_spectrum, pinch, pinching_inequality_audit, quantum_entropy, random_ensemble
-from entrokit.rand import as_rng, random_density, random_unitary
+from entrokit.audit import (
+    DEFAULT_FUNCTIONAL_SPECS,
+    DEFAULT_TRIALS,
+    EQ_TOL,
+    INEQ_TOL,
+    ISOMETRY_EQ_TOL,
+    SUITES,
+    default_functionals,
+    run_audit,
+)
+from entrokit.classical import (
+    apply_bistochastic,
+    bistochastic_from_unitary,
+    entropy_finite,
+    jensen_step_oracle,
+    majorization_margin,
+)
+from entrokit.functionals import FunctionalCase, make_custom
+from entrokit.quantum import (
+    RANK_CUTOFF,
+    conjugate_isometry,
+    eigen_spectrum,
+    inf_ensemble_entropy,
+    pinch,
+    pinching_inequality_audit,
+    quantum_entropy,
+    random_ensemble,
+)
+from entrokit.rand import as_rng, random_density, random_isometry, random_prob_vector, random_unitary
 from entrokit.reporting import AuditEntry, AuditReport, build_report
 
 
@@ -79,6 +106,127 @@ def test_pinching_suite_is_the_per_functional_loop(seed):
     report = run_audit("pinching", trials=40, seed=seed, dims=(2, 8))
     reference = reference_pinching_entries(40, seed, (2, 8))
     assert [repr(c) for c in report.cases] == [repr(e) for e in reference]
+
+
+# The default functionals plus one whose callables accept only scalars, so
+# make_custom runs both through np.vectorize.
+REFERENCE_FUNCTIONALS = [
+    *DEFAULT_FUNCTIONAL_SPECS,
+    make_custom(
+        "scalar-shannon",
+        phi=lambda x: -x * math.log(x) if x > 0 else 0.0,
+        h=lambda y: float(y),
+        case=FunctionalCase.INCREASING_CONCAVE,
+    ),
+]
+
+
+def reference_schur_entries(trials, seed, dims, functionals):
+    """The schur suite as a per-trial, per-functional loop of one-vector calls."""
+    rng = as_rng(seed)
+    entries = []
+    for _ in range(trials):
+        n = int(rng.integers(dims[0], dims[1] + 1))
+        Q = bistochastic_from_unitary(random_unitary(n, rng))
+        p = random_prob_vector(n, rng)
+        q = apply_bistochastic(Q, p)
+        entries.append(AuditEntry.check("mixing-majorization", majorization_margin(p, q), EQ_TOL, dim=n))
+        for F in functionals:
+            hp = entropy_finite(p, F).value
+            hq = entropy_finite(q, F).value
+            entries.append(AuditEntry.check("entropy-monotone", hq - hp, INEQ_TOL, functional=F.name, dim=n))
+            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix, p, F)
+            eq_worst = float(min(np.min(-np.abs(int_f - disc_q)), np.min(-np.abs(int_phi - disc_sum))))
+            points = F.phi(disc_q)
+            if F.case is FunctionalCase.INCREASING_CONCAVE:
+                dir_worst = float(np.min(points - disc_sum))
+            else:
+                dir_worst = float(np.min(disc_sum - points))
+            for case, margin in (("jensen-integral-match", eq_worst), ("jensen-direction", dir_worst)):
+                entries.append(AuditEntry.check(case, margin, EQ_TOL, functional=F.name, dim=n))
+    return entries
+
+
+def reference_isometry_entries(trials, seed, dims, functionals):
+    """The isometry suite as a per-trial, per-functional loop of quantum_entropy calls."""
+    rng = as_rng(seed)
+    entries = []
+    for t in range(trials):
+        d = int(rng.integers(dims[0], dims[1] + 1))
+        rho = random_density(d, rng)
+        if t % 4 == 3:
+            rows = d + int(rng.integers(1, 5))
+            v = random_isometry(rows, d, rng)
+            case = "isometry-embedding"
+        else:
+            v = random_unitary(d, rng)
+            case = "isometry-unitary"
+        moved = conjugate_isometry(rho, v)
+        for F in functionals:
+            before = quantum_entropy(rho, F).value
+            after = quantum_entropy(moved, F).value
+            entries.append(
+                AuditEntry.check(case, -abs(after - before), ISOMETRY_EQ_TOL, functional=F.name, dim=d)
+            )
+    return entries
+
+
+def reference_ensemble_entries(trials, seed, dims, functionals):
+    """The ensemble suite scoring each drawn ensemble as it is drawn."""
+    rng = as_rng(seed)
+    n_states = max(1, trials // 20)
+    entries = []
+    drawn = 0
+    for s in range(n_states):
+        d = int(rng.integers(dims[0], dims[1] + 1))
+        rank = int(rng.integers(1, d + 1))
+        rho = random_density(d, rng, rank=rank)
+        spectrum, _ = eigen_spectrum(rho)
+        r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+        spectral_h = {F.name: quantum_entropy(rho, F).value for F in functionals}
+        infimum = {F.name: inf_ensemble_entropy(rho, F, trials=0)[0] for F in functionals}
+        budget = (trials - drawn) // (n_states - s)
+        for _ in range(max(1, budget)):
+            m = r + int(rng.integers(0, 3))
+            ensemble = random_ensemble(rho, m, rng=rng)
+            drawn += 1
+            margin = majorization_margin(spectrum.entries, ensemble.weights.entries)
+            entries.append(AuditEntry.check("ensemble-majorization", margin, EQ_TOL, dim=d))
+            for F in functionals:
+                hw = entropy_finite(ensemble.weights, F).value
+                margin = hw - spectral_h[F.name]
+                entries.append(AuditEntry.check("ensemble-entropy", margin, INEQ_TOL, functional=F.name, dim=d))
+                infimum[F.name] = min(infimum[F.name], hw)
+        for F in functionals:
+            entries.append(
+                AuditEntry.check(
+                    "infimum-equals-spectrum",
+                    -abs(infimum[F.name] - spectral_h[F.name]),
+                    INEQ_TOL,
+                    functional=F.name,
+                    dim=d,
+                )
+            )
+    return entries
+
+
+@pytest.mark.parametrize("seed", [3, 7, 2024])
+@pytest.mark.parametrize(
+    "suite,reference,trials,dims",
+    [
+        ("schur", reference_schur_entries, 40, (2, 8)),
+        ("schur", reference_schur_entries, 40, (2, 30)),
+        ("isometry", reference_isometry_entries, 40, (2, 8)),
+        ("ensemble", reference_ensemble_entries, 100, (2, 6)),
+    ],
+    ids=["schur", "schur-wide", "isometry", "ensemble"],
+)
+def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims, seed):
+    report = run_audit(suite, trials=trials, seed=seed, dims=dims, functional_specs=REFERENCE_FUNCTIONALS)
+    functionals = audit._resolve_functionals(REFERENCE_FUNCTIONALS)
+    expected = reference(trials, seed, dims, functionals)
+    assert len(report.cases) == len(expected)
+    assert [repr(c) for c in report.cases] == [repr(e) for e in expected]
 
 
 @pytest.mark.parametrize("trials", [7, 40, 61])

@@ -19,12 +19,15 @@ from entrokit.classical import (
     entropy_finite,
     entropy_rows,
     entropy_sequence,
+    entropy_table,
     PARTIAL_SUM_TOL,
+    ROW_SUM_TOL,
     jensen_step_oracle,
     majorant_index,
     majorization_margin,
     majorizes,
     sequence_from_spec,
+    stack_by_length,
 )
 from entrokit.functionals import (
     FunctionalCase,
@@ -162,6 +165,42 @@ def test_entropy_rows_validates_each_row_as_probvector_does():
     # entries in [-ENTRY_TOL, 0) are clipped to zero, as ProbVector clips them
     rows = [[1.0 + 5e-13, -5e-13], good]
     assert entropy_rows(rows, F).tolist() == [entropy_finite(row, F).value for row in rows]
+
+
+def test_stack_by_length_keeps_first_seen_order_and_never_pads():
+    items = [[0.5, 0.5], [1.0], [0.25, 0.75], [0.3, 0.3, 0.4], [0.1, 0.2, 0.7]]
+    groups = stack_by_length(items)
+    assert [idx for idx, _ in groups] == [[0, 2], [1], [3, 4]]
+    assert [stack.tolist() for _, stack in groups] == [[items[0], items[2]], [items[1]], items[3:]]
+    # a matrix's length is its row count
+    matrices = [np.eye(3), np.eye(2), np.ones((3, 3)) / 3]
+    assert [(idx, stack.shape) for idx, stack in stack_by_length(matrices)] == [
+        ([0, 2], (2, 3, 3)),
+        ([1], (1, 2, 2)),
+    ]
+    assert stack_by_length([]) == []
+
+
+@pytest.mark.parametrize("F", KERNEL_FUNCTIONALS, ids=lambda F: F.name)
+def test_entropy_table_is_entropy_finite_bit_for_bit(F):
+    rng = np.random.default_rng(79)
+    lengths = rng.integers(1, 31, size=200)
+    vectors = [rng.dirichlet(np.ones(n)) for n in lengths]
+    vectors[::3] = [ProbVector.from_computation(v) for v in vectors[::3]]
+    G = make_shannon()
+    table = entropy_table(vectors, [F, G])
+    assert table.shape == (200, 2)
+    for col, fn in enumerate((F, G)):
+        want = np.array([entropy_finite(v, fn).value for v in vectors])
+        assert np.array_equal(table[:, col].view(np.int64), want.view(np.int64))
+
+
+def test_entropy_table_validates_and_handles_no_vectors():
+    F = make_shannon()
+    assert entropy_table([], [F]).shape == (0, 1)
+    for bad in ([[0.5, 0.5], [0.5, 0.4]], [[0.5, 0.5], [math.nan, 1.0]], [[0.5, 0.5], [1.001, -0.001]]):
+        with pytest.raises(ValueError):
+            entropy_table(bad, [F])
 
 
 def test_uniform_entropy_grows_with_support():
@@ -399,6 +438,65 @@ def test_jensen_single_row_slice_is_a_batch_of_one():
     # an (n, 1) column is n rows of width 1, not one row of width n
     with pytest.raises(ValueError):
         jensen_step_oracle(Q[1].reshape(-1, 1), p, F)
+
+
+def reference_jensen_row(row, p, F):
+    """The one-row oracle as a loop-free float computation with np.dot."""
+    vals = ProbVector(p).entries
+    phis = np.asarray(F.phi(vals))
+    lengths = np.diff(np.cumsum(row), prepend=0.0)
+    return (
+        float(np.sum(lengths * vals)),
+        float(np.sum(lengths * phis)),
+        float(np.dot(row, vals)),
+        float(np.dot(row, phis)),
+    )
+
+
+@pytest.mark.parametrize("F", KERNEL_FUNCTIONALS[:5], ids=lambda F: F.name)
+def test_jensen_stacked_batches_are_the_2d_calls(F):
+    rng = np.random.default_rng(29)
+    for n in range(1, 13):
+        k = 5
+        Qs = np.array([bistochastic_from_unitary(random_unitary(n, rng)).matrix for _ in range(k)])
+        ps = np.array([random_prob_vector(n, rng).entries for _ in range(k)])
+        stacked = jensen_step_oracle(Qs, ps, F)
+        assert all(isinstance(a, np.ndarray) and a.shape == (k, n) for a in stacked)
+        for t in range(k):
+            batch = jensen_step_oracle(Qs[t], ps[t], F)
+            assert all(np.array_equal(a[t], b) for a, b in zip(stacked, batch)), (n, t)
+            for i in range(n):
+                assert tuple(a[t, i] for a in stacked) == reference_jensen_row(Qs[t, i], ps[t], F)
+
+
+def test_jensen_stacked_batches_reject_bad_inputs():
+    rng = np.random.default_rng(31)
+    F = make_shannon()
+    Qs = np.array([bistochastic_from_unitary(random_unitary(4, rng)).matrix for _ in range(3)])
+    ps = np.array([random_prob_vector(4, rng).entries for _ in range(3)])
+    jensen_step_oracle(Qs, ps, F)
+
+    def with_entry(arr, index, value):
+        out = arr.copy()
+        out[index] = value
+        return out
+
+    bad_pairs = [
+        (Qs, with_entry(ps, (1, 2), math.nan)),
+        (Qs, with_entry(ps, (2, 0), -1e-3)),
+        (Qs, with_entry(ps, (0, 3), ps[0, 3] + 1e-6)),  # p row off its sum
+        (with_entry(Qs, (1, 2, 0), math.nan), ps),
+        (with_entry(Qs, (2, 1, 1), -1e-3), ps),
+        (with_entry(Qs, (0, 3, 2), Qs[0, 3, 2] + 10 * ROW_SUM_TOL), ps),  # q row off its sum
+        (Qs, ps[:2]),  # k mismatch
+        (Qs[:2], ps),
+        (Qs, ps[:, :3] / ps[:, :3].sum(axis=1, keepdims=True)),  # n mismatch
+        (Qs, ps[0]),  # one p for k batches
+        (np.empty((0, 4, 4)), np.empty((0, 4))),
+    ]
+    for rows, p in bad_pairs:
+        with pytest.raises(ValueError):
+            jensen_step_oracle(rows, p, F)
 
 
 def test_jensen_bad_rows_raise_in_both_forms():
@@ -666,5 +764,7 @@ def test_entropy_sequence_argument_validation():
     src = SequenceSource.geometric(0.5)
     with pytest.raises(ValueError):
         entropy_sequence(src, make_shannon(), max_terms=0)
-    with pytest.raises(ValueError):
-        entropy_sequence(src, make_shannon(), increment_tol=0.0)
+    # an infinite tolerance would stop a divergent stream after its first window
+    for tol in (0.0, -1e-12, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="increment_tol must be finite and positive"):
+            entropy_sequence(SequenceSource.heavy_tail(), make_shannon(), increment_tol=tol)

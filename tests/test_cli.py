@@ -311,6 +311,11 @@ def test_functional_validate_rejects_alpha_one(capsys):
         ("functional", "validate", "kaniadakis:kappa=nan"),
         ("entropy", "--kind", "classical", "--sequence", "heavytail:offset=inf"),
         ("entropy", "--kind", "classical", "--sequence", "heavytail:offset=2.9"),
+        # an infinite tolerance once stopped this divergent stream after 64
+        # terms and printed a finite truncated estimate with exit 0
+        ("entropy", "--kind", "classical", "--sequence", "heavytail",
+         "--increment-tol", "inf", "--format", "json"),
+        ("entropy", "--kind", "classical", "--sequence", "heavytail", "--increment-tol", "nan"),
     ],
 )
 def test_non_finite_or_non_integer_spec_is_domain_error(capsys, argv):
