@@ -5,10 +5,10 @@ returns an AuditReport.  Margins follow the reporting convention: a case
 passes iff margin >= -tolerance, so worst_margin is the minimum margin.
 All suites are deterministic given (trials, seed, dims, functionals).
 
-The schur, pinching, isometry and ensemble suites draw all their cases
-first and score them afterwards, one kernel call per (vector length,
-functional) through entropy_table.  Their draws, and each margin bit for
-bit, are those of a loop that scores every case as it is drawn.
+Every suite draws all its cases first and scores them afterwards, one
+kernel call per (vector length, functional) through entropy_table.  Its
+draws, and each margin bit for bit, are those of a loop that scores every
+case as it is drawn.
 """
 
 from __future__ import annotations
@@ -17,20 +17,15 @@ import numpy as np
 
 from .classical import (
     apply_bistochastic,
+    as_count,
     bistochastic_from_unitary,
-    entropy_finite,
     entropy_table,
     jensen_step_oracle,
     majorization_margin,
     stack_by_length,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
-from .gpt import (
-    DIM_CAP,
-    enumerate_basic_decompositions,
-    gpt_majorant,
-    minimize_entropy,
-)
+from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
 from .quantum import (
     RANK_CUTOFF,
     conjugate_isometry,
@@ -277,13 +272,25 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
 
 
 def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
-    """Blended decompositions never beat the basic-decomposition minimum."""
+    """Blended decompositions never beat the basic-decomposition minimum.
+
+    The trial loop draws each model and interior point, enumerates its basic
+    decompositions (gpt_majorant reuses that enumeration) and, with two or
+    more of them, draws one blend of two per functional.  It only collects
+    the decomposition weights, the blends and the zero-padded majorant.
+    Scoring runs after the draws, one kernel call per (length, functional):
+    entropy_table scores the blends and majorants, and the weights twice,
+    as they are for the majorant check and through absorb_roundoff
+    (computed=True) for each trial's minimum, which first_least picks as
+    minimize_entropy does.  Each margin is bit for bit that of a per-trial
+    loop.
+    """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
         raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    entries = []
+    drawn, weights, vectors = [], [], []
     for _ in range(int(trials)):
         d = _draw_dim(rng, dims)
         n = int(rng.integers(d + 2, 9))
@@ -291,28 +298,41 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
         x = random_interior_point(model, rng)
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
-        if majorant is not None:
-            # The majorant check reads one column per functional.
-            scores = entropy_table([dec.weights for dec in decs], functionals)
-        for col, F in enumerate(functionals):
-            value, _ = minimize_entropy(decs, F)
-            if len(decs) >= 2:
+        first = len(weights)
+        weights += [dec.weights for dec in decs]
+        blends = major = None
+        if len(decs) >= 2:
+            blends = len(vectors)
+            for _ in functionals:
                 i, j = rng.choice(len(decs), size=2, replace=False)
                 t = float(rng.uniform(0.2, 0.8))
                 blend = np.zeros(n)
                 blend[list(decs[i].support)] += t * decs[i].weights
                 blend[list(decs[j].support)] += (1.0 - t) * decs[j].weights
-                blended_h = entropy_finite(blend, F).value
+                vectors.append(blend)
+        if majorant is not None:
+            major = len(vectors)
+            vectors.append(np.pad(majorant, (0, max(0, n - majorant.size))))
+        drawn.append((d, first, len(weights), blends, major))
+    h = entropy_table(vectors, functionals)
+    scores = entropy_table(weights, functionals)
+    least = entropy_table(weights, functionals, computed=True)
+    columns = np.arange(len(functionals))
+    entries = []
+    for d, first, stop, blends, major in drawn:
+        if blends is not None:
+            own = least[first:stop]
+            pick = first_least(own)
+            values = np.where(pick >= 0, own[pick, columns], np.inf).tolist()
+            blended = h[blends + columns, columns].tolist()
+        for j, F in enumerate(functionals):
+            if blends is not None:
+                margin = blended[j] - values[j]
                 entries.append(
-                    AuditEntry.check(
-                        "argmin-optimality", blended_h - value, INEQ_TOL, functional=F.name, dim=d
-                    )
+                    AuditEntry.check("argmin-optimality", margin, INEQ_TOL, functional=F.name, dim=d)
                 )
-            if majorant is not None:
-                h_major = entropy_finite(
-                    np.pad(majorant, (0, max(0, n - majorant.size))), F
-                ).value
-                worst = min((scores[:, col] - h_major).tolist())
+            if major is not None:
+                worst = min((scores[first:stop, j] - h[major, j]).tolist())
                 entries.append(
                     AuditEntry.check(
                         "majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d
@@ -350,8 +370,10 @@ def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None)
     """Dispatch to a named suite with its default trial count and dims."""
     if suite not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r} (known: {sorted(SUITES)})")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials is not None:
+        trials = as_count(trials, "trials")
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[suite](
         trials=DEFAULT_TRIALS[suite] if trials is None else trials,
         seed=seed,

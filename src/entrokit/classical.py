@@ -8,6 +8,7 @@ are invariant under permutation of the input, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -186,17 +187,21 @@ def stack_by_length(items) -> list[tuple[list[int], np.ndarray]]:
     return [(idx, np.array([items[i] for i in idx], dtype=float)) for idx in groups.values()]
 
 
-def entropy_table(vectors, functionals) -> np.ndarray:
+def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     """h(sum phi(p_i)) of every vector under every functional, as a (vectors, functionals) array.
 
     Entry [i, j] is, bit for bit, entropy_finite(vectors[i], functionals[j]).value.
     ``vectors`` holds ProbVectors or 1-d arrays; they are grouped by length,
     and each group is scored with one entropy_rows call per functional, so
     the cost is one kernel call per (length, functional), not one per vector.
+    With ``computed=True`` each group is first taken through absorb_roundoff,
+    so entry [i, j] is that of ProbVector.from_computation(vectors[i]).
     """
     arrays = [v.entries if isinstance(v, ProbVector) else np.ravel(v) for v in vectors]
     table = np.empty((len(arrays), len(functionals)))
     for idx, rows in stack_by_length(arrays):
+        if computed:
+            rows = absorb_roundoff(rows)
         for j, F in enumerate(functionals):
             table[idx, j] = entropy_rows(rows, F)
     return table
@@ -386,6 +391,22 @@ def sequence_from_spec(spec: str) -> SequenceSource:
     raise ValueError(f"unknown sequence family {name!r} (known: geometric, heavytail)")
 
 
+def as_count(value, name: str) -> int:
+    """``value`` as an int, for a count argument such as max_terms or trials.
+
+    Python and numpy integers pass, and so do integral floats; bools,
+    non-integral or non-finite numbers and non-numbers raise ValueError.
+    """
+    # is_integer() is False for NaN and the infinities.
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def entropy_sequence(
     src: SequenceSource,
     F: EntropicFunctional,
@@ -413,6 +434,7 @@ def entropy_sequence(
     calls its function once per index, so blocks would save it nothing; it is
     read one window at a time and never past the stopping window.
     """
+    max_terms = as_count(max_terms, "max_terms")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     # Written to be false for NaN and inf: an infinite tolerance would stop

@@ -9,9 +9,11 @@ the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
 
-Each subset size is first screened by batched SVDs; only the subsets the
-screen cannot rule out reach the exact per-subset solve, which alone accepts
-a decomposition and supplies its weights.  The extremality check at model
+Each subset size is built into stacked systems [V_S^T; 1] and screened by
+batched SVDs.  Only the subsets the screen cannot rule out reach the exact
+solve, which alone accepts a decomposition and supplies its weights: one
+stacked rank test per screen block on the same systems, then lstsq on each
+kept subset of full rank.  The extremality check at model
 construction first tries a separating hyperplane per vertex; a vertex it
 certifies is one the exact solve provably rejects over every support, so
 only the others are screened and solved.  Decompositions are scored with
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import absorb_roundoff, entropy_rows, majorant_index, majorizes, stack_by_length
+from .classical import entropy_table, majorant_index, majorizes
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -80,25 +82,34 @@ class Decomposition:
         return self.weights @ model.vertices[list(self.support)]
 
 
-def _solve_support(points: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """Strictly positive affine weights writing x over ``points``, or None.
+def _systems(V: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """The systems [V[S]^T; 1] for the row-index ``subsets`` of V, stacked as (count, d + 1, k)."""
+    (count, k), d = subsets.shape, V.shape[1]
+    a = np.ones((count, d + 1, k))
+    a[:, :d, :] = V[subsets].transpose(0, 2, 1)
+    return a
 
-    Rejects affinely dependent supports (rank below the subset size at pivot
-    tolerance PIVOT_TOL), inconsistent systems (residual above RESIDUAL_TOL),
-    and solutions touching the weight floor; those belong to a smaller
-    support that is enumerated separately.
+
+def _exact_solutions(a: np.ndarray, x: np.ndarray):
+    """(position, weights) of each stacked system in ``a`` that writes x, in order.
+
+    The exact solve, which alone accepts a support and supplies its weights.
+    It rejects affinely dependent supports (rank below the support size at
+    pivot tolerance PIVOT_TOL), inconsistent systems (lstsq residual above
+    RESIDUAL_TOL), and solutions touching the weight floor; those belong to
+    a smaller support that is enumerated separately.  The rank test is one
+    stacked matrix_rank call: numpy's stacked SVD gives each matrix bit for
+    bit the singular values of a call on that matrix alone.
     """
-    k = points.shape[0]
-    a = np.vstack([points.T, np.ones((1, k))])
-    if np.linalg.matrix_rank(a, tol=PIVOT_TOL) < k:
-        return None
+    if not len(a):
+        return
     b = np.concatenate([x, [1.0]])
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if float(np.max(np.abs(a @ w - b))) > RESIDUAL_TOL:
-        return None
-    if float(w.min()) <= WEIGHT_FLOOR:
-        return None
-    return w
+    full = np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2]
+    for c in np.flatnonzero(full).tolist():
+        w, *_ = np.linalg.lstsq(a[c], b, rcond=None)
+        if float(np.max(np.abs(a[c] @ w - b))) > RESIDUAL_TOL or float(w.min()) <= WEIGHT_FLOOR:
+            continue
+        yield c, w
 
 
 def _subset_blocks(n: int, k: int):
@@ -108,20 +119,17 @@ def _subset_blocks(n: int, k: int):
         yield np.array(block, dtype=np.intp)
 
 
-def _screen(V: np.ndarray, targets: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Which of the row-index ``subsets`` of V may write each row of ``targets``.
+def _screen(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Which of the stacked systems ``a`` (from _systems) may write each row of ``targets``.
 
-    Solves the stacked systems [V[S]^T; 1] w = [t; 1] for every subset S and
-    every target t through one batched SVD.  ``keep[c, j]`` is False only
-    when ``_solve_support`` certainly rejects subset c for target j: the
-    pseudo-inverse solution leaves a residual above SCREEN_RESIDUAL * s_max
-    or a weight below -SCREEN_WEIGHT.  Systems with s_min/s_max below
-    SCREEN_COND are always kept.  As s_max >= 1 (the row of ones), every
-    system judged here passes the rank test at PIVOT_TOL.
+    Solves a[c] w = [t; 1] for every system c and every target t through one
+    batched SVD.  ``keep[c, j]`` is False only when the exact solve certainly
+    rejects system c for target j: the pseudo-inverse solution leaves a
+    residual above SCREEN_RESIDUAL * s_max or a weight below -SCREEN_WEIGHT.
+    Systems with s_min/s_max below SCREEN_COND are always kept.  As
+    s_max >= 1 (the row of ones), every system judged here passes the rank
+    test at PIVOT_TOL.
     """
-    (count, k), d = subsets.shape, V.shape[1]
-    a = np.ones((count, d + 1, k))
-    a[:, :d, :] = V[subsets].transpose(0, 2, 1)
     b = np.vstack([targets.T, np.ones((1, targets.shape[0]))])
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     ill = s[:, -1] < SCREEN_COND * s[:, 0]
@@ -138,7 +146,7 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     For an anchor a (the origin, then the vertex centroid), vertex i is
     certified when c = v_i - a gives
         m = c.v_i - M > SCREEN_RESIDUAL * (|c|_1 + |M|),  M = max_{j != i} c.v_j.
-    Then _solve_support rejects v_i over every support S of other vertices.
+    Then the exact solve rejects v_i over every support S of other vertices.
     Suppose it accepted weights w.  They are positive, and both its residual
     tests use RESIDUAL_TOL, so with r = sum_S w_j v_j - v_i and
     s = sum_S w_j - 1 we have |r|_inf <= t and |s| <= t, where t is
@@ -179,14 +187,14 @@ def _first_non_extreme(V: np.ndarray) -> int | None:
     screens = []
     for k in range(1, min(n - 1, d + 1) + 1):
         for subsets in _subset_blocks(n, k):
-            keep = _screen(V, V[uncertified], subsets)
+            a = _systems(V, subsets)
+            keep = _screen(a, V[uncertified])
             keep &= ~np.any(subsets[:, :, None] == uncertified, axis=1)  # a vertex never counts itself
-            screens.append((subsets, keep))
+            screens.append((a, keep))
     for t, i in enumerate(uncertified.tolist()):
-        for subsets, keep in screens:
-            for support in subsets[keep[:, t]]:
-                if _solve_support(V[support], V[i]) is not None:
-                    return i
+        for a, keep in screens:
+            if next(_exact_solutions(a[keep[:, t]], V[i]), None) is not None:
+                return i
     return None
 
 
@@ -252,11 +260,11 @@ def _iter_solutions(V: np.ndarray, x: np.ndarray, d: int):
     n = V.shape[0]
     for k in range(1, min(n, d + 1) + 1):
         for subsets in _subset_blocks(n, k):
-            keep = _screen(V, x[None, :], subsets)
-            for support in subsets[keep[:, 0]]:
-                w = _solve_support(V[support], x)
-                if w is not None:
-                    yield tuple(support.tolist()), w
+            a = _systems(V, subsets)
+            keep = _screen(a, x[None, :])[:, 0]
+            kept = subsets[keep]
+            for c, w in _exact_solutions(a[keep], x):
+                yield tuple(kept[c].tolist()), w
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
@@ -313,19 +321,25 @@ def minimize_entropy(
     """Minimum of h(sum phi(weights)) over ``decs``, and the first that attains it.
 
     Each weight vector is taken through ProbVector.from_computation's rule,
-    and all of one support length are scored in one entropy_rows call.
+    and all of one support length are scored in one entropy_rows call
+    (entropy_table with computed=True); first_least picks the minimum.
     Returns (+inf, None) for an empty list.  Enumerate once and call this per
     functional to evaluate several functionals on one state.
     """
-    values = np.empty(len(decs))
-    for idx, rows in stack_by_length([d.weights for d in decs]):
-        values[idx] = entropy_rows(absorb_roundoff(rows), F)
-    # The first position holding the least value below +inf (NaN never counts).
-    below = np.flatnonzero(values < np.inf)
-    if not below.size:
+    if not decs:
         return np.inf, None
-    i = int(below[np.argmin(values[below])])
-    return float(values[i]), decs[i]
+    values = entropy_table([d.weights for d in decs], [F], computed=True)[:, 0]
+    i = int(first_least(values))
+    return (np.inf, None) if i < 0 else (float(values[i]), decs[i])
+
+
+def first_least(values: np.ndarray) -> np.ndarray:
+    """Along axis 0, the first position holding the least value below +inf, or -1.
+
+    NaN never counts.  For a 2-d array the pick is made in each column.
+    """
+    below = np.where(values < np.inf, values, np.inf)
+    return np.where(below.min(axis=0) < np.inf, below.argmin(axis=0), -1)
 
 
 def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EntropyResult, ProbVector, entropy_finite
+from .classical import EntropyResult, ProbVector, as_count, entropy_finite
 from .functionals import EntropicFunctional
 from .reporting import AuditEntry
 
@@ -264,7 +264,7 @@ def inf_ensemble_entropy(
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     best_ensemble = spectral_ensemble(rho)
     best_value = entropy_finite(best_ensemble.weights, F).value
-    for _ in range(max(0, int(trials))):
+    for _ in range(max(0, as_count(trials, "trials"))):
         m = int(rng.integers(r, r + 3))
         candidate = random_ensemble(rho, m, rng=rng)
         value = entropy_finite(candidate.weights, F).value

@@ -27,6 +27,7 @@ from entrokit.classical import (
     majorization_margin,
 )
 from entrokit.functionals import FunctionalCase, make_custom
+from entrokit.gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from entrokit.quantum import (
     RANK_CUTOFF,
     conjugate_isometry,
@@ -37,7 +38,15 @@ from entrokit.quantum import (
     quantum_entropy,
     random_ensemble,
 )
-from entrokit.rand import as_rng, random_density, random_isometry, random_prob_vector, random_unitary
+from entrokit.rand import (
+    as_rng,
+    random_density,
+    random_interior_point,
+    random_isometry,
+    random_prob_vector,
+    random_sphere_model,
+    random_unitary,
+)
 from entrokit.reporting import AuditEntry, AuditReport, build_report
 
 
@@ -72,6 +81,19 @@ def test_unknown_suite_rejected():
 def test_trials_below_one_rejected(suite, trials):
     with pytest.raises(ValueError, match="trials must be at least 1"):
         run_audit(suite, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, math.nan, math.inf, -math.inf, "3", 2j])
+def test_trials_that_are_not_counts_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_audit("schur", trials=trials)
+
+
+@pytest.mark.parametrize("trials", [np.int64(3), np.int32(3), np.uint8(3), 3.0])
+def test_integral_trials_of_any_type_run(trials):
+    report = run_audit("schur", trials=trials, seed=7)
+    assert type(report.trials) is int
+    assert report.to_dict() == run_audit("schur", trials=3, seed=7).to_dict()
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (7, 7), (2, 5)])
@@ -210,6 +232,34 @@ def reference_ensemble_entries(trials, seed, dims, functionals):
     return entries
 
 
+def reference_gpt_argmin_entries(trials, seed, dims, functionals):
+    """The gpt-argmin suite scoring each trial as it is drawn, one functional at a time."""
+    rng = as_rng(seed)
+    entries = []
+    for _ in range(trials):
+        d = int(rng.integers(dims[0], dims[1] + 1))
+        n = int(rng.integers(d + 2, 9))
+        model = random_sphere_model(n, d, rng)
+        x = random_interior_point(model, rng)
+        decs = enumerate_basic_decompositions(model, x)
+        majorant = gpt_majorant(model, x)
+        for F in functionals:
+            value, _ = minimize_entropy(decs, F)
+            if len(decs) >= 2:
+                i, j = rng.choice(len(decs), size=2, replace=False)
+                t = float(rng.uniform(0.2, 0.8))
+                blend = np.zeros(n)
+                blend[list(decs[i].support)] += t * decs[i].weights
+                blend[list(decs[j].support)] += (1.0 - t) * decs[j].weights
+                margin = entropy_finite(blend, F).value - value
+                entries.append(AuditEntry.check("argmin-optimality", margin, INEQ_TOL, functional=F.name, dim=d))
+            if majorant is not None:
+                h_major = entropy_finite(np.pad(majorant, (0, n - majorant.size)), F).value
+                worst = min(entropy_finite(dec.weights, F).value - h_major for dec in decs)
+                entries.append(AuditEntry.check("majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d))
+    return entries
+
+
 @pytest.mark.parametrize("seed", [3, 7, 2024])
 @pytest.mark.parametrize(
     "suite,reference,trials,dims",
@@ -218,8 +268,10 @@ def reference_ensemble_entries(trials, seed, dims, functionals):
         ("schur", reference_schur_entries, 40, (2, 30)),
         ("isometry", reference_isometry_entries, 40, (2, 8)),
         ("ensemble", reference_ensemble_entries, 100, (2, 6)),
+        ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 3)),
+        ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 4)),
     ],
-    ids=["schur", "schur-wide", "isometry", "ensemble"],
+    ids=["schur", "schur-wide", "isometry", "ensemble", "gpt-argmin", "gpt-argmin-wide"],
 )
 def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims, seed):
     report = run_audit(suite, trials=trials, seed=seed, dims=dims, functional_specs=REFERENCE_FUNCTIONALS)

@@ -764,6 +764,13 @@ def test_entropy_sequence_argument_validation():
     src = SequenceSource.geometric(0.5)
     with pytest.raises(ValueError):
         entropy_sequence(src, make_shannon(), max_terms=0)
+    for bad in (True, False, math.nan, math.inf, -math.inf, 100.5, np.float64(64.5), "100", np.bool_(True)):
+        with pytest.raises(ValueError, match="max_terms must be an integer"):
+            entropy_sequence(SequenceSource.heavy_tail(), make_shannon(), max_terms=bad)
+    want = entropy_sequence(SequenceSource.heavy_tail(), make_shannon(), max_terms=100)
+    for count in (np.int64(100), np.int32(100), np.uint16(100), 100.0):
+        got = entropy_sequence(SequenceSource.heavy_tail(), make_shannon(), max_terms=count)
+        assert got == want and type(got.terms_used) is int
     # an infinite tolerance would stop a divergent stream after its first window
     for tol in (0.0, -1e-12, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="increment_tol must be finite and positive"):

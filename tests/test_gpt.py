@@ -14,7 +14,9 @@ from entrokit.gpt import (
     VERTEX_CAP,
     ConvexModel,
     Decomposition,
-    _solve_support,
+    PIVOT_TOL,
+    RESIDUAL_TOL,
+    WEIGHT_FLOOR,
     enumerate_basic_decompositions,
     gpt_entropy,
     gpt_majorant,
@@ -58,12 +60,27 @@ def oracle_decompositions(vertices, x, tol=1e-9):
     return out
 
 
+def reference_solve_support(points, x):
+    """The exact solve of one support, written out on its own: rank, lstsq, checks."""
+    k = points.shape[0]
+    a = np.vstack([points.T, np.ones((1, k))])
+    if np.linalg.matrix_rank(a, tol=PIVOT_TOL) < k:
+        return None
+    b = np.concatenate([x, [1.0]])
+    w, *_ = np.linalg.lstsq(a, b, rcond=None)
+    if float(np.max(np.abs(a @ w - b))) > RESIDUAL_TOL:
+        return None
+    if float(w.min()) <= WEIGHT_FLOOR:
+        return None
+    return w
+
+
 def reference_solutions(V, x, d):
     """The unscreened enumeration: the exact solve on every subset, lex order."""
     n = V.shape[0]
     for k in range(1, min(n, d + 1) + 1):
         for support in itertools.combinations(range(n), k):
-            w = _solve_support(V[list(support)], x)
+            w = reference_solve_support(V[list(support)], x)
             if w is not None:
                 yield support, w
 
@@ -170,6 +187,33 @@ def test_outside_point_has_no_decomposition():
     model = ConvexModel(SQUARE)
     assert enumerate_basic_decompositions(model, [3.0, 0.0]) == []
     assert membership(model, [3.0, 0.0]) is None
+
+
+UNIT_CUBE = [list(corner) for corner in itertools.product([0.0, 1.0], repeat=3)]
+
+
+@pytest.mark.parametrize(
+    "x,count", [([0.5, 0.5, 0.5], 6), ([0.5, 0.5, 0.0], 2)], ids=["center", "face-center"]
+)
+def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
+    # the 12 coplanar 4-subsets (6 faces, 6 diagonal planes) are singular, so
+    # the screen keeps them and the stacked rank test must reject each
+    model = ConvexModel(UNIT_CUBE)
+    V, x = model.vertices, np.array(x)
+    subsets = np.array(list(itertools.combinations(range(8), 4)))
+    a = gpt._systems(V, subsets)
+    deficient = np.array([np.linalg.matrix_rank(m, tol=PIVOT_TOL) < 4 for m in a])
+    assert deficient.sum() == 12
+    assert gpt._screen(a, x[None, :])[deficient, 0].all()
+    assert len(assert_enumeration_is_the_reference(model, x)) == count
+    # the exact solve on every support of a size at once, unscreened
+    for k in range(1, 5):
+        subsets = np.array(list(itertools.combinations(range(8), k)))
+        got = dict(gpt._exact_solutions(gpt._systems(V, subsets), x))
+        for c, support in enumerate(subsets):
+            want = reference_solve_support(V[support], x)
+            assert (c in got) == (want is not None), support
+            assert want is None or np.array_equal(got[c], want), support
 
 
 def test_enumeration_matches_independent_oracle():

@@ -342,6 +342,15 @@ def test_inf_ensemble_entropy_attains_spectrum():
             best.check_reconstructs(rho)
 
 
+def test_inf_ensemble_entropy_rejects_trials_that_are_not_counts():
+    rho = DensityOperator(np.diag([0.7, 0.3]))
+    for bad in (True, 2.5, math.nan, math.inf, "30"):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            inf_ensemble_entropy(rho, make_shannon(), trials=bad)
+    want = inf_ensemble_entropy(rho, make_shannon(), trials=30)[0]
+    assert inf_ensemble_entropy(rho, make_shannon(), trials=np.int64(30))[0] == want
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         Ensemble(weights=ProbVector([0.5, 0.5]), states=np.array([[1.0, 0.0]]))
