@@ -8,7 +8,10 @@ All suites are deterministic given (trials, seed, dims, functionals).
 Every suite draws all its cases first and scores them afterwards, one
 kernel call per (vector length, functional) through entropy_table.  Its
 draws, and each margin bit for bit, are those of a loop that scores every
-case as it is drawn.
+case as it is drawn.  The pinching and isometry suites also defer their
+linear algebra: their trial loops only draw Gaussian factors, and states,
+Haar isometries, eigensolves and pinches are then built once per stack of
+trials that share a dimension (quantum's stacked forms).
 """
 
 from __future__ import annotations
@@ -22,23 +25,28 @@ from .classical import (
     entropy_table,
     jensen_step_oracle,
     majorization_margin,
+    positions_by_key,
     stack_by_length,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
 from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
 from .quantum import (
     RANK_CUTOFF,
+    DensityOperator,
     conjugate_isometry,
     eigen_spectrum,
+    haar_isometry,
     inf_ensemble_entropy,
     pinch,
     random_ensemble,
 )
 from .rand import (
     as_rng,
+    density_from_factor,
+    ginibre,
     random_density,
+    random_density_factor,
     random_interior_point,
-    random_isometry,
     random_prob_vector,
     random_sphere_model,
     random_unitary,
@@ -73,6 +81,18 @@ def _resolve_functionals(functional_specs) -> list[EntropicFunctional]:
     return out
 
 
+def _trial_count(trials) -> int:
+    """``trials`` as an int of at least 1; ValueError for anything else (as_count's rules)."""
+    trials = as_count(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
+
+
+def _stack(arrays, idx) -> np.ndarray:
+    return np.array([arrays[t] for t in idx])
+
+
 def _draw_dim(rng, dims) -> int:
     lo, hi = dims
     if lo > hi or lo < 1:
@@ -89,10 +109,11 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     functional) over the stacked Q matrices and p vectors.  Entries keep the
     trial order, and each margin is bit for bit that of a per-trial loop.
     """
+    trials = _trial_count(trials)
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
     drawn_dims, matrices, vectors, mixing = [], [], [], []
-    for _ in range(int(trials)):
+    for _ in range(trials):
         n = _draw_dim(rng, dims)
         Q = bistochastic_from_unitary(random_unitary(n, rng))
         p = random_prob_vector(n, rng)
@@ -138,20 +159,29 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
 def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """H never drops under pinching, with equality in the eigenbasis.
 
-    The trial loop draws each state and basis and pinches it in that basis
-    and in its eigenbasis.  The spectra and both diagonals of every trial
-    are then scored in one entropy_table call.
+    The trial loop only draws: each dimension, the Gaussian factor of the
+    state and that of its random unitary.  The linear algebra then runs
+    once per dimension, on the stack of that dimension's trials: one
+    DensityOperator, one eigen_spectrum, one haar_isometry and two pinch
+    calls, in the random bases and in the eigenbases.  The spectra and both
+    diagonals of every trial are scored in one entropy_table call.
     """
+    trials = _trial_count(trials)
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    drawn_dims, vectors = [], []
-    for _ in range(int(trials)):
+    drawn_dims, factors, gaussians = [], [], []
+    for _ in range(trials):
         d = _draw_dim(rng, dims)
-        rho = random_density(d, rng)
-        basis = random_unitary(d, rng)
-        spectrum, eigenbasis = eigen_spectrum(rho)
         drawn_dims.append(d)
-        vectors += [spectrum, pinch(rho, basis), pinch(rho, eigenbasis)]
+        factors.append(random_density_factor(d, rng))
+        gaussians.append(ginibre(d, d, rng))  # random_unitary's draw
+    vectors = [None] * (3 * trials)
+    for idx in positions_by_key(drawn_dims):
+        rho = DensityOperator(density_from_factor(_stack(factors, idx)))
+        spectra, eigenbases = eigen_spectrum(rho)
+        bases = haar_isometry(_stack(gaussians, idx))
+        for t, *rows in zip(idx, spectra, pinch(rho, bases), pinch(rho, eigenbases)):
+            vectors[3 * t : 3 * t + 3] = rows
     h = entropy_table(vectors, functionals).tolist()
     entries = []
     for d, base_row, pinched_row, pinned_row in zip(drawn_dims, h[0::3], h[1::3], h[2::3]):
@@ -176,26 +206,35 @@ def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport
 def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Entropy invariance under unitaries and under embedding isometries.
 
-    The trial loop draws each state and isometry and conjugates; the spectra
-    before and after (of length rows for an embedding) are then scored in
-    one entropy_table call.
+    The trial loop only draws: each dimension, the Gaussian factor of the
+    state and the Gaussian of its isometry (d x d for a unitary, rows x d
+    for an embedding).  The trials whose isometries share a shape are
+    then conjugated as one stack: one DensityOperator for the states, one
+    haar_isometry, one conjugate_isometry and one eigen_spectrum on each
+    side.  The spectra before and after (of length rows for an embedding)
+    are scored in one entropy_table call.
     """
+    trials = _trial_count(trials)
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    drawn, vectors = [], []
-    for t in range(int(trials)):
+    drawn, factors, gaussians = [], [], []
+    for t in range(trials):
         d = _draw_dim(rng, dims)
-        rho = random_density(d, rng)
+        factors.append(random_density_factor(d, rng))
         if t % 4 == 3:
             rows = d + int(rng.integers(1, 5))
-            v = random_isometry(rows, d, rng)
             case = "isometry-embedding"
         else:
-            v = random_unitary(d, rng)
+            rows = d
             case = "isometry-unitary"
-        moved = conjugate_isometry(rho, v)
+        gaussians.append(ginibre(rows, d, rng))  # random_isometry's draw
         drawn.append((case, d))
-        vectors += [eigen_spectrum(rho)[0], eigen_spectrum(moved)[0]]
+    vectors = [None] * (2 * trials)
+    for idx in positions_by_key([g.shape for g in gaussians]):
+        rho = DensityOperator(density_from_factor(_stack(factors, idx)))
+        moved = conjugate_isometry(rho, haar_isometry(_stack(gaussians, idx)))
+        for t, before, after in zip(idx, eigen_spectrum(rho)[0], eigen_spectrum(moved)[0]):
+            vectors[2 * t : 2 * t + 2] = before, after
     h = entropy_table(vectors, functionals).tolist()
     entries = []
     for (case, d), before_row, after_row in zip(drawn, h[0::2], h[1::2]):
@@ -213,16 +252,18 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     spectral one.  Every ensemble's weights are majorized by the spectrum
     (Nielsen, PRA 62, 052308, 2000), so fresh draws could not lower it.
 
-    The draw loop records each state's spectrum, the spectral ensemble's
-    entropy from inf_ensemble_entropy(rho, F, trials=0), and every drawn
-    weight vector with its majorization margin.  All spectra and weights are
-    then scored in one entropy_table call (one kernel call per length and
-    functional), and a state's infimum is the least of its start value and
-    its scored draws.
+    The draw loop records each state's spectrum, the spectral ensemble that
+    inf_ensemble_entropy(rho, F, trials=0) returns (one call per state),
+    and every drawn weight vector with its majorization margin.  All
+    spectra and weights are then scored in one entropy_table call (one
+    kernel call per length and functional).  A state's infimum is the
+    least of its spectral ensemble's entropy, which is the value
+    inf_ensemble_entropy returns for each functional, and its scored draws.
     """
+    trials = _trial_count(trials)
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    n_states = max(1, int(trials) // 20)
+    n_states = max(1, trials // 20)
     states, vectors, mixing = [], [], []
     drawn = 0
     for s in range(n_states):
@@ -231,23 +272,23 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
         rho = random_density(d, rng, rank=rank)
         spectrum, _ = eigen_spectrum(rho)
         r = int(np.sum(spectrum.entries > RANK_CUTOFF))
-        start = [inf_ensemble_entropy(rho, F, trials=0)[0] for F in functionals]
+        _, spectral = inf_ensemble_entropy(rho, functionals[0], trials=0)
         first = len(vectors)
-        vectors.append(spectrum)
-        budget = (int(trials) - drawn) // (n_states - s)
+        vectors += [spectrum, spectral.weights]
+        budget = (trials - drawn) // (n_states - s)
         for _ in range(max(1, budget)):
             m = r + int(rng.integers(0, 3))
             ensemble = random_ensemble(rho, m, rng=rng)
             drawn += 1
             vectors.append(ensemble.weights)
             mixing.append(majorization_margin(spectrum.entries, ensemble.weights.entries))
-        states.append((d, start, first, len(vectors)))
+        states.append((d, first, len(vectors)))
     h = entropy_table(vectors, functionals)
     entries = []
     margins = iter(mixing)
-    for d, start, first, stop in states:
-        spectral_h = h[first].tolist()
-        weights_h = h[first + 1 : stop]
+    for d, first, stop in states:
+        spectral_h, start = h[first : first + 2].tolist()
+        weights_h = h[first + 2 : stop]
         for row in weights_h.tolist():
             entries.append(AuditEntry.check("ensemble-majorization", next(margins), EQ_TOL, dim=d))
             for F, hw, spectral in zip(functionals, row, spectral_h):
@@ -285,13 +326,14 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
     minimize_entropy does.  Each margin is bit for bit that of a per-trial
     loop.
     """
+    trials = _trial_count(trials)
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
         raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
     drawn, weights, vectors = [], [], []
-    for _ in range(int(trials)):
+    for _ in range(trials):
         d = _draw_dim(rng, dims)
         n = int(rng.integers(d + 2, 9))
         model = random_sphere_model(n, d, rng)
@@ -370,10 +412,6 @@ def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None)
     """Dispatch to a named suite with its default trial count and dims."""
     if suite not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r} (known: {sorted(SUITES)})")
-    if trials is not None:
-        trials = as_count(trials, "trials")
-        if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[suite](
         trials=DEFAULT_TRIALS[suite] if trials is None else trials,
         seed=seed,

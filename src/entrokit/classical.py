@@ -135,6 +135,16 @@ def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def computed_rows(values) -> np.ndarray:
+    """ProbVector.from_computation on each row of a 2-d array, as one read-only array.
+
+    Row i is, bit for bit, the entries of ProbVector.from_computation(values[i]).
+    """
+    rows = _probability_rows(absorb_roundoff(np.asarray(values, dtype=float)))
+    rows.setflags(write=False)
+    return rows
+
+
 def _entropy_kernel(entries: np.ndarray, F: EntropicFunctional):
     """h(sum phi) along the last axis, each sum taken in sorted order."""
     return F.h(np.sum(np.sort(np.asarray(F.phi(entries)), axis=-1), axis=-1))
@@ -175,16 +185,22 @@ def _probability_rows(rows) -> np.ndarray:
     return rows
 
 
+def positions_by_key(keys) -> list[list[int]]:
+    """The positions of each distinct key in ``keys``, keys in first-seen order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def stack_by_length(items) -> list[tuple[list[int], np.ndarray]]:
     """(positions in ``items``, the items stacked) per length, lengths in first-seen order.
 
     The length of an item is len(item): the size of a vector, the row count
     of a matrix.  Items of one length are stacked as they are, never padded.
     """
-    groups: dict[int, list[int]] = {}
-    for i, item in enumerate(items):
-        groups.setdefault(len(item), []).append(i)
-    return [(idx, np.array([items[i] for i in idx], dtype=float)) for idx in groups.values()]
+    groups = positions_by_key(len(item) for item in items)
+    return [(idx, np.array([items[i] for i in idx], dtype=float)) for idx in groups]
 
 
 def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:

@@ -4,6 +4,13 @@ The entropy of a state is the classical entropy of its eigenvalue spectrum,
 computed through the same code path as entrokit.classical.entropy_finite, so
 the quantum and classical values agree bit for bit.  Dimensions are expected
 to stay small (default profile d <= 16); exactness is preferred over scale.
+
+Many small states are cheaper as one stack than one at a time: a
+DensityOperator may hold a (k, d, d) stack of states of one dimension, and
+eigen_spectrum, pinch, conjugate_isometry and haar_isometry take stacks and
+broadcast over them.  Slice t of a stacked result is, bit for bit, the
+single call on state t; a single state runs the same code, and functions
+defined for one state only reject a stack.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EntropyResult, ProbVector, as_count, entropy_finite
+from .classical import EntropyResult, ProbVector, as_count, computed_rows, entropy_finite
 from .functionals import EntropicFunctional
 from .reporting import AuditEntry
 
@@ -27,9 +34,12 @@ RANK_CUTOFF = 1e-12
 
 
 class DensityOperator:
-    """A validated density matrix: Hermitian, unit trace, positive.
+    """A validated density matrix, or a stack of them: Hermitian, unit trace, positive.
 
-    The stored matrix is the Hermitian average (A + A*)/2 of the input, which
+    ``matrix`` of shape (d, d) is one state.  Shape (k, d, d) is a stack of
+    k states of one dimension, validated together, with one stacked eigvalsh
+    for positivity; an error then names the first failing state.  The
+    stored matrix is the Hermitian average (A + A*)/2 of the input, which
     is within the acceptance tolerance of it and keeps eigensolves stable.
     The eigendecomposition is computed on the first eigen_spectrum call and
     kept for every later one.
@@ -39,27 +49,67 @@ class DensityOperator:
 
     def __init__(self, matrix):
         rho = np.array(matrix, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density operator must be a square matrix")
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("density operator entries must be finite")
-        dev = float(np.max(np.abs(rho - rho.conj().T)))
-        if dev > HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev:.3e})")
-        rho = 0.5 * (rho + rho.conj().T)
-        trace = complex(np.trace(rho)).real
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace is {trace!r}, outside 1 +/- {TRACE_TOL}")
-        low = float(np.linalg.eigvalsh(rho).min())
-        if low < -EIGENVALUE_FLOOR:
-            raise ValueError(f"eigenvalue {low} below the positivity floor -{EIGENVALUE_FLOOR}")
+        if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or rho.size == 0:
+            raise ValueError("density operator must be a square matrix or a stack of them")
+        _require(np.isfinite(rho).all(axis=(-2, -1)), lambda t: "density operator entries must be finite")
+        dev = np.abs(rho - _adjoint(rho)).max(axis=(-2, -1))
+        _require(
+            dev <= HERMITIAN_TOL,
+            lambda t: f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev[t]:.3e})",
+        )
+        rho = 0.5 * (rho + _adjoint(rho))
+        trace = np.trace(rho, axis1=-2, axis2=-1).real
+        _require(
+            np.abs(trace - 1.0) <= TRACE_TOL,
+            lambda t: f"trace is {float(trace[t])!r}, outside 1 +/- {TRACE_TOL}",
+        )
+        low = np.linalg.eigvalsh(rho).min(axis=-1)
+        _require(
+            low >= -EIGENVALUE_FLOOR,
+            lambda t: f"eigenvalue {float(low[t])} below the positivity floor -{EIGENVALUE_FLOOR}",
+        )
         rho.setflags(write=False)
         self.matrix = rho
-        self.dim = rho.shape[0]
+        self.dim = rho.shape[-1]
         self._eigen = None
 
+    @property
+    def stacked(self) -> bool:
+        return self.matrix.ndim == 3
+
     def __repr__(self) -> str:
+        if self.stacked:
+            return f"DensityOperator(dim={self.dim}, stack={len(self.matrix)})"
         return f"DensityOperator(dim={self.dim})"
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _require(ok, message) -> None:
+    """ValueError(message(t)) for the first state t where ``ok`` is false.
+
+    ``ok`` holds one flag per state of a stack, and the message then names
+    the state; for a single state it is 0-d and message gets the index ().
+    """
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(message(()))
+    elif not ok.all():
+        t = int(np.argmin(ok))
+        raise ValueError(f"state {t}: {message(t)}")
+
+
+def _one_state(rho: DensityOperator) -> None:
+    if rho.stacked:
+        raise ValueError(f"expected one density operator, got a stack of {len(rho.matrix)}")
+
+
+def _computed(values: np.ndarray):
+    """ProbVector.from_computation of a vector, or its rule on each row of a stack."""
+    return computed_rows(values) if values.ndim == 2 else ProbVector.from_computation(values)
 
 
 def pure_state(psi) -> DensityOperator:
@@ -72,7 +122,7 @@ def pure_state(psi) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
+def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector | np.ndarray, np.ndarray]:
     """Spectrum in nonincreasing order and matching eigenbasis (columns).
 
     Eigenvalues below RANK_CUTOFF are set to exactly zero, and
@@ -83,68 +133,97 @@ def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
     removed.  Degenerate clusters come out of the Hermitian solver already
     orthonormalized.
 
-    The solve runs once per state: every call returns the same pair, and the
-    basis is read-only.
+    For a stack of k states the pair is a read-only (k, d) array of spectra,
+    each row after from_computation's rule (classical.computed_rows), and
+    the (k, d, d) bases; one stacked eigh serves the whole stack, and row t
+    is, bit for bit, the single call on state t.
+
+    The solve runs once per state or stack: every call returns the same
+    pair, and the basis is read-only.
     """
     if rho._eigen is None:
         w, v = np.linalg.eigh(rho.matrix)
-        w = w[::-1].copy()
-        v = v[:, ::-1].copy()
+        w = w[..., ::-1].copy()
+        v = v[..., ::-1].copy()
         w[w < RANK_CUTOFF] = 0.0
         v.setflags(write=False)
-        rho._eigen = (ProbVector.from_computation(w), v)
+        rho._eigen = (_computed(w), v)
     return rho._eigen
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
     """h(Tr phi(rho)), evaluated as the classical entropy of the spectrum."""
+    _one_state(rho)
     spectrum, _ = eigen_spectrum(rho)
     return entropy_finite(spectrum, F)
 
 
 def conjugate_isometry(rho: DensityOperator, V) -> DensityOperator:
-    """V rho V* for an isometry V (D x d with V*V = I_d); entropy is preserved."""
+    """V rho V* for an isometry V (D x d with V*V = I_d); entropy is preserved.
+
+    For a stack of k states, V is a (k, D, d) stack of isometries, one per
+    state, and the result is the stack of the k images; slice t is, bit for
+    bit, the single call on (state t, V[t]).
+    """
     V = np.asarray(V, dtype=complex)
-    if V.ndim != 2:
-        raise ValueError("isometry must be a matrix")
-    rows, cols = V.shape
+    if V.ndim != rho.matrix.ndim or V.shape[:-2] != rho.matrix.shape[:-2]:
+        raise ValueError("isometry must be a matrix, or a stack with one matrix per state")
+    rows, cols = V.shape[-2:]
     if rows < cols:
         raise ValueError("isometry must have at least as many rows as columns")
     if cols != rho.dim:
         raise ValueError(f"isometry maps dimension {cols}, state has {rho.dim}")
-    dev = float(np.max(np.abs(V.conj().T @ V - np.eye(cols))))
-    if dev > ISOMETRY_TOL:
-        raise ValueError(f"V*V deviates from identity by {dev:.3e} (> {ISOMETRY_TOL})")
-    return DensityOperator(V @ rho.matrix @ V.conj().T)
+    dev = np.abs(_adjoint(V) @ V - np.eye(cols)).max(axis=(-2, -1))
+    _require(
+        dev <= ISOMETRY_TOL,
+        lambda t: f"V*V deviates from identity by {dev[t]:.3e} (> {ISOMETRY_TOL})",
+    )
+    return DensityOperator(V @ rho.matrix @ _adjoint(V))
+
+
+def haar_isometry(g) -> np.ndarray:
+    """Orthonormal columns from a complex Gaussian matrix, or from each of a stack.
+
+    QR of ``g`` (rows >= cols) with the phases of R's diagonal moved into Q,
+    which makes the square case Haar-distributed.  Slice t of a stacked
+    result is, bit for bit, the call on g[t].
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.shape[-2] < g.shape[-1]:
+        raise ValueError("an isometry needs rows >= cols")
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (phases / np.abs(phases))[..., None, :]
 
 
 def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
     """A rows x cols matrix with orthonormal columns, rows >= cols.
 
-    QR of a complex Gaussian with the phases of R's diagonal moved into Q,
-    which makes the square case Haar-distributed.  ``rng`` is a Generator,
-    used as is, or a seed for np.random.default_rng.
+    haar_isometry of a complex Gaussian.  ``rng`` is a Generator, used as
+    is, or a seed for np.random.default_rng.
     """
-    if rows < cols:
-        raise ValueError("an isometry needs rows >= cols")
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    return haar_isometry(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
 
-def pinch(rho: DensityOperator, basis) -> ProbVector:
-    """Diagonal of rho in an orthonormal basis (columns are basis vectors)."""
+def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
+    """Diagonal of rho in an orthonormal basis (columns are basis vectors).
+
+    For a stack of k states, ``basis`` is a (k, d, d) stack of bases, one
+    per state, and the result a read-only (k, d) array, each row after
+    from_computation's rule; row t is, bit for bit, the single call on
+    (state t, basis[t]).
+    """
     B = np.asarray(basis, dtype=complex)
-    if B.shape != (rho.dim, rho.dim):
-        raise ValueError(f"basis must be {rho.dim} x {rho.dim}")
-    dev = float(np.max(np.abs(B.conj().T @ B - np.eye(rho.dim))))
-    if dev > BASIS_TOL:
-        raise ValueError(f"basis is not orthonormal within {BASIS_TOL} (deviation {dev:.3e})")
-    diag = np.einsum("ij,jk,ki->i", B.conj().T, rho.matrix, B).real
-    return ProbVector.from_computation(diag)
+    if B.shape != rho.matrix.shape:
+        raise ValueError(f"basis must be {' x '.join(map(str, rho.matrix.shape))}")
+    dev = np.abs(_adjoint(B) @ B - np.eye(rho.dim)).max(axis=(-2, -1))
+    _require(
+        dev <= BASIS_TOL,
+        lambda t: f"basis is not orthonormal within {BASIS_TOL} (deviation {dev[t]:.3e})",
+    )
+    diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
+    return _computed(diag)
 
 
 def pinching_inequality_audit(
@@ -153,7 +232,10 @@ def pinching_inequality_audit(
     F: EntropicFunctional,
     tolerance: float = 1e-9,
 ) -> AuditEntry:
-    """Record H(pinched diagonal) - H(rho), which must be >= -tolerance."""
+    """Record H(pinched diagonal) - H(rho), which must be >= -tolerance.
+
+    A stack is rejected by quantum_entropy, its first call.
+    """
     lhs = quantum_entropy(rho, F).value
     rhs = entropy_finite(pinch(rho, basis), F).value
     return AuditEntry.check(
@@ -192,6 +274,7 @@ class Ensemble:
         return (self.states.T * w) @ self.states.conj()
 
     def check_reconstructs(self, rho: DensityOperator) -> float:
+        _one_state(rho)
         dev = float(np.max(np.abs(self.reconstruct() - rho.matrix)))
         if dev > RECONSTRUCTION_TOL:
             raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {RECONSTRUCTION_TOL})")
@@ -207,6 +290,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     isometry.  Pass mixing=np.eye(r) to obtain the spectral decomposition.
     Requires m >= r.
     """
+    _one_state(rho)
     spectrum, basis = eigen_spectrum(rho)
     lam = spectrum.entries
     r = int(np.sum(lam > RANK_CUTOFF))
@@ -241,6 +325,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
 
 def spectral_ensemble(rho: DensityOperator) -> Ensemble:
     """The eigendecomposition of rho presented as an ensemble."""
+    _one_state(rho)
     spectrum, _ = eigen_spectrum(rho)
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     return random_ensemble(rho, r, mixing=np.eye(r))
@@ -259,6 +344,7 @@ def inf_ensemble_entropy(
     weight vector is majorized by the spectrum it attains the infimum; the
     returned value therefore matches quantum_entropy(rho, F) within 1e-9.
     """
+    _one_state(rho)
     rng = np.random.default_rng(rng_seed)
     spectrum, _ = eigen_spectrum(rho)
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))

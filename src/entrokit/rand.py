@@ -18,7 +18,8 @@ def as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols complex Gaussian: the draw random_isometry makes, real part first."""
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
@@ -29,19 +30,31 @@ def random_unitary(d: int, rng=None) -> np.ndarray:
 
 def random_state_vector(d: int, rng=None) -> np.ndarray:
     rng = as_rng(rng)
-    v = _ginibre(d, 1, rng).ravel()
+    v = ginibre(d, 1, rng).ravel()
     return v / np.linalg.norm(v)
 
 
-def random_density(d: int, rng=None, rank: int | None = None) -> DensityOperator:
-    """rho = G G* / Tr(G G*) for a complex Gaussian G with ``rank`` columns."""
+def random_density_factor(d: int, rng=None, rank: int | None = None) -> np.ndarray:
+    """The complex Gaussian G, d x ``rank``, that random_density normalizes: the draw alone."""
     rng = as_rng(rng)
     r = d if rank is None else int(rank)
     if not 1 <= r <= d:
         raise ValueError(f"rank must be in [1, {d}], got {r}")
-    g = _ginibre(d, r, rng)
-    m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)
+    return ginibre(d, r, rng)
+
+
+def density_from_factor(g) -> np.ndarray:
+    """G G* / Tr(G G*) for one factor G, or for each of a (k, d, r) stack.
+
+    Slice t of a stacked result is, bit for bit, the call on g[t].
+    """
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def random_density(d: int, rng=None, rank: int | None = None) -> DensityOperator:
+    """rho = G G* / Tr(G G*) for a complex Gaussian G with ``rank`` columns."""
+    return DensityOperator(density_from_factor(random_density_factor(d, rng, rank)))
 
 
 def random_prob_vector(n: int, rng=None) -> ProbVector:

@@ -96,6 +96,18 @@ def test_integral_trials_of_any_type_run(trials):
     assert report.to_dict() == run_audit("schur", trials=3, seed=7).to_dict()
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suites_called_directly_check_their_trial_count(suite):
+    dims = audit.DEFAULT_DIMS[suite]
+    for bad, message in ((2.5, "an integer"), (True, "an integer"), (math.nan, "an integer"), ("3", "an integer"),
+                         (0, "at least 1"), (-2, "at least 1")):
+        with pytest.raises(ValueError, match=f"trials must be {message}"):
+            SUITES[suite](trials=bad, seed=7, dims=dims)
+    report = SUITES[suite](trials=3.0, seed=7, dims=dims)
+    assert type(report.trials) is int
+    assert report.to_dict() == run_audit(suite, trials=3, seed=7).to_dict()
+
+
 @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (7, 7), (2, 5)])
 def test_gpt_argmin_rejects_dims_outside_the_cap(dims):
     with pytest.raises(ValueError, match="gpt-argmin dims must lie in 2..4"):
@@ -301,6 +313,19 @@ def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
         "ensemble-entropy": 5 * trials,
         "infimum-equals-spectrum": 5 * states,
     }
+
+
+@pytest.mark.parametrize("trials", [7, 61])
+def test_ensemble_suite_builds_one_spectral_ensemble_per_state(monkeypatch, trials):
+    calls = []
+
+    def counted(rho, F, trials=200, rng_seed=0):
+        calls.append(trials)
+        return inf_ensemble_entropy(rho, F, trials=trials, rng_seed=rng_seed)
+
+    monkeypatch.setattr(audit, "inf_ensemble_entropy", counted)
+    run_audit("ensemble", trials=trials, seed=5)
+    assert calls == [0] * max(1, trials // 20)
 
 
 def test_same_seed_reproduces_bitwise():

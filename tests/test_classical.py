@@ -16,6 +16,7 @@ from entrokit.classical import (
     SequenceSource,
     apply_bistochastic,
     bistochastic_from_unitary,
+    computed_rows,
     entropy_finite,
     entropy_rows,
     entropy_sequence,
@@ -165,6 +166,23 @@ def test_entropy_rows_validates_each_row_as_probvector_does():
     # entries in [-ENTRY_TOL, 0) are clipped to zero, as ProbVector clips them
     rows = [[1.0 + 5e-13, -5e-13], good]
     assert entropy_rows(rows, F).tolist() == [entropy_finite(row, F).value for row in rows]
+
+
+def test_computed_rows_are_from_computation_row_by_row():
+    rows = np.array([
+        [0.5, 0.5, 0.0],
+        [0.6, 0.4 + 3e-12, -5e-10],  # drift past PARTIAL_SUM_TOL and negative jitter
+        [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
+        [0.2, 0.3, 0.5 + 1e-13],  # drift within PARTIAL_SUM_TOL: kept as is
+    ])
+    out = computed_rows(rows)
+    assert not out.flags.writeable
+    for row, want in zip(out, rows):
+        assert row.tobytes() == ProbVector.from_computation(want).entries.tobytes()
+    with pytest.raises(ValueError, match="below floor"):
+        computed_rows([[1.0 + 1e-8, -1e-8]])
+    with pytest.raises(ValueError, match="finite"):
+        computed_rows([[0.5, 0.5], [math.nan, 1.0]])
 
 
 def test_stack_by_length_keeps_first_seen_order_and_never_pads():

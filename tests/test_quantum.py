@@ -1,6 +1,7 @@
 """Density operators, spectra, pinching, isometries, and pure-state ensembles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from entrokit.quantum import (
     Ensemble,
     conjugate_isometry,
     eigen_spectrum,
+    haar_isometry,
     inf_ensemble_entropy,
     pinch,
     pinching_inequality_audit,
@@ -22,7 +24,16 @@ from entrokit.quantum import (
     random_ensemble,
     spectral_ensemble,
 )
-from entrokit.rand import as_rng, random_density, random_isometry, random_state_vector, random_unitary
+from entrokit.rand import (
+    as_rng,
+    density_from_factor,
+    ginibre,
+    random_density,
+    random_density_factor,
+    random_isometry,
+    random_state_vector,
+    random_unitary,
+)
 
 LN2 = 0.6931471805599453
 ALL_SPECS = ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5"]
@@ -260,6 +271,177 @@ def test_pinch_in_eigenbasis_recovers_spectrum_entropy():
         p = pinch(rho, basis)
         for F in fs:
             assert abs(entropy_finite(p, F).value - quantum_entropy(rho, F).value) <= 1e-9
+
+
+# ------------------------------------------------------------------- stacks
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def mixed_rank_states(d, k, rng):
+    """k states of dimension d; every third one has rank about d/2, so zeros appear."""
+    return [random_density(d, rng, rank=max(1, d // 2) if t % 3 == 2 else None) for t in range(k)]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_forms_are_the_single_calls_bit_for_bit(d):
+    rng = as_rng(100 + d)
+    k = 9
+    states = mixed_rank_states(d, k, rng)
+    stack = DensityOperator(np.array([rho.matrix for rho in states]))
+    assert stack.stacked and stack.dim == d and stack.matrix.shape == (k, d, d)
+    spectra, bases = eigen_spectrum(stack)
+    bases_u = haar_isometry(np.array([ginibre(d, d, rng) for _ in range(k)]))
+    pinched = pinch(stack, bases_u)
+    pinned = pinch(stack, bases)
+    for t, rho in enumerate(states):
+        assert_same_bits(stack.matrix[t], rho.matrix)
+        spectrum, basis = eigen_spectrum(rho)
+        assert_same_bits(spectra[t], spectrum.entries)
+        assert_same_bits(bases[t], basis)
+        assert_same_bits(pinched[t], pinch(rho, bases_u[t]).entries)
+        assert_same_bits(pinned[t], pinch(rho, basis).entries)
+    for rows in range(d, d + 5):
+        gaussians = np.array([ginibre(rows, d, rng) for _ in range(k)])
+        V = haar_isometry(gaussians)
+        moved = conjugate_isometry(stack, V)
+        assert moved.stacked and moved.dim == rows
+        moved_spectra, _ = eigen_spectrum(moved)
+        for t, rho in enumerate(states):
+            assert_same_bits(V[t], haar_isometry(gaussians[t]))
+            single = conjugate_isometry(rho, V[t])
+            assert_same_bits(moved.matrix[t], single.matrix)
+            assert_same_bits(moved_spectra[t], eigen_spectrum(single)[0].entries)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_density_draws_are_the_single_draws(d):
+    rng = as_rng(200 + d)
+    factors = [random_density_factor(d, rng) for _ in range(3)]
+    stacked = density_from_factor(np.array(factors))
+    for t, g in enumerate(factors):
+        assert_same_bits(stacked[t], density_from_factor(g))
+    drawn = DensityOperator(density_from_factor(random_density_factor(d, as_rng(7), rank=1)))
+    assert_same_bits(random_density(d, as_rng(7), rank=1).matrix, drawn.matrix)
+
+
+def test_random_isometry_is_haar_isometry_of_its_draw():
+    for rows, cols in ((1, 1), (3, 3), (7, 4)):
+        want = haar_isometry(ginibre(rows, cols, as_rng(5)))
+        assert_same_bits(random_isometry(rows, cols, as_rng(5)), want)
+    assert_same_bits(random_unitary(4, as_rng(6)), haar_isometry(ginibre(4, 4, as_rng(6))))
+    with pytest.raises(ValueError, match="rows >= cols"):
+        random_isometry(2, 3, as_rng(1))
+    with pytest.raises(ValueError, match="rows >= cols"):
+        haar_isometry(np.ones((4, 2, 3)))
+
+
+def test_a_stack_of_one_is_the_unstacked_call():
+    rng = as_rng(211)
+    for d in (1, 3, 6):
+        g = random_density_factor(d, rng)
+        rho = DensityOperator(density_from_factor(g))
+        one = DensityOperator(density_from_factor(g[None]))
+        assert not rho.stacked and one.stacked
+        assert repr(one) == f"DensityOperator(dim={d}, stack=1)"
+        assert_same_bits(one.matrix[0], rho.matrix)
+        spectra, bases = eigen_spectrum(one)
+        spectrum, basis = eigen_spectrum(rho)
+        assert_same_bits(spectra[0], spectrum.entries)
+        assert_same_bits(bases[0], basis)
+        u = ginibre(d + 2, d, rng)
+        assert_same_bits(haar_isometry(u[None])[0], haar_isometry(u))
+        assert_same_bits(pinch(one, bases)[0], pinch(rho, basis).entries)
+        V = haar_isometry(u)
+        assert_same_bits(conjugate_isometry(one, V[None]).matrix[0], conjugate_isometry(rho, V).matrix)
+
+
+def test_stacked_results_are_read_only_rows():
+    stack = DensityOperator(np.array([RHO_2x2, np.eye(2) / 2.0]))
+    spectra, bases = eigen_spectrum(stack)
+    assert eigen_spectrum(stack)[0] is spectra
+    diag = pinch(stack, np.array([HADAMARD, np.eye(2)]))
+    for a in (stack.matrix, spectra, bases, diag):
+        assert not a.flags.writeable
+    assert np.allclose(spectra, [[0.75, 0.25], [0.5, 0.5]], rtol=0, atol=1e-15)
+    assert np.allclose(diag, [[0.75, 0.25], [0.5, 0.5]], rtol=0, atol=1e-15)
+
+
+def bad_stack(position, bad):
+    states = [RHO_2x2.astype(complex) for _ in range(4)]
+    states[position] = np.asarray(bad, dtype=complex)
+    return np.array(states)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([[0.5, 0.5j], [0.5j, 0.5]], "matrix is not Hermitian"),
+        ([[0.5, math.nan], [math.nan, 0.5]], "density operator entries must be finite"),
+        ([[0.9, 0.0], [0.0, 0.0]], "trace is 0.9"),
+        ([[1.2, 0.0], [0.0, -0.2]], "eigenvalue -0.2"),
+    ],
+)
+def test_a_stacked_density_error_names_the_first_bad_state(bad, message):
+    stack = bad_stack(2, bad)
+    stack[3] = stack[2]
+    with pytest.raises(ValueError, match=f"^state 2: {re.escape(message)}"):
+        DensityOperator(stack)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        DensityOperator(bad)
+
+
+def test_stacked_basis_and_isometry_errors_name_the_state():
+    stack = DensityOperator(np.array([RHO_2x2] * 3))
+    bases = np.array([np.eye(2), np.eye(2), [[1.0, 0.9], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="^state 2: basis is not orthonormal"):
+        pinch(stack, bases)
+    with pytest.raises(ValueError, match="basis must be 3 x 2 x 2"):
+        pinch(stack, np.eye(2))
+    isometries = np.array([np.eye(2), [[1.0, 0.1], [0.0, 1.0]], np.eye(2)])
+    with pytest.raises(ValueError, match="^state 1: V\\*V deviates"):
+        conjugate_isometry(stack, isometries)
+    with pytest.raises(ValueError, match="one matrix per state"):
+        conjugate_isometry(stack, np.eye(2))
+    with pytest.raises(ValueError, match="one matrix per state"):
+        conjugate_isometry(stack, isometries[:2])
+    with pytest.raises(ValueError, match="one matrix per state"):
+        conjugate_isometry(DensityOperator(RHO_2x2), isometries)
+
+
+def test_density_rejects_shapes_that_are_no_stack():
+    for bad in (np.ones(2), np.ones((2, 3)), np.ones((2, 2, 3)), np.ones((1, 1, 2, 2)), np.ones((0, 2, 2))):
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            DensityOperator(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho: quantum_entropy(rho, make_shannon()),
+        lambda rho: random_ensemble(rho, 2, as_rng(1)),
+        spectral_ensemble,
+        lambda rho: inf_ensemble_entropy(rho, make_shannon(), trials=0),
+        lambda rho: Ensemble(ProbVector([1.0]), np.array([[1.0, 0.0]])).check_reconstructs(rho),
+        lambda rho: pinching_inequality_audit(rho, np.eye(2), make_shannon()),
+    ],
+    ids=[
+        "quantum_entropy",
+        "random_ensemble",
+        "spectral_ensemble",
+        "inf_ensemble_entropy",
+        "check_reconstructs",
+        "pinching_inequality_audit",
+    ],
+)
+def test_single_state_functions_reject_a_stack(call):
+    stack = DensityOperator(np.array([RHO_2x2, np.eye(2) / 2.0]))
+    with pytest.raises(ValueError, match="expected one density operator, got a stack of 2"):
+        call(stack)
 
 
 # ---------------------------------------------------------------- ensembles
