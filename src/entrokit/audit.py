@@ -8,10 +8,11 @@ All suites are deterministic given (trials, seed, dims, functionals).
 Every suite draws all its cases first and scores them afterwards, one
 kernel call per (vector length, functional) through entropy_table.  Its
 draws, and each margin bit for bit, are those of a loop that scores every
-case as it is drawn.  The pinching and isometry suites also defer their
-linear algebra: their trial loops only draw Gaussian factors, and states,
-Haar isometries, eigensolves and pinches are then built once per stack of
-trials that share a dimension (quantum's stacked forms).
+case as it is drawn.  The pinching, isometry and ensemble suites also
+defer their linear algebra: their trial loops only draw Gaussian factors,
+and states, Haar isometries, eigensolves, pinches and ensembles are then
+built once per stack of trials that share a shape (quantum's stacked
+forms): a dimension, or for the ensemble suite a state and ensemble size.
 """
 
 from __future__ import annotations
@@ -252,13 +253,19 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     spectral one.  Every ensemble's weights are majorized by the spectrum
     (Nielsen, PRA 62, 052308, 2000), so fresh draws could not lower it.
 
-    The draw loop records each state's spectrum, the spectral ensemble that
-    inf_ensemble_entropy(rho, F, trials=0) returns (one call per state),
-    and every drawn weight vector with its majorization margin.  All
-    spectra and weights are then scored in one entropy_table call (one
-    kernel call per length and functional).  A state's infimum is the
+    For each state the loop builds the state, its spectrum and the spectral
+    ensemble that inf_ensemble_entropy(rho, F, trials=0) returns (one call
+    per state), then only draws: each ensemble size m and the Gaussian of
+    its mixing isometry, the draws random_ensemble(rho, m, rng) makes.  The
+    ensembles of one size are then built as one stack: one haar_isometry,
+    one random_ensemble with the stacked mixings and one majorization_margin
+    of the spectrum against all their weights, so at most three of each per
+    state.  All spectra and weights are scored in one entropy_table call
+    (one kernel call per length and functional).  A state's infimum is the
     least of its spectral ensemble's entropy, which is the value
     inf_ensemble_entropy returns for each functional, and its scored draws.
+    Each margin is bit for bit that of a loop that builds and scores every
+    ensemble as it is drawn.
     """
     trials = _trial_count(trials)
     rng = as_rng(seed)
@@ -273,15 +280,21 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
         spectrum, _ = eigen_spectrum(rho)
         r = int(np.sum(spectrum.entries > RANK_CUTOFF))
         _, spectral = inf_ensemble_entropy(rho, functionals[0], trials=0)
+        budget = max(1, (trials - drawn) // (n_states - s))
+        sizes, gaussians = [], []
+        for _ in range(budget):
+            sizes.append(r + int(rng.integers(0, 3)))
+            gaussians.append(ginibre(sizes[-1], r, rng))  # random_isometry's draw
+        drawn += budget
+        weights, margins = [None] * budget, [None] * budget
+        for idx in positions_by_key(sizes):
+            stack = random_ensemble(rho, sizes[idx[0]], mixing=haar_isometry(_stack(gaussians, idx)))
+            stack_margins = majorization_margin(spectrum, stack.weights).tolist()
+            for t, w, margin in zip(idx, stack.weights, stack_margins):
+                weights[t], margins[t] = w, margin
         first = len(vectors)
-        vectors += [spectrum, spectral.weights]
-        budget = (trials - drawn) // (n_states - s)
-        for _ in range(max(1, budget)):
-            m = r + int(rng.integers(0, 3))
-            ensemble = random_ensemble(rho, m, rng=rng)
-            drawn += 1
-            vectors.append(ensemble.weights)
-            mixing.append(majorization_margin(spectrum.entries, ensemble.weights.entries))
+        vectors += [spectrum, spectral.weights, *weights]
+        mixing += margins
         states.append((d, first, len(vectors)))
     h = entropy_table(vectors, functionals)
     entries = []

@@ -140,7 +140,7 @@ def computed_rows(values) -> np.ndarray:
 
     Row i is, bit for bit, the entries of ProbVector.from_computation(values[i]).
     """
-    rows = _probability_rows(absorb_roundoff(np.asarray(values, dtype=float)))
+    rows = probability_rows(absorb_roundoff(np.asarray(values, dtype=float)))
     rows.setflags(write=False)
     return rows
 
@@ -169,10 +169,10 @@ def entropy_rows(rows, F: EntropicFunctional) -> np.ndarray:
     padding moves the entries within numpy's pairwise summation and changes
     the last bits of the sums.
     """
-    return np.asarray(_entropy_kernel(_probability_rows(rows), F), dtype=float)
+    return np.asarray(_entropy_kernel(probability_rows(rows), F), dtype=float)
 
 
-def _probability_rows(rows) -> np.ndarray:
+def probability_rows(rows) -> np.ndarray:
     """``rows`` as a float array, each row validated as ProbVector validates a vector."""
     rows = np.array(rows, dtype=float)
     if rows.ndim != 2 or rows.size == 0:
@@ -495,38 +495,57 @@ def entropy_sequence(
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 
 
-def _partial_sums(vectors) -> np.ndarray:
-    """Partial sums of each vector sorted nonincreasing, one row per vector.
+def _entries(v) -> np.ndarray:
+    return np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float)
 
-    Inputs may be ProbVectors or any array-likes; they are zero-padded to a
-    common length.  Entries must be finite, and all totals must agree within
-    SUM_TOL, largest against smallest; either failure is a domain error
-    (ValueError), not a negative margin.
+
+def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums of each vector sorted nonincreasing, one row per vector, and the totals.
+
+    ``blocks`` are 2-d arrays holding one vector per row; each block is
+    sorted in one call, and all rows are zero-padded to a common length.
+    Entries must be finite, or ValueError is raised (a domain error, not a
+    negative margin).  The callers decide which totals must agree.
     """
-    rows = [
-        np.sort(np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float).ravel())[::-1]
-        for v in vectors
-    ]
-    if not rows or min(r.size for r in rows) == 0:
+    if not blocks or min(b.shape[1] for b in blocks) == 0:
         raise ValueError("majorization needs non-empty inputs")
-    padded = np.zeros((len(rows), max(r.size for r in rows)))
-    for row, r in zip(padded, rows):
-        row[: r.size] = r
+    padded = np.zeros((sum(len(b) for b in blocks), max(b.shape[1] for b in blocks)))
+    start = 0
+    for b in blocks:
+        padded[start : start + len(b), : b.shape[1]] = np.sort(b, axis=1)[:, ::-1]
+        start += len(b)
     totals = padded.sum(axis=1)
-    # A non-finite entry makes its total non-finite; a NaN spread passes the test below.
-    if not np.all(np.isfinite(totals)):
+    # A non-finite entry makes its total non-finite; a NaN spread passes the tests on totals.
+    if not np.isfinite(totals).all():
         raise ValueError("majorization needs finite entries")
-    if float(totals.max() - totals.min()) > SUM_TOL:
-        raise ValueError(
-            f"totals differ beyond {SUM_TOL}: {float(totals.min())!r} vs {float(totals.max())!r}"
-        )
-    return np.cumsum(padded, axis=1)
+    return padded.cumsum(axis=1), totals
 
 
-def majorization_margin(p, q) -> float:
-    """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0."""
-    partial = _partial_sums((p, q))
-    return float(np.min(partial[0] - partial[1]))
+def _check_spread(totals, where: str = "") -> None:
+    """ValueError unless all ``totals`` agree within SUM_TOL, largest against smallest."""
+    low, high = float(totals.min()), float(totals.max())
+    if high - low > SUM_TOL:
+        raise ValueError(f"{where}totals differ beyond {SUM_TOL}: {low!r} vs {high!r}")
+
+
+def majorization_margin(p, q) -> float | np.ndarray:
+    """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
+
+    The totals of p and q must agree within SUM_TOL, or ValueError is raised.
+    A 2-d ``q`` holds one vector per row, all of one length: the result is
+    then an array with one margin per row, entry i bit for bit
+    majorization_margin(p, q[i]), and the totals rule holds between p and
+    each row (an error names the first failing row).
+    """
+    q = _entries(q)
+    partial, totals = _partial_sums([_entries(p).reshape(1, -1), q if q.ndim == 2 else q.reshape(1, -1)])
+    if q.ndim != 2:
+        _check_spread(totals)
+        return float((partial[0] - partial[1]).min())
+    bad = np.flatnonzero(np.abs(totals[1:] - totals[0]) > SUM_TOL)
+    if bad.size:
+        _check_spread(totals[[0, 1 + bad[0]]], f"row {bad[0]}: ")
+    return np.min(partial[0] - partial[1:], axis=1)
 
 
 def majorant_index(vectors) -> int | None:
@@ -542,13 +561,17 @@ def majorant_index(vectors) -> int | None:
     which compares totals only pair by pair and stops at the first failing
     pair: totals 1 - 0.9e-9, 1 and 1 + 0.9e-9 raise here.
     """
-    partial = _partial_sums(vectors)
+    partial, totals = _partial_sums([_entries(v).reshape(1, -1) for v in vectors])
+    _check_spread(totals)
     hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -PARTIAL_SUM_TOL)
     return int(hits[0]) if hits.size else None
 
 
 def majorizes(p, q) -> bool:
-    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin."""
+    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin.
+
+    A 2-d ``q`` gives one flag per row.
+    """
     return majorization_margin(p, q) >= -PARTIAL_SUM_TOL
 
 
@@ -628,7 +651,7 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     rows = np.asarray(q_rows, dtype=float)
     ndim = rows.ndim
     if ndim == 3:
-        vals = _probability_rows(p)
+        vals = probability_rows(p)
         if vals.shape != (rows.shape[0], rows.shape[2]):
             raise ValueError(f"p must be {rows.shape[0]} x {rows.shape[2]}, one row per batch")
     else:

@@ -8,9 +8,11 @@ to stay small (default profile d <= 16); exactness is preferred over scale.
 Many small states are cheaper as one stack than one at a time: a
 DensityOperator may hold a (k, d, d) stack of states of one dimension, and
 eigen_spectrum, pinch, conjugate_isometry and haar_isometry take stacks and
-broadcast over them.  Slice t of a stacked result is, bit for bit, the
-single call on state t; a single state runs the same code, and functions
-defined for one state only reject a stack.
+broadcast over them.  Likewise random_ensemble takes a (k, m, r) stack of
+mixings for one state and returns the k ensembles as one stacked Ensemble.
+Slice t of a stacked result is, bit for bit, the single call on state (or
+mixing) t; a single one runs the same code, and functions defined for one
+state only reject a stack.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EntropyResult, ProbVector, as_count, computed_rows, entropy_finite
+from .classical import (
+    EntropyResult,
+    ProbVector,
+    as_count,
+    computed_rows,
+    entropy_finite,
+    probability_rows,
+)
 from .functionals import EntropicFunctional
 from .reporting import AuditEntry
 
@@ -88,18 +97,19 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _require(ok, message) -> None:
-    """ValueError(message(t)) for the first state t where ``ok`` is false.
+def _require(ok, message, item: str = "state") -> None:
+    """ValueError(message(t)) for the first slice t where ``ok`` is false.
 
-    ``ok`` holds one flag per state of a stack, and the message then names
-    the state; for a single state it is 0-d and message gets the index ().
+    ``ok`` holds one flag per slice of a stack (a state, or a mixing or
+    ensemble), and the message then names the slice as "<item> t"; for a
+    single one it is 0-d and message gets the index ().
     """
     if ok.ndim == 0:
         if not ok:
             raise ValueError(message(()))
     elif not ok.all():
         t = int(np.argmin(ok))
-        raise ValueError(f"state {t}: {message(t)}")
+        raise ValueError(f"{item} {t}: {message(t)}")
 
 
 def _one_state(rho: DensityOperator) -> None:
@@ -249,36 +259,67 @@ def pinching_inequality_audit(
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Weighted pure states; rows of ``states`` are unit vectors."""
+    """Weighted pure states; rows of ``states`` are unit vectors.
 
-    weights: ProbVector
+    One ensemble has ProbVector weights and an (m, d) array of states.  A
+    stack of k ensembles of one size m has a (k, m) array of weights, each
+    row validated as ProbVector validates a vector and stored read-only,
+    and (k, m, d) states; its checks run once for the stack, and an error
+    names the first failing ensemble.
+    """
+
+    weights: ProbVector | np.ndarray
     states: np.ndarray
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
-        if states.ndim != 2 or states.shape[0] != len(self.weights):
+        if isinstance(self.weights, ProbVector):
+            shape = (len(self.weights),)
+        else:
+            weights = probability_rows(self.weights)
+            weights.setflags(write=False)
+            object.__setattr__(self, "weights", weights)
+            shape = weights.shape
+        if states.ndim != len(shape) + 1 or states.shape[:-1] != shape:
             raise ValueError("states must be one row per weight")
-        norms = np.linalg.norm(states, axis=1)
+        dev = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=-1)
         # Written to be false for NaN, so non-finite states are rejected too.
-        if not (float(np.max(np.abs(norms - 1.0))) <= STATE_NORM_TOL):
-            raise ValueError(f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}")
+        _require(
+            dev <= STATE_NORM_TOL,
+            lambda t: f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}",
+            "ensemble",
+        )
         states.setflags(write=False)
         object.__setattr__(self, "states", states)
 
     @property
+    def stacked(self) -> bool:
+        return self.states.ndim == 3
+
+    @property
     def size(self) -> int:
-        return len(self.weights)
+        """The number m of pure states in the ensemble, or in each of a stack."""
+        return self.states.shape[-2]
 
     def reconstruct(self) -> np.ndarray:
-        w = self.weights.entries
-        return (self.states.T * w) @ self.states.conj()
+        """sum_i w_i |psi_i><psi_i|, or that matrix for each ensemble of a stack."""
+        w = self.weights if self.stacked else self.weights.entries
+        return (self.states.swapaxes(-1, -2) * w[..., None, :]) @ self.states.conj()
 
-    def check_reconstructs(self, rho: DensityOperator) -> float:
+    def check_reconstructs(self, rho: DensityOperator):
+        """Largest entry of |reconstruct() - rho|, one per ensemble of a stack.
+
+        ValueError if it exceeds RECONSTRUCTION_TOL; for a stack, the error
+        names the first ensemble that fails.
+        """
         _one_state(rho)
-        dev = float(np.max(np.abs(self.reconstruct() - rho.matrix)))
-        if dev > RECONSTRUCTION_TOL:
-            raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {RECONSTRUCTION_TOL})")
-        return dev
+        dev = np.abs(self.reconstruct() - rho.matrix).max(axis=(-2, -1))
+        _require(
+            dev <= RECONSTRUCTION_TOL,
+            lambda t: f"ensemble reconstructs rho only to {dev[t]:.3e} (> {RECONSTRUCTION_TOL})",
+            "ensemble",
+        )
+        return dev if self.stacked else float(dev)
 
 
 def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ensemble:
@@ -288,9 +329,15 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     with M*M = I turns the scaled eigenvectors sqrt(lambda_i) v_i into an
     ensemble of m states averaging back to rho; M defaults to a random
     isometry.  Pass mixing=np.eye(r) to obtain the spectral decomposition.
-    Requires m >= r.
+    Requires m >= r.  A state of zero weight is reported as e_0.
+
+    A (k, m, r) stack of mixings gives the stack of the k ensembles (see
+    Ensemble), with one isometry check and one reconstruction check for the
+    stack; an error names the first failing mixing or ensemble.  Slice t
+    is, bit for bit, the call with mixing[t], in weights and in states.
     """
     _one_state(rho)
+    m = as_count(m, "m")
     spectrum, basis = eigen_spectrum(rho)
     lam = spectrum.entries
     r = int(np.sum(lam > RANK_CUTOFF))
@@ -302,23 +349,22 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
         M = random_isometry(m, r, rng)
     else:
         M = np.asarray(mixing, dtype=complex)
-        if M.shape != (m, r):
-            raise ValueError(f"mixing must be {m} x {r}")
-        dev = float(np.max(np.abs(M.conj().T @ M - np.eye(r))))
-        if dev > ISOMETRY_TOL:
-            raise ValueError(f"mixing is not an isometry within {ISOMETRY_TOL}")
+        if M.ndim not in (2, 3) or M.shape[-2:] != (m, r):
+            raise ValueError(f"mixing must be {m} x {r}, or a stack of such matrices")
+        dev = np.abs(_adjoint(M) @ M - np.eye(r)).max(axis=(-2, -1))
+        _require(
+            dev <= ISOMETRY_TOL,
+            lambda t: f"mixing is not an isometry within {ISOMETRY_TOL} (deviation {dev[t]:.3e})",
+            "mixing",
+        )
     scaled = basis[:, :r] * np.sqrt(lam[:r])
     tilde = M @ scaled.T  # rows are unnormalized ensemble states
-    weights = np.linalg.norm(tilde, axis=1) ** 2
-    states = np.empty_like(tilde)
-    for k in range(m):
-        w = weights[k]
-        if w > 1e-30:
-            states[k] = tilde[k] / np.sqrt(w)
-        else:
-            states[k] = 0.0
-            states[k, 0] = 1.0
-    ensemble = Ensemble(weights=ProbVector.from_computation(weights), states=states)
+    weights = np.linalg.norm(tilde, axis=-1) ** 2
+    kept = weights > 1e-30
+    # The divisor is 1 where the weight is dropped, so no 0/0 is ever taken.
+    norms = np.sqrt(np.where(kept, weights, 1.0))[..., None]
+    states = np.where(kept[..., None], tilde / norms, np.eye(1, rho.dim)[0])
+    ensemble = Ensemble(weights=_computed(weights), states=states)
     ensemble.check_reconstructs(rho)
     return ensemble
 
@@ -345,12 +391,15 @@ def inf_ensemble_entropy(
     returned value therefore matches quantum_entropy(rho, F) within 1e-9.
     """
     _one_state(rho)
+    trials = as_count(trials, "trials")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(rng_seed)
     spectrum, _ = eigen_spectrum(rho)
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     best_ensemble = spectral_ensemble(rho)
     best_value = entropy_finite(best_ensemble.weights, F).value
-    for _ in range(max(0, as_count(trials, "trials"))):
+    for _ in range(trials):
         m = int(rng.integers(r, r + 3))
         candidate = random_ensemble(rho, m, rng=rng)
         value = entropy_finite(candidate.weights, F).value

@@ -295,19 +295,29 @@ def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims
 
 @pytest.mark.parametrize("trials", [7, 40, 61])
 def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
-    draws = []
+    # Draws are built in stacks of one ensemble size: each drawn ensemble is
+    # one slice of a stacked mixing, and random_ensemble draws nothing itself.
+    # The 2-d mixings are the identities of the spectral ensembles.
+    stacked, single, unmixed = [], [], []
 
     def counted(rho, m, rng=None, mixing=None):
         if mixing is None:
-            draws.append(m)
+            unmixed.append(m)
+        elif np.ndim(mixing) == 3:
+            stacked.append(len(mixing))
+        else:
+            single.append(m)
         return random_ensemble(rho, m, rng=rng, mixing=mixing)
 
     monkeypatch.setattr(quantum, "random_ensemble", counted)
     monkeypatch.setattr(audit, "random_ensemble", counted)
     report = run_audit("ensemble", trials=trials, seed=5)
-    assert len(draws) == trials
-    counts = Counter(c.case for c in report.cases)
     states = max(1, trials // 20)
+    assert unmixed == []
+    assert sum(stacked) == trials
+    assert len(stacked) <= 3 * states
+    assert len(single) == states
+    counts = Counter(c.case for c in report.cases)
     assert counts == {
         "ensemble-majorization": trials,
         "ensemble-entropy": 5 * trials,

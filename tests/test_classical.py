@@ -320,6 +320,32 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
         assert (majorant_index([p, q]) == 0) == majorizes(p, q)
 
 
+@pytest.mark.parametrize("n,width", [(1, 1), (3, 3), (4, 6), (6, 4), (5, 1)])
+def test_margin_against_rows_is_the_pair_call_row_by_row(n, width):
+    rng = np.random.default_rng(100 * n + width)
+    p = ProbVector.from_computation(rng.dirichlet(np.ones(n)))
+    rows = computed_rows(rng.dirichlet(np.ones(width), size=7)).copy()
+    rows[3] = np.sort(rows[3])  # an ascending row, and one equal to p where it fits
+    if width == n:
+        rows[5] = p.entries
+    margins = majorization_margin(p, rows)
+    assert margins.shape == (7,)
+    for margin, row in zip(margins.tolist(), rows):
+        assert margin == majorization_margin(p, row)
+    assert np.array_equal(majorization_margin(p.entries, rows[:1]), [majorization_margin(p, rows[0])])
+
+
+def test_margin_against_rows_checks_each_row():
+    p = [0.5, 0.5]
+    with pytest.raises(ValueError, match=r"^row 2: totals differ"):
+        majorization_margin(p, [[0.6, 0.4], [1.0, 0.0], [0.7, 0.2], [0.5, 0.4]])
+    with pytest.raises(ValueError, match="finite"):
+        majorization_margin(p, [[0.6, 0.4], [math.nan, 0.5]])
+    # each row is checked against p: rows within SUM_TOL of p pass although they differ by more
+    rows = [[0.5, 0.5 - 0.9e-9], [0.5, 0.5 + 0.9e-9]]
+    assert majorization_margin(p, rows).shape == (2,)
+
+
 def test_margin_accepts_probvectors_mixed_with_lists():
     p, q = [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]
     want = majorization_margin(p, q)

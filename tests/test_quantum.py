@@ -541,3 +541,99 @@ def test_ensemble_validation():
     for bad in (math.nan, math.inf):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             Ensemble(weights=ProbVector([0.5, 0.5]), states=np.array([[bad, 0.0], [1.0, 0.0]]))
+
+
+# ------------------------------------------------------- stacked ensembles
+
+def assert_slices_are_single_calls(rho, m, mixing):
+    stack = random_ensemble(rho, m, mixing=mixing)
+    assert stack.size == m
+    assert stack.weights.shape == (len(mixing), m)
+    assert stack.states.shape == (len(mixing), m, rho.dim)
+    assert not stack.weights.flags.writeable and not stack.states.flags.writeable
+    for t, M in enumerate(mixing):
+        single = random_ensemble(rho, m, mixing=M)
+        assert np.array_equal(stack.weights[t], single.weights.entries)
+        assert np.array_equal(stack.states[t], single.states)
+    return stack
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_stacked_random_ensemble_is_the_single_calls_bit_for_bit(d):
+    rng = as_rng(100 + d)
+    for rank in range(1, d + 1):
+        rho = random_density(d, rng, rank=rank)
+        r = int(np.sum(eigen_spectrum(rho)[0].entries > RANK_CUTOFF))
+        for m in (r, r + 1, r + 2):
+            mixing = haar_isometry(np.array([ginibre(m, r, rng) for _ in range(5)]))
+            assert_slices_are_single_calls(rho, m, mixing)
+
+
+def test_a_drawn_ensemble_is_the_stacked_slice_of_its_draw():
+    rho = random_density(4, as_rng(3), rank=3)
+    drawn = random_ensemble(rho, 5, as_rng(9))
+    stack = random_ensemble(rho, 5, mixing=haar_isometry(ginibre(5, 3, as_rng(9))[None]))
+    assert np.array_equal(stack.weights[0], drawn.weights.entries)
+    assert np.array_equal(stack.states[0], drawn.states)
+
+
+def test_a_zero_weight_state_is_e0_in_a_stack_too():
+    rho = random_density(3, as_rng(17), rank=2)
+    padded = np.vstack([np.eye(2), np.zeros((1, 2))])
+    mixing = np.array([padded, haar_isometry(ginibre(3, 2, as_rng(18))), padded[[2, 0, 1]]])
+    with np.errstate(all="raise"):
+        stack = assert_slices_are_single_calls(rho, 3, mixing)
+    assert stack.weights[0, 2] == 0.0 and stack.weights[2, 0] == 0.0
+    assert np.array_equal(stack.states[0, 2], [1.0, 0.0, 0.0])
+    assert np.array_equal(stack.states[2, 0], [1.0, 0.0, 0.0])
+
+
+def test_stacked_ensemble_errors_name_the_first_bad_slice():
+    rho = random_density(2, as_rng(23))
+    mixing = np.array([np.eye(2), HADAMARD, 2.0 * np.eye(2), np.ones((2, 2))])
+    with pytest.raises(ValueError, match=r"^mixing 2: mixing is not an isometry"):
+        random_ensemble(rho, 2, mixing=mixing)
+    with pytest.raises(ValueError, match="mixing must be 3 x 2, or a stack"):
+        random_ensemble(rho, 3, mixing=mixing)
+    states = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.5]]])
+    with pytest.raises(ValueError, match=r"^ensemble 1: ensemble states must be finite unit vectors"):
+        Ensemble(np.full((2, 2), 0.5), states)
+    with pytest.raises(ValueError, match=r"row 1 sums to"):
+        Ensemble(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="one row per weight"):
+        Ensemble(np.full((2, 2), 0.5), np.eye(2))
+    spectral = spectral_ensemble(rho)
+    swapped = Ensemble(
+        np.array([spectral.weights.entries, spectral.weights.entries[::-1]]),
+        np.array([spectral.states, spectral.states]),
+    )
+    with pytest.raises(ValueError, match=r"^ensemble 1: ensemble reconstructs rho only to"):
+        swapped.check_reconstructs(rho)
+    devs = Ensemble(swapped.weights[:1], swapped.states[:1]).check_reconstructs(rho)
+    assert devs.shape == (1,) and devs[0] == spectral.check_reconstructs(rho)
+
+
+def test_random_ensemble_rejects_a_nan_mixing_as_no_isometry():
+    rho = DensityOperator(np.diag([0.7, 0.3]))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="mixing is not an isometry"):
+        random_ensemble(rho, 2, mixing=[[math.nan, 0.0], [0.0, 1.0]])
+
+
+def test_random_ensemble_takes_m_as_a_count():
+    rho = DensityOperator(np.diag([0.7, 0.3]))
+    for bad in (2.5, True, math.nan, "2"):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            random_ensemble(rho, bad, as_rng(1))
+    want = random_ensemble(rho, 3, as_rng(1))
+    for m in (3.0, np.int64(3)):
+        got = random_ensemble(rho, m, as_rng(1))
+        assert np.array_equal(got.weights.entries, want.weights.entries)
+
+
+def test_inf_ensemble_entropy_rejects_negative_trials():
+    rho = DensityOperator(np.diag([0.7, 0.3]))
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        inf_ensemble_entropy(rho, make_shannon(), trials=-5)
+    value, best = inf_ensemble_entropy(rho, make_shannon(), trials=0)
+    assert value == entropy_finite(spectral_ensemble(rho).weights, make_shannon()).value
+    assert np.array_equal(best.weights.entries, spectral_ensemble(rho).weights.entries)
