@@ -8,11 +8,13 @@ All suites are deterministic given (trials, seed, dims, functionals).
 Every suite draws all its cases first and scores them afterwards, one
 kernel call per (vector length, functional) through entropy_table.  Its
 draws, and each margin bit for bit, are those of a loop that scores every
-case as it is drawn.  The pinching, isometry and ensemble suites also
-defer their linear algebra: their trial loops only draw Gaussian factors,
-and states, Haar isometries, eigensolves, pinches and ensembles are then
-built once per stack of trials that share a shape (quantum's stacked
-forms): a dimension, or for the ensemble suite a state and ensemble size.
+case as it is drawn.  The schur, pinching, isometry and ensemble suites
+also defer their linear algebra: their trial loops only draw (unitaries
+and Dirichlet vectors, or Gaussian factors), and bistochastic maps, their
+images, states, Haar isometries, eigensolves, pinches and ensembles are
+then built once per stack of trials that share a shape (the stacked forms
+of classical and quantum): a dimension, or for the ensemble suite a state
+and ensemble size.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .classical import (
     apply_bistochastic,
     as_count,
     bistochastic_from_unitary,
+    computed_rows,
     entropy_table,
     jensen_step_oracle,
     majorization_margin,
     positions_by_key,
-    stack_by_length,
 )
 from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
 from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
@@ -48,7 +50,6 @@ from .rand import (
     random_density,
     random_density_factor,
     random_interior_point,
-    random_prob_vector,
     random_sphere_model,
     random_unitary,
 )
@@ -104,32 +105,36 @@ def _draw_dim(rng, dims) -> int:
 def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     """Doubly stochastic mixing: majorization, Schur concavity, Jensen rows.
 
-    The trial loop draws n, Q and p, applies Q and records the majorization
-    margin.  Scoring runs after the draws: every p and q in one entropy_table
-    call, and the Jensen rows with one jensen_step_oracle call per (n,
-    functional) over the stacked Q matrices and p vectors.  Entries keep the
-    trial order, and each margin is bit for bit that of a per-trial loop.
+    The trial loop only draws: each dimension n, a Haar unitary and the
+    Dirichlet draw random_prob_vector makes.  The trials of one dimension
+    are then handled as one stack: one bistochastic_from_unitary, one
+    computed_rows for the vectors p, one apply_bistochastic, one row-paired
+    majorization_margin and one jensen_step_oracle per functional, all on
+    the same stacked Q and p.  Every p and q is scored in one entropy_table
+    call.  Entries keep the trial order, and each margin is bit for bit
+    that of a loop that builds and scores every trial as it is drawn.
     """
     trials = _trial_count(trials)
     rng = as_rng(seed)
     functionals = _resolve_functionals(functional_specs)
-    drawn_dims, matrices, vectors, mixing = [], [], [], []
+    drawn_dims, unitaries, draws = [], [], []
     for _ in range(trials):
         n = _draw_dim(rng, dims)
-        Q = bistochastic_from_unitary(random_unitary(n, rng))
-        p = random_prob_vector(n, rng)
-        q = apply_bistochastic(Q, p)
         drawn_dims.append(n)
-        matrices.append(Q.matrix)
-        vectors += [p.entries, q.entries]
-        mixing.append(majorization_margin(p, q))
-    h = entropy_table(vectors, functionals)
-    eq_worst = np.empty_like(h[0::2])
+        unitaries.append(random_unitary(n, rng))
+        draws.append(rng.dirichlet(np.ones(n)))  # random_prob_vector's draw
+    vectors, mixing = [None] * (2 * trials), [None] * trials
+    eq_worst = np.empty((trials, len(functionals)))
     dir_worst = np.empty_like(eq_worst)
-    for idx, Qs in stack_by_length(matrices):
-        ps = np.array([vectors[2 * t] for t in idx])
+    for idx in positions_by_key(drawn_dims):
+        Q = bistochastic_from_unitary(_stack(unitaries, idx))
+        p = computed_rows(_stack(draws, idx))
+        q = apply_bistochastic(Q, p)
+        for t, p_t, q_t, margin in zip(idx, p, q, majorization_margin(p, q).tolist()):
+            vectors[2 * t : 2 * t + 2] = p_t, q_t
+            mixing[t] = margin
         for j, F in enumerate(functionals):
-            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Qs, ps, F)
+            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix, p, F)
             f_worst = np.min(-np.abs(int_f - disc_q), axis=1)
             phi_worst = np.min(-np.abs(int_phi - disc_sum), axis=1)
             # Python's min(f, phi): phi only where it is strictly smaller.
@@ -139,6 +144,7 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
                 dir_worst[idx, j] = np.min(points - disc_sum, axis=1)
             else:
                 dir_worst[idx, j] = np.min(disc_sum - points, axis=1)
+    h = entropy_table(vectors, functionals)
     entries = []
     for n, margin, hp, hq, eq_row, dir_row in zip(
         drawn_dims, mixing, h[0::2].tolist(), h[1::2].tolist(), eq_worst.tolist(), dir_worst.tolist()

@@ -114,6 +114,21 @@ def _clipped_entries(arr: np.ndarray) -> np.ndarray:
     return np.where(arr < 0.0, 0.0, arr)
 
 
+def require_slices(ok, message, item: str) -> None:
+    """ValueError(message(t)) for the first slice t where ``ok`` is false.
+
+    ``ok`` holds one flag per slice of a stack (a matrix, a state, a mixing
+    or an ensemble), and the message then names the slice as "<item> t";
+    for a single one it is 0-d and message gets the index ().
+    """
+    if ok.ndim == 0:
+        if not ok:
+            raise ValueError(message(()))
+    elif not ok.all():
+        t = int(np.argmin(ok))
+        raise ValueError(f"{item} {t}: {message(t)}")
+
+
 def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
     """ProbVector.from_computation's rule, applied along the last axis of ``arr``.
 
@@ -535,17 +550,25 @@ def majorization_margin(p, q) -> float | np.ndarray:
     A 2-d ``q`` holds one vector per row, all of one length: the result is
     then an array with one margin per row, entry i bit for bit
     majorization_margin(p, q[i]), and the totals rule holds between p and
-    each row (an error names the first failing row).
+    each row (an error names the first failing row).  A 2-d ``p`` pairs its
+    rows with those of a ``q`` of the same shape: entry i is bit for bit
+    majorization_margin(p[i], q[i]).
     """
-    q = _entries(q)
-    partial, totals = _partial_sums([_entries(p).reshape(1, -1), q if q.ndim == 2 else q.reshape(1, -1)])
+    p, q = _entries(p), _entries(q)
+    if p.ndim == 2 and q.shape != p.shape:
+        raise ValueError(f"a 2-d p needs a q of its shape {p.shape}, one row per row of p; got {q.shape}")
+    lead = p if p.ndim == 2 else p.reshape(1, -1)
+    partial, totals = _partial_sums([lead, q if q.ndim == 2 else q.reshape(1, -1)])
     if q.ndim != 2:
         _check_spread(totals)
         return float((partial[0] - partial[1]).min())
-    bad = np.flatnonzero(np.abs(totals[1:] - totals[0]) > SUM_TOL)
+    # One lead row is compared with every row of q, or row i of p with row i.
+    k = len(lead)
+    bad = np.flatnonzero(np.abs(totals[k:] - totals[:k]) > SUM_TOL)
     if bad.size:
-        _check_spread(totals[[0, 1 + bad[0]]], f"row {bad[0]}: ")
-    return np.min(partial[0] - partial[1:], axis=1)
+        i = int(bad[0])
+        _check_spread(totals[[i if k > 1 else 0, k + i]], f"row {i}: ")
+    return np.min(partial[:k] - partial[k:], axis=1)
 
 
 def majorant_index(vectors) -> int | None:
@@ -570,54 +593,94 @@ def majorant_index(vectors) -> int | None:
 def majorizes(p, q) -> bool:
     """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin.
 
-    A 2-d ``q`` gives one flag per row.
+    A 2-d ``q`` gives one flag per row, and so does a 2-d ``p`` paired row
+    by row with a ``q`` of its shape.
     """
     return majorization_margin(p, q) >= -PARTIAL_SUM_TOL
 
 
 class BistochasticMatrix:
-    """A square nonnegative matrix with unit row and column sums."""
+    """A square nonnegative matrix with unit row and column sums, or a stack of them.
+
+    ``matrix`` of shape (n, n) is one matrix; shape (k, n, n) is a stack of
+    k matrices of one size, validated together with the same checks, and an
+    error then names the first failing matrix.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         Q = np.array(matrix, dtype=float)
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        if Q.ndim not in (2, 3) or Q.shape[-1] != Q.shape[-2]:
             raise ValueError("bistochastic matrix must be square")
         if Q.size == 0:
             raise ValueError("bistochastic matrix must be non-empty")
-        if not np.all(np.isfinite(Q)):
-            raise ValueError("bistochastic matrix entries must be finite")
-        if float(Q.min()) < 0.0:
-            raise ValueError("bistochastic matrix entries must be nonnegative")
-        rows = np.abs(Q.sum(axis=1) - 1.0)
-        cols = np.abs(Q.sum(axis=0) - 1.0)
-        if float(rows.max()) > ROW_SUM_TOL or float(cols.max()) > ROW_SUM_TOL:
-            raise ValueError(f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}")
+        require_slices(
+            np.isfinite(Q).all(axis=(-2, -1)),
+            lambda t: "bistochastic matrix entries must be finite",
+            "matrix",
+        )
+        require_slices(
+            Q.min(axis=(-2, -1)) >= 0.0,
+            lambda t: "bistochastic matrix entries must be nonnegative",
+            "matrix",
+        )
+        rows = np.abs(Q.sum(axis=-1) - 1.0).max(axis=-1)
+        cols = np.abs(Q.sum(axis=-2) - 1.0).max(axis=-1)
+        require_slices(
+            (rows <= ROW_SUM_TOL) & (cols <= ROW_SUM_TOL),
+            lambda t: f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}",
+            "matrix",
+        )
         Q.setflags(write=False)
         self.matrix = Q
 
     @property
+    def stacked(self) -> bool:
+        return self.matrix.ndim == 3
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def bistochastic_from_unitary(U) -> BistochasticMatrix:
-    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL."""
+    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL.
+
+    A (k, n, n) stack of unitaries gives one stacked BistochasticMatrix,
+    slice t bit for bit the call on U[t]; an error names the first failing
+    matrix.
+    """
     U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2]:
         raise ValueError("unitary must be square")
-    gram = U.conj().T @ U
-    dev = float(np.max(np.abs(gram - np.eye(U.shape[0]))))
-    if dev > UNITARY_TOL:
-        raise ValueError(f"matrix is not unitary within {UNITARY_TOL} (deviation {dev:.3e})")
+    gram = U.conj().swapaxes(-1, -2) @ U
+    dev = np.abs(gram - np.eye(U.shape[-1])).max(axis=(-2, -1))
+    # Written so that NaN passes on to BistochasticMatrix's finiteness check.
+    require_slices(
+        ~(dev > UNITARY_TOL),
+        lambda t: f"matrix is not unitary within {UNITARY_TOL} (deviation {dev[t]:.3e})",
+        "matrix",
+    )
     return BistochasticMatrix(np.abs(U) ** 2)
 
 
-def apply_bistochastic(Q: BistochasticMatrix, p: ProbVector) -> ProbVector:
-    """Return Q p as a probability vector; the result is majorized by p."""
+def apply_bistochastic(Q: BistochasticMatrix, p) -> ProbVector | np.ndarray:
+    """Return Q p as a probability vector; the result is majorized by p.
+
+    A stacked Q of shape (k, n, n) takes a (k, n) array ``p``, one row per
+    matrix, each validated as ProbVector validates a vector, and gives a
+    read-only (k, n) array whose row t is, bit for bit, the entries of the
+    call on (Q.matrix[t], p[t]).
+    """
     if not isinstance(Q, BistochasticMatrix):
         Q = BistochasticMatrix(Q)
+    if Q.stacked:
+        rows = probability_rows(p)
+        if rows.shape != Q.matrix.shape[:2]:
+            raise ValueError(f"p must be {len(Q.matrix)} x {Q.n}, one row per matrix")
+        # A stacked matrix-vector product repeats Q[t] @ p[t] bit for bit; einsum does not.
+        return computed_rows((Q.matrix @ rows[:, :, None])[:, :, 0])
     if not isinstance(p, ProbVector):
         p = ProbVector(p)
     if Q.n != len(p):

@@ -10,6 +10,7 @@ Instances are immutable and safe to share across threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -78,8 +79,9 @@ def make_renyi(alpha: float) -> EntropicFunctional:
     convex phi with decreasing h for alpha > 1.  alpha = 1 is excluded.
     """
     alpha = float(alpha)
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValueError(f"alpha must be positive and different from 1, got {alpha}")
+    # Written to be true for NaN, so a NaN alpha is rejected too.
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise ValueError(f"alpha must be positive, finite and different from 1, got {alpha}")
     scale = 1.0 - alpha
 
     def phi(x):
@@ -107,8 +109,9 @@ def make_tsallis(q: float) -> EntropicFunctional:
     is increasing/concave throughout the parameter range.
     """
     q = float(q)
-    if q <= 0.0 or q == 1.0:
-        raise ValueError(f"q must be positive and different from 1, got {q}")
+    # Written to be true for NaN, so a NaN q is rejected too.
+    if not 0.0 < q < math.inf or q == 1.0:
+        raise ValueError(f"q must be positive, finite and different from 1, got {q}")
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -131,7 +134,8 @@ def make_kaniadakis(kappa: float) -> EntropicFunctional:
     Requires 0 < |kappa| < 1; the pair is symmetric under kappa -> -kappa.
     """
     kappa = float(kappa)
-    if kappa == 0.0 or abs(kappa) >= 1.0:
+    # Written to be true for NaN, so a NaN kappa is rejected too.
+    if kappa == 0.0 or not abs(kappa) < 1.0:
         raise ValueError(f"kappa must satisfy 0 < |kappa| < 1, got {kappa}")
 
     def phi(x):

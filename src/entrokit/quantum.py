@@ -28,6 +28,7 @@ from .classical import (
     computed_rows,
     entropy_finite,
     probability_rows,
+    require_slices,
 )
 from .functionals import EntropicFunctional
 from .reporting import AuditEntry
@@ -60,22 +61,27 @@ class DensityOperator:
         rho = np.array(matrix, dtype=complex)
         if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or rho.size == 0:
             raise ValueError("density operator must be a square matrix or a stack of them")
-        _require(np.isfinite(rho).all(axis=(-2, -1)), lambda t: "density operator entries must be finite")
+        require_slices(
+            np.isfinite(rho).all(axis=(-2, -1)), lambda t: "density operator entries must be finite", "state"
+        )
         dev = np.abs(rho - _adjoint(rho)).max(axis=(-2, -1))
-        _require(
+        require_slices(
             dev <= HERMITIAN_TOL,
             lambda t: f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev[t]:.3e})",
+            "state",
         )
         rho = 0.5 * (rho + _adjoint(rho))
         trace = np.trace(rho, axis1=-2, axis2=-1).real
-        _require(
+        require_slices(
             np.abs(trace - 1.0) <= TRACE_TOL,
             lambda t: f"trace is {float(trace[t])!r}, outside 1 +/- {TRACE_TOL}",
+            "state",
         )
         low = np.linalg.eigvalsh(rho).min(axis=-1)
-        _require(
+        require_slices(
             low >= -EIGENVALUE_FLOOR,
             lambda t: f"eigenvalue {float(low[t])} below the positivity floor -{EIGENVALUE_FLOOR}",
+            "state",
         )
         rho.setflags(write=False)
         self.matrix = rho
@@ -95,21 +101,6 @@ class DensityOperator:
 def _adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
-
-
-def _require(ok, message, item: str = "state") -> None:
-    """ValueError(message(t)) for the first slice t where ``ok`` is false.
-
-    ``ok`` holds one flag per slice of a stack (a state, or a mixing or
-    ensemble), and the message then names the slice as "<item> t"; for a
-    single one it is 0-d and message gets the index ().
-    """
-    if ok.ndim == 0:
-        if not ok:
-            raise ValueError(message(()))
-    elif not ok.all():
-        t = int(np.argmin(ok))
-        raise ValueError(f"{item} {t}: {message(t)}")
 
 
 def _one_state(rho: DensityOperator) -> None:
@@ -184,9 +175,10 @@ def conjugate_isometry(rho: DensityOperator, V) -> DensityOperator:
     if cols != rho.dim:
         raise ValueError(f"isometry maps dimension {cols}, state has {rho.dim}")
     dev = np.abs(_adjoint(V) @ V - np.eye(cols)).max(axis=(-2, -1))
-    _require(
+    require_slices(
         dev <= ISOMETRY_TOL,
         lambda t: f"V*V deviates from identity by {dev[t]:.3e} (> {ISOMETRY_TOL})",
+        "state",
     )
     return DensityOperator(V @ rho.matrix @ _adjoint(V))
 
@@ -228,9 +220,10 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
     if B.shape != rho.matrix.shape:
         raise ValueError(f"basis must be {' x '.join(map(str, rho.matrix.shape))}")
     dev = np.abs(_adjoint(B) @ B - np.eye(rho.dim)).max(axis=(-2, -1))
-    _require(
+    require_slices(
         dev <= BASIS_TOL,
         lambda t: f"basis is not orthonormal within {BASIS_TOL} (deviation {dev[t]:.3e})",
+        "state",
     )
     diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
     return _computed(diag)
@@ -284,7 +277,7 @@ class Ensemble:
             raise ValueError("states must be one row per weight")
         dev = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=-1)
         # Written to be false for NaN, so non-finite states are rejected too.
-        _require(
+        require_slices(
             dev <= STATE_NORM_TOL,
             lambda t: f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}",
             "ensemble",
@@ -314,7 +307,7 @@ class Ensemble:
         """
         _one_state(rho)
         dev = np.abs(self.reconstruct() - rho.matrix).max(axis=(-2, -1))
-        _require(
+        require_slices(
             dev <= RECONSTRUCTION_TOL,
             lambda t: f"ensemble reconstructs rho only to {dev[t]:.3e} (> {RECONSTRUCTION_TOL})",
             "ensemble",
@@ -352,7 +345,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
         if M.ndim not in (2, 3) or M.shape[-2:] != (m, r):
             raise ValueError(f"mixing must be {m} x {r}, or a stack of such matrices")
         dev = np.abs(_adjoint(M) @ M - np.eye(r)).max(axis=(-2, -1))
-        _require(
+        require_slices(
             dev <= ISOMETRY_TOL,
             lambda t: f"mixing is not an isometry within {ISOMETRY_TOL} (deviation {dev[t]:.3e})",
             "mixing",

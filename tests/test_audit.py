@@ -278,12 +278,13 @@ def reference_gpt_argmin_entries(trials, seed, dims, functionals):
     [
         ("schur", reference_schur_entries, 40, (2, 8)),
         ("schur", reference_schur_entries, 40, (2, 30)),
+        ("schur", reference_schur_entries, 40, (1, 12)),
         ("isometry", reference_isometry_entries, 40, (2, 8)),
         ("ensemble", reference_ensemble_entries, 100, (2, 6)),
         ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 3)),
         ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 4)),
     ],
-    ids=["schur", "schur-wide", "isometry", "ensemble", "gpt-argmin", "gpt-argmin-wide"],
+    ids=["schur", "schur-wide", "schur-from-1", "isometry", "ensemble", "gpt-argmin", "gpt-argmin-wide"],
 )
 def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims, seed):
     report = run_audit(suite, trials=trials, seed=seed, dims=dims, functional_specs=REFERENCE_FUNCTIONALS)
@@ -291,6 +292,38 @@ def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims
     expected = reference(trials, seed, dims, functionals)
     assert len(report.cases) == len(expected)
     assert [repr(c) for c in report.cases] == [repr(e) for e in expected]
+
+
+@pytest.mark.parametrize("trials,dims", [(7, (2, 8)), (40, (1, 12)), (61, (3, 3))])
+def test_schur_suite_mixes_each_dimension_as_one_stack(monkeypatch, trials, dims):
+    # The trial loop only draws: the maps and images of one dimension are
+    # built in one call each, never one per trial.
+    built, applied = [], []
+
+    def counted_build(U):
+        built.append(np.shape(U))
+        return bistochastic_from_unitary(U)
+
+    def counted_apply(Q, p):
+        applied.append(np.shape(p))
+        return apply_bistochastic(Q, p)
+
+    monkeypatch.setattr(audit, "bistochastic_from_unitary", counted_build)
+    monkeypatch.setattr(audit, "apply_bistochastic", counted_apply)
+    report = run_audit("schur", trials=trials, seed=5, dims=dims)
+    drawn = Counter(c.dim for c in report.cases if c.case == "mixing-majorization")
+    assert sum(drawn.values()) == trials
+    assert all(len(shape) == 3 for shape in built)
+    assert {n: k for k, n, _ in built} == drawn
+    assert len(built) == len(drawn)
+    assert applied == [(k, n) for k, n, _ in built]
+    counts = Counter(c.case for c in report.cases)
+    assert counts == {
+        "mixing-majorization": trials,
+        "entropy-monotone": 5 * trials,
+        "jensen-integral-match": 5 * trials,
+        "jensen-direction": 5 * trials,
+    }
 
 
 @pytest.mark.parametrize("trials", [7, 40, 61])

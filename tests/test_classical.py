@@ -346,6 +346,33 @@ def test_margin_against_rows_checks_each_row():
     assert majorization_margin(p, rows).shape == (2,)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_margin_of_paired_rows_is_the_pair_call_row_by_row(n):
+    rng = np.random.default_rng(40 + n)
+    p = computed_rows(rng.dirichlet(np.ones(n), size=9)).copy()
+    q = computed_rows(rng.dirichlet(np.ones(n), size=9)).copy()
+    q[4] = p[4]
+    q[6] = np.sort(q[6])
+    margins = majorization_margin(p, q)
+    assert margins.shape == (9,)
+    for i, margin in enumerate(margins.tolist()):
+        assert margin == majorization_margin(p[i], q[i])
+    assert np.array_equal(majorizes(p, q), [majorizes(a, b) for a, b in zip(p, q)])
+
+
+def test_margin_of_paired_rows_rejects_mismatches():
+    p = [[0.5, 0.5], [1.0, 0.0]]
+    # Once flattened into one vector of total 2.0 and failed on the totals.
+    assert np.array_equal(majorization_margin(p, [[1.0, 0.0], [0.5, 0.5]]), [-0.5, 0.0])
+    for q in ([[0.5, 0.5]], [[0.5, 0.5]] * 3, [[0.5, 0.5, 0.0]] * 2, [0.5, 0.5]):
+        with pytest.raises(ValueError, match=r"^a 2-d p needs a q of its shape \(2, 2\)"):
+            majorization_margin(p, q)
+    with pytest.raises(ValueError, match=r"^row 1: totals differ"):
+        majorization_margin(p, [[0.5, 0.5], [0.7, 0.2]])
+    with pytest.raises(ValueError, match="finite"):
+        majorization_margin(p, [[0.5, 0.5], [math.nan, 0.5]])
+
+
 def test_margin_accepts_probvectors_mixed_with_lists():
     p, q = [0.6, 0.3, 0.1], [0.4, 0.35, 0.25]
     want = majorization_margin(p, q)
@@ -408,6 +435,60 @@ def test_apply_bistochastic_flattens_point_mass():
     Q = bistochastic_from_unitary(HADAMARD)
     out = apply_bistochastic(Q, ProbVector([1.0, 0.0]))
     assert np.allclose(out.entries, [0.5, 0.5], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
+def test_stacked_bistochastic_is_the_single_call_slice_by_slice(n):
+    rng = np.random.default_rng(60 + n)
+    k = 7
+    Us = np.array([random_unitary(n, rng) for _ in range(k)])
+    ps = computed_rows(rng.dirichlet(np.ones(n), size=k))
+    Q = bistochastic_from_unitary(Us)
+    assert Q.stacked and Q.n == n and Q.matrix.shape == (k, n, n)
+    assert not Q.matrix.flags.writeable
+    assert np.array_equal(BistochasticMatrix(Q.matrix).matrix, Q.matrix)
+    qs = apply_bistochastic(Q, ps)
+    assert qs.shape == (k, n) and not qs.flags.writeable
+    assert np.array_equal(apply_bistochastic(Q.matrix, ps), qs)
+    for t in range(k):
+        one = bistochastic_from_unitary(Us[t])
+        assert not one.stacked
+        assert np.array_equal(Q.matrix[t], one.matrix)
+        assert np.array_equal(BistochasticMatrix(Q.matrix[t]).matrix, one.matrix)
+        assert np.array_equal(qs[t], apply_bistochastic(one, ps[t]).entries)
+
+
+def test_stacked_bistochastic_errors_name_the_first_bad_matrix():
+    rng = np.random.default_rng(71)
+    Us = np.array([random_unitary(3, rng) for _ in range(4)])
+    Q = bistochastic_from_unitary(Us).matrix
+
+    def with_entry(arr, index, value):
+        out = arr.copy()
+        out[index] = value
+        return out
+
+    for stack, message in (
+        (with_entry(Q, (2, 0, 1), math.nan), "matrix 2: bistochastic matrix entries must be finite"),
+        (with_entry(with_entry(Q, (3, 1, 1), math.inf), (1, 0, 0), math.nan), "matrix 1: .*finite"),
+        (with_entry(Q, (1, 0, 0), -1e-3), "matrix 1: .*nonnegative"),
+        (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * ROW_SUM_TOL), "matrix 3: row/column sums"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            BistochasticMatrix(stack)
+    with pytest.raises(ValueError, match=r"^matrix 2: matrix is not unitary .*deviation"):
+        bistochastic_from_unitary(with_entry(Us, (2, 0, 0), 2.0))
+    for bad in (np.ones((2, 3, 4)) / 4, np.ones((1, 2, 2, 2)) / 2, np.empty((0, 3, 3))):
+        with pytest.raises(ValueError, match="square|non-empty"):
+            BistochasticMatrix(bad)
+    with pytest.raises(ValueError, match="unitary must be square"):
+        bistochastic_from_unitary(Us[:, :, :2])
+    ps = computed_rows(rng.dirichlet(np.ones(3), size=4))
+    for p in (ps[:3], ps[:, :2] / ps[:, :2].sum(axis=1, keepdims=True)):
+        with pytest.raises(ValueError, match=r"^p must be 4 x 3"):
+            apply_bistochastic(bistochastic_from_unitary(Us), p)
+    with pytest.raises(ValueError, match=r"^row 1 sums to"):
+        apply_bistochastic(bistochastic_from_unitary(Us), with_entry(ps, (1, 0), ps[1, 0] + 1e-6))
 
 
 def _random_unitary(d, rng):

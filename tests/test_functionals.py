@@ -177,6 +177,23 @@ def test_bad_specs_raise(spec):
         functional_from_spec(spec)
 
 
+@pytest.mark.parametrize(
+    "make,value",
+    [
+        (make_renyi, math.nan),
+        (make_renyi, math.inf),
+        (make_tsallis, math.nan),
+        (make_tsallis, math.inf),
+        (make_kaniadakis, math.nan),
+        (make_kaniadakis, -math.inf),
+    ],
+)
+def test_constructors_reject_non_finite_parameters(make, value):
+    # The constructors are public beside the spec parser, so they check too.
+    with pytest.raises(ValueError, match="must"):
+        make(value)
+
+
 def test_registry_lists_all_four_families():
     assert set(BUILTIN_FAMILIES) == {"shannon", "renyi", "tsallis", "kaniadakis"}
 
