@@ -1,9 +1,15 @@
 """Randomized audit suites for the inequalities the library promises.
 
-Each suite draws seeded random cases, records one margin per check, and
-returns an AuditReport.  Margins follow the reporting convention: a case
-passes iff margin >= -tolerance, so worst_margin is the minimum margin.
-All suites are deterministic given (trials, seed, dims, functionals).
+Each suite draws seeded random cases and records one AuditEntry (margin)
+per check.  Margins follow the reporting convention: a case passes iff
+margin >= -tolerance, so worst_margin is the minimum margin.  All suites
+are deterministic given (trials, seed, dims, functionals).
+
+A suite is declared once, where it is defined: ``@_suite(name, tolerance,
+trials=..., dims=...)`` registers it in SUITES with its default trials and
+dims.  The registration checks the arguments, seeds the generator,
+resolves the functionals and turns the body's entries into an AuditReport,
+so a body only draws and scores.
 
 Every suite draws all its cases first and scores them afterwards, one
 kernel call per (vector length, functional) through entropy_table.  Its
@@ -23,7 +29,6 @@ import numpy as np
 
 from .classical import (
     apply_bistochastic,
-    as_count,
     bistochastic_from_unitary,
     computed_rows,
     entropy_table,
@@ -31,7 +36,7 @@ from .classical import (
     majorization_margin,
     positions_by_key,
 )
-from .functionals import EntropicFunctional, FunctionalCase, functional_from_spec
+from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
 from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
 from .quantum import (
     RANK_CUTOFF,
@@ -75,20 +80,43 @@ def default_functionals() -> list[EntropicFunctional]:
 def _resolve_functionals(functional_specs) -> list[EntropicFunctional]:
     if functional_specs is None:
         return default_functionals()
-    out = []
-    for item in functional_specs:
-        out.append(item if isinstance(item, EntropicFunctional) else functional_from_spec(item))
+    out = [F if isinstance(F, EntropicFunctional) else functional_from_spec(F) for F in functional_specs]
     if not out:
         raise ValueError("at least one functional is required")
     return out
 
 
-def _trial_count(trials) -> int:
-    """``trials`` as an int of at least 1; ValueError for anything else (as_count's rules)."""
-    trials = as_count(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    return trials
+SUITES: dict = {}
+
+
+def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
+    """Register the decorated suite body as ``name`` and return its runner.
+
+    The runner takes (trials, seed, dims, functional_specs), defaulting to
+    this suite's trials and dims.  Before any draw it checks trials (at
+    least 1), seed and both dims by as_count's rules, with 1 <= lo <= hi.
+    It then calls ``body(trials, rng, dims, functionals)`` with the seeded
+    generator and the resolved functionals, and reports the entries the
+    body returns under this suite's name and tolerance.
+    """
+
+    def register(body):
+        def run(trials=trials, seed=7, dims=dims, functional_specs=None):
+            trials = as_count(trials, "trials")
+            if trials < 1:
+                raise ValueError(f"trials must be at least 1, got {trials}")
+            seed = as_count(seed, "seed")
+            lo, hi = (as_count(d, "dims") for d in dims)
+            if not 1 <= lo <= hi:
+                raise ValueError(f"invalid dimension range {dims}")
+            entries = body(trials, as_rng(seed), (lo, hi), _resolve_functionals(functional_specs))
+            return build_report(name, trials, seed, tolerance, entries)
+
+        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        SUITES[name] = run
+        return run
+
+    return register
 
 
 def _stack(arrays, idx) -> np.ndarray:
@@ -96,13 +124,11 @@ def _stack(arrays, idx) -> np.ndarray:
 
 
 def _draw_dim(rng, dims) -> int:
-    lo, hi = dims
-    if lo > hi or lo < 1:
-        raise ValueError(f"invalid dimension range {dims}")
-    return int(rng.integers(lo, hi + 1))
+    return int(rng.integers(dims[0], dims[1] + 1))
 
 
-def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
+@_suite("schur", INEQ_TOL, trials=500, dims=(2, 8))
+def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Doubly stochastic mixing: majorization, Schur concavity, Jensen rows.
 
     The trial loop only draws: each dimension n, a Haar unitary and the
@@ -114,9 +140,6 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
     call.  Entries keep the trial order, and each margin is bit for bit
     that of a loop that builds and scores every trial as it is drawn.
     """
-    trials = _trial_count(trials)
-    rng = as_rng(seed)
-    functionals = _resolve_functionals(functional_specs)
     drawn_dims, unitaries, draws = [], [], []
     for _ in range(trials):
         n = _draw_dim(rng, dims)
@@ -160,10 +183,11 @@ def run_schur_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
             entries.append(
                 AuditEntry.check("jensen-direction", dir_F, EQ_TOL, functional=F.name, dim=n)
             )
-    return build_report("schur", trials, seed, INEQ_TOL, entries)
+    return entries
 
 
-def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
+@_suite("pinching", INEQ_TOL, trials=500, dims=(2, 8))
+def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """H never drops under pinching, with equality in the eigenbasis.
 
     The trial loop only draws: each dimension, the Gaussian factor of the
@@ -173,9 +197,6 @@ def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     calls, in the random bases and in the eigenbases.  The spectra and both
     diagonals of every trial are scored in one entropy_table call.
     """
-    trials = _trial_count(trials)
-    rng = as_rng(seed)
-    functionals = _resolve_functionals(functional_specs)
     drawn_dims, factors, gaussians = [], [], []
     for _ in range(trials):
         d = _draw_dim(rng, dims)
@@ -207,10 +228,11 @@ def run_pinching_audit(trials, seed, dims, functional_specs=None) -> AuditReport
                     dim=d,
                 )
             )
-    return build_report("pinching", trials, seed, INEQ_TOL, entries)
+    return entries
 
 
-def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
+@_suite("isometry", ISOMETRY_EQ_TOL, trials=200, dims=(2, 8))
+def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Entropy invariance under unitaries and under embedding isometries.
 
     The trial loop only draws: each dimension, the Gaussian factor of the
@@ -221,9 +243,6 @@ def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     side.  The spectra before and after (of length rows for an embedding)
     are scored in one entropy_table call.
     """
-    trials = _trial_count(trials)
-    rng = as_rng(seed)
-    functionals = _resolve_functionals(functional_specs)
     drawn, factors, gaussians = [], [], []
     for t in range(trials):
         d = _draw_dim(rng, dims)
@@ -249,10 +268,11 @@ def run_isometry_audit(trials, seed, dims, functional_specs=None) -> AuditReport
             entries.append(
                 AuditEntry.check(case, -abs(after - before), ISOMETRY_EQ_TOL, functional=F.name, dim=d)
             )
-    return build_report("isometry", trials, seed, ISOMETRY_EQ_TOL, entries)
+    return entries
 
 
-def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
+@_suite("ensemble", INEQ_TOL, trials=1000, dims=(2, 6))
+def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Ensemble weights against the spectrum: majorization, entropy, infimum.
 
     The infimum is taken over the ensembles drawn for the state plus the
@@ -273,9 +293,6 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
     Each margin is bit for bit that of a loop that builds and scores every
     ensemble as it is drawn.
     """
-    trials = _trial_count(trials)
-    rng = as_rng(seed)
-    functionals = _resolve_functionals(functional_specs)
     n_states = max(1, trials // 20)
     states, vectors, mixing = [], [], []
     drawn = 0
@@ -328,10 +345,11 @@ def run_ensemble_audit(trials, seed, dims, functional_specs=None) -> AuditReport
                     dim=d,
                 )
             )
-    return build_report("ensemble", trials, seed, INEQ_TOL, entries)
+    return entries
 
 
-def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditReport:
+@_suite("gpt-argmin", INEQ_TOL, trials=200, dims=(2, 3))
+def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Blended decompositions never beat the basic-decomposition minimum.
 
     The trial loop draws each model and interior point, enumerates its basic
@@ -345,12 +363,9 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
     minimize_entropy does.  Each margin is bit for bit that of a per-trial
     loop.
     """
-    trials = _trial_count(trials)
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
         raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
-    rng = as_rng(seed)
-    functionals = _resolve_functionals(functional_specs)
     drawn, weights, vectors = [], [], []
     for _ in range(trials):
         d = _draw_dim(rng, dims)
@@ -399,41 +414,14 @@ def run_gpt_argmin_audit(trials, seed, dims, functional_specs=None) -> AuditRepo
                         "majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d
                     )
                 )
-    return build_report("gpt-argmin", trials, seed, INEQ_TOL, entries)
-
-
-SUITES = {
-    "schur": run_schur_audit,
-    "pinching": run_pinching_audit,
-    "isometry": run_isometry_audit,
-    "ensemble": run_ensemble_audit,
-    "gpt-argmin": run_gpt_argmin_audit,
-}
-
-DEFAULT_DIMS = {
-    "schur": (2, 8),
-    "pinching": (2, 8),
-    "isometry": (2, 8),
-    "ensemble": (2, 6),
-    "gpt-argmin": (2, 3),
-}
-
-DEFAULT_TRIALS = {
-    "schur": 500,
-    "pinching": 500,
-    "isometry": 200,
-    "ensemble": 1000,
-    "gpt-argmin": 200,
-}
+    return entries
 
 
 def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None) -> AuditReport:
-    """Dispatch to a named suite with its default trial count and dims."""
+    """Run a named suite; trials and dims left as None take the suite's defaults."""
     if suite not in SUITES:
         raise ValueError(f"unknown audit suite {suite!r} (known: {sorted(SUITES)})")
+    given = {"trials": trials, "dims": dims}
     return SUITES[suite](
-        trials=DEFAULT_TRIALS[suite] if trials is None else trials,
-        seed=seed,
-        dims=DEFAULT_DIMS[suite] if dims is None else dims,
-        functional_specs=functional_specs,
+        seed=seed, functional_specs=functional_specs, **{k: v for k, v in given.items() if v is not None}
     )

@@ -8,14 +8,13 @@ are invariant under permutation of the input, bit for bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import EntropicFunctional, FunctionalCase, parse_spec
+from .functionals import EntropicFunctional, FunctionalCase, as_count, parse_spec
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -420,22 +419,6 @@ def sequence_from_spec(spec: str) -> SequenceSource:
             raise ValueError("heavytail takes at most the parameter offset")
         return SequenceSource.heavy_tail(params.get("offset", 2))
     raise ValueError(f"unknown sequence family {name!r} (known: geometric, heavytail)")
-
-
-def as_count(value, name: str) -> int:
-    """``value`` as an int, for a count argument such as max_terms or trials.
-
-    Python and numpy integers pass, and so do integral floats; bools,
-    non-integral or non-finite numbers and non-numbers raise ValueError.
-    """
-    # is_integer() is False for NaN and the infinities.
-    if (
-        isinstance(value, (bool, np.bool_))
-        or not isinstance(value, numbers.Real)
-        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def entropy_sequence(

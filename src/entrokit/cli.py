@@ -201,10 +201,8 @@ def cmd_audit(args) -> int:
         records = [dict(record="case", **c.to_dict()) for c in report.cases]
         records.append(dict(record="summary", **report.summary_dict()))
         _emit(records, "json")
-    elif args.format == "csv":
-        _emit([report.summary_dict()], "csv")
     else:
-        _emit([report.summary_dict()], "table")
+        _emit([report.summary_dict()], args.format)
     if report.violations and not args.no_fail:
         return EXIT_VIOLATIONS
     return EXIT_OK

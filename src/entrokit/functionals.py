@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -20,8 +21,27 @@ import numpy as np
 STRICT_TOL = 1e-12
 GRID_DEFAULT = 1001
 MIN_GRID = 3
+# The curvature check scores all grid_size**2 / 2 pairs at once, about 41
+# bytes per pair: 82 MB at this cap, 2e10 index entries at a grid of 2e5.
+MAX_GRID = 2001
 # h is validated on the sums realizable with at most this many outcomes.
 RANGE_OUTCOMES = 64
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an int, for a count argument such as max_terms or trials.
+
+    Python and numpy integers pass, and so do integral floats; bools,
+    non-integral or non-finite numbers and non-numbers raise ValueError.
+    """
+    # is_integer() is False for NaN and the infinities.
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not (isinstance(value, numbers.Integral) or float(value).is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class FunctionalCase(Enum):
@@ -243,8 +263,9 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
     interval of sums realizable with at most RANGE_OUTCOMES outcomes.
     Failures are report entries, never exceptions.
     """
-    if grid_size < MIN_GRID:
-        raise ValueError(f"grid_size must be at least {MIN_GRID}, got {grid_size}")
+    grid_size = as_count(grid_size, "grid_size")
+    if not MIN_GRID <= grid_size <= MAX_GRID:
+        raise ValueError(f"grid_size must lie in {MIN_GRID}..{MAX_GRID}, got {grid_size}")
     checks = []
 
     phi0 = float(F.phi(0.0))

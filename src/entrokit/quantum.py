@@ -24,13 +24,12 @@ import numpy as np
 from .classical import (
     EntropyResult,
     ProbVector,
-    as_count,
     computed_rows,
     entropy_finite,
     probability_rows,
     require_slices,
 )
-from .functionals import EntropicFunctional
+from .functionals import EntropicFunctional, as_count
 from .reporting import AuditEntry
 
 HERMITIAN_TOL = 1e-10

@@ -1,5 +1,7 @@
 """Audit report containers with lossless dict round-tripping.
 
+An AuditEntry is a plain record (a NamedTuple), one per checked case.  An
+AuditReport is a frozen dataclass holding a suite's entries and summary.
 Margins follow one convention everywhere: a check passes iff
 margin >= -tolerance.  Inequality checks record the raw slack
 (rhs - lhs), equality checks record the negated absolute deviation,
@@ -9,10 +11,12 @@ so worst_margin is always the minimum over cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
+    """One checked case; a plain record, as cheap to build as a tuple."""
+
     case: str
     margin: float
     tolerance: float
@@ -29,24 +33,10 @@ class AuditEntry:
         functional: str = "",
         dim: int = 0,
     ) -> "AuditEntry":
-        return cls(
-            case=case,
-            margin=float(margin),
-            tolerance=float(tolerance),
-            passed=bool(margin >= -tolerance),
-            functional=functional,
-            dim=int(dim),
-        )
+        return cls(case, float(margin), float(tolerance), bool(margin >= -tolerance), functional, int(dim))
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "functional": self.functional,
-            "dim": self.dim,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuditEntry":
@@ -72,27 +62,12 @@ class AuditReport:
     tolerance: float
     cases: tuple = ()
 
+    # vars() lists the fields in declaration order, so "cases" stays last.
     def summary_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "cases": len(self.cases),
-        }
+        return {**vars(self), "cases": len(self.cases)}
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "cases": [c.to_dict() for c in self.cases],
-        }
+        return {**vars(self), "cases": [c.to_dict() for c in self.cases]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AuditReport":

@@ -1,5 +1,6 @@
 """Randomized audit suites and their report plumbing."""
 
+import inspect
 import math
 import re
 from collections import Counter
@@ -11,7 +12,6 @@ import pytest
 from entrokit import audit, quantum
 from entrokit.audit import (
     DEFAULT_FUNCTIONAL_SPECS,
-    DEFAULT_TRIALS,
     EQ_TOL,
     INEQ_TOL,
     ISOMETRY_EQ_TOL,
@@ -50,9 +50,27 @@ from entrokit.rand import (
 from entrokit.reporting import AuditEntry, AuditReport, build_report
 
 
+def default_trials(suite):
+    return inspect.signature(SUITES[suite]).parameters["trials"].default
+
+
 def test_suite_registry():
     assert set(SUITES) == {"schur", "pinching", "isometry", "ensemble", "gpt-argmin"}
-    assert set(DEFAULT_TRIALS) == set(SUITES)
+    for suite, run in SUITES.items():
+        assert run is getattr(audit, f"run_{suite.replace('-', '_')}_audit")
+        assert run.__name__ == f"run_{suite.replace('-', '_')}_audit"
+
+
+@pytest.mark.parametrize(
+    "suite,trials,dims",
+    [("schur", 500, (2, 8)), ("pinching", 500, (2, 8)), ("isometry", 200, (2, 8)),
+     ("ensemble", 1000, (2, 6)), ("gpt-argmin", 200, (2, 3))],
+)
+def test_suite_signature_shows_its_defaults(suite, trials, dims):
+    signature = inspect.signature(SUITES[suite])
+    assert [(p.name, p.default) for p in signature.parameters.values()] == [
+        ("trials", trials), ("seed", 7), ("dims", dims), ("functional_specs", None)
+    ]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -69,7 +87,7 @@ def test_suites_run_clean_at_small_scale(suite):
 def test_readme_suite_table_matches_default_trials():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `([a-z-]+)` \| (\d+) \|", readme, flags=re.MULTILINE)
-    assert {suite: int(trials) for suite, trials in rows} == DEFAULT_TRIALS
+    assert {suite: int(trials) for suite, trials in rows} == {suite: default_trials(suite) for suite in SUITES}
 
 
 def test_unknown_suite_rejected():
@@ -98,14 +116,59 @@ def test_integral_trials_of_any_type_run(trials):
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suites_called_directly_check_their_trial_count(suite):
-    dims = audit.DEFAULT_DIMS[suite]
     for bad, message in ((2.5, "an integer"), (True, "an integer"), (math.nan, "an integer"), ("3", "an integer"),
                          (0, "at least 1"), (-2, "at least 1")):
         with pytest.raises(ValueError, match=f"trials must be {message}"):
-            SUITES[suite](trials=bad, seed=7, dims=dims)
-    report = SUITES[suite](trials=3.0, seed=7, dims=dims)
+            SUITES[suite](trials=bad, seed=7)
+    report = SUITES[suite](trials=3.0, seed=7)
     assert type(report.trials) is int
     assert report.to_dict() == run_audit(suite, trials=3, seed=7).to_dict()
+
+
+def no_draws(monkeypatch):
+    """Make any seeded generator fail, so a check that passes drew nothing first."""
+
+    def refuse(seed):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(audit, "as_rng", refuse)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("seed", [np.random.default_rng(1), 2.7, None, "7", True])
+def test_seed_that_is_not_a_count_is_rejected_before_any_draw(monkeypatch, suite, seed):
+    no_draws(monkeypatch)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SUITES[suite](trials=3, seed=seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        run_audit(suite, trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_integral_seed_of_any_type_runs(suite):
+    report = SUITES[suite](trials=3, seed=np.int64(7))
+    assert type(report.seed) is int
+    assert report.to_dict() == SUITES[suite](trials=3, seed=7.0).to_dict() == run_audit(suite, trials=3).to_dict()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize(
+    "dims,message",
+    [((2.5, 4), "dims must be an integer"), ((2, math.inf), "dims must be an integer"),
+     (("2", 3), "dims must be an integer"), ((0, 3), "invalid dimension range"),
+     ((4, 3), "invalid dimension range"), ((-2, -1), "invalid dimension range")],
+)
+def test_dims_that_are_not_a_range_are_rejected_before_any_draw(monkeypatch, suite, dims, message):
+    no_draws(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        SUITES[suite](trials=3, dims=dims)
+    with pytest.raises(ValueError, match=message):
+        run_audit(suite, trials=3, dims=dims)
+
+
+def test_integral_dims_of_any_type_run():
+    report = run_audit("schur", trials=5, seed=7, dims=(np.int64(2), 4.0))
+    assert report.to_dict() == run_audit("schur", trials=5, seed=7, dims=(2, 4)).to_dict()
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (1, 3), (7, 7), (2, 5)])

@@ -133,6 +133,56 @@ def test_gpt_entropy_state_file_and_outside(tmp_path, capsys):
     assert record["decomposition"] is None
 
 
+SQUARE = '{"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}'
+RHO = '{"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]], "im": [[0.0, 0.1], [-0.1, 0.0]]}'
+
+
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (
+            ["p.json", "--kind", "classical", "--functional", "renyi:alpha=2"],
+            '{"functional":"renyi:alpha=2","increment_at_stop":0.0,"input":"p.json","kind":"classical",'
+            '"status":"exact","terms_used":3,"value":0.967584026262}\n',
+        ),
+        (
+            ["--kind", "classical", "--sequence", "geometric:r=0.5", "--functional", "tsallis:q=2"],
+            '{"functional":"tsallis:q=2","increment_at_stop":5.42101086243e-20,"input":"geometric:r=0.5",'
+            '"kind":"classical","status":"exact","terms_used":64,"value":0.666666666667}\n',
+        ),
+        (
+            ["--kind", "classical", "--sequence", "heavytail", "--max-terms", "2000"],
+            '{"functional":"shannon","increment_at_stop":0.000817215836984,"input":"heavytail:offset=2",'
+            '"kind":"classical","status":"declared_divergent","terms_used":2000,"value":"inf"}\n',
+        ),
+        (
+            ["rho.json", "--kind", "quantum", "--functional", "kaniadakis:kappa=0.5"],
+            '{"dim":2,"functional":"kaniadakis:kappa=0.5","increment_at_stop":0.0,"input":"rho.json",'
+            '"kind":"quantum","status":"exact","terms_used":2,"value":0.571895233827}\n',
+        ),
+        (
+            ["square.json", "--kind", "gpt", "--state", "[0.2, 0.1]"],
+            '{"decomposition":{"support":[0,1,3],"weights":[0.55,0.05,0.4]},"functional":"shannon",'
+            '"input":"square.json","kind":"gpt","state":[0.2,0.1],"status":"exact","value":0.845113256843}\n',
+        ),
+        (
+            ["square.json", "--kind", "gpt", "--state", "[3.0, 0.0]"],
+            '{"decomposition":null,"functional":"shannon","input":"square.json","kind":"gpt",'
+            '"state":[3.0,0.0],"status":"outside_hull","value":"inf"}\n',
+        ),
+    ],
+    ids=["classical-file", "sequence", "divergent-sequence", "quantum-file", "gpt-inside", "gpt-outside"],
+)
+def test_entropy_json_bytes_are_pinned(tmp_path, monkeypatch, capsys, args, expected):
+    write(tmp_path, "p.json", "[0.2, 0.3, 0.5]")
+    write(tmp_path, "rho.json", RHO)
+    write(tmp_path, "square.json", SQUARE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "entropy", *args, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_table_format_is_default(tmp_path, capsys):
     p = write(tmp_path, "p.json", "[0.5, 0.5]")
     code, out, _ = run(capsys, "entropy", p, "--kind", "classical")
@@ -295,6 +345,14 @@ def test_functional_validate_pass(capsys, spec):
     record = json.loads(out)
     assert record["passed"] is True
     assert record["grid_size"] == 1001
+
+
+@pytest.mark.parametrize("grid_size", ["2", "200000"])
+def test_functional_validate_grid_outside_its_bounds_is_domain_error(capsys, grid_size):
+    code, out, err = run(capsys, "functional", "validate", "shannon", "--grid-size", grid_size)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domain error: grid_size must lie in")
 
 
 def test_functional_validate_rejects_alpha_one(capsys):

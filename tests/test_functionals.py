@@ -1,5 +1,6 @@
 """Construction and validation of (h, phi) functional pairs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from entrokit.classical import entropy_finite
 from entrokit.functionals import (
     BUILTIN_FAMILIES,
+    MAX_GRID,
+    MIN_GRID,
     EntropicFunctional,
     FunctionalCase,
     functional_from_spec,
@@ -97,6 +100,40 @@ def test_validate_builtins_pass():
     for spec in specs:
         rep = validate_functional(functional_from_spec(spec), grid_size=1001)
         assert rep.passed, f"{spec}: {[c.name for c in rep.checks if not c.passed]}"
+
+
+@pytest.mark.parametrize("grid_size", [1001.0, np.int64(1001), np.float32(1001)])
+def test_validate_takes_an_integral_grid_of_any_type(grid_size):
+    F = make_shannon()
+    rep = validate_functional(F, grid_size=grid_size)
+    assert type(rep.grid_size) is int
+    assert rep == validate_functional(F, grid_size=1001)
+
+
+def never_evaluated():
+    """Shannon with a phi that fails if called: a rejected grid evaluates nothing."""
+
+    def phi(x):
+        raise AssertionError("phi was evaluated")
+
+    return dataclasses.replace(make_shannon(), phi=phi)
+
+
+@pytest.mark.parametrize("grid_size", [1001.5, math.nan, math.inf, "1001", True, None])
+def test_validate_rejects_a_grid_that_is_not_a_count(grid_size):
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        validate_functional(never_evaluated(), grid_size=grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [MIN_GRID - 1, -5, MAX_GRID + 1, 200_000, 10**12])
+def test_validate_rejects_a_grid_outside_its_bounds_before_any_work(grid_size):
+    with pytest.raises(ValueError, match=f"grid_size must lie in {MIN_GRID}..{MAX_GRID}"):
+        validate_functional(never_evaluated(), grid_size=grid_size)
+
+
+def test_validate_runs_at_the_grid_bounds():
+    assert validate_functional(make_shannon(), grid_size=MIN_GRID).grid_size == MIN_GRID
+    assert validate_functional(make_renyi(2), grid_size=MAX_GRID).passed
 
 
 def test_validate_miscased_pair_fails():
