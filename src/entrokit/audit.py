@@ -25,6 +25,8 @@ and ensemble size.
 
 from __future__ import annotations
 
+from collections.abc import Sized
+
 import numpy as np
 
 from .classical import (
@@ -94,10 +96,10 @@ def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
 
     The runner takes (trials, seed, dims, functional_specs), defaulting to
     this suite's trials and dims.  Before any draw it checks trials (at
-    least 1), seed and both dims by as_count's rules, with 1 <= lo <= hi.
-    It then calls ``body(trials, rng, dims, functionals)`` with the seeded
-    generator and the resolved functionals, and reports the entries the
-    body returns under this suite's name and tolerance.
+    least 1), seed and dims, a (lo, hi) pair, by as_count's rules, with
+    1 <= lo <= hi.  It then calls ``body(trials, rng, dims, functionals)``
+    with the seeded generator and the resolved functionals, and reports the
+    entries the body returns under this suite's name and tolerance.
     """
 
     def register(body):
@@ -106,6 +108,8 @@ def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
             if trials < 1:
                 raise ValueError(f"trials must be at least 1, got {trials}")
             seed = as_count(seed, "seed")
+            if not isinstance(dims, Sized) or len(dims) != 2:
+                raise ValueError(f"dims must be a (lo, hi) pair, got {dims!r}")
             lo, hi = (as_count(d, "dims") for d in dims)
             if not 1 <= lo <= hi:
                 raise ValueError(f"invalid dimension range {dims}")

@@ -83,9 +83,18 @@ class ProbVector:
 
 
 class EntropyStatus(Enum):
+    """What an entropy value means; the CLI prints ``.value`` as ``status``.
+
+    EXACT: the value is the entropy (finite input, certified tail or gpt minimum).
+    TRUNCATED_ESTIMATE: the value is a truncated sequence sum.
+    DECLARED_DIVERGENT: max_terms ran out with the phi-sum still growing; the value is +inf.
+    OUTSIDE_HULL: the gpt state is outside the model's hull; value +inf, decomposition null.
+    """
+
     EXACT = "exact"
     TRUNCATED_ESTIMATE = "truncated_estimate"
     DECLARED_DIVERGENT = "declared_divergent"
+    OUTSIDE_HULL = "outside_hull"
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import sys
 
 from . import audit as audit_suites
 from .classical import (
+    EntropyStatus,
     ProbVector,
     entropy_finite,
     entropy_sequence,
@@ -93,69 +94,50 @@ def _parse_dims(text: str):
 
 def cmd_entropy(args) -> int:
     F = functional_from_spec(args.functional)
-    if args.kind == "classical":
-        if args.sequence:
-            src = sequence_from_spec(args.sequence)
-            result = entropy_sequence(
-                src, F, max_terms=args.max_terms, increment_tol=args.increment_tol
-            )
-            record = {"kind": "classical", "input": src.name}
-        else:
-            if not args.input:
-                raise SchemaError("classical entropy needs an input file or --sequence")
-            p = ProbVector(read_vector(args.input), renormalize=args.renormalize)
-            result = entropy_finite(p, F)
-            record = {"kind": "classical", "input": args.input}
-        record.update(
-            functional=F.name,
-            value=result.value,
-            status=result.status.value,
-            terms_used=result.terms_used,
-            increment_at_stop=result.increment_at_stop,
+    kind = args.kind
+    if args.sequence and (kind != "classical" or args.input):
+        raise SchemaError("--sequence takes --kind classical and no input file")
+    if sum(s is not None for s in (args.state, args.state_file)) != (kind == "gpt"):
+        raise SchemaError(
+            "--kind gpt takes exactly one of --state and --state-file; other kinds take neither"
         )
-    elif args.kind == "quantum":
-        if not args.input:
-            raise SchemaError("quantum entropy needs a density-matrix file")
-        rho = read_density(args.input)
-        result = quantum_entropy(rho, F)
-        record = {
-            "kind": "quantum",
-            "input": args.input,
-            "dim": rho.dim,
-            "functional": F.name,
-            "value": result.value,
-            "status": result.status.value,
-            "terms_used": result.terms_used,
-            "increment_at_stop": result.increment_at_stop,
-        }
-    else:
-        if not args.input:
-            raise SchemaError("gpt entropy needs a model file")
-        if args.state is None and args.state_file is None:
-            raise SchemaError("gpt entropy needs --state or --state-file")
+    if args.renormalize and (kind != "classical" or not args.input):
+        raise SchemaError("--renormalize takes a classical input file")
+    if not (args.input or args.sequence):
+        raise SchemaError("entropy needs an input file, or --sequence with --kind classical")
+    source = {"input": args.input}
+    if kind == "gpt":
         model = read_model(args.input)
         text = args.state
         if text is None:
             with open(args.state_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         x = parse_state(text)
+        source["state"] = [float(v) for v in x]
         value, dec = gpt_entropy(model, x, F)
-        record = {
-            "kind": "gpt",
-            "input": args.input,
-            "state": [float(v) for v in x],
-            "functional": F.name,
-            "value": value,
-            "status": "exact" if dec is not None else "outside_hull",
-            "decomposition": (
-                {
-                    "support": list(dec.support),
-                    "weights": [float(w) for w in dec.weights],
-                }
-                if dec is not None
-                else None
-            ),
-        }
+        status, trailing = EntropyStatus.OUTSIDE_HULL, {"decomposition": None}
+        if dec is not None:
+            status = EntropyStatus.EXACT
+            trailing["decomposition"] = {
+                "support": list(dec.support),
+                "weights": [float(w) for w in dec.weights],
+            }
+    else:
+        if args.sequence:
+            src = sequence_from_spec(args.sequence)
+            source["input"] = src.name
+            result = entropy_sequence(src, F, max_terms=args.max_terms, increment_tol=args.increment_tol)
+        elif kind == "classical":
+            result = entropy_finite(ProbVector(read_vector(args.input), renormalize=args.renormalize), F)
+        else:
+            rho = read_density(args.input)
+            source["dim"] = rho.dim
+            result = quantum_entropy(rho, F)
+        value, status = result.value, result.status
+        trailing = {"terms_used": result.terms_used, "increment_at_stop": result.increment_at_stop}
+    record = {
+        "kind": kind, **source, "functional": F.name, "value": value, "status": status.value, **trailing
+    }
     _emit([record], args.format)
     return EXIT_OK
 

@@ -156,7 +156,9 @@ def test_integral_seed_of_any_type_runs(suite):
     "dims,message",
     [((2.5, 4), "dims must be an integer"), ((2, math.inf), "dims must be an integer"),
      (("2", 3), "dims must be an integer"), ((0, 3), "invalid dimension range"),
-     ((4, 3), "invalid dimension range"), ((-2, -1), "invalid dimension range")],
+     ((4, 3), "invalid dimension range"), ((-2, -1), "invalid dimension range"),
+     (5, r"dims must be a \(lo, hi\) pair"), ((2, 3, 4), r"dims must be a \(lo, hi\) pair"),
+     ((2,), r"dims must be a \(lo, hi\) pair")],
 )
 def test_dims_that_are_not_a_range_are_rejected_before_any_draw(monkeypatch, suite, dims, message):
     no_draws(monkeypatch)

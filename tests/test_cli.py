@@ -183,6 +183,53 @@ def test_entropy_json_bytes_are_pinned(tmp_path, monkeypatch, capsys, args, expe
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "args,expected",
+    [
+        (
+            ["p.json", "--kind", "classical", "--functional", "renyi:alpha=2"],
+            "kind: classical\ninput: p.json\nfunctional: renyi:alpha=2\nvalue: 0.967584\n"
+            "status: exact\nterms_used: 3\nincrement_at_stop: 0\n\n",
+        ),
+        (
+            ["--kind", "classical", "--sequence", "geometric:r=0.5", "--functional", "tsallis:q=2"],
+            "kind: classical\ninput: geometric:r=0.5\nfunctional: tsallis:q=2\nvalue: 0.666667\n"
+            "status: exact\nterms_used: 64\nincrement_at_stop: 5.42101e-20\n\n",
+        ),
+        (
+            ["--kind", "classical", "--sequence", "heavytail", "--max-terms", "2000"],
+            "kind: classical\ninput: heavytail:offset=2\nfunctional: shannon\nvalue: inf\n"
+            "status: declared_divergent\nterms_used: 2000\nincrement_at_stop: 0.000817216\n\n",
+        ),
+        (
+            ["rho.json", "--kind", "quantum", "--functional", "kaniadakis:kappa=0.5"],
+            "kind: quantum\ninput: rho.json\ndim: 2\nfunctional: kaniadakis:kappa=0.5\nvalue: 0.571895\n"
+            "status: exact\nterms_used: 2\nincrement_at_stop: 0\n\n",
+        ),
+        (
+            ["square.json", "--kind", "gpt", "--state", "[0.2, 0.1]"],
+            "kind: gpt\ninput: square.json\nstate: [0.2,0.1]\nfunctional: shannon\nvalue: 0.845113\n"
+            'status: exact\ndecomposition: {"support":[0,1,3],"weights":[0.55,0.05,0.4]}\n\n',
+        ),
+        (
+            ["square.json", "--kind", "gpt", "--state", "[3.0, 0.0]"],
+            "kind: gpt\ninput: square.json\nstate: [3.0,0.0]\nfunctional: shannon\nvalue: inf\n"
+            "status: outside_hull\ndecomposition: None\n\n",
+        ),
+    ],
+    ids=["classical-file", "sequence", "divergent-sequence", "quantum-file", "gpt-inside", "gpt-outside"],
+)
+def test_entropy_table_is_pinned(tmp_path, monkeypatch, capsys, args, expected):
+    # The table keeps each record's key order, which the sorted JSON hides.
+    write(tmp_path, "p.json", "[0.2, 0.3, 0.5]")
+    write(tmp_path, "rho.json", RHO)
+    write(tmp_path, "square.json", SQUARE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "entropy", *args, "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
 def test_table_format_is_default(tmp_path, capsys):
     p = write(tmp_path, "p.json", "[0.5, 0.5]")
     code, out, _ = run(capsys, "entropy", p, "--kind", "classical")
@@ -440,7 +487,8 @@ def test_vector_schema_error(tmp_path, capsys):
 )
 def test_non_numeric_json_values_are_schema_errors(tmp_path, capsys, name, text, kind):
     path = write(tmp_path, name, text)
-    code, out, err = run(capsys, "entropy", path, "--kind", kind, "--state", "[0.5]")
+    state = ["--state", "[0.5]"] if kind == "gpt" else []
+    code, out, err = run(capsys, "entropy", path, "--kind", kind, *state)
     assert code == 2
     assert err.startswith("schema error:")
     assert out == ""
@@ -451,6 +499,38 @@ def test_boolean_inline_state_is_schema_error(tmp_path, capsys):
     code, _, err = run(capsys, "entropy", model, "--kind", "gpt", "--state", "[true, 0.5]")
     assert code == 2
     assert err.startswith("schema error: state:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # --sequence only for --kind classical without an input file
+        (["p.json", "--kind", "classical", "--sequence", "geometric:r=0.5"], "--sequence takes"),
+        (["rho.json", "--kind", "quantum", "--sequence", "geometric:r=0.5"], "--sequence takes"),
+        (["--kind", "quantum", "--sequence", "geometric:r=0.5"], "--sequence takes"),
+        # --state / --state-file only for --kind gpt, and exactly one of them there
+        (["p.json", "--kind", "classical", "--state", "[0.5]"], "--kind gpt takes exactly one of"),
+        (["rho.json", "--kind", "quantum", "--state-file", "x.json"], "--kind gpt takes exactly one of"),
+        (["square.json", "--kind", "gpt", "--state", "[0.0, 0.0]", "--state-file", "x.json"],
+         "--kind gpt takes exactly one of"),
+        (["square.json", "--kind", "gpt"], "--kind gpt takes exactly one of"),
+        # --renormalize only with a classical input file
+        (["rho.json", "--kind", "quantum", "--renormalize"], "--renormalize takes"),
+        (["square.json", "--kind", "gpt", "--state", "[0.0, 0.0]", "--renormalize"], "--renormalize takes"),
+        (["--kind", "classical", "--sequence", "geometric:r=0.5", "--renormalize"], "--renormalize takes"),
+        # an input file for every kind (or --sequence for classical)
+        (["--kind", "gpt", "--state", "[0.0, 0.0]"], "entropy needs an input file"),
+    ],
+)
+def test_options_the_kind_would_ignore_are_schema_errors(tmp_path, monkeypatch, capsys, argv, message):
+    write(tmp_path, "p.json", "[0.2, 0.3, 0.5]")
+    write(tmp_path, "rho.json", RHO)
+    write(tmp_path, "square.json", SQUARE)
+    write(tmp_path, "x.json", "[0.0, 0.0]")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "entropy", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: {message}")
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
