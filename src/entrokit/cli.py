@@ -56,7 +56,7 @@ def _cell(value, digits):
         if math.isinf(value) or math.isnan(value):
             return str(value)
         return f"{value:.{digits}g}"
-    if isinstance(value, (dict, list, tuple)):
+    if value is None or isinstance(value, (bool, dict, list, tuple)):
         return json.dumps(_round_floats(value), sort_keys=True, separators=(",", ":"))
     return str(value)
 
@@ -105,6 +105,8 @@ def cmd_entropy(args) -> int:
         raise SchemaError("--renormalize takes a classical input file")
     if not (args.input or args.sequence):
         raise SchemaError("entropy needs an input file, or --sequence with --kind classical")
+    if not args.sequence and (args.max_terms, args.increment_tol) != (None, None):
+        raise SchemaError("--max-terms and --increment-tol take --sequence")
     source = {"input": args.input}
     if kind == "gpt":
         model = read_model(args.input)
@@ -126,7 +128,9 @@ def cmd_entropy(args) -> int:
         if args.sequence:
             src = sequence_from_spec(args.sequence)
             source["input"] = src.name
-            result = entropy_sequence(src, F, max_terms=args.max_terms, increment_tol=args.increment_tol)
+            terms = 10_000 if args.max_terms is None else args.max_terms
+            tol = 1e-12 if args.increment_tol is None else args.increment_tol
+            result = entropy_sequence(src, F, max_terms=terms, increment_tol=tol)
         elif kind == "classical":
             result = entropy_finite(ProbVector(read_vector(args.input), renormalize=args.renormalize), F)
         else:
@@ -232,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", required=True, choices=["classical", "quantum", "gpt"])
     pe.add_argument("--functional", default="shannon", help="e.g. shannon or renyi:alpha=2")
     pe.add_argument("--sequence", help="sequence family spec, e.g. geometric:r=0.5")
-    pe.add_argument("--max-terms", type=int, default=10_000)
-    pe.add_argument("--increment-tol", type=float, default=1e-12)
+    pe.add_argument("--max-terms", type=int, help="with --sequence (default 10000)")
+    pe.add_argument("--increment-tol", type=float, help="with --sequence (default 1e-12)")
     pe.add_argument("--state", help="gpt state as an inline JSON array")
     pe.add_argument("--state-file", help="gpt state file containing a JSON array")
     pe.add_argument("--renormalize", action="store_true", help="rescale classical input to sum 1")

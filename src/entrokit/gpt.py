@@ -9,15 +9,15 @@ the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
 
-Each subset size is built into stacked systems [V_S^T; 1] and screened by
-batched SVDs.  Only the subsets the screen cannot rule out reach the exact
-solve, which alone accepts a decomposition and supplies its weights: one
-stacked rank test per screen block on the same systems, then lstsq on each
-kept subset of full rank.  The extremality check at model
-construction first tries a separating hyperplane per vertex; a vertex it
-certifies is one the exact solve provably rejects over every support, so
-only the others are screened and solved.  Decompositions are scored with
-one entropy_rows call per support length, never one call per decomposition.
+Every state is first screened through the model's full-dimensional
+simplices, its (d + 1)-subsets T: one stacked LU solve gives their
+barycentric coordinates w, and a clearly nonzero w_i proves that no subset
+of T without vertex i (no subset at all, if w_i < 0) writes the state.
+Closed downward over all 2^n vertex subsets, the proofs rule out most
+supports; only the rest reach the exact solve (stacked rank test, lstsq),
+which alone accepts a decomposition and supplies its weights.  Model
+construction screens only the vertices no separating hyperplane certifies,
+all at once.  Each support length is scored in one entropy_rows call.
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -27,6 +27,7 @@ and their weights are all read-only, and every caller gets a fresh list.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -40,16 +41,10 @@ RESIDUAL_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
 VERTEX_CAP = 12
 DIM_CAP = 4
-# Screen slack.  On a system with s_min/s_max >= SCREEN_COND, lstsq truncates
-# no singular value, and it and the batched pseudo-inverse are both backward
-# stable: for weights of norm <= 1 (any the exact solve accepts) they differ
-# by about (s_max/s_min) * eps <= 1e6 * eps ~ 2e-10, and their residuals by
-# about s_max * eps.  Worse-conditioned systems skip the screen.
+# Screen slack (the bounds are in _screen).
 SCREEN_COND = 1e-6
 SCREEN_RESIDUAL = 1e3 * RESIDUAL_TOL
-SCREEN_WEIGHT = 1e-6
-# Subsets per batched SVD: at the caps one block holds every subset of a
-# size (at most C(12, 5) = 792); raising a cap keeps memory bounded.
+# Subsets per stack: at the caps one block holds a size (C(12, 5) = 792).
 SCREEN_BLOCK = 4096
 # Largest coordinate magnitude at which the hyperplane certificate of
 # _certified_extreme holds despite rounding; larger models skip it.
@@ -72,8 +67,8 @@ class Decomposition:
         # Both tests are written to be false for NaN, so NaN weights are rejected.
         if not (float(w.min()) > WEIGHT_FLOOR):
             raise ValueError(f"weights must exceed {WEIGHT_FLOOR}")
-        if not (abs(float(w.sum()) - 1.0) <= 1e-10):
-            raise ValueError("weights must sum to 1 within 1e-10")
+        if not (abs(float(w.sum()) - 1.0) <= RESIDUAL_TOL):
+            raise ValueError(f"weights must sum to 1 within {RESIDUAL_TOL}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
@@ -112,32 +107,71 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
         yield c, w
 
 
-def _subset_blocks(n: int, k: int):
-    """The k-subsets of range(n) in lex order, as (<= SCREEN_BLOCK, k) arrays."""
-    combos = itertools.combinations(range(n), k)
-    while block := list(itertools.islice(combos, SCREEN_BLOCK)):
-        yield np.array(block, dtype=np.intp)
+@functools.lru_cache(maxsize=VERTEX_CAP * (DIM_CAP + 1))
+def _subset_blocks(n: int, k: int, size: int) -> tuple:
+    """The k-subsets of range(n) in lex order with their bitmasks (bit i: vertex i), in read-only blocks."""
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    masks = (1 << subsets).sum(axis=1)
+    subsets.flags.writeable = masks.flags.writeable = False
+    return tuple((subsets[i:i + size], masks[i:i + size]) for i in range(0, len(subsets), size))
 
 
-def _screen(a: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Which of the stacked systems ``a`` (from _systems) may write each row of ``targets``.
+def _screen(a: np.ndarray, targets: np.ndarray):
+    """(keep, proof) for square systems ``a`` (_systems of (d + 1)-subsets) and each row of ``targets``.
 
-    Solves a[c] w = [t; 1] for every system c and every target t through one
-    batched SVD.  ``keep[c, j]`` is False only when the exact solve certainly
-    rejects system c for target j: the pseudo-inverse solution leaves a
-    residual above SCREEN_RESIDUAL * s_max or a weight below -SCREEN_WEIGHT.
-    Systems with s_min/s_max below SCREEN_COND are always kept.  As
-    s_max >= 1 (the row of ones), every system judged here passes the rank
-    test at PIVOT_TOL.
+    Each coordinate i of V and the targets comes divided by a power of two
+    >= max(1, |V_i|), exactly.  One stacked LU solve of a [w | X] = [b | I],
+    b = [t; 1], gives barycentric coordinates w and inverses X.  Unless a is
+    singular or kappa = |a|_F |X|_F >= 1/SCREEN_COND, proof[c, p, j] =
+    |w_p| > SCREEN_RESIDUAL kappa: the exact solve rejects target j on every
+    subset of c without vertex p, and on all of c's subsets if w_p < 0
+    (keep[c, j] False).  Rounding (Higham, ch. 9 and 14): pivoting keeps
+    |L| <= 1 and, up to 5 x 5, growth <= 2^4, so each solved column z has
+    (a + E) z = rhs, |E|_F <= 400 gamma_15 max|a| < 6.7e-13 |a|_F.  As
+    kappa < 1e6, |a^-1|_2 < (1 + 7e-7) |X|_F and |a w - b|_2 = |E w|_2
+    < 6.8e-7 |b|_2.  Say the exact solve accepted u >= 0 with u_p = 0, or
+    u_p > 0 > w_p.  As in _certified_extreme, sum u <= 1 + 2e-9 and its
+    residual in row i is at most RESIDUAL_TOL + 12 eps max(1, |V_i|)
+    unscaled, so here |a u - b|_2 < 2.3e-9 and |b|_2 < 1.01 |a|_F.  Yet
+    |a u - b|_2 >= |w_p| / |a^-1|_2 - |a w - b|_2 > 3e-7 |a|_F.  An exact
+    zero pivot makes solve raise for the whole stack: hence det == 0 first.
     """
     b = np.vstack([targets.T, np.ones((1, targets.shape[0]))])
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    ill = s[:, -1] < SCREEN_COND * s[:, 0]
-    s = np.where(ill[:, None], 1.0, s)
-    w = vh.transpose(0, 2, 1) @ ((u.transpose(0, 2, 1) @ b) / s[:, :, None])
-    residual = np.abs(a @ w - b).max(axis=1)
-    keep = (residual <= SCREEN_RESIDUAL * s[:, :1]) & (w.min(axis=1) > -SCREEN_WEIGHT)
-    return keep | ill[:, None]
+    with np.errstate(all="ignore"):
+        singular = ~(np.abs(np.linalg.det(a)) > 0)
+        z = np.linalg.solve(np.where(singular[:, None, None], np.eye(len(b)), a), np.c_[b, np.eye(len(b))])
+        w = z[:, :, : b.shape[1]]
+        kappa = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(z[:, :, b.shape[1]:], axis=(1, 2))
+        ill = singular | ~(kappa * SCREEN_COND < 1)
+        proof = (np.abs(w) > SCREEN_RESIDUAL * kappa[:, None, None]) & ~ill[:, None, None]
+    return ~np.any(proof & (w < 0), axis=1), proof
+
+
+def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
+    """(target position, support, weights) of each basic decomposition of each row of ``targets``.
+
+    Targets in order, then supports by size and lex order.  Over all 2^n
+    bitmasks, cleared[j] holds what the simplex proofs rule out for target j
+    (closed downward) and the supports meeting bitmask exclude[j].
+    """
+    n, d = V.shape
+    scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=0))[1])
+    cleared = np.zeros((len(targets), 1 << n), dtype=bool)
+    for subsets, masks in _subset_blocks(n, d + 1, SCREEN_BLOCK):
+        keep, proof = _screen(_systems(V / scale, subsets), targets / scale)
+        c, p, j = np.nonzero(proof)
+        cleared[j, masks[c] - (1 << subsets[c, p])] = True
+        c, j = np.nonzero(~keep)
+        cleared[j, masks[c]] = True
+    for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
+        pairs[:, :, 0] |= pairs[:, :, 1]
+    cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
+    blocks = [b for k in range(1, min(n, d + 1) + 1) for b in _subset_blocks(n, k, SCREEN_BLOCK)]
+    for t, x in enumerate(targets):
+        for subsets, masks in blocks:
+            kept = subsets[~cleared[t, masks]]
+            for c, w in _exact_solutions(_systems(V, kept), x):
+                yield t, tuple(kept[c].tolist()), w
 
 
 def _certified_extreme(V: np.ndarray) -> np.ndarray:
@@ -176,26 +210,14 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
 def _first_non_extreme(V: np.ndarray) -> int | None:
     """Smallest index of a vertex that is a convex combination of the others.
 
-    Vertices _certified_extreme proves extreme are skipped; the rest go
-    through the screen and the exact solve, in index order, so the answer is
-    that of the exact solve on every vertex.
+    The vertices _certified_extreme leaves are screened together and solved
+    in index order: the answer is that of the exact solve on every vertex.
     """
-    n, d = V.shape
     uncertified = np.flatnonzero(~_certified_extreme(V))
     if not uncertified.size:
         return None
-    screens = []
-    for k in range(1, min(n - 1, d + 1) + 1):
-        for subsets in _subset_blocks(n, k):
-            a = _systems(V, subsets)
-            keep = _screen(a, V[uncertified])
-            keep &= ~np.any(subsets[:, :, None] == uncertified, axis=1)  # a vertex never counts itself
-            screens.append((a, keep))
-    for t, i in enumerate(uncertified.tolist()):
-        for a, keep in screens:
-            if next(_exact_solutions(a[keep[:, t]], V[i]), None) is not None:
-                return i
-    return None
+    found = next(_screened_solutions(V, V[uncertified], 1 << uncertified), None)
+    return None if found is None else int(uncertified[found[0]])
 
 
 class ConvexModel:
@@ -255,16 +277,10 @@ class ConvexModel:
         return f"ConvexModel(n={self.n_vertices}, dim={self.ambient_dim})"
 
 
-def _iter_solutions(V: np.ndarray, x: np.ndarray, d: int):
+def _iter_solutions(V: np.ndarray, x: np.ndarray):
     # Lexicographic subset order fixes tie-breaking everywhere downstream.
-    n = V.shape[0]
-    for k in range(1, min(n, d + 1) + 1):
-        for subsets in _subset_blocks(n, k):
-            a = _systems(V, subsets)
-            keep = _screen(a, x[None, :])[:, 0]
-            kept = subsets[keep]
-            for c, w in _exact_solutions(a[keep], x):
-                yield tuple(kept[c].tolist()), w
+    for _, support, w in _screened_solutions(V, x[None, :]):
+        yield support, w
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
@@ -279,7 +295,7 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
 def membership(model: ConvexModel, x) -> Decomposition | None:
     """First basic decomposition of x, or None when x is outside the hull."""
     x = _check_point(model, x)
-    found = next(_iter_solutions(model.vertices, x, model.ambient_dim), None)
+    found = next(_iter_solutions(model.vertices, x), None)
     if found is None:
         return None
     support, w = found
@@ -298,7 +314,7 @@ def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]
     if model._decompositions is None or model._decompositions[0] != key:
         decs = tuple(
             Decomposition(support=s, weights=w)
-            for s, w in _iter_solutions(model.vertices, x, model.ambient_dim)
+            for s, w in _iter_solutions(model.vertices, x)
         )
         model._decompositions = (key, decs)
     return list(model._decompositions[1])

@@ -214,7 +214,7 @@ def test_entropy_json_bytes_are_pinned(tmp_path, monkeypatch, capsys, args, expe
         (
             ["square.json", "--kind", "gpt", "--state", "[3.0, 0.0]"],
             "kind: gpt\ninput: square.json\nstate: [3.0,0.0]\nfunctional: shannon\nvalue: inf\n"
-            "status: outside_hull\ndecomposition: None\n\n",
+            "status: outside_hull\ndecomposition: null\n\n",
         ),
     ],
     ids=["classical-file", "sequence", "divergent-sequence", "quantum-file", "gpt-inside", "gpt-outside"],
@@ -520,6 +520,12 @@ def test_boolean_inline_state_is_schema_error(tmp_path, capsys):
         (["--kind", "classical", "--sequence", "geometric:r=0.5", "--renormalize"], "--renormalize takes"),
         # an input file for every kind (or --sequence for classical)
         (["--kind", "gpt", "--state", "[0.0, 0.0]"], "entropy needs an input file"),
+        # --max-terms and --increment-tol only with --sequence, one case per kind
+        (["p.json", "--kind", "classical", "--max-terms", "5", "--increment-tol", "0.1"],
+         "--max-terms and --increment-tol take --sequence"),
+        (["rho.json", "--kind", "quantum", "--max-terms", "5"], "--max-terms and --increment-tol take"),
+        (["square.json", "--kind", "gpt", "--state", "[0.0, 0.0]", "--increment-tol", "0.1"],
+         "--max-terms and --increment-tol take"),
     ],
 )
 def test_options_the_kind_would_ignore_are_schema_errors(tmp_path, monkeypatch, capsys, argv, message):
@@ -531,6 +537,29 @@ def test_options_the_kind_would_ignore_are_schema_errors(tmp_path, monkeypatch, 
     code, out, err = run(capsys, "entropy", *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"schema error: {message}")
+
+
+def test_sequence_options_default_to_the_library_values(capsys):
+    argv = ("entropy", "--kind", "classical", "--sequence", "geometric:r=0.9", "--format", "json")
+    _, implicit, _ = run(capsys, *argv)
+    _, explicit, _ = run(capsys, *argv, "--max-terms", "10000", "--increment-tol", "1e-12")
+    assert implicit == explicit
+    assert json.loads(implicit)["status"] == "exact"
+
+
+def test_table_and_csv_spell_none_and_booleans_as_json_does(tmp_path, capsys):
+    a = write(tmp_path, "a.json", "[0.5, 0.3, 0.2]")
+    b = write(tmp_path, "b.json", "[0.6, 0.2, 0.2]")
+    _, out, _ = run(capsys, "majorize", a, b, "--format", "table")
+    assert "q_majorized_by_p: false\n" in out and "p_majorized_by_q: true\n" in out
+    _, out, _ = run(capsys, "majorize", a, b, "--format", "csv")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert (row["q_majorized_by_p"], row["p_majorized_by_q"]) == ("false", "true")
+    square = write(tmp_path, "square.json", SQUARE)
+    _, out, _ = run(capsys, "entropy", square, "--kind", "gpt", "--state", "[3.0, 0.0]", "--format", "csv")
+    assert next(csv.DictReader(io.StringIO(out)))["decomposition"] == "null"
+    _, out, _ = run(capsys, "functional", "validate", "shannon", "--format", "csv")
+    assert {row["passed"] for row in csv.DictReader(io.StringIO(out))} == {"true"}
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
     a = gpt._systems(V, subsets)
     deficient = np.array([np.linalg.matrix_rank(m, tol=PIVOT_TOL) < 4 for m in a])
     assert deficient.sum() == 12
-    assert gpt._screen(a, x[None, :])[deficient, 0].all()
+    assert gpt._screen(a, x[None, :])[0][deficient, 0].all()
     assert len(assert_enumeration_is_the_reference(model, x)) == count
     # the exact solve on every support of a size at once, unscreened
     for k in range(1, 5):
@@ -234,9 +234,9 @@ def count_enumerations(monkeypatch):
     runs = []
     iter_solutions = gpt._iter_solutions
 
-    def counted(V, x, d):
+    def counted(V, x):
         runs.append(x.copy())
-        return iter_solutions(V, x, d)
+        return iter_solutions(V, x)
 
     monkeypatch.setattr(gpt, "_iter_solutions", counted)
     return runs
@@ -318,11 +318,7 @@ def _assert_extremality_is_the_unscreened_check(V):
     assert reference_first_non_extreme(V) is None
     assert gpt._first_non_extreme(V) is None
     ConvexModel(V)
-    # a hull edge: its midpoint has the one decomposition over its two ends
-    a, b = next(
-        pair for pair in itertools.combinations(range(len(V)), 2)
-        if len(list(reference_solutions(V, V[list(pair)].mean(axis=0), d))) == 1
-    )
+    a, b = hull_edge(V)
     nudge = np.full(d, 1e-11 / math.sqrt(d))
     bad = {
         "interior": _with_vertex(V, 2, V[:d + 1].mean(axis=0)),
@@ -385,6 +381,96 @@ def test_screen_blocks_keep_lex_order_and_results(monkeypatch):
     i = reference_first_non_extreme(W)
     with pytest.raises(ValueError, match=f"^vertex {i} is"):
         ConvexModel(W)
+
+
+def hull_edge(V):
+    """Two vertices whose midpoint has exactly one basic decomposition, over them."""
+    return next(
+        pair for pair in itertools.combinations(range(len(V)), 2)
+        if len(list(reference_solutions(V, V[list(pair)].mean(axis=0), V.shape[1]))) == 1
+    )
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [[[0.0, 0.0], [1.0, 2.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]],
+    ids=["segment-in-R2", "triangle-in-R3"],
+)
+def test_models_without_a_full_simplex_go_straight_to_the_exact_solve(monkeypatch, vertices):
+    def no_screen(*args):
+        raise AssertionError("a model with n <= d has no simplex to screen")
+
+    model = ConvexModel(vertices)
+    monkeypatch.setattr(gpt, "_screen", no_screen)
+    V = model.vertices
+    off = np.zeros(model.ambient_dim)
+    off[-1] = 1e-3
+    for x in (*V, V.mean(axis=0), 0.3 * V[0] + 0.7 * V[-1], V.mean(axis=0) + off, V[0] + 0.5 * RESIDUAL_TOL):
+        assert_enumeration_is_the_reference(model, x)
+
+
+def test_cube_faces_edges_and_vertices_are_the_reference():
+    rng = as_rng(73)
+    model = ConvexModel(UNIT_CUBE)
+    for axis, side in itertools.product(range(3), (0.0, 1.0)):
+        for x in (np.full(3, 0.5), rng.uniform(size=3)):
+            x[axis] = side  # the face center, then a point on the face
+            assert assert_enumeration_is_the_reference(model, x)
+    for corner in model.vertices:
+        assert len(assert_enumeration_is_the_reference(model, corner)) == 1
+        assert len(assert_enumeration_is_the_reference(model, 0.5 * (corner + model.vertices[0]))) >= 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_vertex_edge_and_facet_at_the_vertex_cap_are_the_reference(d):
+    rng = as_rng(79 + d)
+    model = random_sphere_model(VERTEX_CAP, d, rng)
+    V = model.vertices
+    a, b = hull_edge(V)
+    for x in (V[0], V[VERTEX_CAP - 1], 0.5 * (V[a] + V[b]), facet_point(V, rng)):
+        assert assert_enumeration_is_the_reference(model, x)
+
+
+def test_state_just_outside_an_edge_is_accepted_as_the_exact_solve_accepts_it():
+    # the edge (0, 1) writes (1 + 5e-10, 0.5) with residual 2.5e-10 <= RESIDUAL_TOL
+    # and a weight sum 2.5e-10 off 1, which Decomposition once refused
+    model = ConvexModel(SQUARE)
+    x = [1.0 + 5e-10, 0.5]
+    want = assert_enumeration_is_the_reference(model, x)
+    assert [support for support, _ in want] == [(0, 1)]
+    value, dec = gpt_entropy(model, x, make_shannon())
+    assert dec.support == (0, 1) and np.array_equal(dec.weights, want[0][1])
+    assert value == entropy_finite(ProbVector.from_computation(want[0][1]), make_shannon()).value
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_generic_states_screen_only_the_simplices_and_solve_once_per_decomposition(monkeypatch, d):
+    rng = as_rng(89 + d)
+    screened, solves = [], []
+    screen, lstsq = gpt._screen, np.linalg.lstsq
+    monkeypatch.setattr(gpt, "_screen", lambda a, t: screened.append(a.shape) or screen(a, t))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    for n in (d + 2, VERTEX_CAP):
+        model = random_sphere_model(n, d, rng)
+        for _ in range(4):
+            screened.clear()
+            solves.clear()
+            decs = enumerate_basic_decompositions(model, random_interior_point(model, rng))
+            assert screened == [(math.comb(n, d + 1), d + 1, d + 1)]
+            assert len(solves) == len(decs) > 0
+
+
+@pytest.mark.parametrize("squash", [1.0, 1e-7], ids=["round", "flat-along-an-axis"])
+def test_models_beyond_the_certify_scale_are_proven_extreme_without_a_solve(monkeypatch, squash):
+    # the hyperplane certificate stops at CERTIFY_SCALE; the simplex screen,
+    # on coordinates rescaled by powers of two, needs no exact solve here
+    V = random_sphere_model(8, 3, as_rng(97)).vertices * np.array([3e8, 3e8, 3e8 * squash])
+    assert not gpt._certified_extreme(V).any()
+    assert reference_first_non_extreme(V) is None
+    sent, exact = [], gpt._exact_solutions
+    monkeypatch.setattr(gpt, "_exact_solutions", lambda a, x: sent.append(len(a)) or exact(a, x))
+    assert gpt._first_non_extreme(V) is None
+    assert sum(sent) == 0
 
 
 def test_decomposition_validation():
