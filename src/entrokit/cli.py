@@ -128,9 +128,8 @@ def cmd_entropy(args) -> int:
         if args.sequence:
             src = sequence_from_spec(args.sequence)
             source["input"] = src.name
-            terms = 10_000 if args.max_terms is None else args.max_terms
-            tol = 1e-12 if args.increment_tol is None else args.increment_tol
-            result = entropy_sequence(src, F, max_terms=terms, increment_tol=tol)
+            given = {"max_terms": args.max_terms, "increment_tol": args.increment_tol}
+            result = entropy_sequence(src, F, **{k: v for k, v in given.items() if v is not None})
         elif kind == "classical":
             result = entropy_finite(ProbVector(read_vector(args.input), renormalize=args.renormalize), F)
         else:
@@ -236,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", required=True, choices=["classical", "quantum", "gpt"])
     pe.add_argument("--functional", default="shannon", help="e.g. shannon or renyi:alpha=2")
     pe.add_argument("--sequence", help="sequence family spec, e.g. geometric:r=0.5")
-    pe.add_argument("--max-terms", type=int, help="with --sequence (default 10000)")
-    pe.add_argument("--increment-tol", type=float, help="with --sequence (default 1e-12)")
+    pe.add_argument("--max-terms", type=int, help="only with --sequence")
+    pe.add_argument("--increment-tol", type=float, help="only with --sequence")
     pe.add_argument("--state", help="gpt state as an inline JSON array")
     pe.add_argument("--state-file", help="gpt state file containing a JSON array")
     pe.add_argument("--renormalize", action="store_true", help="rescale classical input to sum 1")

@@ -9,15 +9,13 @@ the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
 
-Every state is first screened through the model's full-dimensional
-simplices, its (d + 1)-subsets T: one stacked LU solve gives their
-barycentric coordinates w, and a clearly nonzero w_i proves that no subset
-of T without vertex i (no subset at all, if w_i < 0) writes the state.
-Closed downward over all 2^n vertex subsets, the proofs rule out most
-supports; only the rest reach the exact solve (stacked rank test, lstsq),
-which alone accepts a decomposition and supplies its weights.  Model
-construction screens only the vertices no separating hyperplane certifies,
-all at once.  Each support length is scored in one entropy_rows call.
+Every state is first screened through the model's (d + 1)-vertex simplices,
+or those of its affine hull when it is flat: barycentric coordinates prove
+most supports unable to write it (_screen).  Only the rest reach the exact
+solve (stacked rank test, lstsq), which alone accepts a decomposition and
+supplies its weights.  Model construction screens only the vertices no
+separating hyperplane certifies, all at once.  Each support length is
+scored in one entropy_rows call.
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -44,8 +42,6 @@ DIM_CAP = 4
 # Screen slack (the bounds are in _screen).
 SCREEN_COND = 1e-6
 SCREEN_RESIDUAL = 1e3 * RESIDUAL_TOL
-# Subsets per stack: at the caps one block holds a size (C(12, 5) = 792).
-SCREEN_BLOCK = 4096
 # Largest coordinate magnitude at which the hyperplane certificate of
 # _certified_extreme holds despite rounding; larger models skip it.
 CERTIFY_SCALE = 1e8
@@ -108,67 +104,84 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
 
 
 @functools.lru_cache(maxsize=VERTEX_CAP * (DIM_CAP + 1))
-def _subset_blocks(n: int, k: int, size: int) -> tuple:
-    """The k-subsets of range(n) in lex order with their bitmasks (bit i: vertex i), in read-only blocks."""
+def _subsets(n: int, k: int) -> tuple:
+    """The k-subsets of range(n) in lex order and their bitmasks (bit i: vertex i), read-only."""
     subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
     masks = (1 << subsets).sum(axis=1)
     subsets.flags.writeable = masks.flags.writeable = False
-    return tuple((subsets[i:i + size], masks[i:i + size]) for i in range(0, len(subsets), size))
+    return subsets, masks
 
 
-def _screen(a: np.ndarray, targets: np.ndarray):
-    """(keep, proof) for square systems ``a`` (_systems of (d + 1)-subsets) and each row of ``targets``.
+def _screen(a: np.ndarray, b: np.ndarray):
+    """(keep, proof, ill) for square systems ``a`` and each right-hand side row of ``b``.
 
-    Each coordinate i of V and the targets comes divided by a power of two
-    >= max(1, |V_i|), exactly.  One stacked LU solve of a [w | X] = [b | I],
-    b = [t; 1], gives barycentric coordinates w and inverses X.  Unless a is
-    singular or kappa = |a|_F |X|_F >= 1/SCREEN_COND, proof[c, p, j] =
-    |w_p| > SCREEN_RESIDUAL kappa: the exact solve rejects target j on every
-    subset of c without vertex p, and on all of c's subsets if w_p < 0
-    (keep[c, j] False).  Rounding (Higham, ch. 9 and 14): pivoting keeps
-    |L| <= 1 and, up to 5 x 5, growth <= 2^4, so each solved column z has
-    (a + E) z = rhs, |E|_F <= 400 gamma_15 max|a| < 6.7e-13 |a|_F.  As
-    kappa < 1e6, |a^-1|_2 < (1 + 7e-7) |X|_F and |a w - b|_2 = |E w|_2
-    < 6.8e-7 |b|_2.  Say the exact solve accepted u >= 0 with u_p = 0, or
-    u_p > 0 > w_p.  As in _certified_extreme, sum u <= 1 + 2e-9 and its
-    residual in row i is at most RESIDUAL_TOL + 12 eps max(1, |V_i|)
-    unscaled, so here |a u - b|_2 < 2.3e-9 and |b|_2 < 1.01 |a|_F.  Yet
-    |a u - b|_2 >= |w_p| / |a^-1|_2 - |a w - b|_2 > 3e-7 |a|_F.  An exact
-    zero pivot makes solve raise for the whole stack: hence det == 0 first.
+    ``a`` holds _systems of (d + 1)-subsets, or of k-subsets projected into
+    the affine hull, each coordinate i divided by a power of two >=
+    max(1, |V_i|), exactly.  One stacked LU solve of a [w | X] = [b | I] gives
+    barycentric coordinates w and the inverse X.  Unless a is singular or
+    kappa = |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[c, p, j] = |w_p| >
+    (1 + 1e-6) |X|_F (3 RESIDUAL_TOL + rho) shows that the exact solve rejects
+    target j on every subset of c without p, and on all of them if w_p < 0
+    (keep[c, j] False); rho bounds |a w - b|_2: as computed, plus 1e-14
+    (|a|_F (1 + |w|_2) + |b|_2).  Proof (Higham, ch. 7, 9, 14): with |L| <= 1
+    and growth <= 2^4 up to 5 x 5, each column of X solves (a + E) x = e_i,
+    |E|_F < 6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  An accepted
+    u >= 0 with u_p = 0, or u_p > 0 > w_p, has |a u - b|_2 < 2.3e-9 (as in
+    _certified_extreme; a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <=
+    |u - w|_2 <= |a^-1|_2 (|a u - b|_2 + |a w - b|_2), below the bound.
+    det == 0 comes first: an exact zero pivot makes solve raise for the stack.
     """
-    b = np.vstack([targets.T, np.ones((1, targets.shape[0]))])
+    m, eye = len(b), np.eye(a.shape[1])
     with np.errstate(all="ignore"):
         singular = ~(np.abs(np.linalg.det(a)) > 0)
-        z = np.linalg.solve(np.where(singular[:, None, None], np.eye(len(b)), a), np.c_[b, np.eye(len(b))])
-        w = z[:, :, : b.shape[1]]
-        kappa = np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(z[:, :, b.shape[1]:], axis=(1, 2))
-        ill = singular | ~(kappa * SCREEN_COND < 1)
-        proof = (np.abs(w) > SCREEN_RESIDUAL * kappa[:, None, None]) & ~ill[:, None, None]
-    return ~np.any(proof & (w < 0), axis=1), proof
+        z = np.linalg.solve(np.where(singular[:, None, None], eye, a), np.c_[b.T, eye])
+        w, inv = z[:, :, :m], np.linalg.norm(z[:, :, m:], axis=(1, 2))
+        size = np.linalg.norm(a, axis=(1, 2))
+        ill = singular | ~(size * inv * SCREEN_COND < 1)
+        rho = np.linalg.norm(a @ w - b.T, axis=1)
+        rho += 1e-14 * (size[:, None] * (1 + np.linalg.norm(w, axis=1)) + np.linalg.norm(b, axis=1))
+        bound = (1 + 1e-6) * inv[:, None] * (3 * RESIDUAL_TOL + rho)
+        proof = (np.abs(w) > bound[:, None]) & ~ill[:, None, None]
+    return ~np.any(proof & (w < 0), axis=1), proof, ill
 
 
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
     """(target position, support, weights) of each basic decomposition of each row of ``targets``.
 
-    Targets in order, then supports by size and lex order.  Over all 2^n
-    bitmasks, cleared[j] holds what the simplex proofs rule out for target j
-    (closed downward) and the supports meeting bitmask exclude[j].
+    Targets in order, then supports by size and lex order.  cleared[j] holds
+    the 2^n bitmasks the proofs rule out for target j, closed downward, and
+    those meeting exclude[j].  A model with n <= d sends every support.  If
+    every simplex is ill (a flat model), eigh(A A^T) splits off the hull Q
+    (all but the smallest eigenvalue and any below SCREEN_COND^2 times the
+    largest) from the rest R: Q's k-subsets are screened too, and a state
+    with |R^T b| > max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as
+    an accepted u has |R^T b| <= |R^T a u| + 2.4e-9.
     """
     n, d = V.shape
     scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=0))[1])
+    A, B = (np.vstack([(P / scale).T, np.ones(len(P))]) for P in (V, targets))
     cleared = np.zeros((len(targets), 1 << n), dtype=bool)
-    for subsets, masks in _subset_blocks(n, d + 1, SCREEN_BLOCK):
-        keep, proof = _screen(_systems(V / scale, subsets), targets / scale)
+    Q, k = None, d + 1
+    while n > d:
+        subsets, masks = _subsets(n, k)
+        a = A[:, subsets].transpose(1, 0, 2)
+        keep, proof, ill = _screen(a, B.T) if Q is None else _screen(Q.T @ a, (Q.T @ B).T)
         c, p, j = np.nonzero(proof)
         cleared[j, masks[c] - (1 << subsets[c, p])] = True
         c, j = np.nonzero(~keep)
         cleared[j, masks[c]] = True
+        if Q is not None or not ill.all():
+            break
+        lam, vecs = np.linalg.eigh(A @ A.T)
+        k = d + 1 - max(1, int(np.sum(lam <= SCREEN_COND**2 * lam[-1])))
+        R, Q = vecs[:, :-k].T, vecs[:, -k:]
+        far = np.linalg.norm(R @ B, axis=0) - SCREEN_RESIDUAL * np.linalg.norm(B, axis=0)
+        cleared[far > np.linalg.norm(R @ A, axis=0).max()] = True
     for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
     cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
-    blocks = [b for k in range(1, min(n, d + 1) + 1) for b in _subset_blocks(n, k, SCREEN_BLOCK)]
     for t, x in enumerate(targets):
-        for subsets, masks in blocks:
+        for subsets, masks in (_subsets(n, k) for k in range(1, min(n, d + 1) + 1)):
             kept = subsets[~cleared[t, masks]]
             for c, w in _exact_solutions(_systems(V, kept), x):
                 yield t, tuple(kept[c].tolist()), w

@@ -204,7 +204,7 @@ def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
     a = gpt._systems(V, subsets)
     deficient = np.array([np.linalg.matrix_rank(m, tol=PIVOT_TOL) < 4 for m in a])
     assert deficient.sum() == 12
-    assert gpt._screen(a, x[None, :])[0][deficient, 0].all()
+    assert gpt._screen(a, np.append(x, 1.0)[None, :])[0][deficient, 0].all()
     assert len(assert_enumeration_is_the_reference(model, x)) == count
     # the exact solve on every support of a size at once, unscreened
     for k in range(1, 5):
@@ -369,26 +369,21 @@ def test_vertex_pushed_out_of_a_face_by_less_than_the_bound_goes_to_the_exact_so
     assert screened
 
 
-def test_screen_blocks_keep_lex_order_and_results(monkeypatch):
-    # several blocks per subset size, the last one partial: C(8, 4) = 70
-    monkeypatch.setattr(gpt, "SCREEN_BLOCK", 16)
-    rng = as_rng(67)
-    model = random_sphere_model(8, 3, rng)
-    for x in screen_targets(model, rng):
-        assert_enumeration_is_the_reference(model, x)
-    V = model.vertices
-    W = _with_vertex(_with_vertex(V, 1, V[:4].mean(axis=0)), len(V) + 1, V[3])
-    i = reference_first_non_extreme(W)
-    with pytest.raises(ValueError, match=f"^vertex {i} is"):
-        ConvexModel(W)
-
-
 def hull_edge(V):
     """Two vertices whose midpoint has exactly one basic decomposition, over them."""
     return next(
         pair for pair in itertools.combinations(range(len(V)), 2)
         if len(list(reference_solutions(V, V[list(pair)].mean(axis=0), V.shape[1]))) == 1
     )
+
+
+def record_screens_and_solves(monkeypatch):
+    """The stack shape of each _screen call and one entry per lstsq call, as they happen."""
+    screened, solves = [], []
+    screen, lstsq = gpt._screen, np.linalg.lstsq
+    monkeypatch.setattr(gpt, "_screen", lambda a, b: screened.append(a.shape) or screen(a, b))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    return screened, solves
 
 
 @pytest.mark.parametrize(
@@ -407,6 +402,64 @@ def test_models_without_a_full_simplex_go_straight_to_the_exact_solve(monkeypatc
     off[-1] = 1e-3
     for x in (*V, V.mean(axis=0), 0.3 * V[0] + 0.7 * V[-1], V.mean(axis=0) + off, V[0] + 0.5 * RESIDUAL_TOL):
         assert_enumeration_is_the_reference(model, x)
+
+
+def flat_model(n, d, rng, turned, height=0.0):
+    """n points in general position on the hyperplane x_d = 0 of R^d, turned and shifted if asked.
+
+    A nonzero height lifts them alternately to +height and -height.
+    """
+    V = np.c_[random_sphere_model(n, d - 1, rng).vertices, height * (-1.0) ** np.arange(n)]
+    if turned:
+        V = V @ np.linalg.qr(rng.normal(size=(d, d)))[0] + rng.normal(size=d)
+    return V
+
+
+FLAT = pytest.mark.parametrize(
+    "turned,height", [(False, 0.0), (True, 0.0), (True, 1e-7)], ids=["on-an-axis", "turned", "nearly-flat"]
+)
+
+
+@FLAT
+def test_flat_models_are_screened_in_their_affine_hull(monkeypatch, turned, height):
+    # every 4-subset of 12 (nearly) coplanar points in R^3 is ill conditioned,
+    # so only the plane's own triangles prove anything; a state off the plane
+    # has no support, and only the 4-subsets of the nearly flat model, which
+    # pass the rank test, reach lstsq unproven
+    rng = as_rng(101)
+    model = ConvexModel(flat_model(VERTEX_CAP, 3, rng, turned, height))
+    V = model.vertices
+    normal = np.linalg.svd(V[1:] - V[0])[2][-1]
+    screened, solves = record_screens_and_solves(monkeypatch)
+    for x in (random_interior_point(model, rng) for _ in range(4)):
+        screened.clear()
+        solves.clear()
+        found = len(enumerate_basic_decompositions(model, x))
+        assert screened == [(math.comb(VERTEX_CAP, 4), 4, 4), (math.comb(VERTEX_CAP, 3), 3, 3)]
+        assert 0 < found <= len(solves) <= found + (math.comb(VERTEX_CAP, 4) if height else 0)
+        assert len(assert_enumeration_is_the_reference(model, x)) == found
+    a, b = hull_edge(V)
+    for x in (V[0], V[-1], 0.5 * (V[a] + V[b])):
+        assert assert_enumeration_is_the_reference(model, x)
+    for x in (random_interior_point(model, rng) + 1e-3 * normal, 3.0 * V[0] - 2.0 * V.mean(axis=0)):
+        solves.clear()
+        assert enumerate_basic_decompositions(model, x) == []
+        assert len(solves) <= (math.comb(VERTEX_CAP, 4) if height else 0)
+        assert assert_enumeration_is_the_reference(model, x) == []
+
+
+@FLAT
+def test_extremality_in_flat_models_is_the_unscreened_check(monkeypatch, turned, height):
+    rng = as_rng(103)
+    V = flat_model(8, 3, rng, turned, height)
+    _assert_extremality_is_the_unscreened_check(V)
+    # beyond CERTIFY_SCALE nothing is certified, and the hull screen proves
+    # every support of a flat model empty
+    screened, solves = record_screens_and_solves(monkeypatch)
+    assert not gpt._certified_extreme(3e8 * V).any()
+    assert gpt._first_non_extreme(3e8 * V) is None
+    assert screened == [(math.comb(8, 4), 4, 4), (math.comb(8, 3), 3, 3)]
+    assert height or not solves
 
 
 def test_cube_faces_edges_and_vertices_are_the_reference():
@@ -446,10 +499,7 @@ def test_state_just_outside_an_edge_is_accepted_as_the_exact_solve_accepts_it():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_generic_states_screen_only_the_simplices_and_solve_once_per_decomposition(monkeypatch, d):
     rng = as_rng(89 + d)
-    screened, solves = [], []
-    screen, lstsq = gpt._screen, np.linalg.lstsq
-    monkeypatch.setattr(gpt, "_screen", lambda a, t: screened.append(a.shape) or screen(a, t))
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    screened, solves = record_screens_and_solves(monkeypatch)
     for n in (d + 2, VERTEX_CAP):
         model = random_sphere_model(n, d, rng)
         for _ in range(4):
