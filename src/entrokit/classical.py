@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import EntropicFunctional, FunctionalCase, as_count, parse_spec
+from .functionals import EntropicFunctional, FunctionalCase, as_count, format_param, parse_spec
 
 ENTRY_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -23,7 +23,9 @@ PARTIAL_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
 UNITARY_TOL = 1e-8
 STOP_WINDOW = 64  # trailing-window length for sequence truncation
-MAX_BLOCK = 65_536  # largest sequence read; reads double from STOP_WINDOW up to it
+# Largest sequence read; reads double from STOP_WINDOW up to it.  Its float64
+# arrays (128,000 bytes) stay under glibc's 128 KiB mmap threshold.
+MAX_BLOCK = 16_000
 
 
 class ProbVector:
@@ -289,17 +291,27 @@ class FiniteTail:
         return float(np.sum(F.phi(rest)))
 
 
+def _inverse_log_square(idx: np.ndarray, offset: int, scale: float) -> np.ndarray:
+    """1.0 / ((scale * x) * ln(x)**2) at x = idx + offset, computed in place in two arrays."""
+    x = idx.astype(float)
+    x += offset
+    logs = np.log(x)
+    logs *= logs
+    x *= scale
+    x *= logs
+    return np.divide(1.0, x, out=x)
+
+
 def _log_square_normalizer(offset: int) -> float:
-    # sum_{i>=0} 1/((i+offset) ln^2(i+offset)) by direct summation plus an
-    # Euler-Maclaurin tail; accurate to ~1e-12, enough for a probe source.
-    n = 1 << 21
-    i = np.arange(n, dtype=float) + offset
-    total = float(np.sum(1.0 / (i * np.log(i) ** 2)))
+    # sum_{i>=0} 1/((i+offset) ln^2(i+offset)): the first 2^13 terms summed,
+    # then the Euler-Maclaurin tail through the f' term at x = 2^13 + offset
+    # (the next term is below 1e-19).  Within 1.8 ulps of a 40-digit mpmath
+    # evaluation at each of twelve offsets tried from 2 to 10^6.
+    n = 1 << 13
+    total = float(np.sum(_inverse_log_square(np.arange(n), offset, 1.0)))
     x = float(n + offset)
-    return total + 1.0 / math.log(x) + 0.5 / (x * math.log(x) ** 2)
-
-
-_LOG_SQUARE_CACHE: dict = {}
+    L = math.log(x)
+    return total + 1.0 / L + 1.0 / (2.0 * x * L**2) + (L + 2.0) / (12.0 * x**2 * L**3)
 
 
 class SequenceSource:
@@ -362,7 +374,7 @@ class SequenceSource:
             fn=lambda idx: (1.0 - r) * np.power(r, idx.astype(float)),
             declared_monotone=True,
             tail=GeometricTail(r),
-            name=f"geometric:r={r:g}",
+            name=f"geometric:r={format_param(r)}",
             vectorized=True,
         )
 
@@ -376,16 +388,9 @@ class SequenceSource:
         if not float(offset).is_integer() or offset < 2:
             raise ValueError(f"offset must be an integer of at least 2, got {offset}")
         offset = int(offset)
-        if offset not in _LOG_SQUARE_CACHE:
-            _LOG_SQUARE_CACHE[offset] = _log_square_normalizer(offset)
-        c = _LOG_SQUARE_CACHE[offset]
-
-        def fn(idx):
-            x = idx.astype(float) + offset
-            return 1.0 / (c * x * np.log(x) ** 2)
-
+        c = _log_square_normalizer(offset)
         return cls(
-            fn=fn,
+            fn=lambda idx: _inverse_log_square(idx, offset, c),
             declared_monotone=True,
             tail=None,
             name=f"heavytail:offset={offset}",
@@ -448,8 +453,9 @@ def entropy_sequence(
     estimate is returned instead.
 
     A vectorized source is read in blocks that double from STOP_WINDOW up to
-    MAX_BLOCK terms and never reach past ``max_terms``.  Both stopping checks
-    still run after every window, in order, so the value, status and
+    MAX_BLOCK terms and never reach past ``max_terms``.  The stopping checks
+    run on each block's window sums as arrays, the tail descriptor asked
+    window by window up to the stopping window, so the value, status and
     ``terms_used`` are those of a window-by-window read.  A read can reach
     past the stopping window, at most to the end of its block; a value there
     outside [0, 1], or breaking a declared monotonicity, raises ValueError
@@ -472,25 +478,29 @@ def entropy_sequence(
     while n < max_terms:
         stop = min(n + block, max_terms)
         phis = np.asarray(F.phi(src.values(n, stop)))
-        full = phis.size - phis.size % STOP_WINDOW
-        chunks = phis[:full].reshape(-1, STOP_WINDOW).sum(axis=1).tolist()
-        if full < phis.size:
-            chunks.append(float(np.sum(phis[full:])))
-        for chunk in chunks:
-            partial += chunk
-            full_window = stop - n >= STOP_WINDOW
-            n = min(n + STOP_WINDOW, stop)
-            last_chunk = abs(chunk)
-            if src.tail is not None:
-                rem = src.tail.remainder(F, n)
+        full = phis.size // STOP_WINDOW
+        # The window sums behind the running partial, the short last window
+        # too: a cumsum adds them to it one by one, as a loop would.
+        sums = np.empty(full + 1 + (phis.size > full * STOP_WINDOW))
+        sums[0] = partial
+        sums[1 : full + 1] = phis[: full * STOP_WINDOW].reshape(-1, STOP_WINDOW).sum(axis=1)
+        if sums.size > full + 1:
+            sums[-1] = np.sum(phis[full * STOP_WINDOW :])
+        chunks = np.abs(sums[1:])
+        np.cumsum(sums, out=sums)
+        # Only full windows can stop the read as a truncated estimate.
+        small = np.flatnonzero(chunks[:full] < increment_tol)
+        last = int(small[0]) if small.size else chunks.size - 1
+        if src.tail is not None:
+            for k in range(last + 1):
+                end = min(n + STOP_WINDOW * (k + 1), stop)
+                rem = src.tail.remainder(F, end)
                 if rem is not None and abs(rem) < increment_tol:
-                    return EntropyResult(
-                        float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem)
-                    )
-            if full_window and last_chunk < increment_tol:
-                return EntropyResult(
-                    float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk
-                )
+                    return EntropyResult(float(F.h(sums[k + 1] + rem)), EntropyStatus.EXACT, end, abs(rem))
+        if small.size:
+            end, value = n + STOP_WINDOW * (last + 1), float(F.h(sums[last + 1]))
+            return EntropyResult(value, EntropyStatus.TRUNCATED_ESTIMATE, end, float(chunks[last]))
+        partial, n, last_chunk = float(sums[-1]), stop, float(chunks[-1])
         block = min(2 * block, block_cap)
     if src.tail is not None:
         rem = src.tail.remainder(F, n)

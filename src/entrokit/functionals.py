@@ -44,6 +44,12 @@ def as_count(value, name: str) -> int:
     return int(value)
 
 
+def format_param(value: float) -> str:
+    """``value`` in a spec name: ``:g`` (six digits) if that parses back to the same float, else repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 class FunctionalCase(Enum):
     """Monotonicity and curvature pairing of an admissible pair."""
 
@@ -113,7 +119,7 @@ def make_renyi(alpha: float) -> EntropicFunctional:
 
     case = FunctionalCase.INCREASING_CONCAVE if alpha < 1.0 else FunctionalCase.DECREASING_CONVEX
     return EntropicFunctional(
-        name=f"renyi:alpha={alpha:g}",
+        name=f"renyi:alpha={format_param(alpha)}",
         phi=phi,
         h=h,
         case=case,
@@ -139,7 +145,7 @@ def make_tsallis(q: float) -> EntropicFunctional:
         return np.where(x > 0.0, (x - x**q) / (q - 1.0), 0.0)[()]
 
     return EntropicFunctional(
-        name=f"tsallis:q={q:g}",
+        name=f"tsallis:q={format_param(q)}",
         phi=phi,
         h=_identity,
         case=FunctionalCase.INCREASING_CONCAVE,
@@ -164,7 +170,7 @@ def make_kaniadakis(kappa: float) -> EntropicFunctional:
         return np.where(x > 0.0, (x ** (1.0 - kappa) - x ** (1.0 + kappa)) / (2.0 * kappa), 0.0)[()]
 
     return EntropicFunctional(
-        name=f"kaniadakis:kappa={kappa:g}",
+        name=f"kaniadakis:kappa={format_param(kappa)}",
         phi=phi,
         h=_identity,
         case=FunctionalCase.INCREASING_CONCAVE,

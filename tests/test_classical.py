@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from entrokit.classical import (
     EntropyStatus,
     ProbVector,
     SequenceSource,
+    _log_square_normalizer,
     apply_bistochastic,
     bistochastic_from_unitary,
     computed_rows,
@@ -803,17 +805,32 @@ def test_blocked_custom_scalar_source_is_the_windowed_loop():
 @pytest.mark.parametrize("support", [64, 384, 400])
 def test_zero_window_stops_on_and_inside_block_ends(support):
     # no tail descriptor: the first all-zero window stops the read, which is
-    # the last window of a block for support 384 (blocks end at 64, 192, 448)
+    # the last window of a block for support 384 (blocks end at 64, 192, 448
+    # until they reach MAX_BLOCK)
     src = SequenceSource(
         fn=lambda idx: np.where(idx < support, 1.0 / support, 0.0),
         declared_monotone=True,
         vectorized=True,
     )
+    # with max_terms at support + 36 the only zero window is short, and a
+    # short window never stops the read
     for spec in ALL_SPECS:
-        assert_blocked_is_windowed(src, functional_from_spec(spec))
+        for max_terms in (10_000, support + 36):
+            assert_blocked_is_windowed(src, functional_from_spec(spec), max_terms=max_terms)
     res = entropy_sequence(src, make_shannon())
     assert res.status is EntropyStatus.TRUNCATED_ESTIMATE
     assert res.terms_used == -(-support // STOP_WINDOW) * STOP_WINDOW + STOP_WINDOW
+
+
+@pytest.mark.parametrize("max_block", [STOP_WINDOW, 65_536])
+def test_array_stopping_checks_are_the_windowed_loop_at_other_blocks(monkeypatch, max_block):
+    # the tests above run at the default MAX_BLOCK; one window per block and
+    # blocks four times as long must stop on the same window
+    assert MAX_BLOCK % STOP_WINDOW == 0 and max_block % STOP_WINDOW == 0
+    monkeypatch.setattr("entrokit.classical.MAX_BLOCK", max_block)
+    test_blocked_heavy_tail_and_finite_are_the_windowed_loop()
+    for support in (64, 384, 400):
+        test_zero_window_stops_on_and_inside_block_ends(support)
 
 
 class CountingSource:
@@ -870,10 +887,38 @@ def test_scalar_source_is_read_one_window_at_a_time():
 
 def test_heavy_tail_normalization():
     src = sequence_from_spec("heavytail")
-    # the first 2^21 terms plus an integral tail define the normalizer;
+    # the first 2^13 terms plus an Euler-Maclaurin tail define the normalizer;
     # the head alone must stay strictly below 1
     head = src.values(0, 4096).sum()
     assert 0.4 < head < 1.0
+    assert _log_square_normalizer(2).hex() == "0x1.0e0c0d5724562p+1"
+    # the terms are 1 / (c x ln^2 x), multiplied in the order written
+    x = np.arange(2.0, 16_002.0)
+    want = 1.0 / (_log_square_normalizer(2) * x * np.log(x) ** 2)
+    assert np.array_equal(src.values(0, 16_000), want)
+    assert [v.hex() for v in src.values(0, 2)] == ["0x1.f91d3834675c9p-2", "0x1.0c1891351c36ep-3"]
+    # references: the sum of the first 2^21 terms plus the tail 1/L + 1/(2 x L^2)
+    for offset, reference in (
+        (3, "0x1.11adce321eb29p+0"),
+        (10, "0x1.c6acb084f9336p-2"),
+        (1000, "0x1.287ff4e85d5d5p-3"),
+        (1_000_000, "0x1.287a76eaf8d4ap-4"),
+    ):
+        ref = float.fromhex(reference)
+        assert abs(_log_square_normalizer(offset) - ref) <= 8 * math.ulp(ref), offset
+    # one block of at most MAX_BLOCK terms at a time: building took 50 MB
+    # when the normalizer summed its 2^21 terms in one array
+    tracemalloc.start()
+    try:
+        src = SequenceSource.heavy_tail()
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        res = entropy_sequence(src, make_shannon(), max_terms=1_000_000)
+        stream_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status is EntropyStatus.DECLARED_DIVERGENT and res.terms_used == 1_000_000
+    assert build_peak < 2e6 and stream_peak < 2e6, (build_peak, stream_peak)
 
 
 def test_sequence_spec_errors():

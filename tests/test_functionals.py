@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from entrokit.classical import entropy_finite
+from entrokit.classical import SequenceSource, entropy_finite, sequence_from_spec
 from entrokit.functionals import (
     BUILTIN_FAMILIES,
     MAX_GRID,
@@ -182,6 +182,19 @@ def test_spec_roundtrip_and_names():
     assert functional_from_spec("shannon").name == "shannon"
     K = functional_from_spec("kaniadakis:kappa=0.25")
     assert K.params == {"kappa": 0.25}
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, 0.9999999, 1 + 1e-12, 0.9604999782348048])
+def test_names_rebuild_their_parameter_bit_for_bit(value):
+    # ":g" keeps six significant digits, so 0.9999999 would be named 1; a
+    # name that ":g" would round spells the float out in full
+    built = [("alpha", make_renyi(value)), ("q", make_tsallis(value))]
+    if value < 1.0:
+        built.append(("kappa", make_kaniadakis(value)))
+        src = SequenceSource.geometric(value)
+        assert sequence_from_spec(src.name).tail.r.hex() == value.hex(), src.name
+    for key, F in built:
+        assert functional_from_spec(F.name).params[key].hex() == value.hex(), F.name
 
 
 @pytest.mark.parametrize(
