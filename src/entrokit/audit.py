@@ -18,9 +18,8 @@ case as it is drawn.  The schur, pinching, isometry and ensemble suites
 also defer their linear algebra: their trial loops only draw (unitaries
 and Dirichlet vectors, or Gaussian factors), and bistochastic maps, their
 images, states, Haar isometries, eigensolves, pinches and ensembles are
-then built once per stack of trials that share a shape (the stacked forms
-of classical and quantum): a dimension, or for the ensemble suite a state
-and ensemble size.
+then built once per stack of trials that share a shape (a dimension, or a
+state and ensemble size) by the private kernels of classical and quantum.
 """
 
 from __future__ import annotations
@@ -30,12 +29,13 @@ from collections.abc import Sized
 import numpy as np
 
 from .classical import (
-    apply_bistochastic,
-    bistochastic_from_unitary,
+    _bistochastic,
+    _mix_rows,
+    _row_margins,
+    _unitary_squares,
     computed_rows,
     entropy_table,
     jensen_step_oracle,
-    majorization_margin,
     positions_by_key,
 )
 from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
@@ -43,12 +43,13 @@ from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_major
 from .quantum import (
     RANK_CUTOFF,
     DensityOperator,
-    conjugate_isometry,
+    _conjugated,
+    _eigensystems,
+    _ensembles,
     eigen_spectrum,
     haar_isometry,
     inf_ensemble_entropy,
     pinch,
-    random_ensemble,
 )
 from .rand import (
     as_rng,
@@ -137,12 +138,12 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 
     The trial loop only draws: each dimension n, a Haar unitary and the
     Dirichlet draw random_prob_vector makes.  The trials of one dimension
-    are then handled as one stack: one bistochastic_from_unitary, one
-    computed_rows for the vectors p, one apply_bistochastic, one row-paired
-    majorization_margin and one jensen_step_oracle per functional, all on
-    the same stacked Q and p.  Every p and q is scored in one entropy_table
-    call.  Entries keep the trial order, and each margin is bit for bit
-    that of a loop that builds and scores every trial as it is drawn.
+    are then handled as one stack: one _unitary_squares, _bistochastic,
+    computed_rows for the vectors p, _mix_rows and row-paired _row_margins,
+    and one jensen_step_oracle per functional, all on the same stacked Q
+    and p.  Every p and q is scored in one entropy_table call.  Entries
+    keep the trial order, and each margin is bit for bit that of a loop
+    that builds and scores every trial as it is drawn.
     """
     drawn_dims, unitaries, draws = [], [], []
     for _ in range(trials):
@@ -154,14 +155,14 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     eq_worst = np.empty((trials, len(functionals)))
     dir_worst = np.empty_like(eq_worst)
     for idx in positions_by_key(drawn_dims):
-        Q = bistochastic_from_unitary(_stack(unitaries, idx))
+        Q = _bistochastic(_unitary_squares(_stack(unitaries, idx)))
         p = computed_rows(_stack(draws, idx))
-        q = apply_bistochastic(Q, p)
-        for t, p_t, q_t, margin in zip(idx, p, q, majorization_margin(p, q).tolist()):
+        q = _mix_rows(Q, p)
+        for t, p_t, q_t, margin in zip(idx, p, q, _row_margins(p, q).tolist()):
             vectors[2 * t : 2 * t + 2] = p_t, q_t
             mixing[t] = margin
         for j, F in enumerate(functionals):
-            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q.matrix, p, F)
+            int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q, p, F)
             f_worst = np.min(-np.abs(int_f - disc_q), axis=1)
             phi_worst = np.min(-np.abs(int_phi - disc_sum), axis=1)
             # Python's min(f, phi): phi only where it is strictly smaller.
@@ -197,7 +198,7 @@ def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     The trial loop only draws: each dimension, the Gaussian factor of the
     state and that of its random unitary.  The linear algebra then runs
     once per dimension, on the stack of that dimension's trials: one
-    DensityOperator, one eigen_spectrum, one haar_isometry and two pinch
+    DensityOperator, one _eigensystems, one haar_isometry and two pinch
     calls, in the random bases and in the eigenbases.  The spectra and both
     diagonals of every trial are scored in one entropy_table call.
     """
@@ -210,7 +211,7 @@ def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     vectors = [None] * (3 * trials)
     for idx in positions_by_key(drawn_dims):
         rho = DensityOperator(density_from_factor(_stack(factors, idx)))
-        spectra, eigenbases = eigen_spectrum(rho)
+        spectra, eigenbases = _eigensystems(rho.matrix)
         bases = haar_isometry(_stack(gaussians, idx))
         for t, *rows in zip(idx, spectra, pinch(rho, bases), pinch(rho, eigenbases)):
             vectors[3 * t : 3 * t + 3] = rows
@@ -243,9 +244,9 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     state and the Gaussian of its isometry (d x d for a unitary, rows x d
     for an embedding).  The trials whose isometries share a shape are
     then conjugated as one stack: one DensityOperator for the states, one
-    haar_isometry, one conjugate_isometry and one eigen_spectrum on each
-    side.  The spectra before and after (of length rows for an embedding)
-    are scored in one entropy_table call.
+    haar_isometry, one _conjugated, one DensityOperator for the images and
+    one _eigensystems on each side.  The spectra before and after (of length
+    rows for an embedding) are scored in one entropy_table call.
     """
     drawn, factors, gaussians = [], [], []
     for t in range(trials):
@@ -262,8 +263,8 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     vectors = [None] * (2 * trials)
     for idx in positions_by_key([g.shape for g in gaussians]):
         rho = DensityOperator(density_from_factor(_stack(factors, idx)))
-        moved = conjugate_isometry(rho, haar_isometry(_stack(gaussians, idx)))
-        for t, before, after in zip(idx, eigen_spectrum(rho)[0], eigen_spectrum(moved)[0]):
+        moved = DensityOperator(_conjugated(rho.matrix, haar_isometry(_stack(gaussians, idx))))
+        for t, before, after in zip(idx, _eigensystems(rho.matrix)[0], _eigensystems(moved.matrix)[0]):
             vectors[2 * t : 2 * t + 2] = before, after
     h = entropy_table(vectors, functionals).tolist()
     entries = []
@@ -288,8 +289,8 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     per state), then only draws: each ensemble size m and the Gaussian of
     its mixing isometry, the draws random_ensemble(rho, m, rng) makes.  The
     ensembles of one size are then built as one stack: one haar_isometry,
-    one random_ensemble with the stacked mixings and one majorization_margin
-    of the spectrum against all their weights, so at most three of each per
+    one _ensembles on the stacked mixings and one _row_margins of the
+    spectrum against all their weights, so at most three of each per
     state.  All spectra and weights are scored in one entropy_table call
     (one kernel call per length and functional).  A state's infimum is the
     least of its spectral ensemble's entropy, which is the value
@@ -315,9 +316,9 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         drawn += budget
         weights, margins = [None] * budget, [None] * budget
         for idx in positions_by_key(sizes):
-            stack = random_ensemble(rho, sizes[idx[0]], mixing=haar_isometry(_stack(gaussians, idx)))
-            stack_margins = majorization_margin(spectrum, stack.weights).tolist()
-            for t, w, margin in zip(idx, stack.weights, stack_margins):
+            drawn_weights, _ = _ensembles(rho, haar_isometry(_stack(gaussians, idx)))
+            stack_margins = _row_margins(spectrum.entries[None], drawn_weights).tolist()
+            for t, w, margin in zip(idx, drawn_weights, stack_margins):
                 weights[t], margins[t] = w, margin
         first = len(vectors)
         vectors += [spectrum, spectral.weights, *weights]

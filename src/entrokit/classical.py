@@ -3,6 +3,11 @@
 Entropies are computed as h(sum phi(p_i)) for a functional pair from
 entrokit.functionals.  Finite sums are evaluated in sorted order so results
 are invariant under permutation of the input, bit for bit.
+
+Public functions take and return one object, each by running a private
+kernel with a leading stack axis on a stack of one; the audit calls the
+kernels on whole stacks.  jensen_step_oracle alone still takes a stack,
+until the benchmark stops tracing it (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -127,16 +132,19 @@ def _clipped_entries(arr: np.ndarray) -> np.ndarray:
 def require_slices(ok, message, item: str) -> None:
     """ValueError(message(t)) for the first slice t where ``ok`` is false.
 
-    ``ok`` holds one flag per slice of a stack (a matrix, a state, a mixing
-    or an ensemble), and the message then names the slice as "<item> t";
-    for a single one it is 0-d and message gets the index ().
+    ``ok`` holds one flag per slice of a stack (a matrix, a state, a mixing,
+    an ensemble or a row), or a 0-d flag for a single object, which
+    ``message`` then gets as the index ().  The error names the slice as
+    "<item> t" only when the stack holds more than one.
     """
-    if ok.ndim == 0:
-        if not ok:
-            raise ValueError(message(()))
-    elif not ok.all():
-        t = int(np.argmin(ok))
-        raise ValueError(f"{item} {t}: {message(t)}")
+    if not ok.all():
+        t = int(np.argmin(ok)) if ok.ndim else ()
+        raise ValueError(f"{item} {t}: {message(t)}" if ok.size > 1 else message(t))
+
+
+def require_finite(stack: np.ndarray, message: str, item: str) -> None:
+    """require_slices for matrices free of NaN and inf, taken before any arithmetic warns on them."""
+    require_slices(np.isfinite(stack).all(axis=(-2, -1)), lambda t: message, item)
 
 
 def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
@@ -145,13 +153,15 @@ def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
     Entries down to -COMPUTED_FLOOR are clipped to zero, and a vector whose
     total drifts from one by more than PARTIAL_SUM_TOL is divided by it.
     """
+    if not np.isfinite(arr).all():
+        raise ValueError("probability vector entries must be finite")
     low = float(arr.min()) if arr.size else 0.0
     if low < -COMPUTED_FLOOR:
         raise ValueError(f"computed entry {low} below floor -{COMPUTED_FLOOR}")
     arr = np.where(arr < 0.0, 0.0, arr)
     totals = arr.sum(axis=-1, keepdims=True)
     # Python floats: a vector is usually one row, where numpy calls cost more
-    # than the test.  Written to pass NaN on, as the ProbVector check rejects it.
+    # than the test.
     sums = totals.ravel().tolist()
     if not sums or any(t <= 0.0 for t in sums):
         raise ValueError("computed vector has non-positive total")
@@ -538,38 +548,28 @@ def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
     return padded.cumsum(axis=1), totals
 
 
-def _check_spread(totals, where: str = "") -> None:
-    """ValueError unless all ``totals`` agree within SUM_TOL, largest against smallest."""
-    low, high = float(totals.min()), float(totals.max())
-    if high - low > SUM_TOL:
-        raise ValueError(f"{where}totals differ beyond {SUM_TOL}: {low!r} vs {high!r}")
-
-
-def majorization_margin(p, q) -> float | np.ndarray:
+def majorization_margin(p, q) -> float:
     """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
 
-    The totals of p and q must agree within SUM_TOL, or ValueError is raised.
-    A 2-d ``q`` holds one vector per row, all of one length: the result is
-    then an array with one margin per row, entry i bit for bit
-    majorization_margin(p, q[i]), and the totals rule holds between p and
-    each row (an error names the first failing row).  A 2-d ``p`` pairs its
-    rows with those of a ``q`` of the same shape: entry i is bit for bit
-    majorization_margin(p[i], q[i]).
+    p and q are vectors, compared zero-padded to a common length.  Their
+    totals must agree within SUM_TOL, or ValueError is raised.
     """
     p, q = _entries(p), _entries(q)
-    if p.ndim == 2 and q.shape != p.shape:
-        raise ValueError(f"a 2-d p needs a q of its shape {p.shape}, one row per row of p; got {q.shape}")
-    lead = p if p.ndim == 2 else p.reshape(1, -1)
-    partial, totals = _partial_sums([lead, q if q.ndim == 2 else q.reshape(1, -1)])
-    if q.ndim != 2:
-        _check_spread(totals)
-        return float((partial[0] - partial[1]).min())
-    # One lead row is compared with every row of q, or row i of p with row i.
-    k = len(lead)
-    bad = np.flatnonzero(np.abs(totals[k:] - totals[:k]) > SUM_TOL)
-    if bad.size:
-        i = int(bad[0])
-        _check_spread(totals[[i if k > 1 else 0, k + i]], f"row {i}: ")
+    if p.ndim > 1 or q.ndim > 1:
+        raise ValueError("majorization compares two vectors, not arrays of them")
+    return float(_row_margins(p.reshape(1, -1), q.reshape(1, -1))[0])
+
+
+def _row_margins(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """majorization_margin(p[t], q[t]) for (k, a) p and (k, b) q, or (p[0], q[t]) for a (1, a) p."""
+    k = len(p)
+    partial, totals = _partial_sums([p, q])
+    low, high = np.minimum(totals[:k], totals[k:]), np.maximum(totals[:k], totals[k:])
+    require_slices(
+        high - low <= SUM_TOL,
+        lambda t: f"totals differ beyond {SUM_TOL}: {float(low[t])!r} vs {float(high[t])!r}",
+        "row",
+    )
     return np.min(partial[:k] - partial[k:], axis=1)
 
 
@@ -587,107 +587,88 @@ def majorant_index(vectors) -> int | None:
     pair: totals 1 - 0.9e-9, 1 and 1 + 0.9e-9 raise here.
     """
     partial, totals = _partial_sums([_entries(v).reshape(1, -1) for v in vectors])
-    _check_spread(totals)
+    low, high = float(totals.min()), float(totals.max())
+    if high - low > SUM_TOL:
+        raise ValueError(f"totals differ beyond {SUM_TOL}: {low!r} vs {high!r}")
     hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -PARTIAL_SUM_TOL)
     return int(hits[0]) if hits.size else None
 
 
 def majorizes(p, q) -> bool:
-    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin.
-
-    A 2-d ``q`` gives one flag per row, and so does a 2-d ``p`` paired row
-    by row with a ``q`` of its shape.
-    """
+    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin."""
     return majorization_margin(p, q) >= -PARTIAL_SUM_TOL
 
 
 class BistochasticMatrix:
-    """A square nonnegative matrix with unit row and column sums, or a stack of them.
-
-    ``matrix`` of shape (n, n) is one matrix; shape (k, n, n) is a stack of
-    k matrices of one size, validated together with the same checks, and an
-    error then names the first failing matrix.
-    """
+    """A square nonnegative matrix with unit row and column sums."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
         Q = np.array(matrix, dtype=float)
-        if Q.ndim not in (2, 3) or Q.shape[-1] != Q.shape[-2]:
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
             raise ValueError("bistochastic matrix must be square")
-        if Q.size == 0:
-            raise ValueError("bistochastic matrix must be non-empty")
-        require_slices(
-            np.isfinite(Q).all(axis=(-2, -1)),
-            lambda t: "bistochastic matrix entries must be finite",
-            "matrix",
-        )
-        require_slices(
-            Q.min(axis=(-2, -1)) >= 0.0,
-            lambda t: "bistochastic matrix entries must be nonnegative",
-            "matrix",
-        )
-        rows = np.abs(Q.sum(axis=-1) - 1.0).max(axis=-1)
-        cols = np.abs(Q.sum(axis=-2) - 1.0).max(axis=-1)
-        require_slices(
-            (rows <= ROW_SUM_TOL) & (cols <= ROW_SUM_TOL),
-            lambda t: f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}",
-            "matrix",
-        )
-        Q.setflags(write=False)
-        self.matrix = Q
-
-    @property
-    def stacked(self) -> bool:
-        return self.matrix.ndim == 3
+        self.matrix = _bistochastic(Q[None])[0]
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[-1]
+        return self.matrix.shape[0]
+
+
+def _bistochastic(Q: np.ndarray) -> np.ndarray:
+    """A (k, n, n) float stack, checked as BistochasticMatrix checks and made read-only in place."""
+    if Q.size == 0:
+        raise ValueError("bistochastic matrix must be non-empty")
+    require_finite(Q, "bistochastic matrix entries must be finite", "matrix")
+    require_slices(
+        Q.min(axis=(1, 2)) >= 0.0, lambda t: "bistochastic matrix entries must be nonnegative", "matrix"
+    )
+    rows = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
+    cols = np.abs(Q.sum(axis=1) - 1.0).max(axis=1)
+    require_slices(
+        (rows <= ROW_SUM_TOL) & (cols <= ROW_SUM_TOL),
+        lambda t: f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}",
+        "matrix",
+    )
+    Q.setflags(write=False)
+    return Q
 
 
 def bistochastic_from_unitary(U) -> BistochasticMatrix:
-    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL.
-
-    A (k, n, n) stack of unitaries gives one stacked BistochasticMatrix,
-    slice t bit for bit the call on U[t]; an error names the first failing
-    matrix.
-    """
+    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL."""
     U = np.asarray(U, dtype=complex)
-    if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2]:
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("unitary must be square")
-    gram = U.conj().swapaxes(-1, -2) @ U
-    dev = np.abs(gram - np.eye(U.shape[-1])).max(axis=(-2, -1))
-    # Written so that NaN passes on to BistochasticMatrix's finiteness check.
+    return BistochasticMatrix(_unitary_squares(U[None])[0])
+
+
+def _unitary_squares(U: np.ndarray) -> np.ndarray:
+    """|U[t]_ij|^2 for a (k, n, n) stack of unitaries, not yet checked as bistochastic."""
+    require_finite(U, "unitary entries must be finite", "matrix")
+    dev = np.abs(U.conj().swapaxes(1, 2) @ U - np.eye(U.shape[-1])).max(axis=(1, 2))
     require_slices(
-        ~(dev > UNITARY_TOL),
+        dev <= UNITARY_TOL,
         lambda t: f"matrix is not unitary within {UNITARY_TOL} (deviation {dev[t]:.3e})",
         "matrix",
     )
-    return BistochasticMatrix(np.abs(U) ** 2)
+    return np.abs(U) ** 2
 
 
-def apply_bistochastic(Q: BistochasticMatrix, p) -> ProbVector | np.ndarray:
-    """Return Q p as a probability vector; the result is majorized by p.
-
-    A stacked Q of shape (k, n, n) takes a (k, n) array ``p``, one row per
-    matrix, each validated as ProbVector validates a vector, and gives a
-    read-only (k, n) array whose row t is, bit for bit, the entries of the
-    call on (Q.matrix[t], p[t]).
-    """
+def apply_bistochastic(Q: BistochasticMatrix, p) -> ProbVector:
+    """Return Q p as a probability vector; the result is majorized by p."""
     if not isinstance(Q, BistochasticMatrix):
         Q = BistochasticMatrix(Q)
-    if Q.stacked:
-        rows = probability_rows(p)
-        if rows.shape != Q.matrix.shape[:2]:
-            raise ValueError(f"p must be {len(Q.matrix)} x {Q.n}, one row per matrix")
-        # A stacked matrix-vector product repeats Q[t] @ p[t] bit for bit; einsum does not.
-        return computed_rows((Q.matrix @ rows[:, :, None])[:, :, 0])
     if not isinstance(p, ProbVector):
         p = ProbVector(p)
     if Q.n != len(p):
         raise ValueError(f"dimension mismatch: matrix is {Q.n}, vector is {len(p)}")
-    return ProbVector.from_computation(Q.matrix @ p.entries)
+    return ProbVector(_mix_rows(Q.matrix[None], p.entries[None])[0])
+
+
+def _mix_rows(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Q[t] p[t] for (k, n, n) bistochastic Q and (k, n) probability rows, as computed_rows."""
+    # A stacked matrix-vector product repeats Q[t] @ p[t] bit for bit; einsum does not.
+    return computed_rows((Q @ p[:, :, None])[:, :, 0])
 
 
 def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
@@ -708,8 +689,9 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     A 3-d ``q_rows`` of shape (k, r, n) is k such batches, one for each row
     of a (k, n) array ``p``; it gives four arrays of shape (k, r), whose
     entry [t] equals, bit for bit, the 2-d call on (q_rows[t], p[t]).  The
-    rows of ``p`` are validated as entropy_rows validates rows.  (Before
-    this form existed, a 3-d ``q_rows`` was flattened to one row.)
+    rows of ``p`` are validated as entropy_rows validates rows.  This
+    stacked form stays public until the benchmark stops tracing this name
+    (ROADMAP item 1).
 
     Any other shape is flattened to one row and gives four floats.
     """

@@ -36,6 +36,9 @@ from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
+# Coordinates below SOLVE_SCALE are solved as given; larger ones are centered
+# and scaled first (_screened_solutions).
+SOLVE_SCALE = 2.0**16
 WEIGHT_FLOOR = 1e-12
 VERTEX_CAP = 12
 DIM_CAP = 4
@@ -43,8 +46,8 @@ DIM_CAP = 4
 SCREEN_COND = 1e-6
 SCREEN_RESIDUAL = 1e3 * RESIDUAL_TOL
 # Largest coordinate magnitude at which the hyperplane certificate of
-# _certified_extreme holds despite rounding; larger models skip it.
-CERTIFY_SCALE = 1e8
+# _certified_extreme holds despite rounding and s_i; larger models skip it.
+CERTIFY_SCALE = 2.0**24
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +119,7 @@ def _screen(a: np.ndarray, b: np.ndarray):
     """(keep, proof, ill) for square systems ``a`` and each right-hand side row of ``b``.
 
     ``a`` holds _systems of (d + 1)-subsets, or of k-subsets projected into
-    the affine hull, each coordinate i divided by a power of two >=
+    the affine hull, each coordinate i divided by a power of two S_i >=
     max(1, |V_i|), exactly.  One stacked LU solve of a [w | X] = [b | I] gives
     barycentric coordinates w and the inverse X.  Unless a is singular or
     kappa = |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[c, p, j] = |w_p| >
@@ -125,9 +128,10 @@ def _screen(a: np.ndarray, b: np.ndarray):
     (keep[c, j] False); rho bounds |a w - b|_2: as computed, plus 1e-14
     (|a|_F (1 + |w|_2) + |b|_2).  Proof (Higham, ch. 7, 9, 14): with |L| <= 1
     and growth <= 2^4 up to 5 x 5, each column of X solves (a + E) x = e_i,
-    |E|_F < 6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  An accepted
-    u >= 0 with u_p = 0, or u_p > 0 > w_p, has |a u - b|_2 < 2.3e-9 (as in
-    _certified_extreme; a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <=
+    |E|_F < 6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  The exact solve
+    holds row i to RESIDUAL_TOL in units of s_i <= S_i, plus rounding below
+    12 eps |V_i|, so an accepted u >= 0 with u_p = 0, or u_p > 0 > w_p, has
+    |a u - b|_2 < 2.3e-9 (a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <=
     |u - w|_2 <= |a^-1|_2 (|a u - b|_2 + |a w - b|_2), below the bound.
     det == 0 comes first: an exact zero pivot makes solve raise for the stack.
     """
@@ -148,16 +152,21 @@ def _screen(a: np.ndarray, b: np.ndarray):
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
     """(target position, support, weights) of each basic decomposition of each row of ``targets``.
 
-    Targets in order, then supports by size and lex order.  cleared[j] holds
-    the 2^n bitmasks the proofs rule out for target j, closed downward, and
-    those meeting exclude[j].  A model with n <= d sends every support.  If
-    every simplex is ill (a flat model), eigh(A A^T) splits off the hull Q
-    (all but the smallest eigenvalue and any below SCREEN_COND^2 times the
-    largest) from the rest R: Q's k-subsets are screened too, and a state
-    with |R^T b| > max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as
-    an accepted u has |R^T b| <= |R^T a u| + 2.4e-9.
+    Coordinates are _centered, and the exact solve divides coordinate i by
+    s_i = max(1, S_i / SOLVE_SCALE), S_i the screen's power of two: row i
+    is held to RESIDUAL_TOL * s_i, above its rounding, and lstsq sees no
+    rows that dwarf the weight-sum row.  Targets in order, then supports
+    by size and lex order.  cleared[j] holds the 2^n bitmasks the proofs
+    rule out for target j, closed downward, and those meeting exclude[j].
+    A model with n <= d sends every support.  If every simplex is ill (a
+    flat model), eigh(A A^T) splits off the hull Q (all but the smallest
+    eigenvalue and any below SCREEN_COND^2 times the largest) from the
+    rest R: Q's k-subsets are screened too, and a state with |R^T b| >
+    max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as an accepted u
+    has |R^T b| <= |R^T a u| + 2.4e-9.
     """
     n, d = V.shape
+    V, targets = _centered(V, targets)
     scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=0))[1])
     A, B = (np.vstack([(P / scale).T, np.ones(len(P))]) for P in (V, targets))
     cleared = np.zeros((len(targets), 1 << n), dtype=bool)
@@ -180,6 +189,8 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
     cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
+    solve_scale = np.maximum(1.0, scale / SOLVE_SCALE)
+    V, targets = V / solve_scale, targets / solve_scale
     for t, x in enumerate(targets):
         for subsets, masks in (_subsets(n, k) for k in range(1, min(n, d + 1) + 1)):
             kept = subsets[~cleared[t, masks]]
@@ -187,26 +198,43 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
                 yield t, tuple(kept[c].tolist()), w
 
 
+def _centered(V: np.ndarray, points: np.ndarray):
+    """V and points less c, c_i the midpoint of coordinate i's range if max|V_i| >= SOLVE_SCALE, else 0.
+
+    Uncentered, a weight sum RESIDUAL_TOL off 1 moves an offset model's
+    barycenter by RESIDUAL_TOL * max|V_i|: 0.1 near 1e8.
+    """
+    if float(np.abs(V).max()) < SOLVE_SCALE:
+        return V, points
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    c = np.where(np.maximum(-lo, hi) >= SOLVE_SCALE, 0.5 * lo + 0.5 * hi, 0.0)
+    return V - c, points - c
+
+
 def _certified_extreme(V: np.ndarray) -> np.ndarray:
     """Which vertices a separating hyperplane proves extreme for the exact solve.
 
-    For an anchor a (the origin, then the vertex centroid), vertex i is
-    certified when c = v_i - a gives
+    V is taken in the centered coordinates (_centered) the exact solve
+    works in.  For an anchor a (the origin, then the vertex centroid),
+    vertex i is certified when c = v_i - a gives
         m = c.v_i - M > SCREEN_RESIDUAL * (|c|_1 + |M|),  M = max_{j != i} c.v_j.
     Then the exact solve rejects v_i over every support S of other vertices.
-    Suppose it accepted weights w.  They are positive, and both its residual
-    tests use RESIDUAL_TOL, so with r = sum_S w_j v_j - v_i and
-    s = sum_S w_j - 1 we have |r|_inf <= t and |s| <= t, where t is
-    RESIDUAL_TOL plus the rounding of the computed residual.  Hence
+    Suppose it accepted weights w.  They are positive, and its residual
+    tests hold coordinate i to RESIDUAL_TOL * s_i and the weight sum to
+    RESIDUAL_TOL, so with r = sum_S w_j v_j - v_i and s = sum_S w_j - 1 we
+    have |r|_inf <= t and |s| <= t, where t is RESIDUAL_TOL * max_i s_i plus
+    the rounding of the computed residual.  Hence
         c.v_i + c.r = sum_S w_j c.v_j <= (1 + s) M,
     so m <= s M - c.r <= t (|M| + |c|_1).  As 0 < w_j, sum w_j <= 1 + t and
     supports hold at most d + 1 <= 5 points, the residual's rounding is below
     12 eps max|V|, and the computed m and M are off by at most
-    2 d eps |c|_1 max|V|.  With max|V| <= CERTIFY_SCALE and d <= DIM_CAP,
-    (12 + 2 d) eps max|V| < 4.5e-7 < SCREEN_RESIDUAL - RESIDUAL_TOL, so a
-    certified margin exceeds every margin an accepted support allows.
+    2 d eps |c|_1 max|V|.  With max|V| <= CERTIFY_SCALE = 2^24, s_i <= 2^9
+    and d <= DIM_CAP, so 2^9 RESIDUAL_TOL + (12 + 2 d) eps max|V| < 5.9e-7
+    < SCREEN_RESIDUAL, and a certified margin exceeds every margin an
+    accepted support allows.
     """
     n = V.shape[0]
+    V, _ = _centered(V, V)
     certified = np.zeros(n, dtype=bool)
     if n < 2 or float(np.abs(V).max()) > CERTIFY_SCALE:
         return certified

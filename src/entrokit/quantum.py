@@ -5,14 +5,12 @@ computed through the same code path as entrokit.classical.entropy_finite, so
 the quantum and classical values agree bit for bit.  Dimensions are expected
 to stay small (default profile d <= 16); exactness is preferred over scale.
 
-Many small states are cheaper as one stack than one at a time: a
-DensityOperator may hold a (k, d, d) stack of states of one dimension, and
-eigen_spectrum, pinch, conjugate_isometry and haar_isometry take stacks and
-broadcast over them.  Likewise random_ensemble takes a (k, m, r) stack of
-mixings for one state and returns the k ensembles as one stacked Ensemble.
-Slice t of a stacked result is, bit for bit, the single call on state (or
-mixing) t; a single one runs the same code, and functions defined for one
-state only reject a stack.
+Public functions take and return one object, each by running a private
+kernel with a leading stack axis on a stack of one; the audit calls the
+kernels on whole stacks, which are cheaper than one state at a time.
+DensityOperator and pinch alone still take a (k, d, d) stack, until the
+benchmark stops tracing them (ROADMAP item 1); every other function
+rejects a stacked DensityOperator.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from .classical import (
     ProbVector,
     computed_rows,
     entropy_finite,
-    probability_rows,
+    require_finite,
     require_slices,
 )
 from .functionals import EntropicFunctional, as_count
@@ -47,11 +45,13 @@ class DensityOperator:
 
     ``matrix`` of shape (d, d) is one state.  Shape (k, d, d) is a stack of
     k states of one dimension, validated together, with one stacked eigvalsh
-    for positivity; an error then names the first failing state.  The
-    stored matrix is the Hermitian average (A + A*)/2 of the input, which
-    is within the acceptance tolerance of it and keeps eigensolves stable.
-    The eigendecomposition is computed on the first eigen_spectrum call and
-    kept for every later one.
+    for positivity; an error names the first failing state of a stack of
+    two or more.  The stack stays public until the benchmark, whose gates
+    count eigensolves per constructor call, is reworked (ROADMAP item 1).
+    The stored matrix is the Hermitian average (A + A*)/2 of the input,
+    which is within the acceptance tolerance of it and keeps eigensolves
+    stable.  The eigendecomposition of one state is computed on the first
+    eigen_spectrum call and kept for every later one.
     """
 
     __slots__ = ("matrix", "dim", "_eigen")
@@ -60,9 +60,7 @@ class DensityOperator:
         rho = np.array(matrix, dtype=complex)
         if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2] or rho.size == 0:
             raise ValueError("density operator must be a square matrix or a stack of them")
-        require_slices(
-            np.isfinite(rho).all(axis=(-2, -1)), lambda t: "density operator entries must be finite", "state"
-        )
+        require_finite(rho, "density operator entries must be finite", "state")
         dev = np.abs(rho - _adjoint(rho)).max(axis=(-2, -1))
         require_slices(
             dev <= HERMITIAN_TOL,
@@ -107,22 +105,21 @@ def _one_state(rho: DensityOperator) -> None:
         raise ValueError(f"expected one density operator, got a stack of {len(rho.matrix)}")
 
 
-def _computed(values: np.ndarray):
-    """ProbVector.from_computation of a vector, or its rule on each row of a stack."""
-    return computed_rows(values) if values.ndim == 2 else ProbVector.from_computation(values)
-
-
 def pure_state(psi) -> DensityOperator:
     """|psi><psi| for a (not necessarily normalized) state vector."""
     v = np.asarray(psi, dtype=complex).ravel()
-    norm = float(np.linalg.norm(v))
-    if norm <= 0.0:
+    if not np.isfinite(v).all():
+        raise ValueError("state vector entries must be finite")
+    # Scaled by its largest entry first, so the norm neither underflows nor overflows.
+    top = float(np.max(np.abs(v), initial=0.0))
+    if top <= 0.0:
         raise ValueError("state vector must be nonzero")
-    v = v / norm
+    v = v / top
+    v = v / np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector | np.ndarray, np.ndarray]:
+def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
     """Spectrum in nonincreasing order and matching eigenbasis (columns).
 
     Eigenvalues below RANK_CUTOFF are set to exactly zero, and
@@ -133,53 +130,56 @@ def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector | np.ndarray, np.nd
     removed.  Degenerate clusters come out of the Hermitian solver already
     orthonormalized.
 
-    For a stack of k states the pair is a read-only (k, d) array of spectra,
-    each row after from_computation's rule (classical.computed_rows), and
-    the (k, d, d) bases; one stacked eigh serves the whole stack, and row t
-    is, bit for bit, the single call on state t.
-
-    The solve runs once per state or stack: every call returns the same
-    pair, and the basis is read-only.
+    The solve runs once per state: every call returns the same pair, and
+    the basis is read-only.
     """
+    _one_state(rho)
     if rho._eigen is None:
-        w, v = np.linalg.eigh(rho.matrix)
-        w = w[..., ::-1].copy()
-        v = v[..., ::-1].copy()
-        w[w < RANK_CUTOFF] = 0.0
-        v.setflags(write=False)
-        rho._eigen = (_computed(w), v)
+        spectra, bases = _eigensystems(rho.matrix[None])
+        rho._eigen = (ProbVector(spectra[0]), bases[0])
     return rho._eigen
+
+
+def _eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigen_spectrum of each density matrix of a stack by one eigh: spectra as computed_rows, bases."""
+    w, v = np.linalg.eigh(matrices)
+    w = w[..., ::-1].copy()
+    v = v[..., ::-1].copy()
+    w[w < RANK_CUTOFF] = 0.0
+    v.setflags(write=False)
+    return computed_rows(w), v
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
     """h(Tr phi(rho)), evaluated as the classical entropy of the spectrum."""
-    _one_state(rho)
     spectrum, _ = eigen_spectrum(rho)
     return entropy_finite(spectrum, F)
 
 
 def conjugate_isometry(rho: DensityOperator, V) -> DensityOperator:
-    """V rho V* for an isometry V (D x d with V*V = I_d); entropy is preserved.
-
-    For a stack of k states, V is a (k, D, d) stack of isometries, one per
-    state, and the result is the stack of the k images; slice t is, bit for
-    bit, the single call on (state t, V[t]).
-    """
+    """V rho V* for an isometry V (D x d with V*V = I_d); entropy is preserved."""
+    _one_state(rho)
     V = np.asarray(V, dtype=complex)
-    if V.ndim != rho.matrix.ndim or V.shape[:-2] != rho.matrix.shape[:-2]:
-        raise ValueError("isometry must be a matrix, or a stack with one matrix per state")
-    rows, cols = V.shape[-2:]
+    if V.ndim != 2:
+        raise ValueError("isometry must be a matrix")
+    return DensityOperator(_conjugated(rho.matrix[None], V[None])[0])
+
+
+def _conjugated(matrices: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V[t] rho[t] V[t]* for (k, d, d) density matrices and (k, D, d) isometries."""
+    rows, cols = V.shape[1:]
     if rows < cols:
         raise ValueError("isometry must have at least as many rows as columns")
-    if cols != rho.dim:
-        raise ValueError(f"isometry maps dimension {cols}, state has {rho.dim}")
-    dev = np.abs(_adjoint(V) @ V - np.eye(cols)).max(axis=(-2, -1))
+    if cols != matrices.shape[-1]:
+        raise ValueError(f"isometry maps dimension {cols}, state has {matrices.shape[-1]}")
+    require_finite(V, "isometry entries must be finite", "state")
+    dev = np.abs(_adjoint(V) @ V - np.eye(cols)).max(axis=(1, 2))
     require_slices(
         dev <= ISOMETRY_TOL,
         lambda t: f"V*V deviates from identity by {dev[t]:.3e} (> {ISOMETRY_TOL})",
         "state",
     )
-    return DensityOperator(V @ rho.matrix @ _adjoint(V))
+    return V @ matrices @ _adjoint(V)
 
 
 def haar_isometry(g) -> np.ndarray:
@@ -213,11 +213,13 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
     For a stack of k states, ``basis`` is a (k, d, d) stack of bases, one
     per state, and the result a read-only (k, d) array, each row after
     from_computation's rule; row t is, bit for bit, the single call on
-    (state t, basis[t]).
+    (state t, basis[t]).  The stacked form stays public until the benchmark
+    stops tracing this name (ROADMAP item 1).
     """
     B = np.asarray(basis, dtype=complex)
     if B.shape != rho.matrix.shape:
         raise ValueError(f"basis must be {' x '.join(map(str, rho.matrix.shape))}")
+    require_finite(B, "basis entries must be finite", "state")
     dev = np.abs(_adjoint(B) @ B - np.eye(rho.dim)).max(axis=(-2, -1))
     require_slices(
         dev <= BASIS_TOL,
@@ -225,7 +227,7 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
         "state",
     )
     diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
-    return _computed(diag)
+    return computed_rows(diag) if diag.ndim == 2 else ProbVector.from_computation(diag)
 
 
 def pinching_inequality_audit(
@@ -251,67 +253,49 @@ def pinching_inequality_audit(
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Weighted pure states; rows of ``states`` are unit vectors.
+    """Weighted pure states; row i of ``states`` is the unit vector of weight i.
 
-    One ensemble has ProbVector weights and an (m, d) array of states.  A
-    stack of k ensembles of one size m has a (k, m) array of weights, each
-    row validated as ProbVector validates a vector and stored read-only,
-    and (k, m, d) states; its checks run once for the stack, and an error
-    names the first failing ensemble.
+    ``weights`` may be given as any probability vector; it is stored as a
+    ProbVector, and ``states`` as a read-only (m, d) array.
     """
 
-    weights: ProbVector | np.ndarray
+    weights: ProbVector
     states: np.ndarray
 
     def __post_init__(self):
+        weights = self.weights if isinstance(self.weights, ProbVector) else ProbVector(self.weights)
         states = np.asarray(self.states, dtype=complex)
-        if isinstance(self.weights, ProbVector):
-            shape = (len(self.weights),)
-        else:
-            weights = probability_rows(self.weights)
-            weights.setflags(write=False)
-            object.__setattr__(self, "weights", weights)
-            shape = weights.shape
-        if states.ndim != len(shape) + 1 or states.shape[:-1] != shape:
+        if states.ndim != 2 or len(states) != len(weights):
             raise ValueError("states must be one row per weight")
-        dev = np.abs(np.linalg.norm(states, axis=-1) - 1.0).max(axis=-1)
-        # Written to be false for NaN, so non-finite states are rejected too.
-        require_slices(
-            dev <= STATE_NORM_TOL,
-            lambda t: f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}",
-            "ensemble",
-        )
+        message = f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}"
+        require_finite(states, message, "ensemble")
+        if not float(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max()) <= STATE_NORM_TOL:
+            raise ValueError(message)
         states.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
 
     @property
-    def stacked(self) -> bool:
-        return self.states.ndim == 3
-
-    @property
     def size(self) -> int:
-        """The number m of pure states in the ensemble, or in each of a stack."""
-        return self.states.shape[-2]
+        """The number m of pure states in the ensemble."""
+        return len(self.weights)
 
     def reconstruct(self) -> np.ndarray:
-        """sum_i w_i |psi_i><psi_i|, or that matrix for each ensemble of a stack."""
-        w = self.weights if self.stacked else self.weights.entries
-        return (self.states.swapaxes(-1, -2) * w[..., None, :]) @ self.states.conj()
+        """sum_i w_i |psi_i><psi_i|."""
+        return _reconstructed(self.weights.entries, self.states)
 
-    def check_reconstructs(self, rho: DensityOperator):
-        """Largest entry of |reconstruct() - rho|, one per ensemble of a stack.
-
-        ValueError if it exceeds RECONSTRUCTION_TOL; for a stack, the error
-        names the first ensemble that fails.
-        """
+    def check_reconstructs(self, rho: DensityOperator) -> float:
+        """Largest entry of |reconstruct() - rho|; ValueError if it exceeds RECONSTRUCTION_TOL."""
         _one_state(rho)
-        dev = np.abs(self.reconstruct() - rho.matrix).max(axis=(-2, -1))
-        require_slices(
-            dev <= RECONSTRUCTION_TOL,
-            lambda t: f"ensemble reconstructs rho only to {dev[t]:.3e} (> {RECONSTRUCTION_TOL})",
-            "ensemble",
-        )
-        return dev if self.stacked else float(dev)
+        dev = float(np.abs(self.reconstruct() - rho.matrix).max())
+        if not dev <= RECONSTRUCTION_TOL:
+            raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {RECONSTRUCTION_TOL})")
+        return dev
+
+
+def _reconstructed(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_i w_i |psi_i><psi_i| of one ensemble, or of each in a stack."""
+    return (states.swapaxes(-1, -2) * weights[..., None, :]) @ states.conj()
 
 
 def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ensemble:
@@ -322,48 +306,50 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     ensemble of m states averaging back to rho; M defaults to a random
     isometry.  Pass mixing=np.eye(r) to obtain the spectral decomposition.
     Requires m >= r.  A state of zero weight is reported as e_0.
-
-    A (k, m, r) stack of mixings gives the stack of the k ensembles (see
-    Ensemble), with one isometry check and one reconstruction check for the
-    stack; an error names the first failing mixing or ensemble.  Slice t
-    is, bit for bit, the call with mixing[t], in weights and in states.
     """
-    _one_state(rho)
     m = as_count(m, "m")
-    spectrum, basis = eigen_spectrum(rho)
-    lam = spectrum.entries
-    r = int(np.sum(lam > RANK_CUTOFF))
-    if r == 0:
-        raise ValueError("state has no eigenvalue above the rank cutoff")
+    spectrum, _ = eigen_spectrum(rho)
+    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     if m < r:
         raise ValueError(f"ensemble size m={m} is below the rank {r}")
-    if mixing is None:
-        M = random_isometry(m, r, rng)
-    else:
-        M = np.asarray(mixing, dtype=complex)
-        if M.ndim not in (2, 3) or M.shape[-2:] != (m, r):
-            raise ValueError(f"mixing must be {m} x {r}, or a stack of such matrices")
-        dev = np.abs(_adjoint(M) @ M - np.eye(r)).max(axis=(-2, -1))
-        require_slices(
-            dev <= ISOMETRY_TOL,
-            lambda t: f"mixing is not an isometry within {ISOMETRY_TOL} (deviation {dev[t]:.3e})",
-            "mixing",
-        )
-    scaled = basis[:, :r] * np.sqrt(lam[:r])
-    tilde = M @ scaled.T  # rows are unnormalized ensemble states
+    M = random_isometry(m, r, rng) if mixing is None else np.asarray(mixing, dtype=complex)
+    if M.shape != (m, r):
+        raise ValueError(f"mixing must be {m} x {r}")
+    weights, states = _ensembles(rho, M[None])
+    return Ensemble(ProbVector(weights[0]), states[0])
+
+
+def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights, as computed_rows, and states of random_ensemble for each of (k, m, r) mixings; r the rank."""
+    spectrum, basis = eigen_spectrum(rho)
+    r = mixings.shape[-1]
+    require_finite(mixings, "mixing is not an isometry: its entries must be finite", "mixing")
+    dev = np.abs(_adjoint(mixings) @ mixings - np.eye(r)).max(axis=(1, 2))
+    require_slices(
+        dev <= ISOMETRY_TOL,
+        lambda t: f"mixing is not an isometry within {ISOMETRY_TOL} (deviation {dev[t]:.3e})",
+        "mixing",
+    )
+    scaled = basis[:, :r] * np.sqrt(spectrum.entries[:r])
+    tilde = mixings @ scaled.T  # rows are unnormalized ensemble states
     weights = np.linalg.norm(tilde, axis=-1) ** 2
     kept = weights > 1e-30
     # The divisor is 1 where the weight is dropped, so no 0/0 is ever taken.
     norms = np.sqrt(np.where(kept, weights, 1.0))[..., None]
     states = np.where(kept[..., None], tilde / norms, np.eye(1, rho.dim)[0])
-    ensemble = Ensemble(weights=_computed(weights), states=states)
-    ensemble.check_reconstructs(rho)
-    return ensemble
+    states.setflags(write=False)
+    weights = computed_rows(weights)
+    dev = np.abs(_reconstructed(weights, states) - rho.matrix).max(axis=(1, 2))
+    require_slices(
+        dev <= RECONSTRUCTION_TOL,
+        lambda t: f"ensemble reconstructs rho only to {dev[t]:.3e} (> {RECONSTRUCTION_TOL})",
+        "ensemble",
+    )
+    return weights, states
 
 
 def spectral_ensemble(rho: DensityOperator) -> Ensemble:
     """The eigendecomposition of rho presented as an ensemble."""
-    _one_state(rho)
     spectrum, _ = eigen_spectrum(rho)
     r = int(np.sum(spectrum.entries > RANK_CUTOFF))
     return random_ensemble(rho, r, mixing=np.eye(r))
@@ -382,7 +368,6 @@ def inf_ensemble_entropy(
     weight vector is majorized by the spectrum it attains the infimum; the
     returned value therefore matches quantum_entropy(rho, F) within 1e-9.
     """
-    _one_state(rho)
     trials = as_count(trials, "trials")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")

@@ -20,6 +20,8 @@ from entrokit.audit import (
     run_audit,
 )
 from entrokit.classical import (
+    _mix_rows,
+    _unitary_squares,
     apply_bistochastic,
     bistochastic_from_unitary,
     entropy_finite,
@@ -30,6 +32,7 @@ from entrokit.functionals import FunctionalCase, make_custom
 from entrokit.gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from entrokit.quantum import (
     RANK_CUTOFF,
+    _ensembles,
     conjugate_isometry,
     eigen_spectrum,
     inf_ensemble_entropy,
@@ -367,14 +370,14 @@ def test_schur_suite_mixes_each_dimension_as_one_stack(monkeypatch, trials, dims
 
     def counted_build(U):
         built.append(np.shape(U))
-        return bistochastic_from_unitary(U)
+        return _unitary_squares(U)
 
     def counted_apply(Q, p):
         applied.append(np.shape(p))
-        return apply_bistochastic(Q, p)
+        return _mix_rows(Q, p)
 
-    monkeypatch.setattr(audit, "bistochastic_from_unitary", counted_build)
-    monkeypatch.setattr(audit, "apply_bistochastic", counted_apply)
+    monkeypatch.setattr(audit, "_unitary_squares", counted_build)
+    monkeypatch.setattr(audit, "_mix_rows", counted_apply)
     report = run_audit("schur", trials=trials, seed=5, dims=dims)
     drawn = Counter(c.dim for c in report.cases if c.case == "mixing-majorization")
     assert sum(drawn.values()) == trials
@@ -394,21 +397,20 @@ def test_schur_suite_mixes_each_dimension_as_one_stack(monkeypatch, trials, dims
 @pytest.mark.parametrize("trials", [7, 40, 61])
 def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
     # Draws are built in stacks of one ensemble size: each drawn ensemble is
-    # one slice of a stacked mixing, and random_ensemble draws nothing itself.
-    # The 2-d mixings are the identities of the spectral ensembles.
+    # one slice of a stacked mixing, and the kernel draws nothing itself.
+    # random_ensemble runs only for the spectral ensembles, with identity mixings.
     stacked, single, unmixed = [], [], []
 
+    def counted_stack(rho, mixings):
+        stacked.append(len(mixings))
+        return _ensembles(rho, mixings)
+
     def counted(rho, m, rng=None, mixing=None):
-        if mixing is None:
-            unmixed.append(m)
-        elif np.ndim(mixing) == 3:
-            stacked.append(len(mixing))
-        else:
-            single.append(m)
+        (unmixed if mixing is None else single).append(m)
         return random_ensemble(rho, m, rng=rng, mixing=mixing)
 
+    monkeypatch.setattr(audit, "_ensembles", counted_stack)
     monkeypatch.setattr(quantum, "random_ensemble", counted)
-    monkeypatch.setattr(audit, "random_ensemble", counted)
     report = run_audit("ensemble", trials=trials, seed=5)
     states = max(1, trials // 20)
     assert unmixed == []

@@ -15,7 +15,11 @@ from entrokit.classical import (
     EntropyStatus,
     ProbVector,
     SequenceSource,
+    _bistochastic,
     _log_square_normalizer,
+    _mix_rows,
+    _row_margins,
+    _unitary_squares,
     apply_bistochastic,
     bistochastic_from_unitary,
     computed_rows,
@@ -323,56 +327,59 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (3, 3), (4, 6), (6, 4), (5, 1)])
-def test_margin_against_rows_is_the_pair_call_row_by_row(n, width):
+def test_row_margins_are_the_single_calls_bit_for_bit(n, width):
     rng = np.random.default_rng(100 * n + width)
     p = ProbVector.from_computation(rng.dirichlet(np.ones(n)))
     rows = computed_rows(rng.dirichlet(np.ones(width), size=7)).copy()
     rows[3] = np.sort(rows[3])  # an ascending row, and one equal to p where it fits
     if width == n:
         rows[5] = p.entries
-    margins = majorization_margin(p, rows)
+    # One p against every row, as the ensemble suite takes them.
+    margins = _row_margins(p.entries[None], rows)
     assert margins.shape == (7,)
     for margin, row in zip(margins.tolist(), rows):
         assert margin == majorization_margin(p, row)
-    assert np.array_equal(majorization_margin(p.entries, rows[:1]), [majorization_margin(p, rows[0])])
+    # Row t of p against row t of q, as the schur suite takes them.
+    leads = computed_rows(rng.dirichlet(np.ones(n), size=7)).copy()
+    leads[6] = np.sort(leads[6])
+    if width == n:
+        leads[4] = rows[4]
+    paired = _row_margins(leads, rows)
+    assert paired.shape == (7,)
+    for margin, lead, row in zip(paired.tolist(), leads, rows):
+        assert margin == majorization_margin(lead, row)
 
 
-def test_margin_against_rows_checks_each_row():
-    p = [0.5, 0.5]
+def test_row_margins_name_the_first_row_whose_totals_differ():
+    p = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError, match=r"^row 2: totals differ"):
-        majorization_margin(p, [[0.6, 0.4], [1.0, 0.0], [0.7, 0.2], [0.5, 0.4]])
+        _row_margins(p, np.array([[0.6, 0.4], [1.0, 0.0], [0.7, 0.2], [0.5, 0.4]]))
     with pytest.raises(ValueError, match="finite"):
-        majorization_margin(p, [[0.6, 0.4], [math.nan, 0.5]])
+        _row_margins(p, np.array([[0.6, 0.4], [math.nan, 0.5]]))
     # each row is checked against p: rows within SUM_TOL of p pass although they differ by more
-    rows = [[0.5, 0.5 - 0.9e-9], [0.5, 0.5 + 0.9e-9]]
-    assert majorization_margin(p, rows).shape == (2,)
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_margin_of_paired_rows_is_the_pair_call_row_by_row(n):
-    rng = np.random.default_rng(40 + n)
-    p = computed_rows(rng.dirichlet(np.ones(n), size=9)).copy()
-    q = computed_rows(rng.dirichlet(np.ones(n), size=9)).copy()
-    q[4] = p[4]
-    q[6] = np.sort(q[6])
-    margins = majorization_margin(p, q)
-    assert margins.shape == (9,)
-    for i, margin in enumerate(margins.tolist()):
-        assert margin == majorization_margin(p[i], q[i])
-    assert np.array_equal(majorizes(p, q), [majorizes(a, b) for a, b in zip(p, q)])
-
-
-def test_margin_of_paired_rows_rejects_mismatches():
-    p = [[0.5, 0.5], [1.0, 0.0]]
-    # Once flattened into one vector of total 2.0 and failed on the totals.
-    assert np.array_equal(majorization_margin(p, [[1.0, 0.0], [0.5, 0.5]]), [-0.5, 0.0])
-    for q in ([[0.5, 0.5]], [[0.5, 0.5]] * 3, [[0.5, 0.5, 0.0]] * 2, [0.5, 0.5]):
-        with pytest.raises(ValueError, match=r"^a 2-d p needs a q of its shape \(2, 2\)"):
-            majorization_margin(p, q)
+    assert _row_margins(p, np.array([[0.5, 0.5 - 0.9e-9], [0.5, 0.5 + 0.9e-9]])).shape == (2,)
+    leads = np.array([[0.5, 0.5], [1.0, 0.0]])
+    assert np.array_equal(_row_margins(leads, np.array([[1.0, 0.0], [0.5, 0.5]])), [-0.5, 0.0])
     with pytest.raises(ValueError, match=r"^row 1: totals differ"):
-        majorization_margin(p, [[0.5, 0.5], [0.7, 0.2]])
+        _row_margins(leads, np.array([[0.5, 0.5], [0.7, 0.2]]))
     with pytest.raises(ValueError, match="finite"):
-        majorization_margin(p, [[0.5, 0.5], [math.nan, 0.5]])
+        _row_margins(leads, np.array([[0.5, 0.5], [math.nan, 0.5]]))
+    # A stack of one is the single call: its error names no row.
+    with pytest.raises(ValueError, match=r"^totals differ"):
+        _row_margins(p, np.array([[0.7, 0.2]]))
+
+
+def test_margin_takes_two_vectors_only():
+    p = [0.5, 0.5]
+    # A 3-d p is rejected, not flattened into one vector.
+    for bad in ([[0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]], np.ones((1, 1, 2)) / 2):
+        for call in (majorization_margin, majorizes):
+            with pytest.raises(ValueError, match="two vectors"):
+                call(bad, p)
+            with pytest.raises(ValueError, match="two vectors"):
+                call(p, bad)
+    assert type(majorization_margin(p, p)) is float
+    assert majorizes(p, p) is True
 
 
 def test_margin_accepts_probvectors_mixed_with_lists():
@@ -439,31 +446,35 @@ def test_apply_bistochastic_flattens_point_mass():
     assert np.allclose(out.entries, [0.5, 0.5], rtol=0, atol=1e-15)
 
 
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 12])
-def test_stacked_bistochastic_is_the_single_call_slice_by_slice(n):
+def test_bistochastic_kernels_are_the_single_calls_bit_for_bit(n):
     rng = np.random.default_rng(60 + n)
     k = 7
     Us = np.array([random_unitary(n, rng) for _ in range(k)])
     ps = computed_rows(rng.dirichlet(np.ones(n), size=k))
-    Q = bistochastic_from_unitary(Us)
-    assert Q.stacked and Q.n == n and Q.matrix.shape == (k, n, n)
-    assert not Q.matrix.flags.writeable
-    assert np.array_equal(BistochasticMatrix(Q.matrix).matrix, Q.matrix)
-    qs = apply_bistochastic(Q, ps)
+    Q = _bistochastic(_unitary_squares(Us))
+    assert Q.shape == (k, n, n) and not Q.flags.writeable
+    qs = _mix_rows(Q, ps)
     assert qs.shape == (k, n) and not qs.flags.writeable
-    assert np.array_equal(apply_bistochastic(Q.matrix, ps), qs)
     for t in range(k):
         one = bistochastic_from_unitary(Us[t])
-        assert not one.stacked
-        assert np.array_equal(Q.matrix[t], one.matrix)
-        assert np.array_equal(BistochasticMatrix(Q.matrix[t]).matrix, one.matrix)
-        assert np.array_equal(qs[t], apply_bistochastic(one, ps[t]).entries)
+        assert not one.matrix.flags.writeable
+        assert_same_bits(Q[t], one.matrix)
+        assert_same_bits(BistochasticMatrix(Q[t]).matrix, one.matrix)
+        assert_same_bits(qs[t], apply_bistochastic(one, ps[t]).entries)
+        assert_same_bits(qs[t], apply_bistochastic(Q[t], ps[t]).entries)
 
 
-def test_stacked_bistochastic_errors_name_the_first_bad_matrix():
+def test_bistochastic_kernel_errors_name_the_first_bad_matrix():
     rng = np.random.default_rng(71)
     Us = np.array([random_unitary(3, rng) for _ in range(4)])
-    Q = bistochastic_from_unitary(Us).matrix
+    Q = np.abs(Us) ** 2
 
     def with_entry(arr, index, value):
         out = arr.copy()
@@ -475,22 +486,34 @@ def test_stacked_bistochastic_errors_name_the_first_bad_matrix():
         (with_entry(with_entry(Q, (3, 1, 1), math.inf), (1, 0, 0), math.nan), "matrix 1: .*finite"),
         (with_entry(Q, (1, 0, 0), -1e-3), "matrix 1: .*nonnegative"),
         (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * ROW_SUM_TOL), "matrix 3: row/column sums"),
+        (with_entry(Q[:1], (0, 0, 0), -1e-3), "bistochastic matrix entries must be nonnegative"),
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
-            BistochasticMatrix(stack)
+            _bistochastic(stack)
+    with pytest.raises(ValueError, match="non-empty"):
+        _bistochastic(np.empty((0, 3, 3)))
     with pytest.raises(ValueError, match=r"^matrix 2: matrix is not unitary .*deviation"):
-        bistochastic_from_unitary(with_entry(Us, (2, 0, 0), 2.0))
-    for bad in (np.ones((2, 3, 4)) / 4, np.ones((1, 2, 2, 2)) / 2, np.empty((0, 3, 3))):
-        with pytest.raises(ValueError, match="square|non-empty"):
+        _unitary_squares(with_entry(Us, (2, 0, 0), 2.0))
+    with pytest.raises(ValueError, match=r"^matrix 1: unitary entries must be finite"):
+        _unitary_squares(with_entry(Us, (1, 0, 0), math.inf))
+    with pytest.raises(ValueError, match=r"^matrix is not unitary .*deviation"):
+        _unitary_squares(with_entry(Us[:1], (0, 0, 0), 2.0))
+
+
+def test_single_bistochastic_calls_reject_stacks():
+    for bad in (np.full((2, 2, 2), 0.5), np.ones((2, 3, 4)) / 4, np.ones((1, 2, 2, 2)) / 2, np.empty((0, 3, 3))):
+        with pytest.raises(ValueError, match="square"):
             BistochasticMatrix(bad)
-    with pytest.raises(ValueError, match="unitary must be square"):
-        bistochastic_from_unitary(Us[:, :, :2])
-    ps = computed_rows(rng.dirichlet(np.ones(3), size=4))
-    for p in (ps[:3], ps[:, :2] / ps[:, :2].sum(axis=1, keepdims=True)):
-        with pytest.raises(ValueError, match=r"^p must be 4 x 3"):
-            apply_bistochastic(bistochastic_from_unitary(Us), p)
-    with pytest.raises(ValueError, match=r"^row 1 sums to"):
-        apply_bistochastic(bistochastic_from_unitary(Us), with_entry(ps, (1, 0), ps[1, 0] + 1e-6))
+    with pytest.raises(ValueError, match="non-empty"):
+        BistochasticMatrix(np.empty((0, 0)))
+    for bad in (np.array([HADAMARD, HADAMARD]), HADAMARD[:, :1]):
+        with pytest.raises(ValueError, match="unitary must be square"):
+            bistochastic_from_unitary(bad)
+    Q = bistochastic_from_unitary(HADAMARD)
+    with pytest.raises(ValueError, match="dimension mismatch: matrix is 2, vector is 3"):
+        apply_bistochastic(Q, [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="square"):
+        apply_bistochastic(np.array([Q.matrix, Q.matrix]), [0.5, 0.5])
 
 
 def _random_unitary(d, rng):

@@ -496,6 +496,21 @@ def test_state_just_outside_an_edge_is_accepted_as_the_exact_solve_accepts_it():
     assert value == entropy_finite(ProbVector.from_computation(want[0][1]), make_shannon()).value
 
 
+@pytest.mark.parametrize("offset", [1e6, 1e8, -1e8])
+def test_offset_models_keep_their_entropy_and_their_hull(offset):
+    # Near 1e8 a residual's rounding exceeds RESIDUAL_TOL, and a weight sum
+    # 1e-9 off 1 moves the barycenter by 0.1: the exact solve centers and
+    # scales such coordinates.
+    square = 3.0 * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    x = square.mean(axis=0) + [0.3, 0.1]
+    want, _ = gpt_entropy(ConvexModel(square), x, make_shannon())
+    model = ConvexModel(square + offset)
+    value, dec = gpt_entropy(model, x + offset, make_shannon())
+    assert abs(value - want) <= 1e-6 and len(dec.support) == 3
+    # 1e-3 below the bottom edge, the model's scale and rounding notwithstanding
+    assert gpt_entropy(model, [offset + 1.5, offset - 1e-3], make_shannon()) == (math.inf, None)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_generic_states_screen_only_the_simplices_and_solve_once_per_decomposition(monkeypatch, d):
     rng = as_rng(89 + d)

@@ -13,6 +13,9 @@ from entrokit.quantum import (
     RANK_CUTOFF,
     DensityOperator,
     Ensemble,
+    _conjugated,
+    _eigensystems,
+    _ensembles,
     conjugate_isometry,
     eigen_spectrum,
     haar_isometry,
@@ -294,7 +297,7 @@ def test_stacked_forms_are_the_single_calls_bit_for_bit(d):
     states = mixed_rank_states(d, k, rng)
     stack = DensityOperator(np.array([rho.matrix for rho in states]))
     assert stack.stacked and stack.dim == d and stack.matrix.shape == (k, d, d)
-    spectra, bases = eigen_spectrum(stack)
+    spectra, bases = _eigensystems(stack.matrix)
     bases_u = haar_isometry(np.array([ginibre(d, d, rng) for _ in range(k)]))
     pinched = pinch(stack, bases_u)
     pinned = pinch(stack, bases)
@@ -308,13 +311,13 @@ def test_stacked_forms_are_the_single_calls_bit_for_bit(d):
     for rows in range(d, d + 5):
         gaussians = np.array([ginibre(rows, d, rng) for _ in range(k)])
         V = haar_isometry(gaussians)
-        moved = conjugate_isometry(stack, V)
-        assert moved.stacked and moved.dim == rows
-        moved_spectra, _ = eigen_spectrum(moved)
+        moved = _conjugated(stack.matrix, V)
+        assert moved.shape == (k, rows, rows)
+        moved_spectra, _ = _eigensystems(DensityOperator(moved).matrix)
         for t, rho in enumerate(states):
             assert_same_bits(V[t], haar_isometry(gaussians[t]))
             single = conjugate_isometry(rho, V[t])
-            assert_same_bits(moved.matrix[t], single.matrix)
+            assert_same_bits(DensityOperator(moved[t]).matrix, single.matrix)
             assert_same_bits(moved_spectra[t], eigen_spectrum(single)[0].entries)
 
 
@@ -349,7 +352,7 @@ def test_a_stack_of_one_is_the_unstacked_call():
         assert not rho.stacked and one.stacked
         assert repr(one) == f"DensityOperator(dim={d}, stack=1)"
         assert_same_bits(one.matrix[0], rho.matrix)
-        spectra, bases = eigen_spectrum(one)
+        spectra, bases = _eigensystems(one.matrix)
         spectrum, basis = eigen_spectrum(rho)
         assert_same_bits(spectra[0], spectrum.entries)
         assert_same_bits(bases[0], basis)
@@ -357,18 +360,21 @@ def test_a_stack_of_one_is_the_unstacked_call():
         assert_same_bits(haar_isometry(u[None])[0], haar_isometry(u))
         assert_same_bits(pinch(one, bases)[0], pinch(rho, basis).entries)
         V = haar_isometry(u)
-        assert_same_bits(conjugate_isometry(one, V[None]).matrix[0], conjugate_isometry(rho, V).matrix)
+        moved = DensityOperator(_conjugated(one.matrix, V[None])[0])
+        assert_same_bits(moved.matrix, conjugate_isometry(rho, V).matrix)
 
 
 def test_stacked_results_are_read_only_rows():
     stack = DensityOperator(np.array([RHO_2x2, np.eye(2) / 2.0]))
-    spectra, bases = eigen_spectrum(stack)
-    assert eigen_spectrum(stack)[0] is spectra
+    spectra, bases = _eigensystems(stack.matrix)
     diag = pinch(stack, np.array([HADAMARD, np.eye(2)]))
     for a in (stack.matrix, spectra, bases, diag):
         assert not a.flags.writeable
     assert np.allclose(spectra, [[0.75, 0.25], [0.5, 0.5]], rtol=0, atol=1e-15)
     assert np.allclose(diag, [[0.75, 0.25], [0.5, 0.5]], rtol=0, atol=1e-15)
+    rho = DensityOperator(RHO_2x2)
+    assert eigen_spectrum(rho) is eigen_spectrum(rho)
+    assert not eigen_spectrum(rho)[1].flags.writeable
 
 
 def bad_stack(position, bad):
@@ -404,13 +410,20 @@ def test_stacked_basis_and_isometry_errors_name_the_state():
         pinch(stack, np.eye(2))
     isometries = np.array([np.eye(2), [[1.0, 0.1], [0.0, 1.0]], np.eye(2)])
     with pytest.raises(ValueError, match="^state 1: V\\*V deviates"):
+        _conjugated(stack.matrix, isometries)
+    with pytest.raises(ValueError, match="^V\\*V deviates"):
+        _conjugated(stack.matrix[:1], isometries[1:2])
+    with pytest.raises(ValueError, match="^state 2: isometry entries must be finite"):
+        _conjugated(stack.matrix, np.array([np.eye(2), np.eye(2), [[math.inf, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="isometry maps dimension 3, state has 2"):
+        _conjugated(stack.matrix, np.array([np.eye(3)] * 3))
+    with pytest.raises(ValueError, match="at least as many rows"):
+        _conjugated(stack.matrix, np.ones((3, 1, 2)))
+    with pytest.raises(ValueError, match="expected one density operator, got a stack of 3"):
         conjugate_isometry(stack, isometries)
-    with pytest.raises(ValueError, match="one matrix per state"):
-        conjugate_isometry(stack, np.eye(2))
-    with pytest.raises(ValueError, match="one matrix per state"):
-        conjugate_isometry(stack, isometries[:2])
-    with pytest.raises(ValueError, match="one matrix per state"):
-        conjugate_isometry(DensityOperator(RHO_2x2), isometries)
+    for bad in (isometries, np.ones(2)):
+        with pytest.raises(ValueError, match="^isometry must be a matrix$"):
+            conjugate_isometry(DensityOperator(RHO_2x2), bad)
 
 
 def test_density_rejects_shapes_that_are_no_stack():
@@ -423,6 +436,8 @@ def test_density_rejects_shapes_that_are_no_stack():
     "call",
     [
         lambda rho: quantum_entropy(rho, make_shannon()),
+        eigen_spectrum,
+        lambda rho: conjugate_isometry(rho, np.eye(2)),
         lambda rho: random_ensemble(rho, 2, as_rng(1)),
         spectral_ensemble,
         lambda rho: inf_ensemble_entropy(rho, make_shannon(), trials=0),
@@ -431,6 +446,8 @@ def test_density_rejects_shapes_that_are_no_stack():
     ],
     ids=[
         "quantum_entropy",
+        "eigen_spectrum",
+        "conjugate_isometry",
         "random_ensemble",
         "spectral_ensemble",
         "inf_ensemble_entropy",
@@ -546,20 +563,20 @@ def test_ensemble_validation():
 # ------------------------------------------------------- stacked ensembles
 
 def assert_slices_are_single_calls(rho, m, mixing):
-    stack = random_ensemble(rho, m, mixing=mixing)
-    assert stack.size == m
-    assert stack.weights.shape == (len(mixing), m)
-    assert stack.states.shape == (len(mixing), m, rho.dim)
-    assert not stack.weights.flags.writeable and not stack.states.flags.writeable
+    weights, states = _ensembles(rho, mixing)
+    assert weights.shape == (len(mixing), m)
+    assert states.shape == (len(mixing), m, rho.dim)
+    assert not weights.flags.writeable and not states.flags.writeable
     for t, M in enumerate(mixing):
         single = random_ensemble(rho, m, mixing=M)
-        assert np.array_equal(stack.weights[t], single.weights.entries)
-        assert np.array_equal(stack.states[t], single.states)
-    return stack
+        assert single.size == m
+        assert_same_bits(weights[t], single.weights.entries)
+        assert_same_bits(states[t], single.states)
+    return weights, states
 
 
 @pytest.mark.parametrize("d", range(1, 9))
-def test_stacked_random_ensemble_is_the_single_calls_bit_for_bit(d):
+def test_ensemble_kernel_is_the_single_calls_bit_for_bit(d):
     rng = as_rng(100 + d)
     for rank in range(1, d + 1):
         rho = random_density(d, rng, rank=rank)
@@ -572,9 +589,9 @@ def test_stacked_random_ensemble_is_the_single_calls_bit_for_bit(d):
 def test_a_drawn_ensemble_is_the_stacked_slice_of_its_draw():
     rho = random_density(4, as_rng(3), rank=3)
     drawn = random_ensemble(rho, 5, as_rng(9))
-    stack = random_ensemble(rho, 5, mixing=haar_isometry(ginibre(5, 3, as_rng(9))[None]))
-    assert np.array_equal(stack.weights[0], drawn.weights.entries)
-    assert np.array_equal(stack.states[0], drawn.states)
+    weights, states = _ensembles(rho, haar_isometry(ginibre(5, 3, as_rng(9))[None]))
+    assert_same_bits(weights[0], drawn.weights.entries)
+    assert_same_bits(states[0], drawn.states)
 
 
 def test_a_zero_weight_state_is_e0_in_a_stack_too():
@@ -582,35 +599,44 @@ def test_a_zero_weight_state_is_e0_in_a_stack_too():
     padded = np.vstack([np.eye(2), np.zeros((1, 2))])
     mixing = np.array([padded, haar_isometry(ginibre(3, 2, as_rng(18))), padded[[2, 0, 1]]])
     with np.errstate(all="raise"):
-        stack = assert_slices_are_single_calls(rho, 3, mixing)
-    assert stack.weights[0, 2] == 0.0 and stack.weights[2, 0] == 0.0
-    assert np.array_equal(stack.states[0, 2], [1.0, 0.0, 0.0])
-    assert np.array_equal(stack.states[2, 0], [1.0, 0.0, 0.0])
+        weights, states = assert_slices_are_single_calls(rho, 3, mixing)
+    assert weights[0, 2] == 0.0 and weights[2, 0] == 0.0
+    assert np.array_equal(states[0, 2], [1.0, 0.0, 0.0])
+    assert np.array_equal(states[2, 0], [1.0, 0.0, 0.0])
 
 
 def test_stacked_ensemble_errors_name_the_first_bad_slice():
     rho = random_density(2, as_rng(23))
     mixing = np.array([np.eye(2), HADAMARD, 2.0 * np.eye(2), np.ones((2, 2))])
     with pytest.raises(ValueError, match=r"^mixing 2: mixing is not an isometry"):
+        _ensembles(rho, mixing)
+    with pytest.raises(ValueError, match=r"^mixing is not an isometry"):
+        _ensembles(rho, mixing[2:3])
+    with pytest.raises(ValueError, match=r"^mixing 1: mixing is not an isometry: its entries must be finite"):
+        _ensembles(rho, np.array([np.eye(2), [[math.inf, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(ValueError, match="^mixing must be 2 x 2$"):
         random_ensemble(rho, 2, mixing=mixing)
-    with pytest.raises(ValueError, match="mixing must be 3 x 2, or a stack"):
-        random_ensemble(rho, 3, mixing=mixing)
-    states = np.array([np.eye(2), [[1.0, 0.0], [0.0, 0.5]]])
-    with pytest.raises(ValueError, match=r"^ensemble 1: ensemble states must be finite unit vectors"):
-        Ensemble(np.full((2, 2), 0.5), states)
-    with pytest.raises(ValueError, match=r"row 1 sums to"):
-        Ensemble(np.array([[0.5, 0.5], [0.5, 0.6]]), np.array([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="^mixing must be 3 x 2$"):
+        random_ensemble(rho, 3, mixing=np.eye(2))
+
+
+def test_ensemble_holds_one_ensemble():
+    plain = Ensemble(weights=[0.5, 0.5], states=np.eye(2))
+    assert isinstance(plain.weights, ProbVector) and plain.size == 2
+    assert not plain.states.flags.writeable
+    assert np.array_equal(plain.reconstruct(), np.eye(2) / 2)
+    with pytest.raises(ValueError, match="sum to 2.0"):
+        Ensemble(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([np.eye(2), np.eye(2)]))
     with pytest.raises(ValueError, match="one row per weight"):
-        Ensemble(np.full((2, 2), 0.5), np.eye(2))
+        Ensemble(ProbVector([0.5, 0.5]), np.array([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="^ensemble states must be finite unit vectors"):
+        Ensemble(ProbVector([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 0.5]]))
+    rho = DensityOperator(np.diag([0.7, 0.3]))
     spectral = spectral_ensemble(rho)
-    swapped = Ensemble(
-        np.array([spectral.weights.entries, spectral.weights.entries[::-1]]),
-        np.array([spectral.states, spectral.states]),
-    )
-    with pytest.raises(ValueError, match=r"^ensemble 1: ensemble reconstructs rho only to"):
+    swapped = Ensemble(spectral.weights.entries[::-1], spectral.states)
+    with pytest.raises(ValueError, match=r"^ensemble reconstructs rho only to 4\.000e-01"):
         swapped.check_reconstructs(rho)
-    devs = Ensemble(swapped.weights[:1], swapped.states[:1]).check_reconstructs(rho)
-    assert devs.shape == (1,) and devs[0] == spectral.check_reconstructs(rho)
+    assert type(spectral.check_reconstructs(rho)) is float
 
 
 def test_random_ensemble_rejects_a_nan_mixing_as_no_isometry():
