@@ -30,10 +30,10 @@ import numpy as np
 
 from .classical import (
     _bistochastic,
+    _computed_rows,
     _mix_rows,
     _row_margins,
     _unitary_squares,
-    computed_rows,
     entropy_table,
     jensen_step_oracle,
     positions_by_key,
@@ -139,7 +139,7 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     The trial loop only draws: each dimension n, a Haar unitary and the
     Dirichlet draw random_prob_vector makes.  The trials of one dimension
     are then handled as one stack: one _unitary_squares, _bistochastic,
-    computed_rows for the vectors p, _mix_rows and row-paired _row_margins,
+    _computed_rows for the vectors p, _mix_rows and row-paired _row_margins,
     and one jensen_step_oracle per functional, all on the same stacked Q
     and p.  Every p and q is scored in one entropy_table call.  Entries
     keep the trial order, and each margin is bit for bit that of a loop
@@ -156,7 +156,7 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     dir_worst = np.empty_like(eq_worst)
     for idx in positions_by_key(drawn_dims):
         Q = _bistochastic(_unitary_squares(_stack(unitaries, idx)))
-        p = computed_rows(_stack(draws, idx))
+        p = _computed_rows(_stack(draws, idx))
         q = _mix_rows(Q, p)
         for t, p_t, q_t, margin in zip(idx, p, q, _row_margins(p, q).tolist()):
             vectors[2 * t : 2 * t + 2] = p_t, q_t
@@ -362,11 +362,10 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     more of them, draws one blend of two per functional.  It only collects
     the decomposition weights, the blends and the zero-padded majorant.
     Scoring runs after the draws, one kernel call per (length, functional):
-    entropy_table scores the blends and majorants, and the weights twice,
-    as they are for the majorant check and through absorb_roundoff
-    (computed=True) for each trial's minimum, which first_least picks as
-    minimize_entropy does.  Each margin is bit for bit that of a per-trial
-    loop.
+    entropy_table scores the blends and majorants, and the weights twice:
+    as they are for the majorant check, and under from_computation's rule
+    (computed=True) for each trial's minimum, picked by first_least as
+    minimize_entropy picks it.  Margins are bit for bit a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:

@@ -6,8 +6,9 @@ are invariant under permutation of the input, bit for bit.
 
 Public functions take and return one object, each by running a private
 kernel with a leading stack axis on a stack of one; the audit calls the
-kernels on whole stacks.  jensen_step_oracle alone still takes a stack,
-until the benchmark stops tracing it (ROADMAP item 1).
+kernels on whole stacks.  One kernel, _probability_rows, decides what a
+probability vector is, for ProbVector, computed vectors and entropy_table.
+jensen_step_oracle alone still takes a stack (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -39,25 +40,17 @@ class ProbVector:
     Entries in [-ENTRY_TOL, 0) are clipped to zero; anything more negative is
     rejected.  The total must be within SUM_TOL of one.  Renormalization is
     off by default because silently rescaling masks data errors; pass
-    renormalize=True to opt in.  Entries are stored read-only.
+    renormalize=True to opt in.  Input with two or more axes is rejected.
+    Entries are stored read-only.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, values, renormalize: bool = False):
-        arr = np.array(values, dtype=float).ravel()
+        arr = _vector(values)
         if arr.size == 0:
             raise ValueError("probability vector must be non-empty")
-        arr = _clipped_entries(arr)
-        total = float(arr.sum())
-        if renormalize:
-            if total <= 0.0:
-                raise ValueError("cannot renormalize a vector with non-positive total")
-            arr = arr / total
-        elif abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"entries sum to {total!r}, outside 1 +/- {SUM_TOL}")
-        arr.setflags(write=False)
-        self.entries = arr
+        self.entries = _probability_rows(arr[None], ENTRY_TOL, -math.inf if renormalize else math.inf)[0]
 
     @classmethod
     def from_computation(cls, values) -> "ProbVector":
@@ -68,7 +61,9 @@ class ProbVector:
         PARTIAL_SUM_TOL.  Intended for spectra, pinched diagonals, and other
         arithmetic products, not for user data.
         """
-        return cls(absorb_roundoff(np.asarray(values, dtype=float).ravel()))
+        vec = cls.__new__(cls)  # validated once, under this rule alone
+        vec.entries = _computed_rows(_vector(values)[None])[0]
+        return vec
 
     def __len__(self) -> int:
         return int(self.entries.size)
@@ -119,16 +114,6 @@ class EntropyResult:
     increment_at_stop: float = 0.0
 
 
-def _clipped_entries(arr: np.ndarray) -> np.ndarray:
-    """``arr`` with entries in [-ENTRY_TOL, 0) set to zero; ValueError if not finite or lower."""
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("probability vector entries must be finite")
-    low = float(arr.min())
-    if low < -ENTRY_TOL:
-        raise ValueError(f"entry {low} is below the negativity tolerance -{ENTRY_TOL}")
-    return np.where(arr < 0.0, 0.0, arr)
-
-
 def require_slices(ok, message, item: str) -> None:
     """ValueError(message(t)) for the first slice t where ``ok`` is false.
 
@@ -147,37 +132,52 @@ def require_finite(stack: np.ndarray, message: str, item: str) -> None:
     require_slices(np.isfinite(stack).all(axis=(-2, -1)), lambda t: message, item)
 
 
-def absorb_roundoff(arr: np.ndarray) -> np.ndarray:
-    """ProbVector.from_computation's rule, applied along the last axis of ``arr``.
+def _vector(values) -> np.ndarray:
+    """``values`` as a 1-d float array; a scalar is one entry, two or more axes are rejected."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim > 1:
+        raise ValueError(f"probability vector must be 1-d, got shape {arr.shape}")
+    return arr.reshape(-1)
 
-    Entries down to -COMPUTED_FLOOR are clipped to zero, and a vector whose
-    total drifts from one by more than PARTIAL_SUM_TOL is divided by it.
+
+def _probability_rows(rows: np.ndarray, floor: float, drift: float) -> np.ndarray:
+    """Each row of a (k, n) float array as a probability vector, in one read-only array.
+
+    The one rule for probability vectors.  Entries must be finite and at
+    least -floor; negative ones are set to zero.  A row whose total drifts
+    from one by more than ``drift`` is divided by it (the total must be
+    positive), and every other row must sum to one within SUM_TOL.
+    ProbVector takes (ENTRY_TOL, inf), or (ENTRY_TOL, -inf) to renormalize;
+    computed vectors take (COMPUTED_FLOOR, PARTIAL_SUM_TOL).  Errors name
+    row t as require_slices does.
     """
-    if not np.isfinite(arr).all():
-        raise ValueError("probability vector entries must be finite")
-    low = float(arr.min()) if arr.size else 0.0
-    if low < -COMPUTED_FLOOR:
-        raise ValueError(f"computed entry {low} below floor -{COMPUTED_FLOOR}")
-    arr = np.where(arr < 0.0, 0.0, arr)
-    totals = arr.sum(axis=-1, keepdims=True)
-    # Python floats: a vector is usually one row, where numpy calls cost more
-    # than the test.
-    sums = totals.ravel().tolist()
-    if not sums or any(t <= 0.0 for t in sums):
-        raise ValueError("computed vector has non-positive total")
-    if any(abs(t - 1.0) > PARTIAL_SUM_TOL for t in sums):
-        arr = np.where(np.abs(totals - 1.0) > PARTIAL_SUM_TOL, arr / totals, arr)
-    return arr
+    clipped = np.where(rows < 0.0, 0.0, rows)
+    totals = clipped.sum(axis=1)
+    drifts = np.abs(totals - 1.0)
+    # Two reductions pass the usual case; a NaN or an infinite entry fails them.
+    if not (float(rows.min(initial=0.0)) >= -floor and float(drifts.max(initial=0.0)) <= min(drift, SUM_TOL)):
+        computed = floor == COMPUTED_FLOOR
+        require_slices(np.isfinite(rows).all(axis=1), lambda t: "probability vector entries must be finite", "row")
+        low = rows.min(axis=1, initial=0.0)
+        below = "computed entry {} below floor" if computed else "entry {} is below the negativity tolerance"
+        require_slices(low >= -floor, lambda t: f"{below.format(float(low[t]))} -{floor}", "row")
+        off = drifts > drift
+        nothing = "computed vector has" if computed else "cannot renormalize a vector with"
+        require_slices(~off | (totals > 0.0), lambda t: f"{nothing} non-positive total", "row")
+        require_slices(
+            off | (drifts <= SUM_TOL),
+            lambda t: f"entries sum to {float(totals[t])!r}, outside 1 +/- {SUM_TOL}",
+            "row",
+        )
+        if off.any():
+            clipped = np.where(off[:, None], clipped / totals[:, None], clipped)
+    clipped.setflags(write=False)
+    return clipped
 
 
-def computed_rows(values) -> np.ndarray:
-    """ProbVector.from_computation on each row of a 2-d array, as one read-only array.
-
-    Row i is, bit for bit, the entries of ProbVector.from_computation(values[i]).
-    """
-    rows = probability_rows(absorb_roundoff(np.asarray(values, dtype=float)))
-    rows.setflags(write=False)
-    return rows
+def _computed_rows(rows: np.ndarray) -> np.ndarray:
+    """_probability_rows under ProbVector.from_computation's rule."""
+    return _probability_rows(rows, COMPUTED_FLOOR, PARTIAL_SUM_TOL)
 
 
 def _entropy_kernel(entries: np.ndarray, F: EntropicFunctional):
@@ -193,33 +193,6 @@ def entropy_finite(p, F: EntropicFunctional) -> EntropyResult:
     return EntropyResult(value, EntropyStatus.EXACT, terms_used=len(p), increment_at_stop=0.0)
 
 
-def entropy_rows(rows, F: EntropicFunctional) -> np.ndarray:
-    """h(sum phi(p_i)) for each row of a 2-d array of equal-length probability rows.
-
-    Each row is validated as ProbVector validates a vector, without
-    renormalization, and entry i of the result is, bit for bit, the value
-    entropy_finite gives row i: equal-length sorted rows summed along the
-    last axis give the per-row sums exactly.  Rows of different lengths must
-    be passed in separate calls, never zero-padded to a common length:
-    padding moves the entries within numpy's pairwise summation and changes
-    the last bits of the sums.
-    """
-    return np.asarray(_entropy_kernel(probability_rows(rows), F), dtype=float)
-
-
-def probability_rows(rows) -> np.ndarray:
-    """``rows`` as a float array, each row validated as ProbVector validates a vector."""
-    rows = np.array(rows, dtype=float)
-    if rows.ndim != 2 or rows.size == 0:
-        raise ValueError("need a non-empty 2-d array, one probability vector per row")
-    rows = _clipped_entries(rows)
-    totals = rows.sum(axis=-1)
-    off = np.flatnonzero(np.abs(totals - 1.0) > SUM_TOL)
-    if off.size:
-        raise ValueError(f"row {int(off[0])} sums to {float(totals[off[0]])!r}, outside 1 +/- {SUM_TOL}")
-    return rows
-
-
 def positions_by_key(keys) -> list[list[int]]:
     """The positions of each distinct key in ``keys``, keys in first-seen order."""
     groups: dict = {}
@@ -228,33 +201,23 @@ def positions_by_key(keys) -> list[list[int]]:
     return list(groups.values())
 
 
-def stack_by_length(items) -> list[tuple[list[int], np.ndarray]]:
-    """(positions in ``items``, the items stacked) per length, lengths in first-seen order.
-
-    The length of an item is len(item): the size of a vector, the row count
-    of a matrix.  Items of one length are stacked as they are, never padded.
-    """
-    groups = positions_by_key(len(item) for item in items)
-    return [(idx, np.array([items[i] for i in idx], dtype=float)) for idx in groups]
-
-
 def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     """h(sum phi(p_i)) of every vector under every functional, as a (vectors, functionals) array.
 
-    Entry [i, j] is, bit for bit, entropy_finite(vectors[i], functionals[j]).value.
-    ``vectors`` holds ProbVectors or 1-d arrays; they are grouped by length,
-    and each group is scored with one entropy_rows call per functional, so
-    the cost is one kernel call per (length, functional), not one per vector.
-    With ``computed=True`` each group is first taken through absorb_roundoff,
-    so entry [i, j] is that of ProbVector.from_computation(vectors[i]).
+    Entry [i, j] is, bit for bit, entropy_finite(vectors[i], functionals[j]).value,
+    or with ``computed=True`` that of ProbVector.from_computation(vectors[i]).
+    ``vectors`` holds ProbVectors or 1-d arrays.  Each length, in first-seen
+    order, is stacked (never zero-padded, which would change the last bits
+    of numpy's pairwise sums), validated once and scored with one kernel
+    call per functional; an error names a row by its place in its stack.
     """
-    arrays = [v.entries if isinstance(v, ProbVector) else np.ravel(v) for v in vectors]
+    arrays = [v.entries if isinstance(v, ProbVector) else _vector(v) for v in vectors]
+    floor, drift = (COMPUTED_FLOOR, PARTIAL_SUM_TOL) if computed else (ENTRY_TOL, math.inf)
     table = np.empty((len(arrays), len(functionals)))
-    for idx, rows in stack_by_length(arrays):
-        if computed:
-            rows = absorb_roundoff(rows)
+    for idx in positions_by_key(len(a) for a in arrays):
+        rows = _probability_rows(np.array([arrays[i] for i in idx]), floor, drift)
         for j, F in enumerate(functionals):
-            table[idx, j] = entropy_rows(rows, F)
+            table[idx, j] = _entropy_kernel(rows, F)
     return table
 
 
@@ -365,12 +328,12 @@ class SequenceSource:
             raise ValueError(f"sequence {self.name!r} produced a value outside [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         if self.declared_monotone and vals.size:
+            # The step from the clipped value before the block, then the steps within it.
+            step = 0.0
             if start > 0:
                 prev = float(self._read(np.array([start - 1], dtype=np.int64))[0])
-                block = np.concatenate([[min(max(prev, 0.0), 1.0)], vals])
-            else:
-                block = vals
-            if np.any(np.diff(block) > 1e-15):
+                step = float(vals[0]) - min(max(prev, 0.0), 1.0)
+            if step > 1e-15 or np.any(np.diff(vals) > 1e-15):
                 raise ValueError(f"sequence {self.name!r} is declared monotone but increased")
         return vals
 
@@ -666,9 +629,9 @@ def apply_bistochastic(Q: BistochasticMatrix, p) -> ProbVector:
 
 
 def _mix_rows(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Q[t] p[t] for (k, n, n) bistochastic Q and (k, n) probability rows, as computed_rows."""
+    """Q[t] p[t] for (k, n, n) bistochastic Q and (k, n) probability rows, as computed rows."""
     # A stacked matrix-vector product repeats Q[t] @ p[t] bit for bit; einsum does not.
-    return computed_rows((Q @ p[:, :, None])[:, :, 0])
+    return _computed_rows((Q @ p[:, :, None])[:, :, 0])
 
 
 def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
@@ -689,7 +652,7 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     A 3-d ``q_rows`` of shape (k, r, n) is k such batches, one for each row
     of a (k, n) array ``p``; it gives four arrays of shape (k, r), whose
     entry [t] equals, bit for bit, the 2-d call on (q_rows[t], p[t]).  The
-    rows of ``p`` are validated as entropy_rows validates rows.  This
+    rows of ``p`` are validated as ProbVector validates a vector.  This
     stacked form stays public until the benchmark stops tracing this name
     (ROADMAP item 1).
 
@@ -698,13 +661,12 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     rows = np.asarray(q_rows, dtype=float)
     ndim = rows.ndim
     if ndim == 3:
-        vals = probability_rows(p)
+        vals = np.asarray(p, dtype=float)
         if vals.shape != (rows.shape[0], rows.shape[2]):
             raise ValueError(f"p must be {rows.shape[0]} x {rows.shape[2]}, one row per batch")
+        vals = _probability_rows(vals, ENTRY_TOL, math.inf)
     else:
-        if not isinstance(p, ProbVector):
-            p = ProbVector(p)
-        vals = p.entries[None]
+        vals = (p if isinstance(p, ProbVector) else ProbVector(p)).entries[None]
         rows = rows[None] if ndim == 2 else rows.reshape(1, 1, -1)
     if rows.size == 0:
         raise ValueError("row must be non-empty")

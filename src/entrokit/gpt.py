@@ -15,7 +15,7 @@ most supports unable to write it (_screen).  Only the rest reach the exact
 solve (stacked rank test, lstsq), which alone accepts a decomposition and
 supplies its weights.  Model construction screens only the vertices no
 separating hyperplane certifies, all at once.  Each support length is
-scored in one entropy_rows call.
+scored in one kernel call through entropy_table.
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -378,7 +378,7 @@ def minimize_entropy(
     """Minimum of h(sum phi(weights)) over ``decs``, and the first that attains it.
 
     Each weight vector is taken through ProbVector.from_computation's rule,
-    and all of one support length are scored in one entropy_rows call
+    and all of one support length are scored in one kernel call
     (entropy_table with computed=True); first_least picks the minimum.
     Returns (+inf, None) for an empty list.  Enumerate once and call this per
     functional to evaluate several functionals on one state.

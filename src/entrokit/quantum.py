@@ -22,7 +22,7 @@ import numpy as np
 from .classical import (
     EntropyResult,
     ProbVector,
-    computed_rows,
+    _computed_rows,
     entropy_finite,
     require_finite,
     require_slices,
@@ -141,13 +141,13 @@ def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
 
 
 def _eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigen_spectrum of each density matrix of a stack by one eigh: spectra as computed_rows, bases."""
+    """eigen_spectrum of each density matrix of a stack by one eigh: spectra as _computed_rows, bases."""
     w, v = np.linalg.eigh(matrices)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
     w[w < RANK_CUTOFF] = 0.0
     v.setflags(write=False)
-    return computed_rows(w), v
+    return _computed_rows(w), v
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
@@ -227,7 +227,7 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
         "state",
     )
     diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
-    return computed_rows(diag) if diag.ndim == 2 else ProbVector.from_computation(diag)
+    return _computed_rows(diag) if diag.ndim == 2 else ProbVector.from_computation(diag)
 
 
 def pinching_inequality_audit(
@@ -320,7 +320,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
 
 
 def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights, as computed_rows, and states of random_ensemble for each of (k, m, r) mixings; r the rank."""
+    """Weights, as _computed_rows, and states of random_ensemble for each of (k, m, r) mixings; r the rank."""
     spectrum, basis = eigen_spectrum(rho)
     r = mixings.shape[-1]
     require_finite(mixings, "mixing is not an isometry: its entries must be finite", "mixing")
@@ -338,7 +338,7 @@ def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, n
     norms = np.sqrt(np.where(kept, weights, 1.0))[..., None]
     states = np.where(kept[..., None], tilde / norms, np.eye(1, rho.dim)[0])
     states.setflags(write=False)
-    weights = computed_rows(weights)
+    weights = _computed_rows(weights)
     dev = np.abs(_reconstructed(weights, states) - rho.matrix).max(axis=(1, 2))
     require_slices(
         dev <= RECONSTRUCTION_TOL,

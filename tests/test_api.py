@@ -19,6 +19,7 @@ def test_all_names_listed_once():
 
 def test_one_probability_vector_type():
     assert not hasattr(entrokit, "Spectrum")
+    assert "entropy_rows" not in entrokit.__all__
     assert "majorization_margin" in entrokit.__all__
 
 

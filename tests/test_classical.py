@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from entrokit.classical import (
+    COMPUTED_FLOOR,
+    ENTRY_TOL,
     MAX_BLOCK,
     STOP_WINDOW,
     BistochasticMatrix,
@@ -16,15 +18,15 @@ from entrokit.classical import (
     ProbVector,
     SequenceSource,
     _bistochastic,
+    _computed_rows,
     _log_square_normalizer,
     _mix_rows,
+    _probability_rows,
     _row_margins,
     _unitary_squares,
     apply_bistochastic,
     bistochastic_from_unitary,
-    computed_rows,
     entropy_finite,
-    entropy_rows,
     entropy_sequence,
     entropy_table,
     PARTIAL_SUM_TOL,
@@ -34,7 +36,6 @@ from entrokit.classical import (
     majorization_margin,
     majorizes,
     sequence_from_spec,
-    stack_by_length,
 )
 from entrokit.functionals import (
     FunctionalCase,
@@ -141,7 +142,7 @@ KERNEL_FUNCTIONALS = [
 
 
 @pytest.mark.parametrize("F", KERNEL_FUNCTIONALS, ids=lambda F: F.name)
-def test_entropy_rows_is_entropy_finite_bit_for_bit(F):
+def test_entropy_table_of_equal_length_rows_is_entropy_finite_bit_for_bit(F):
     rng = np.random.default_rng(73)
     for n in range(1, 40):
         dense = rng.dirichlet(np.ones(n), size=12)
@@ -151,10 +152,10 @@ def test_entropy_rows_is_entropy_finite_bit_for_bit(F):
         sparse = sparse / sparse.sum(axis=1, keepdims=True)  # rows with exact zeros
         for rows in (dense, sparse):
             want = np.array([entropy_finite(row, F).value for row in rows])
-            assert np.array_equal(entropy_rows(rows, F).view(np.int64), want.view(np.int64)), n
+            assert np.array_equal(entropy_table(rows, [F])[:, 0].view(np.int64), want.view(np.int64)), n
 
 
-def test_entropy_rows_validates_each_row_as_probvector_does():
+def test_entropy_table_validates_each_row_as_probvector_does():
     F = make_shannon()
     good = [0.5, 0.5]
     for bad in (
@@ -162,16 +163,15 @@ def test_entropy_rows_validates_each_row_as_probvector_does():
         [good, [math.inf, 0.0]],
         [good, [1.0 + 1e-11, -1e-11]],  # below -ENTRY_TOL
         [good, [0.5, 0.4]],  # off-sum row
-        good,  # 1-d
-        [],
+        good,  # two 1-entry vectors, each summing to 0.5
         [[]],
         np.ones((2, 2, 2)) / 4,
     ):
         with pytest.raises(ValueError):
-            entropy_rows(bad, F)
+            entropy_table(bad, [F])
     # entries in [-ENTRY_TOL, 0) are clipped to zero, as ProbVector clips them
     rows = [[1.0 + 5e-13, -5e-13], good]
-    assert entropy_rows(rows, F).tolist() == [entropy_finite(row, F).value for row in rows]
+    assert entropy_table(rows, [F])[:, 0].tolist() == [entropy_finite(row, F).value for row in rows]
 
 
 def test_computed_rows_are_from_computation_row_by_row():
@@ -181,28 +181,68 @@ def test_computed_rows_are_from_computation_row_by_row():
         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
         [0.2, 0.3, 0.5 + 1e-13],  # drift within PARTIAL_SUM_TOL: kept as is
     ])
-    out = computed_rows(rows)
+    out = _computed_rows(rows)
     assert not out.flags.writeable
     for row, want in zip(out, rows):
         assert row.tobytes() == ProbVector.from_computation(want).entries.tobytes()
     with pytest.raises(ValueError, match="below floor"):
-        computed_rows([[1.0 + 1e-8, -1e-8]])
+        _computed_rows(np.array([[1.0 + 1e-8, -1e-8]]))
     with pytest.raises(ValueError, match="finite"):
-        computed_rows([[0.5, 0.5], [math.nan, 1.0]])
+        _computed_rows(np.array([[0.5, 0.5], [math.nan, 1.0]]))
 
 
-def test_stack_by_length_keeps_first_seen_order_and_never_pads():
+def test_entropy_table_stacks_lengths_in_first_seen_order_and_never_pads(monkeypatch):
     items = [[0.5, 0.5], [1.0], [0.25, 0.75], [0.3, 0.3, 0.4], [0.1, 0.2, 0.7]]
-    groups = stack_by_length(items)
-    assert [idx for idx, _ in groups] == [[0, 2], [1], [3, 4]]
-    assert [stack.tolist() for _, stack in groups] == [[items[0], items[2]], [items[1]], items[3:]]
-    # a matrix's length is its row count
-    matrices = [np.eye(3), np.eye(2), np.ones((3, 3)) / 3]
-    assert [(idx, stack.shape) for idx, stack in stack_by_length(matrices)] == [
-        ([0, 2], (2, 3, 3)),
-        ([1], (1, 2, 2)),
-    ]
-    assert stack_by_length([]) == []
+    F = make_shannon()
+    want = [entropy_finite(v, F).value for v in items]
+    stacks = []
+
+    def recording(rows, floor, drift):
+        stacks.append(rows.tolist())
+        return kernel(rows, floor, drift)
+
+    kernel = _probability_rows
+    monkeypatch.setattr("entrokit.classical._probability_rows", recording)
+    assert entropy_table(items, [F])[:, 0].tolist() == want
+    assert stacks == [[items[0], items[2]], [items[1]], items[3:]]
+    stacks.clear()
+    assert entropy_table([], [F]).shape == (0, 1)
+    assert stacks == []
+
+
+RULES = {
+    "probvector": ((ENTRY_TOL, math.inf), ProbVector),
+    "renormalize": ((ENTRY_TOL, -math.inf), lambda v: ProbVector(v, renormalize=True)),
+    "from_computation": ((COMPUTED_FLOOR, PARTIAL_SUM_TOL), ProbVector.from_computation),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_probability_rows_are_the_single_vectors_bit_for_bit(rule):
+    (floor, drift), single = RULES[rule]
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 3, 7, 8, 9, 16, 33):
+        base = rng.dirichlet(np.ones(n))
+        candidates = [base * scale for scale in (1.0, 1 + 5e-13, 1 + 5e-11, 1 + 5e-9, 3.0, 0.0)]
+        for low in (-5e-13, -5e-10, -1e-3, math.nan, math.inf):
+            row = base.copy()
+            row[0] = low
+            candidates.append(row)
+        accepted, rejected = [], []
+        for row in candidates:
+            try:
+                accepted.append((row, single(row).entries))
+            except ValueError as err:
+                rejected.append((row, str(err)))
+        assert accepted and rejected, (rule, n)
+        out = _probability_rows(np.array([row for row, _ in accepted]), floor, drift)
+        assert not out.flags.writeable
+        for got, (_, want) in zip(out, accepted):
+            assert got.tobytes() == want.tobytes(), (rule, n)
+        for row, message in rejected:
+            with pytest.raises(ValueError) as err:
+                _probability_rows(np.array([accepted[0][0], row]), floor, drift)
+            assert str(err.value) == f"row 1: {message}"
 
 
 @pytest.mark.parametrize("F", KERNEL_FUNCTIONALS, ids=lambda F: F.name)
@@ -330,7 +370,7 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
 def test_row_margins_are_the_single_calls_bit_for_bit(n, width):
     rng = np.random.default_rng(100 * n + width)
     p = ProbVector.from_computation(rng.dirichlet(np.ones(n)))
-    rows = computed_rows(rng.dirichlet(np.ones(width), size=7)).copy()
+    rows = _computed_rows(rng.dirichlet(np.ones(width), size=7)).copy()
     rows[3] = np.sort(rows[3])  # an ascending row, and one equal to p where it fits
     if width == n:
         rows[5] = p.entries
@@ -340,7 +380,7 @@ def test_row_margins_are_the_single_calls_bit_for_bit(n, width):
     for margin, row in zip(margins.tolist(), rows):
         assert margin == majorization_margin(p, row)
     # Row t of p against row t of q, as the schur suite takes them.
-    leads = computed_rows(rng.dirichlet(np.ones(n), size=7)).copy()
+    leads = _computed_rows(rng.dirichlet(np.ones(n), size=7)).copy()
     leads[6] = np.sort(leads[6])
     if width == n:
         leads[4] = rows[4]
@@ -457,7 +497,7 @@ def test_bistochastic_kernels_are_the_single_calls_bit_for_bit(n):
     rng = np.random.default_rng(60 + n)
     k = 7
     Us = np.array([random_unitary(n, rng) for _ in range(k)])
-    ps = computed_rows(rng.dirichlet(np.ones(n), size=k))
+    ps = _computed_rows(rng.dirichlet(np.ones(n), size=k))
     Q = _bistochastic(_unitary_squares(Us))
     assert Q.shape == (k, n, n) and not Q.flags.writeable
     qs = _mix_rows(Q, ps)

@@ -11,9 +11,17 @@ from entrokit.classical import (
     ProbVector,
     SequenceSource,
     bistochastic_from_unitary,
+    entropy_finite,
+    entropy_table,
     sequence_from_spec,
 )
-from entrokit.functionals import functional_from_spec, make_kaniadakis, make_renyi, make_tsallis
+from entrokit.functionals import (
+    functional_from_spec,
+    make_kaniadakis,
+    make_renyi,
+    make_shannon,
+    make_tsallis,
+)
 from entrokit.gpt import ConvexModel, Decomposition
 from entrokit.quantum import (
     DensityOperator,
@@ -75,3 +83,18 @@ def test_pure_state_takes_finite_vectors_of_any_scale(psi, want):
         warnings.simplefilter("error")
         rho = pure_state(psi)
     assert np.allclose(rho.matrix, want, rtol=0, atol=1e-15)
+
+
+def test_a_probability_vector_has_one_axis():
+    # Input with two or more axes was once flattened into one vector.
+    shannon = make_shannon()
+    for call in (
+        lambda: ProbVector([[0.25, 0.25], [0.25, 0.25]]),
+        lambda: ProbVector.from_computation([[0.5], [0.5]]),
+        lambda: entropy_finite([[0.5], [0.5]], shannon),
+        lambda: entropy_table([[[0.5], [0.5]]], [shannon]),
+        lambda: Ensemble([[0.5], [0.5]], np.eye(2)),
+    ):
+        with pytest.raises(ValueError, match=r"^probability vector must be 1-d, got shape \(2, (2|1)\)$"):
+            call()
+    assert ProbVector(1.0).entries.tolist() == [1.0]

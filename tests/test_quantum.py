@@ -625,7 +625,7 @@ def test_ensemble_holds_one_ensemble():
     assert isinstance(plain.weights, ProbVector) and plain.size == 2
     assert not plain.states.flags.writeable
     assert np.array_equal(plain.reconstruct(), np.eye(2) / 2)
-    with pytest.raises(ValueError, match="sum to 2.0"):
+    with pytest.raises(ValueError, match="probability vector must be 1-d"):
         Ensemble(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([np.eye(2), np.eye(2)]))
     with pytest.raises(ValueError, match="one row per weight"):
         Ensemble(ProbVector([0.5, 0.5]), np.array([np.eye(2), np.eye(2)]))
