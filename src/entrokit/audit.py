@@ -41,11 +41,11 @@ from .classical import (
 from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
 from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
 from .quantum import (
-    RANK_CUTOFF,
     DensityOperator,
     _conjugated,
     _eigensystems,
     _ensembles,
+    _rank,
     eigen_spectrum,
     haar_isometry,
     inf_ensemble_entropy,
@@ -306,7 +306,7 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         rank = int(rng.integers(1, d + 1))
         rho = random_density(d, rng, rank=rank)
         spectrum, _ = eigen_spectrum(rho)
-        r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+        r = _rank(spectrum)
         _, spectral = inf_ensemble_entropy(rho, functionals[0], trials=0)
         budget = max(1, (trials - drawn) // (n_states - s))
         sizes, gaussians = [], []

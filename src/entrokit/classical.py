@@ -7,7 +7,8 @@ are invariant under permutation of the input, bit for bit.
 Public functions take and return one object, each by running a private
 kernel with a leading stack axis on a stack of one; the audit calls the
 kernels on whole stacks.  One kernel, _probability_rows, decides what a
-probability vector is, for ProbVector, computed vectors and entropy_table.
+probability vector is; require_orthonormal and require_stochastic_rows are
+the one check of orthonormal columns and of stochastic rows.
 jensen_step_oracle alone still takes a stack (ROADMAP item 1).
 """
 
@@ -27,7 +28,7 @@ SUM_TOL = 1e-9
 COMPUTED_FLOOR = 1e-9  # negativity absorbed by ProbVector.from_computation
 PARTIAL_SUM_TOL = 1e-12
 ROW_SUM_TOL = 1e-10
-UNITARY_TOL = 1e-8
+ORTHONORMAL_TOL = 1e-8
 STOP_WINDOW = 64  # trailing-window length for sequence truncation
 # Largest sequence read; reads double from STOP_WINDOW up to it.  Its float64
 # arrays (128,000 bytes) stay under glibc's 128 KiB mmap threshold.
@@ -114,22 +115,44 @@ class EntropyResult:
     increment_at_stop: float = 0.0
 
 
-def require_slices(ok, message, item: str) -> None:
+def require_slices(ok, message, item) -> None:
     """ValueError(message(t)) for the first slice t where ``ok`` is false.
 
     ``ok`` holds one flag per slice of a stack (a matrix, a state, a mixing,
     an ensemble or a row), or a 0-d flag for a single object, which
     ``message`` then gets as the index ().  The error names the slice as
-    "<item> t" only when the stack holds more than one.
+    "<item> t" only when the stack holds more than one.  ``item`` may
+    instead hold one name per slice, and the error then names slice t as
+    item[t], in a stack of one too.
     """
     if not ok.all():
         t = int(np.argmin(ok)) if ok.ndim else ()
-        raise ValueError(f"{item} {t}: {message(t)}" if ok.size > 1 else message(t))
+        name = item[t] if not isinstance(item, str) else f"{item} {t}" if ok.size > 1 else None
+        raise ValueError(f"{name}: {message(t)}" if name else message(t))
 
 
 def require_finite(stack: np.ndarray, message: str, item: str) -> None:
     """require_slices for matrices free of NaN and inf, taken before any arithmetic warns on them."""
     require_slices(np.isfinite(stack).all(axis=(-2, -1)), lambda t: message, item)
+
+
+def require_orthonormal(A: np.ndarray, what: str, item: str) -> None:
+    """require_slices for a matrix, or a stack, with finite entries and |A*A - I|_max <= ORTHONORMAL_TOL."""
+    require_finite(A, f"{what} entries must be finite", item)
+    dev = np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])).max(axis=(-2, -1))
+    message = f"{what} is not orthonormal within {ORTHONORMAL_TOL} (deviation {{:.3e}})"
+    require_slices(dev <= ORTHONORMAL_TOL, lambda t: message.format(dev[t]), item)
+
+
+def require_stochastic_rows(Q: np.ndarray, what: str, item: str) -> None:
+    """require_slices for a (k, r, n) stack of finite, nonnegative rows summing to 1 within ROW_SUM_TOL."""
+    if Q.size == 0:
+        raise ValueError(f"{what} must be non-empty")
+    require_finite(Q, f"{what} entries must be finite", item)
+    require_slices(Q.min(axis=(1, 2)) >= 0.0, lambda t: f"{what} entries must be nonnegative", item)
+    dev = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
+    message = f"{what} sums deviate from 1 by {{:.3e}} (> {ROW_SUM_TOL})"
+    require_slices(dev <= ROW_SUM_TOL, lambda t: message.format(dev[t]), item)
 
 
 def _vector(values) -> np.ndarray:
@@ -140,34 +163,37 @@ def _vector(values) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _probability_rows(rows: np.ndarray, floor: float, drift: float) -> np.ndarray:
+def _probability_rows(rows: np.ndarray, floor: float, drift: float, item="row") -> np.ndarray:
     """Each row of a (k, n) float array as a probability vector, in one read-only array.
 
     The one rule for probability vectors.  Entries must be finite and at
     least -floor; negative ones are set to zero.  A row whose total drifts
     from one by more than ``drift`` is divided by it (the total must be
-    positive), and every other row must sum to one within SUM_TOL.
-    ProbVector takes (ENTRY_TOL, inf), or (ENTRY_TOL, -inf) to renormalize;
-    computed vectors take (COMPUTED_FLOOR, PARTIAL_SUM_TOL).  Errors name
-    row t as require_slices does.
+    positive and finite), and every other row must sum to one within
+    SUM_TOL.  ProbVector takes (ENTRY_TOL, inf), or (ENTRY_TOL, -inf) to
+    renormalize; computed vectors take (COMPUTED_FLOOR, PARTIAL_SUM_TOL).
+    Errors name row t as require_slices names it after ``item``.
     """
     clipped = np.where(rows < 0.0, 0.0, rows)
-    totals = clipped.sum(axis=1)
+    # A total that overflows is rejected below by a ValueError, not warned about here.
+    with np.errstate(over="ignore"):
+        totals = clipped.sum(axis=1)
     drifts = np.abs(totals - 1.0)
     # Two reductions pass the usual case; a NaN or an infinite entry fails them.
     if not (float(rows.min(initial=0.0)) >= -floor and float(drifts.max(initial=0.0)) <= min(drift, SUM_TOL)):
         computed = floor == COMPUTED_FLOOR
-        require_slices(np.isfinite(rows).all(axis=1), lambda t: "probability vector entries must be finite", "row")
+        require_slices(np.isfinite(rows).all(axis=1), lambda t: "probability vector entries must be finite", item)
         low = rows.min(axis=1, initial=0.0)
         below = "computed entry {} below floor" if computed else "entry {} is below the negativity tolerance"
-        require_slices(low >= -floor, lambda t: f"{below.format(float(low[t]))} -{floor}", "row")
+        require_slices(low >= -floor, lambda t: f"{below.format(float(low[t]))} -{floor}", item)
         off = drifts > drift
         nothing = "computed vector has" if computed else "cannot renormalize a vector with"
-        require_slices(~off | (totals > 0.0), lambda t: f"{nothing} non-positive total", "row")
+        require_slices(~off | (totals > 0.0), lambda t: f"{nothing} non-positive total", item)
+        require_slices(~off | (totals < math.inf), lambda t: f"{nothing} total above the float range", item)
         require_slices(
             off | (drifts <= SUM_TOL),
             lambda t: f"entries sum to {float(totals[t])!r}, outside 1 +/- {SUM_TOL}",
-            "row",
+            item,
         )
         if off.any():
             clipped = np.where(off[:, None], clipped / totals[:, None], clipped)
@@ -209,13 +235,15 @@ def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     ``vectors`` holds ProbVectors or 1-d arrays.  Each length, in first-seen
     order, is stacked (never zero-padded, which would change the last bits
     of numpy's pairwise sums), validated once and scored with one kernel
-    call per functional; an error names a row by its place in its stack.
+    call per functional.  An error names a bad vector as "vector i", i its
+    position in ``vectors``, when ``vectors`` holds more than one.
     """
     arrays = [v.entries if isinstance(v, ProbVector) else _vector(v) for v in vectors]
     floor, drift = (COMPUTED_FLOOR, PARTIAL_SUM_TOL) if computed else (ENTRY_TOL, math.inf)
     table = np.empty((len(arrays), len(functionals)))
     for idx in positions_by_key(len(a) for a in arrays):
-        rows = _probability_rows(np.array([arrays[i] for i in idx]), floor, drift)
+        item = [f"vector {i}" for i in idx] if len(arrays) > 1 else "row"
+        rows = _probability_rows(np.array([arrays[i] for i in idx]), floor, drift, item)
         for j, F in enumerate(functionals):
             table[idx, j] = _entropy_kernel(rows, F)
     return table
@@ -314,6 +342,7 @@ class SequenceSource:
         self.declared_monotone = bool(declared_monotone)
         self.tail = tail
         self.name = name
+        self._last = (-1, 0.0)  # index and value of the last term a monotone read checked
 
     @property
     def vectorized(self) -> bool:
@@ -329,12 +358,14 @@ class SequenceSource:
         vals = np.clip(vals, 0.0, 1.0)
         if self.declared_monotone and vals.size:
             # The step from the clipped value before the block, then the steps within it.
-            step = 0.0
-            if start > 0:
+            # That value is kept from the read that ended there, so no index is read twice.
+            index, prev = self._last
+            if start > 0 and index != start - 1:
                 prev = float(self._read(np.array([start - 1], dtype=np.int64))[0])
-                step = float(vals[0]) - min(max(prev, 0.0), 1.0)
+            step = float(vals[0]) - min(max(prev, 0.0), 1.0) if start > 0 else 0.0
             if step > 1e-15 or np.any(np.diff(vals) > 1e-15):
                 raise ValueError(f"sequence {self.name!r} is declared monotone but increased")
+            self._last = (stop - 1, float(vals[-1]))
         return vals
 
     @classmethod
@@ -356,7 +387,8 @@ class SequenceSource:
         """p_i proportional to 1/((i+offset) ln^2(i+offset)); no tail descriptor.
 
         The normalized sequence sums to one but its Shannon-type entropy sums
-        diverge, so truncated evaluation must end in DeclaredDivergent.
+        diverge, so truncated evaluation must end in DeclaredDivergent (but
+        for tsallis with q > 1, whose sums stay below 1/(q - 1)).
         """
         if not float(offset).is_integer() or offset < 2:
             raise ValueError(f"offset must be an integer of at least 2, got {offset}")
@@ -421,9 +453,12 @@ def entropy_sequence(
     the phi-sum increment over a trailing window of STOP_WINDOW terms falls
     below ``increment_tol`` (status TruncatedEstimate), or when ``max_terms``
     is exhausted.  At exhaustion an increasing/concave functional without a
-    certified tail is reported DeclaredDivergent with value +inf; for a
-    decreasing/convex functional the phi-sum is bounded, so the truncated
-    estimate is returned instead.
+    certified tail is reported DeclaredDivergent with value +inf, unless
+    its phi has a finite slope c at 0+: then phi(x) <= c x bounds the
+    phi-sum by c, as it is bounded for a decreasing/convex functional, and
+    the truncated estimate is returned instead.  Among the built-ins only
+    tsallis with q > 1 has a finite slope, 1/(q - 1); a custom pair is
+    taken to have an infinite one.
 
     A vectorized source is read in blocks that double from STOP_WINDOW up to
     MAX_BLOCK terms and never reach past ``max_terms``.  The stopping checks
@@ -480,7 +515,8 @@ def entropy_sequence(
         if rem is not None:
             status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
             return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
-    if F.case is FunctionalCase.INCREASING_CONCAVE:
+    finite_slope = F.family == "tsallis" and F.params["q"] > 1.0
+    if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 
@@ -580,25 +616,14 @@ class BistochasticMatrix:
 
 def _bistochastic(Q: np.ndarray) -> np.ndarray:
     """A (k, n, n) float stack, checked as BistochasticMatrix checks and made read-only in place."""
-    if Q.size == 0:
-        raise ValueError("bistochastic matrix must be non-empty")
-    require_finite(Q, "bistochastic matrix entries must be finite", "matrix")
-    require_slices(
-        Q.min(axis=(1, 2)) >= 0.0, lambda t: "bistochastic matrix entries must be nonnegative", "matrix"
-    )
-    rows = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
-    cols = np.abs(Q.sum(axis=1) - 1.0).max(axis=1)
-    require_slices(
-        (rows <= ROW_SUM_TOL) & (cols <= ROW_SUM_TOL),
-        lambda t: f"row/column sums deviate from 1 beyond {ROW_SUM_TOL}",
-        "matrix",
-    )
+    require_stochastic_rows(Q, "bistochastic matrix row", "matrix")
+    require_stochastic_rows(Q.swapaxes(1, 2), "bistochastic matrix column", "matrix")
     Q.setflags(write=False)
     return Q
 
 
 def bistochastic_from_unitary(U) -> BistochasticMatrix:
-    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > UNITARY_TOL."""
+    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > ORTHONORMAL_TOL."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("unitary must be square")
@@ -607,13 +632,7 @@ def bistochastic_from_unitary(U) -> BistochasticMatrix:
 
 def _unitary_squares(U: np.ndarray) -> np.ndarray:
     """|U[t]_ij|^2 for a (k, n, n) stack of unitaries, not yet checked as bistochastic."""
-    require_finite(U, "unitary entries must be finite", "matrix")
-    dev = np.abs(U.conj().swapaxes(1, 2) @ U - np.eye(U.shape[-1])).max(axis=(1, 2))
-    require_slices(
-        dev <= UNITARY_TOL,
-        lambda t: f"matrix is not unitary within {UNITARY_TOL} (deviation {dev[t]:.3e})",
-        "matrix",
-    )
+    require_orthonormal(U, "unitary", "matrix")
     return np.abs(U) ** 2
 
 
@@ -668,13 +687,7 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     else:
         vals = (p if isinstance(p, ProbVector) else ProbVector(p)).entries[None]
         rows = rows[None] if ndim == 2 else rows.reshape(1, 1, -1)
-    if rows.size == 0:
-        raise ValueError("row must be non-empty")
-    # Both tests are written to be false for NaN, so NaN rows are rejected.
-    if not (float(rows.min()) >= 0.0):
-        raise ValueError("row entries must be finite and nonnegative")
-    if not (float(np.max(np.abs(rows.sum(axis=-1) - 1.0))) <= ROW_SUM_TOL):
-        raise ValueError(f"row must sum to 1 within {ROW_SUM_TOL}")
+    require_stochastic_rows(rows, "row", "batch")
     if rows.shape[2] != vals.shape[1]:
         raise ValueError("row and vector dimensions differ")
     phis = np.asarray(F.phi(vals))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import entropy_table, majorant_index, majorizes
+from .classical import entropy_table, majorant_index
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -412,17 +412,3 @@ def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:
     spectra = [np.sort(d.weights)[::-1] for d in decs]
     best = majorant_index(spectra)
     return None if best is None else spectra[best]
-
-
-def gpt_majorization(model: ConvexModel, x, y) -> bool | None:
-    """Whether x majorizes y, judged by their majorant spectra.
-
-    Returns True iff the spectrum of y is majorized by the spectrum of x
-    (argument order matches classical.majorizes), None when either state
-    lacks a majorant.
-    """
-    sx = gpt_majorant(model, x)
-    sy = gpt_majorant(model, y)
-    if sx is None or sy is None:
-        return None
-    return majorizes(sx, sy)

@@ -25,6 +25,7 @@ from .classical import (
     _computed_rows,
     entropy_finite,
     require_finite,
+    require_orthonormal,
     require_slices,
 )
 from .functionals import EntropicFunctional, as_count
@@ -33,8 +34,6 @@ from .reporting import AuditEntry
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = 1e-9
-ISOMETRY_TOL = 1e-8
-BASIS_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-8
 STATE_NORM_TOL = 1e-10
 RANK_CUTOFF = 1e-12
@@ -172,13 +171,7 @@ def _conjugated(matrices: np.ndarray, V: np.ndarray) -> np.ndarray:
         raise ValueError("isometry must have at least as many rows as columns")
     if cols != matrices.shape[-1]:
         raise ValueError(f"isometry maps dimension {cols}, state has {matrices.shape[-1]}")
-    require_finite(V, "isometry entries must be finite", "state")
-    dev = np.abs(_adjoint(V) @ V - np.eye(cols)).max(axis=(1, 2))
-    require_slices(
-        dev <= ISOMETRY_TOL,
-        lambda t: f"V*V deviates from identity by {dev[t]:.3e} (> {ISOMETRY_TOL})",
-        "state",
-    )
+    require_orthonormal(V, "isometry", "state")
     return V @ matrices @ _adjoint(V)
 
 
@@ -219,13 +212,7 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
     B = np.asarray(basis, dtype=complex)
     if B.shape != rho.matrix.shape:
         raise ValueError(f"basis must be {' x '.join(map(str, rho.matrix.shape))}")
-    require_finite(B, "basis entries must be finite", "state")
-    dev = np.abs(_adjoint(B) @ B - np.eye(rho.dim)).max(axis=(-2, -1))
-    require_slices(
-        dev <= BASIS_TOL,
-        lambda t: f"basis is not orthonormal within {BASIS_TOL} (deviation {dev[t]:.3e})",
-        "state",
-    )
+    require_orthonormal(B, "basis", "state")
     diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
     return _computed_rows(diag) if diag.ndim == 2 else ProbVector.from_computation(diag)
 
@@ -287,15 +274,25 @@ class Ensemble:
     def check_reconstructs(self, rho: DensityOperator) -> float:
         """Largest entry of |reconstruct() - rho|; ValueError if it exceeds RECONSTRUCTION_TOL."""
         _one_state(rho)
-        dev = float(np.abs(self.reconstruct() - rho.matrix).max())
-        if not dev <= RECONSTRUCTION_TOL:
-            raise ValueError(f"ensemble reconstructs rho only to {dev:.3e} (> {RECONSTRUCTION_TOL})")
-        return dev
+        return float(_require_reconstructs(self.weights.entries, self.states, rho.matrix))
 
 
 def _reconstructed(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     """sum_i w_i |psi_i><psi_i| of one ensemble, or of each in a stack."""
     return (states.swapaxes(-1, -2) * weights[..., None, :]) @ states.conj()
+
+
+def _require_reconstructs(weights: np.ndarray, states: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Largest entry of |_reconstructed(weights, states) - rho| per ensemble, each at most RECONSTRUCTION_TOL."""
+    dev = np.abs(_reconstructed(weights, states) - rho).max(axis=(-2, -1))
+    message = f"ensemble reconstructs rho only to {{:.3e}} (> {RECONSTRUCTION_TOL})"
+    require_slices(dev <= RECONSTRUCTION_TOL, lambda t: message.format(dev[t]), "ensemble")
+    return dev
+
+
+def _rank(spectrum: ProbVector) -> int:
+    """The number of eigenvalues above RANK_CUTOFF in a spectrum from eigen_spectrum."""
+    return int(np.sum(spectrum.entries > RANK_CUTOFF))
 
 
 def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ensemble:
@@ -308,8 +305,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     Requires m >= r.  A state of zero weight is reported as e_0.
     """
     m = as_count(m, "m")
-    spectrum, _ = eigen_spectrum(rho)
-    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+    r = _rank(eigen_spectrum(rho)[0])
     if m < r:
         raise ValueError(f"ensemble size m={m} is below the rank {r}")
     M = random_isometry(m, r, rng) if mixing is None else np.asarray(mixing, dtype=complex)
@@ -323,13 +319,7 @@ def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, n
     """Weights, as _computed_rows, and states of random_ensemble for each of (k, m, r) mixings; r the rank."""
     spectrum, basis = eigen_spectrum(rho)
     r = mixings.shape[-1]
-    require_finite(mixings, "mixing is not an isometry: its entries must be finite", "mixing")
-    dev = np.abs(_adjoint(mixings) @ mixings - np.eye(r)).max(axis=(1, 2))
-    require_slices(
-        dev <= ISOMETRY_TOL,
-        lambda t: f"mixing is not an isometry within {ISOMETRY_TOL} (deviation {dev[t]:.3e})",
-        "mixing",
-    )
+    require_orthonormal(mixings, "mixing", "mixing")
     scaled = basis[:, :r] * np.sqrt(spectrum.entries[:r])
     tilde = mixings @ scaled.T  # rows are unnormalized ensemble states
     weights = np.linalg.norm(tilde, axis=-1) ** 2
@@ -339,19 +329,13 @@ def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, n
     states = np.where(kept[..., None], tilde / norms, np.eye(1, rho.dim)[0])
     states.setflags(write=False)
     weights = _computed_rows(weights)
-    dev = np.abs(_reconstructed(weights, states) - rho.matrix).max(axis=(1, 2))
-    require_slices(
-        dev <= RECONSTRUCTION_TOL,
-        lambda t: f"ensemble reconstructs rho only to {dev[t]:.3e} (> {RECONSTRUCTION_TOL})",
-        "ensemble",
-    )
+    _require_reconstructs(weights, states, rho.matrix)
     return weights, states
 
 
 def spectral_ensemble(rho: DensityOperator) -> Ensemble:
     """The eigendecomposition of rho presented as an ensemble."""
-    spectrum, _ = eigen_spectrum(rho)
-    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+    r = _rank(eigen_spectrum(rho)[0])
     return random_ensemble(rho, r, mixing=np.eye(r))
 
 
@@ -372,8 +356,7 @@ def inf_ensemble_entropy(
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(rng_seed)
-    spectrum, _ = eigen_spectrum(rho)
-    r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+    r = _rank(eigen_spectrum(rho)[0])
     best_ensemble = spectral_ensemble(rho)
     best_value = entropy_finite(best_ensemble.weights, F).value
     for _ in range(trials):

@@ -1,8 +1,10 @@
 """Probability vectors, finite and sequence entropies, majorization, mixing."""
 
+import collections
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +176,34 @@ def test_entropy_table_validates_each_row_as_probvector_does():
     assert entropy_table(rows, [F])[:, 0].tolist() == [entropy_finite(row, F).value for row in rows]
 
 
+def test_entropy_table_names_a_bad_vector_by_its_position():
+    F = make_shannon()
+    for vectors, name in (
+        ([[0.5, 0.5], [1.0], [0.5, 0.4]], "vector 2: "),
+        ([[1.0], [0.5, 0.4]], "vector 1: "),
+        ([[0.5, 0.4], [0.5, 0.5]], "vector 0: "),
+        ([[0.5, 0.4]], ""),
+    ):
+        with pytest.raises(ValueError, match=f"^{name}entries sum to 0.9, outside"):
+            entropy_table(vectors, [F])
+    with pytest.raises(ValueError, match="^vector 1: computed entry -0.001 below floor"):
+        entropy_table([[1.0], [1.001, -0.001], [0.5, 0.5]], [F], computed=True)
+
+
+def test_an_overflowing_total_is_a_value_error_not_a_warning():
+    huge = [1e308, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, message in (
+            (lambda: ProbVector(huge, renormalize=True), "cannot renormalize a vector with total above the float range"),
+            (lambda: ProbVector.from_computation(huge), "computed vector has total above the float range"),
+            (lambda: ProbVector(huge), "entries sum to inf, outside"),
+            (lambda: entropy_table([[1.0], huge], [make_shannon()], computed=True), "vector 1: computed vector has total above"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call()
+
+
 def test_computed_rows_are_from_computation_row_by_row():
     rows = np.array([
         [0.5, 0.5, 0.0],
@@ -197,9 +227,9 @@ def test_entropy_table_stacks_lengths_in_first_seen_order_and_never_pads(monkeyp
     want = [entropy_finite(v, F).value for v in items]
     stacks = []
 
-    def recording(rows, floor, drift):
+    def recording(rows, floor, drift, *names):
         stacks.append(rows.tolist())
-        return kernel(rows, floor, drift)
+        return kernel(rows, floor, drift, *names)
 
     kernel = _probability_rows
     monkeypatch.setattr("entrokit.classical._probability_rows", recording)
@@ -522,21 +552,21 @@ def test_bistochastic_kernel_errors_name_the_first_bad_matrix():
         return out
 
     for stack, message in (
-        (with_entry(Q, (2, 0, 1), math.nan), "matrix 2: bistochastic matrix entries must be finite"),
+        (with_entry(Q, (2, 0, 1), math.nan), "matrix 2: bistochastic matrix row entries must be finite"),
         (with_entry(with_entry(Q, (3, 1, 1), math.inf), (1, 0, 0), math.nan), "matrix 1: .*finite"),
         (with_entry(Q, (1, 0, 0), -1e-3), "matrix 1: .*nonnegative"),
-        (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * ROW_SUM_TOL), "matrix 3: row/column sums"),
-        (with_entry(Q[:1], (0, 0, 0), -1e-3), "bistochastic matrix entries must be nonnegative"),
+        (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * ROW_SUM_TOL), "matrix 3: bistochastic matrix row sums"),
+        (with_entry(Q[:1], (0, 0, 0), -1e-3), "bistochastic matrix row entries must be nonnegative"),
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
             _bistochastic(stack)
     with pytest.raises(ValueError, match="non-empty"):
         _bistochastic(np.empty((0, 3, 3)))
-    with pytest.raises(ValueError, match=r"^matrix 2: matrix is not unitary .*deviation"):
+    with pytest.raises(ValueError, match=r"^matrix 2: unitary is not orthonormal .*deviation"):
         _unitary_squares(with_entry(Us, (2, 0, 0), 2.0))
     with pytest.raises(ValueError, match=r"^matrix 1: unitary entries must be finite"):
         _unitary_squares(with_entry(Us, (1, 0, 0), math.inf))
-    with pytest.raises(ValueError, match=r"^matrix is not unitary .*deviation"):
+    with pytest.raises(ValueError, match=r"^unitary is not orthonormal .*deviation"):
         _unitary_squares(with_entry(Us[:1], (0, 0, 0), 2.0))
 
 
@@ -746,6 +776,26 @@ def test_monotone_probe_spans_chunk_boundary():
         src.values(64, 70)
 
 
+def test_a_per_index_sequence_reads_each_index_once():
+    # The step into a block is checked against the last value of the block
+    # before, kept from that read: index 63 was once read a second time.
+    calls = collections.Counter()
+
+    def fn(i):
+        calls[i] += 1
+        return 6.0 / (math.pi * (i + 1)) ** 2
+
+    entropy_sequence(SequenceSource(fn, declared_monotone=True), make_shannon(), max_terms=300)
+    assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
+    bump = SequenceSource(fn=lambda i: 0.001 if i < 64 else 0.002, declared_monotone=True, name="bump")
+    with pytest.raises(ValueError, match="declared monotone but increased"):
+        entropy_sequence(bump, make_shannon(), max_terms=300)
+    # A read that no read ended before still checks its first step.
+    fresh = SequenceSource(fn=lambda i: 0.001 if i < 64 else 0.002, declared_monotone=True, name="bump")
+    with pytest.raises(ValueError, match="declared monotone but increased"):
+        fresh.values(64, 70)
+
+
 def test_geometric_shannon_closed_form():
     src = SequenceSource.geometric(0.5)
     res = entropy_sequence(src, make_shannon())
@@ -805,6 +855,24 @@ def test_heavy_tail_never_divergent_for_convex_case():
     assert math.isfinite(res.value)
 
 
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_heavy_tail_tsallis_above_one_is_bounded(q):
+    # phi(x) = (x - x**q) / (q - 1) <= x / (q - 1), so the phi-sum stays below 1 / (q - 1).
+    res = entropy_sequence(sequence_from_spec("heavytail"), make_tsallis(q), max_terms=20_000)
+    assert res.status is EntropyStatus.TRUNCATED_ESTIMATE
+    assert math.isfinite(res.value) and 0.0 < res.value <= 1.0 / (q - 1.0)
+    assert res.terms_used == 20_000
+
+
+def test_heavy_tail_tsallis_below_one_and_custom_pairs_stay_divergent():
+    src = sequence_from_spec("heavytail")
+    shannon = make_shannon()
+    custom = make_custom("tsallis-copy", make_tsallis(2.0).phi, lambda y: y, FunctionalCase.INCREASING_CONCAVE)
+    for F in (make_tsallis(0.5), shannon, custom):
+        res = entropy_sequence(src, F, max_terms=1_000)
+        assert res.status is EntropyStatus.DECLARED_DIVERGENT and res.value == math.inf, F.name
+
+
 def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
     """The window-by-window loop: one read of STOP_WINDOW terms per step."""
     partial = 0.0
@@ -829,7 +897,8 @@ def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
         if rem is not None:
             status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
             return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
-    if F.case is FunctionalCase.INCREASING_CONCAVE:
+    # tsallis with q > 1 is the built-in whose phi has a finite slope at 0+: its sum is bounded.
+    if F.case is FunctionalCase.INCREASING_CONCAVE and not (F.family == "tsallis" and F.params["q"] > 1.0):
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 

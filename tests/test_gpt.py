@@ -20,7 +20,6 @@ from entrokit.gpt import (
     enumerate_basic_decompositions,
     gpt_entropy,
     gpt_majorant,
-    gpt_majorization,
     membership,
     minimize_entropy,
 )
@@ -718,7 +717,6 @@ def test_majorant_missing_for_incomparable_spectra():
     assert np.allclose(spectra[0], [0.6, 0.3, 0.1], rtol=0, atol=1e-9)
     assert np.allclose(spectra[1], [0.55, 0.4, 0.05], rtol=0, atol=1e-9)
     assert gpt_majorant(model, INCOMPARABLE_POINT) is None
-    assert gpt_majorization(model, INCOMPARABLE_POINT, INCOMPARABLE_POINT) is None
 
 
 def test_majorant_on_simplex_is_the_unique_spectrum():
@@ -728,12 +726,6 @@ def test_majorant_on_simplex_is_the_unique_spectrum():
     dec = membership(model, x)
     spectrum = gpt_majorant(model, x)
     assert np.allclose(spectrum, np.sort(dec.weights)[::-1], rtol=0, atol=1e-12)
-
-
-def test_gpt_majorization_vertex_dominates_center():
-    model = ConvexModel(SQUARE)
-    assert gpt_majorization(model, [1.0, 1.0], [0.0, 0.0]) is True
-    assert gpt_majorization(model, [0.0, 0.0], [1.0, 1.0]) is False
 
 
 def test_majorant_entropy_is_minimal_across_decompositions():
