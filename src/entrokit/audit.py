@@ -18,8 +18,9 @@ case as it is drawn.  The schur, pinching, isometry and ensemble suites
 also defer their linear algebra: their trial loops only draw (unitaries
 and Dirichlet vectors, or Gaussian factors), and bistochastic maps, their
 images, states, Haar isometries, eigensolves, pinches and ensembles are
-then built once per stack of trials that share a shape (a dimension, or a
-state and ensemble size) by the private kernels of classical and quantum.
+then built once per stack of trials that share a shape (a dimension, or
+for ensembles a dimension, rank and size, across states) by the private
+kernels of classical and quantum.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
 
     The runner takes (trials, seed, dims, functional_specs), defaulting to
     this suite's trials and dims.  Before any draw it checks trials (at
-    least 1), seed and dims, a (lo, hi) pair, by as_count's rules, with
-    1 <= lo <= hi.  It then calls ``body(trials, rng, dims, functionals)``
-    with the seeded generator and the resolved functionals, and reports the
-    entries the body returns under this suite's name and tolerance.
+    least 1), seed (at least 0) and dims, a (lo, hi) pair, by as_count's
+    rules, with 1 <= lo <= hi.  It then calls
+    ``body(trials, rng, dims, functionals)`` with the seeded generator and
+    the resolved functionals, and reports the entries the body returns
+    under this suite's name and tolerance.
     """
 
     def register(body):
@@ -109,6 +111,8 @@ def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
             if trials < 1:
                 raise ValueError(f"trials must be at least 1, got {trials}")
             seed = as_count(seed, "seed")
+            if seed < 0:
+                raise ValueError(f"seed must be nonnegative, got {seed}")
             if not isinstance(dims, Sized) or len(dims) != 2:
                 raise ValueError(f"dims must be a (lo, hi) pair, got {dims!r}")
             lo, hi = (as_count(d, "dims") for d in dims)
@@ -288,50 +292,46 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     ensemble that inf_ensemble_entropy(rho, F, trials=0) returns (one call
     per state), then only draws: each ensemble size m and the Gaussian of
     its mixing isometry, the draws random_ensemble(rho, m, rng) makes.  The
-    ensembles of one size are then built as one stack: one haar_isometry,
-    one _ensembles on the stacked mixings and one _row_margins of the
-    spectrum against all their weights, so at most three of each per
-    state.  All spectra and weights are scored in one entropy_table call
-    (one kernel call per length and functional).  A state's infimum is the
-    least of its spectral ensemble's entropy, which is the value
-    inf_ensemble_entropy returns for each functional, and its scored draws.
-    Each margin is bit for bit that of a loop that builds and scores every
-    ensemble as it is drawn.
+    draws of every state that share a key (dimension, rank, size) are then
+    built as one stack: one haar_isometry, one _ensembles on the stacked
+    states and mixings and one row-paired _row_margins of each draw's
+    spectrum against its weights.  All spectra and weights are scored in
+    one entropy_table call (one kernel call per length and functional).  A
+    state's infimum is the least of its spectral ensemble's entropy, which
+    is the value inf_ensemble_entropy returns for each functional, and its
+    scored draws.  Each margin is bit for bit that of a loop that builds
+    and scores every ensemble as it is drawn.
     """
     n_states = max(1, trials // 20)
-    states, vectors, mixing = [], [], []
-    drawn = 0
+    states, vectors, keys, gaussians, held = [], [], [], [], []
     for s in range(n_states):
         d = _draw_dim(rng, dims)
         rank = int(rng.integers(1, d + 1))
         rho = random_density(d, rng, rank=rank)
-        spectrum, _ = eigen_spectrum(rho)
+        spectrum, basis = eigen_spectrum(rho)
         r = _rank(spectrum)
         _, spectral = inf_ensemble_entropy(rho, functionals[0], trials=0)
-        budget = max(1, (trials - drawn) // (n_states - s))
-        sizes, gaussians = [], []
+        budget = max(1, (trials - len(keys)) // (n_states - s))
+        states.append((d, len(keys), len(keys) + budget))
         for _ in range(budget):
-            sizes.append(r + int(rng.integers(0, 3)))
-            gaussians.append(ginibre(sizes[-1], r, rng))  # random_isometry's draw
-        drawn += budget
-        weights, margins = [None] * budget, [None] * budget
-        for idx in positions_by_key(sizes):
-            drawn_weights, _ = _ensembles(rho, haar_isometry(_stack(gaussians, idx)))
-            stack_margins = _row_margins(spectrum.entries[None], drawn_weights).tolist()
-            for t, w, margin in zip(idx, drawn_weights, stack_margins):
-                weights[t], margins[t] = w, margin
-        first = len(vectors)
-        vectors += [spectrum, spectral.weights, *weights]
-        mixing += margins
-        states.append((d, first, len(vectors)))
-    h = entropy_table(vectors, functionals)
+            m = r + int(rng.integers(0, 3))
+            keys.append((d, r, m))
+            gaussians.append(ginibre(m, r, rng))  # random_isometry's draw
+        held += [(rho.matrix, spectrum.entries, basis)] * budget  # each draw's state
+        vectors += [spectrum, spectral.weights]
+    weights, mixing = [None] * len(keys), [None] * len(keys)
+    for idx in positions_by_key(keys):
+        matrices, p, bases = (np.array(a) for a in zip(*(held[t] for t in idx)))
+        drawn_weights, _ = _ensembles(matrices, p, bases, haar_isometry(_stack(gaussians, idx)))
+        for t, w, margin in zip(idx, drawn_weights, _row_margins(p, drawn_weights).tolist()):
+            weights[t], mixing[t] = w, margin
+    h = entropy_table(vectors + weights, functionals)
     entries = []
-    margins = iter(mixing)
-    for d, first, stop in states:
-        spectral_h, start = h[first : first + 2].tolist()
-        weights_h = h[first + 2 : stop]
-        for row in weights_h.tolist():
-            entries.append(AuditEntry.check("ensemble-majorization", next(margins), EQ_TOL, dim=d))
+    for s, (d, first, stop) in enumerate(states):
+        spectral_h, start = h[2 * s : 2 * s + 2].tolist()
+        weights_h = h[2 * n_states + first : 2 * n_states + stop]
+        for margin, row in zip(mixing[first:stop], weights_h.tolist()):
+            entries.append(AuditEntry.check("ensemble-majorization", margin, EQ_TOL, dim=d))
             for F, hw, spectral in zip(functionals, row, spectral_h):
                 entries.append(
                     AuditEntry.check(

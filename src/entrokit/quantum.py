@@ -305,31 +305,36 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
     Requires m >= r.  A state of zero weight is reported as e_0.
     """
     m = as_count(m, "m")
-    r = _rank(eigen_spectrum(rho)[0])
+    spectrum, basis = eigen_spectrum(rho)
+    r = _rank(spectrum)
     if m < r:
         raise ValueError(f"ensemble size m={m} is below the rank {r}")
     M = random_isometry(m, r, rng) if mixing is None else np.asarray(mixing, dtype=complex)
     if M.shape != (m, r):
         raise ValueError(f"mixing must be {m} x {r}")
-    weights, states = _ensembles(rho, M[None])
+    weights, states = _ensembles(rho.matrix[None], spectrum.entries[None], basis[None], M[None])
     return Ensemble(ProbVector(weights[0]), states[0])
 
 
-def _ensembles(rho: DensityOperator, mixings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights, as _computed_rows, and states of random_ensemble for each of (k, m, r) mixings; r the rank."""
-    spectrum, basis = eigen_spectrum(rho)
+def _ensembles(matrices, spectra, bases, mixings) -> tuple[np.ndarray, np.ndarray]:
+    """Weights, as _computed_rows, and states of random_ensemble(state t, m, mixing=mixings[t]).
+
+    State t, which may differ from slice to slice, is given as its (k, d, d)
+    density matrix and its (k, d) spectrum and (k, d, d) basis from
+    eigen_spectrum; the (k, m, r) mixings share r, the rank of every state.
+    """
     r = mixings.shape[-1]
     require_orthonormal(mixings, "mixing", "mixing")
-    scaled = basis[:, :r] * np.sqrt(spectrum.entries[:r])
-    tilde = mixings @ scaled.T  # rows are unnormalized ensemble states
+    scaled = bases[..., :r] * np.sqrt(spectra[:, None, :r])
+    tilde = mixings @ scaled.swapaxes(-1, -2)  # rows are unnormalized ensemble states
     weights = np.linalg.norm(tilde, axis=-1) ** 2
     kept = weights > 1e-30
     # The divisor is 1 where the weight is dropped, so no 0/0 is ever taken.
     norms = np.sqrt(np.where(kept, weights, 1.0))[..., None]
-    states = np.where(kept[..., None], tilde / norms, np.eye(1, rho.dim)[0])
+    states = np.where(kept[..., None], tilde / norms, np.eye(1, matrices.shape[-1])[0])
     states.setflags(write=False)
     weights = _computed_rows(weights)
-    _require_reconstructs(weights, states, rho.matrix)
+    _require_reconstructs(weights, states, matrices)
     return weights, states
 
 

@@ -148,6 +148,17 @@ def test_seed_that_is_not_a_count_is_rejected_before_any_draw(monkeypatch, suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("seed", [-1, np.int64(-5), -2.0])
+def test_negative_seed_is_rejected_before_any_draw(monkeypatch, suite, seed):
+    no_draws(monkeypatch)
+    message = f"^seed must be nonnegative, got {int(seed)}$"
+    with pytest.raises(ValueError, match=message):
+        SUITES[suite](trials=3, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        run_audit(suite, trials=3, seed=seed)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_integral_seed_of_any_type_runs(suite):
     report = SUITES[suite](trials=3, seed=np.int64(7))
     assert type(report.seed) is int
@@ -349,10 +360,14 @@ def reference_gpt_argmin_entries(trials, seed, dims, functionals):
         ("schur", reference_schur_entries, 40, (1, 12)),
         ("isometry", reference_isometry_entries, 40, (2, 8)),
         ("ensemble", reference_ensemble_entries, 100, (2, 6)),
+        ("ensemble", reference_ensemble_entries, 200, (3, 3)),
         ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 3)),
         ("gpt-argmin", reference_gpt_argmin_entries, 40, (2, 4)),
     ],
-    ids=["schur", "schur-wide", "schur-from-1", "isometry", "ensemble", "gpt-argmin", "gpt-argmin-wide"],
+    ids=[
+        "schur", "schur-wide", "schur-from-1", "isometry", "ensemble", "ensemble-one-dim",
+        "gpt-argmin", "gpt-argmin-wide",
+    ],
 )
 def test_batched_suite_is_the_per_functional_loop(suite, reference, trials, dims, seed):
     report = run_audit(suite, trials=trials, seed=seed, dims=dims, functional_specs=REFERENCE_FUNCTIONALS)
@@ -394,16 +409,19 @@ def test_schur_suite_mixes_each_dimension_as_one_stack(monkeypatch, trials, dims
     }
 
 
-@pytest.mark.parametrize("trials", [7, 40, 61])
+@pytest.mark.parametrize("trials", [7, 40, 61, 400])
 def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
-    # Draws are built in stacks of one ensemble size: each drawn ensemble is
-    # one slice of a stacked mixing, and the kernel draws nothing itself.
-    # random_ensemble runs only for the spectral ensembles, with identity mixings.
+    # Draws are built in stacks of one (dimension, rank, size) key across
+    # states: each drawn ensemble is one slice of a stacked mixing, and the
+    # kernel draws nothing itself. random_ensemble runs only for the spectral
+    # ensembles, with identity mixings.
     stacked, single, unmixed = [], [], []
 
-    def counted_stack(rho, mixings):
-        stacked.append(len(mixings))
-        return _ensembles(rho, mixings)
+    def counted_stack(matrices, spectra, bases, mixings):
+        ranks = np.sum(spectra > RANK_CUTOFF, axis=1)
+        assert all(M.shape[1] == r for r, M in zip(ranks, mixings))
+        stacked.append([(len(s), int(r), len(M)) for s, r, M in zip(spectra, ranks, mixings)])
+        return _ensembles(matrices, spectra, bases, mixings)
 
     def counted(rho, m, rng=None, mixing=None):
         (unmixed if mixing is None else single).append(m)
@@ -414,8 +432,9 @@ def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
     report = run_audit("ensemble", trials=trials, seed=5)
     states = max(1, trials // 20)
     assert unmixed == []
-    assert sum(stacked) == trials
-    assert len(stacked) <= 3 * states
+    assert sum(len(keys) for keys in stacked) == trials
+    assert all(len(set(keys)) == 1 for keys in stacked)
+    assert len({keys[0] for keys in stacked}) == len(stacked)
     assert len(single) == states
     counts = Counter(c.case for c in report.cases)
     assert counts == {

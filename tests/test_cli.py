@@ -355,6 +355,14 @@ def test_audit_trials_below_one_is_domain_error(capsys, suite, trials):
     assert err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("suite", ["schur", "ensemble"])
+def test_audit_negative_seed_is_domain_error(capsys, suite):
+    code, out, err = run(capsys, "audit", suite, "--trials", "2", "--seed", "-1")
+    assert code == 3
+    assert out == ""
+    assert err == "domain error: seed must be nonnegative, got -1\n"
+
+
 @pytest.mark.parametrize("dims", ["1", "7"])
 def test_audit_gpt_dims_outside_the_cap_is_domain_error(capsys, dims):
     code, out, err = run(capsys, "audit", "gpt-argmin", "--trials", "2", "--dims", dims)

@@ -562,8 +562,23 @@ def test_ensemble_validation():
 
 # ------------------------------------------------------- stacked ensembles
 
+def state_stack(rhos):
+    """The matrices, spectra and eigenbases of states, stacked as _ensembles takes them."""
+    spectra, bases = zip(*(eigen_spectrum(rho) for rho in rhos))
+    return (
+        np.array([rho.matrix for rho in rhos]),
+        np.array([spectrum.entries for spectrum in spectra]),
+        np.array(bases),
+    )
+
+
+def ensembles_of(rho, mixing):
+    """_ensembles with every slice of the stack taken from the one state rho."""
+    return _ensembles(*state_stack([rho] * len(mixing)), mixing)
+
+
 def assert_slices_are_single_calls(rho, m, mixing):
-    weights, states = _ensembles(rho, mixing)
+    weights, states = ensembles_of(rho, mixing)
     assert weights.shape == (len(mixing), m)
     assert states.shape == (len(mixing), m, rho.dim)
     assert not weights.flags.writeable and not states.flags.writeable
@@ -589,7 +604,7 @@ def test_ensemble_kernel_is_the_single_calls_bit_for_bit(d):
 def test_a_drawn_ensemble_is_the_stacked_slice_of_its_draw():
     rho = random_density(4, as_rng(3), rank=3)
     drawn = random_ensemble(rho, 5, as_rng(9))
-    weights, states = _ensembles(rho, haar_isometry(ginibre(5, 3, as_rng(9))[None]))
+    weights, states = ensembles_of(rho, haar_isometry(ginibre(5, 3, as_rng(9))[None]))
     assert_same_bits(weights[0], drawn.weights.entries)
     assert_same_bits(states[0], drawn.states)
 
@@ -609,15 +624,44 @@ def test_stacked_ensemble_errors_name_the_first_bad_slice():
     rho = random_density(2, as_rng(23))
     mixing = np.array([np.eye(2), HADAMARD, 2.0 * np.eye(2), np.ones((2, 2))])
     with pytest.raises(ValueError, match=r"^mixing 2: mixing is not orthonormal"):
-        _ensembles(rho, mixing)
+        ensembles_of(rho, mixing)
     with pytest.raises(ValueError, match=r"^mixing is not orthonormal"):
-        _ensembles(rho, mixing[2:3])
+        ensembles_of(rho, mixing[2:3])
     with pytest.raises(ValueError, match=r"^mixing 1: mixing entries must be finite"):
-        _ensembles(rho, np.array([np.eye(2), [[math.inf, 0.0], [0.0, 1.0]]]))
+        ensembles_of(rho, np.array([np.eye(2), [[math.inf, 0.0], [0.0, 1.0]]]))
     with pytest.raises(ValueError, match="^mixing must be 2 x 2$"):
         random_ensemble(rho, 2, mixing=mixing)
     with pytest.raises(ValueError, match="^mixing must be 3 x 2$"):
         random_ensemble(rho, 3, mixing=np.eye(2))
+
+
+@pytest.mark.parametrize("d,r,m", [(2, 2, 2), (4, 3, 5), (6, 2, 4), (5, 5, 7)])
+def test_ensemble_kernel_takes_a_different_state_per_slice(d, r, m):
+    # One stack, one (d, r, m): each slice has its own state, spectrum and basis.
+    rng = as_rng(40 + d + r + m)
+    rhos = [random_density(d, rng, rank=r) for _ in range(5)]
+    assert all(int(np.sum(eigen_spectrum(rho)[0].entries > RANK_CUTOFF)) == r for rho in rhos)
+    assert len({eigen_spectrum(rho)[0].entries.tobytes() for rho in rhos}) == len(rhos)
+    mixing = haar_isometry(np.array([ginibre(m, r, rng) for _ in rhos]))
+    weights, states = _ensembles(*state_stack(rhos), mixing)
+    assert weights.shape == (len(rhos), m) and states.shape == (len(rhos), m, d)
+    for t, (rho, M) in enumerate(zip(rhos, mixing)):
+        single = random_ensemble(rho, m, mixing=M)
+        assert_same_bits(weights[t], single.weights.entries)
+        assert_same_bits(states[t], single.states)
+
+
+def test_ensemble_kernel_names_the_slice_that_fails_to_reconstruct():
+    rng = as_rng(61)
+    rhos = [random_density(3, rng, rank=2) for _ in range(3)]
+    matrices, spectra, bases = state_stack(rhos)
+    mixing = haar_isometry(np.array([ginibre(3, 2, rng) for _ in rhos]))
+    # Slice 1 keeps the spectrum and basis of state 1 but claims the matrix of state 2.
+    claimed = matrices[[0, 2, 2]]
+    with pytest.raises(ValueError, match=r"^ensemble 1: ensemble reconstructs rho only to"):
+        _ensembles(claimed, spectra, bases, mixing)
+    with pytest.raises(ValueError, match=r"^ensemble reconstructs rho only to"):
+        _ensembles(claimed[1:2], spectra[1:2], bases[1:2], mixing[1:2])
 
 
 def test_ensemble_holds_one_ensemble():
