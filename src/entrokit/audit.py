@@ -12,15 +12,15 @@ resolves the functionals and turns the body's entries into an AuditReport,
 so a body only draws and scores.
 
 Every suite draws all its cases first and scores them afterwards, one
-kernel call per (vector length, functional) through entropy_table.  Its
-draws, and each margin bit for bit, are those of a loop that scores every
-case as it is drawn.  The schur, pinching, isometry and ensemble suites
-also defer their linear algebra: their trial loops only draw (unitaries
-and Dirichlet vectors, or Gaussian factors), and bistochastic maps, their
-images, states, Haar isometries, eigensolves, pinches and ensembles are
-then built once per stack of trials that share a shape (a dimension, or
-for ensembles a dimension, rank and size, across states) by the private
-kernels of classical and quantum.
+kernel call per (vector length, functional).  Its draws, and each margin
+bit for bit, are those of a loop that scores every case as it is drawn.
+The trial loops only draw (each Gaussian as the real pair of one
+standard_normal call, as ginibre reads it), and the linear algebra runs
+once per stack of trials that share a shape, by the private kernels of
+classical and quantum.  Suites that hold one stack per dimension score it
+with classical._entropy_columns, the others through entropy_table.  The
+margins fill a (rows, cases) array, which _entries turns into AuditEntry
+records in one row-major pass.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 from .classical import (
     _bistochastic,
     _computed_rows,
+    _entropy_columns,
     _mix_rows,
     _row_margins,
     _unitary_squares,
@@ -55,9 +56,7 @@ from .quantum import (
 from .rand import (
     as_rng,
     density_from_factor,
-    ginibre,
     random_density,
-    random_density_factor,
     random_interior_point,
     random_sphere_model,
     random_unitary,
@@ -132,8 +131,33 @@ def _stack(arrays, idx) -> np.ndarray:
     return np.array([arrays[t] for t in idx])
 
 
+def _complex_stack(draws, idx) -> np.ndarray:
+    """The ginibre matrices of the (2, rows, cols) real draws at idx, as one (k, rows, cols) stack."""
+    z = _stack(draws, idx)
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def _draw_dim(rng, dims) -> int:
     return int(rng.integers(dims[0], dims[1] + 1))
+
+
+def _entries(margins, columns, dims, keep=None) -> list[AuditEntry]:
+    """The AuditEntry of each margin of a (rows, columns) array, row by row.
+
+    ``columns`` holds one (case, tolerance, functional name) triple per
+    column and ``dims`` one dimension per row; where the boolean array
+    ``keep`` is false no entry is made.  Each entry equals what
+    AuditEntry.check builds, with Python float, bool and int fields.
+    """
+    passed = margins >= -np.array([tolerance for _, tolerance, _ in columns])
+    kept = np.ones(margins.shape, bool) if keep is None else keep
+    # tuple.__new__ is what AuditEntry's own __new__ calls, less its argument binding.
+    return [
+        tuple.__new__(AuditEntry, (case, margin, tolerance, ok, name, dim))
+        for dim, margin_row, ok_row, keep_row in zip(dims, margins.tolist(), passed.tolist(), kept.tolist())
+        for (case, tolerance, name), margin, ok, k in zip(columns, margin_row, ok_row, keep_row)
+        if k
+    ]
 
 
 @_suite("schur", INEQ_TOL, trials=500, dims=(2, 8))
@@ -144,10 +168,11 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     Dirichlet draw random_prob_vector makes.  The trials of one dimension
     are then handled as one stack: one _unitary_squares, _bistochastic,
     _computed_rows for the vectors p, _mix_rows and row-paired _row_margins,
-    and one jensen_step_oracle per functional, all on the same stacked Q
-    and p.  Every p and q is scored in one entropy_table call.  Entries
-    keep the trial order, and each margin is bit for bit that of a loop
-    that builds and scores every trial as it is drawn.
+    one _entropy_columns call on p and Qp together, and one
+    jensen_step_oracle per functional, all on the same stacked Q and p.
+    The margins fill one (trials, 1 + 3 * functionals) array, and each is
+    bit for bit that of a loop that builds and scores every trial as it is
+    drawn.
     """
     drawn_dims, unitaries, draws = [], [], []
     for _ in range(trials):
@@ -155,44 +180,28 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         drawn_dims.append(n)
         unitaries.append(random_unitary(n, rng))
         draws.append(rng.dirichlet(np.ones(n)))  # random_prob_vector's draw
-    vectors, mixing = [None] * (2 * trials), [None] * trials
-    eq_worst = np.empty((trials, len(functionals)))
-    dir_worst = np.empty_like(eq_worst)
+    margins = np.empty((trials, 1 + 3 * len(functionals)))
     for idx in positions_by_key(drawn_dims):
         Q = _bistochastic(_unitary_squares(_stack(unitaries, idx)))
         p = _computed_rows(_stack(draws, idx))
         q = _mix_rows(Q, p)
-        for t, p_t, q_t, margin in zip(idx, p, q, _row_margins(p, q).tolist()):
-            vectors[2 * t : 2 * t + 2] = p_t, q_t
-            mixing[t] = margin
+        margins[idx, 0] = _row_margins(p, q)
+        hp, hq = np.split(_entropy_columns(np.concatenate([p, q]), functionals), 2)
+        margins[idx, 1::3] = hq - hp
         for j, F in enumerate(functionals):
             int_f, int_phi, disc_q, disc_sum = jensen_step_oracle(Q, p, F)
             f_worst = np.min(-np.abs(int_f - disc_q), axis=1)
             phi_worst = np.min(-np.abs(int_phi - disc_sum), axis=1)
             # Python's min(f, phi): phi only where it is strictly smaller.
-            eq_worst[idx, j] = np.where(phi_worst < f_worst, phi_worst, f_worst)
+            margins[idx, 2 + 3 * j] = np.where(phi_worst < f_worst, phi_worst, f_worst)
             points = F.phi(disc_q)
             if F.case is FunctionalCase.INCREASING_CONCAVE:
-                dir_worst[idx, j] = np.min(points - disc_sum, axis=1)
+                margins[idx, 3 + 3 * j] = np.min(points - disc_sum, axis=1)
             else:
-                dir_worst[idx, j] = np.min(disc_sum - points, axis=1)
-    h = entropy_table(vectors, functionals)
-    entries = []
-    for n, margin, hp, hq, eq_row, dir_row in zip(
-        drawn_dims, mixing, h[0::2].tolist(), h[1::2].tolist(), eq_worst.tolist(), dir_worst.tolist()
-    ):
-        entries.append(AuditEntry.check("mixing-majorization", margin, EQ_TOL, dim=n))
-        for F, hp_F, hq_F, eq_F, dir_F in zip(functionals, hp, hq, eq_row, dir_row):
-            entries.append(
-                AuditEntry.check("entropy-monotone", hq_F - hp_F, INEQ_TOL, functional=F.name, dim=n)
-            )
-            entries.append(
-                AuditEntry.check("jensen-integral-match", eq_F, EQ_TOL, functional=F.name, dim=n)
-            )
-            entries.append(
-                AuditEntry.check("jensen-direction", dir_F, EQ_TOL, functional=F.name, dim=n)
-            )
-    return entries
+                margins[idx, 3 + 3 * j] = np.min(disc_sum - points, axis=1)
+    cases = ("entropy-monotone", INEQ_TOL), ("jensen-integral-match", EQ_TOL), ("jensen-direction", EQ_TOL)
+    columns = [("mixing-majorization", EQ_TOL, "")] + [(c, tol, F.name) for F in functionals for c, tol in cases]
+    return _entries(margins, columns, drawn_dims)
 
 
 @_suite("pinching", INEQ_TOL, trials=500, dims=(2, 8))
@@ -204,40 +213,25 @@ def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     once per dimension, on the stack of that dimension's trials: one
     DensityOperator, one _eigensystems, one haar_isometry and two pinch
     calls, in the random bases and in the eigenbases.  The spectra and both
-    diagonals of every trial are scored in one entropy_table call.
+    diagonals of a dimension are scored by one _entropy_columns call.
     """
     drawn_dims, factors, gaussians = [], [], []
     for _ in range(trials):
         d = _draw_dim(rng, dims)
         drawn_dims.append(d)
-        factors.append(random_density_factor(d, rng))
-        gaussians.append(ginibre(d, d, rng))  # random_unitary's draw
-    vectors = [None] * (3 * trials)
+        factors.append(rng.standard_normal((2, d, d)))  # random_density's ginibre draw
+        gaussians.append(rng.standard_normal((2, d, d)))  # random_unitary's ginibre draw
+    margins = np.empty((trials, 2 * len(functionals)))
     for idx in positions_by_key(drawn_dims):
-        rho = DensityOperator(density_from_factor(_stack(factors, idx)))
+        rho = DensityOperator(density_from_factor(_complex_stack(factors, idx)))
         spectra, eigenbases = _eigensystems(rho.matrix)
-        bases = haar_isometry(_stack(gaussians, idx))
-        for t, *rows in zip(idx, spectra, pinch(rho, bases), pinch(rho, eigenbases)):
-            vectors[3 * t : 3 * t + 3] = rows
-    h = entropy_table(vectors, functionals).tolist()
-    entries = []
-    for d, base_row, pinched_row, pinned_row in zip(drawn_dims, h[0::3], h[1::3], h[2::3]):
-        for F, base, pinched, pinned in zip(functionals, base_row, pinched_row, pinned_row):
-            entries.append(
-                AuditEntry.check(
-                    "pinching-inequality", pinched - base, INEQ_TOL, functional=F.name, dim=d
-                )
-            )
-            entries.append(
-                AuditEntry.check(
-                    "pinching-eigenbasis-equality",
-                    -abs(pinned - base),
-                    INEQ_TOL,
-                    functional=F.name,
-                    dim=d,
-                )
-            )
-    return entries
+        bases = haar_isometry(_complex_stack(gaussians, idx))
+        rows = np.concatenate([spectra, pinch(rho, bases), pinch(rho, eigenbases)])
+        base, pinched, pinned = np.split(_entropy_columns(rows, functionals), 3)
+        margins[idx, 0::2] = pinched - base
+        margins[idx, 1::2] = -np.abs(pinned - base)
+    cases = ("pinching-inequality", "pinching-eigenbasis-equality")
+    return _entries(margins, [(case, INEQ_TOL, F.name) for F in functionals for case in cases], drawn_dims)
 
 
 @_suite("isometry", ISOMETRY_EQ_TOL, trials=200, dims=(2, 8))
@@ -246,38 +240,34 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 
     The trial loop only draws: each dimension, the Gaussian factor of the
     state and the Gaussian of its isometry (d x d for a unitary, rows x d
-    for an embedding).  The trials whose isometries share a shape are
-    then conjugated as one stack: one DensityOperator for the states, one
-    haar_isometry, one _conjugated, one DensityOperator for the images and
-    one _eigensystems on each side.  The spectra before and after (of length
-    rows for an embedding) are scored in one entropy_table call.
+    for an embedding, every fourth trial).  The trials whose isometries
+    share a shape are then conjugated as one stack: one DensityOperator
+    for the states, one haar_isometry, one _conjugated, one DensityOperator
+    for the images and one _eigensystems on each side.  The spectra before
+    and after (of length rows for an embedding) are scored in one
+    entropy_table call.  A trial's margins fill both halves of the margin
+    array, one per case, and the keep mask picks the half of its case.
     """
-    drawn, factors, gaussians = [], [], []
+    drawn_dims, factors, gaussians = [], [], []
     for t in range(trials):
         d = _draw_dim(rng, dims)
-        factors.append(random_density_factor(d, rng))
-        if t % 4 == 3:
-            rows = d + int(rng.integers(1, 5))
-            case = "isometry-embedding"
-        else:
-            rows = d
-            case = "isometry-unitary"
-        gaussians.append(ginibre(rows, d, rng))  # random_isometry's draw
-        drawn.append((case, d))
+        drawn_dims.append(d)
+        factors.append(rng.standard_normal((2, d, d)))  # random_density's ginibre draw
+        rows = d + int(rng.integers(1, 5)) if t % 4 == 3 else d
+        gaussians.append(rng.standard_normal((2, rows, d)))  # random_isometry's ginibre draw
     vectors = [None] * (2 * trials)
     for idx in positions_by_key([g.shape for g in gaussians]):
-        rho = DensityOperator(density_from_factor(_stack(factors, idx)))
-        moved = DensityOperator(_conjugated(rho.matrix, haar_isometry(_stack(gaussians, idx))))
+        rho = DensityOperator(density_from_factor(_complex_stack(factors, idx)))
+        moved = DensityOperator(_conjugated(rho.matrix, haar_isometry(_complex_stack(gaussians, idx))))
         for t, before, after in zip(idx, _eigensystems(rho.matrix)[0], _eigensystems(moved.matrix)[0]):
             vectors[2 * t : 2 * t + 2] = before, after
-    h = entropy_table(vectors, functionals).tolist()
-    entries = []
-    for (case, d), before_row, after_row in zip(drawn, h[0::2], h[1::2]):
-        for F, before, after in zip(functionals, before_row, after_row):
-            entries.append(
-                AuditEntry.check(case, -abs(after - before), ISOMETRY_EQ_TOL, functional=F.name, dim=d)
-            )
-    return entries
+    h = entropy_table(vectors, functionals)
+    margins = np.tile(-np.abs(h[1::2] - h[0::2]), 2)
+    embeds = np.arange(trials) % 4 == 3
+    keep = np.repeat(np.stack([~embeds, embeds], axis=1), len(functionals), axis=1)
+    cases = ("isometry-unitary", "isometry-embedding")
+    columns = [(case, ISOMETRY_EQ_TOL, F.name) for case in cases for F in functionals]
+    return _entries(margins, columns, drawn_dims, keep)
 
 
 @_suite("ensemble", INEQ_TOL, trials=1000, dims=(2, 6))
@@ -290,17 +280,17 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 
     For each state the loop builds the state, its spectrum and the spectral
     ensemble that inf_ensemble_entropy(rho, F, trials=0) returns (one call
-    per state), then only draws: each ensemble size m and the Gaussian of
-    its mixing isometry, the draws random_ensemble(rho, m, rng) makes.  The
-    draws of every state that share a key (dimension, rank, size) are then
-    built as one stack: one haar_isometry, one _ensembles on the stacked
-    states and mixings and one row-paired _row_margins of each draw's
-    spectrum against its weights.  All spectra and weights are scored in
-    one entropy_table call (one kernel call per length and functional).  A
-    state's infimum is the least of its spectral ensemble's entropy, which
-    is the value inf_ensemble_entropy returns for each functional, and its
-    scored draws.  Each margin is bit for bit that of a loop that builds
-    and scores every ensemble as it is drawn.
+    per state), then only draws each ensemble size m and the Gaussian of its
+    mixing isometry, as random_ensemble(rho, m, rng) draws them.  The draws
+    of every state that share a key (dimension, rank, size) are then built
+    as one stack: one haar_isometry, one _ensembles on the stacked states
+    and mixings and one row-paired _row_margins of each draw's spectrum
+    against its weights.  All spectra and weights are scored in one
+    entropy_table call.  A state's infimum is the least of its spectral
+    ensemble's entropy, the value inf_ensemble_entropy returns for each
+    functional, and its scored draws.  The margin array has a row per draw
+    and then one per state, for its infimum; the keep mask picks each row's
+    cases.  Each margin is bit for bit a draw-by-draw loop's.
     """
     n_states = max(1, trials // 20)
     states, vectors, keys, gaussians, held = [], [], [], [], []
@@ -316,41 +306,36 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         for _ in range(budget):
             m = r + int(rng.integers(0, 3))
             keys.append((d, r, m))
-            gaussians.append(ginibre(m, r, rng))  # random_isometry's draw
+            gaussians.append(rng.standard_normal((2, m, r)))  # random_isometry's ginibre draw
         held += [(rho.matrix, spectrum.entries, basis)] * budget  # each draw's state
         vectors += [spectrum, spectral.weights]
-    weights, mixing = [None] * len(keys), [None] * len(keys)
+    weights, mixing = [None] * len(keys), np.empty(len(keys))
     for idx in positions_by_key(keys):
         matrices, p, bases = (np.array(a) for a in zip(*(held[t] for t in idx)))
-        drawn_weights, _ = _ensembles(matrices, p, bases, haar_isometry(_stack(gaussians, idx)))
-        for t, w, margin in zip(idx, drawn_weights, _row_margins(p, drawn_weights).tolist()):
-            weights[t], mixing[t] = w, margin
+        drawn_weights, _ = _ensembles(matrices, p, bases, haar_isometry(_complex_stack(gaussians, idx)))
+        mixing[idx] = _row_margins(p, drawn_weights)
+        for t, w in zip(idx, drawn_weights):
+            weights[t] = w
     h = entropy_table(vectors + weights, functionals)
-    entries = []
+    spectral_h, weights_h = h[0 : 2 * n_states : 2], h[2 * n_states :]
+    width = len(functionals)
+    margins = np.zeros((len(keys) + n_states, 1 + 2 * width))
+    keep = np.zeros(margins.shape, bool)
+    row_dims = []
     for s, (d, first, stop) in enumerate(states):
-        spectral_h, start = h[2 * s : 2 * s + 2].tolist()
-        weights_h = h[2 * n_states + first : 2 * n_states + stop]
-        for margin, row in zip(mixing[first:stop], weights_h.tolist()):
-            entries.append(AuditEntry.check("ensemble-majorization", margin, EQ_TOL, dim=d))
-            for F, hw, spectral in zip(functionals, row, spectral_h):
-                entries.append(
-                    AuditEntry.check(
-                        "ensemble-entropy", hw - spectral, INEQ_TOL, functional=F.name, dim=d
-                    )
-                )
-        for F, inf_start, column, spectral in zip(functionals, start, weights_h.T.tolist(), spectral_h):
-            # min over a list is the left fold of min(a, b), as a draw-by-draw loop takes it.
-            infimum = min([inf_start] + column)
-            entries.append(
-                AuditEntry.check(
-                    "infimum-equals-spectrum",
-                    -abs(infimum - spectral),
-                    INEQ_TOL,
-                    functional=F.name,
-                    dim=d,
-                )
-            )
-    return entries
+        draws, row = slice(first + s, stop + s), stop + s  # a state's draw rows, then its own row
+        margins[draws, 0] = mixing[first:stop]
+        margins[draws, 1 : 1 + width] = weights_h[first:stop] - spectral_h[s]
+        # min over a list is the left fold of min(a, b), as a draw-by-draw loop takes it.
+        columns = zip(h[2 * s + 1].tolist(), weights_h[first:stop].T.tolist())
+        infimum = np.array([min([start] + column) for start, column in columns])
+        margins[row, 1 + width :] = -np.abs(infimum - spectral_h[s])
+        keep[draws, : 1 + width] = keep[row, 1 + width :] = True
+        row_dims += [d] * (stop - first + 1)
+    columns = [("ensemble-majorization", EQ_TOL, "")]
+    columns += [("ensemble-entropy", INEQ_TOL, F.name) for F in functionals]
+    columns += [("infimum-equals-spectrum", INEQ_TOL, F.name) for F in functionals]
+    return _entries(margins, columns, row_dims, keep)
 
 
 @_suite("gpt-argmin", INEQ_TOL, trials=200, dims=(2, 3))
@@ -365,7 +350,10 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     entropy_table scores the blends and majorants, and the weights twice:
     as they are for the majorant check, and under from_computation's rule
     (computed=True) for each trial's minimum, picked by first_least as
-    minimize_entropy picks it.  Margins are bit for bit a per-trial loop's.
+    minimize_entropy picks it.  A trial's two cases per functional fill a
+    row of a (trials, 2 * functionals) margin array, and the keep mask
+    drops a case the trial has no blends or no majorant for.  Margins are
+    bit for bit a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
@@ -398,27 +386,21 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     scores = entropy_table(weights, functionals)
     least = entropy_table(weights, functionals, computed=True)
     columns = np.arange(len(functionals))
-    entries = []
-    for d, first, stop, blends, major in drawn:
+    margins = np.zeros((trials, 2 * len(functionals)))
+    keep = np.zeros(margins.shape, bool)
+    for t, (_, first, stop, blends, major) in enumerate(drawn):
         if blends is not None:
             own = least[first:stop]
             pick = first_least(own)
-            values = np.where(pick >= 0, own[pick, columns], np.inf).tolist()
-            blended = h[blends + columns, columns].tolist()
-        for j, F in enumerate(functionals):
-            if blends is not None:
-                margin = blended[j] - values[j]
-                entries.append(
-                    AuditEntry.check("argmin-optimality", margin, INEQ_TOL, functional=F.name, dim=d)
-                )
-            if major is not None:
-                worst = min((scores[first:stop, j] - h[major, j]).tolist())
-                entries.append(
-                    AuditEntry.check(
-                        "majorant-minimal", worst, INEQ_TOL, functional=F.name, dim=d
-                    )
-                )
-    return entries
+            margins[t, 0::2] = h[blends + columns, columns] - np.where(pick >= 0, own[pick, columns], np.inf)
+            keep[t, 0::2] = True
+        if major is not None:
+            # min over a list is the left fold of min(a, b), as a loop over the decompositions takes it.
+            margins[t, 1::2] = [min(column) for column in (scores[first:stop] - h[major]).T.tolist()]
+            keep[t, 1::2] = True
+    cases = ("argmin-optimality", "majorant-minimal")
+    pairs = [(case, INEQ_TOL, F.name) for F in functionals for case in cases]
+    return _entries(margins, pairs, [d for d, *_ in drawn], keep)
 
 
 def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None) -> AuditReport:

@@ -122,12 +122,12 @@ def require_slices(ok, message, item) -> None:
     an ensemble or a row), or a 0-d flag for a single object, which
     ``message`` then gets as the index ().  The error names the slice as
     "<item> t" only when the stack holds more than one.  ``item`` may
-    instead hold one name per slice, and the error then names slice t as
-    item[t], in a stack of one too.
+    instead be a function of t, and the error then names slice t as
+    item(t), in a stack of one too; it is called only on a failure.
     """
     if not ok.all():
         t = int(np.argmin(ok)) if ok.ndim else ()
-        name = item[t] if not isinstance(item, str) else f"{item} {t}" if ok.size > 1 else None
+        name = item(t) if callable(item) else f"{item} {t}" if ok.size > 1 else None
         raise ValueError(f"{name}: {message(t)}" if name else message(t))
 
 
@@ -227,6 +227,20 @@ def positions_by_key(keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def _entropy_columns(rows: np.ndarray, functionals, computed: bool = False, item="row") -> np.ndarray:
+    """entropy_table of the rows of one (k, n) stack: a (k, functionals) array.
+
+    The rows are validated once, under the rule ``computed`` picks, and
+    scored with one _entropy_kernel call per functional.
+    """
+    floor, drift = (COMPUTED_FLOOR, PARTIAL_SUM_TOL) if computed else (ENTRY_TOL, math.inf)
+    rows = _probability_rows(rows, floor, drift, item)
+    table = np.empty((len(rows), len(functionals)))
+    for j, F in enumerate(functionals):
+        table[:, j] = _entropy_kernel(rows, F)
+    return table
+
+
 def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     """h(sum phi(p_i)) of every vector under every functional, as a (vectors, functionals) array.
 
@@ -234,18 +248,15 @@ def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     or with ``computed=True`` that of ProbVector.from_computation(vectors[i]).
     ``vectors`` holds ProbVectors or 1-d arrays.  Each length, in first-seen
     order, is stacked (never zero-padded, which would change the last bits
-    of numpy's pairwise sums), validated once and scored with one kernel
-    call per functional.  An error names a bad vector as "vector i", i its
-    position in ``vectors``, when ``vectors`` holds more than one.
+    of numpy's pairwise sums) and scored by one _entropy_columns call.  An
+    error names a bad vector as "vector i", i its position in ``vectors``,
+    when ``vectors`` holds more than one.
     """
     arrays = [v.entries if isinstance(v, ProbVector) else _vector(v) for v in vectors]
-    floor, drift = (COMPUTED_FLOOR, PARTIAL_SUM_TOL) if computed else (ENTRY_TOL, math.inf)
     table = np.empty((len(arrays), len(functionals)))
     for idx in positions_by_key(len(a) for a in arrays):
-        item = [f"vector {i}" for i in idx] if len(arrays) > 1 else "row"
-        rows = _probability_rows(np.array([arrays[i] for i in idx]), floor, drift, item)
-        for j, F in enumerate(functionals):
-            table[idx, j] = _entropy_kernel(rows, F)
+        item = (lambda t, idx=idx: f"vector {idx[t]}") if len(arrays) > 1 else "row"
+        table[idx] = _entropy_columns(np.array([arrays[i] for i in idx]), functionals, computed, item)
     return table
 
 

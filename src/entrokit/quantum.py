@@ -190,14 +190,19 @@ def haar_isometry(g) -> np.ndarray:
     return q * (phases / np.abs(phases))[..., None, :]
 
 
+def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols complex Gaussian from one standard_normal((2, rows, cols)) draw, real part first."""
+    z = rng.standard_normal((2, rows, cols))
+    return z[0] + 1j * z[1]
+
+
 def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
     """A rows x cols matrix with orthonormal columns, rows >= cols.
 
-    haar_isometry of a complex Gaussian.  ``rng`` is a Generator, used as
+    haar_isometry of ginibre(rows, cols).  ``rng`` is a Generator, used as
     is, or a seed for np.random.default_rng.
     """
-    rng = np.random.default_rng(rng)
-    return haar_isometry(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    return haar_isometry(ginibre(rows, cols, np.random.default_rng(rng)))
 
 
 def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:

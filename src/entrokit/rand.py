@@ -6,7 +6,7 @@ import numpy as np
 
 from .classical import ProbVector
 from .gpt import ConvexModel
-from .quantum import DensityOperator, random_isometry  # random_isometry is re-exported
+from .quantum import DensityOperator, ginibre, random_isometry  # ginibre and random_isometry are re-exported
 
 SPHERE_MIN_GAP = 0.05  # least distance between two sphere-model vertices
 
@@ -16,11 +16,6 @@ def as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """A rows x cols complex Gaussian: the draw random_isometry makes, real part first."""
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
 def random_unitary(d: int, rng=None) -> np.ndarray:

@@ -5,11 +5,12 @@ AuditReport is a frozen dataclass holding a suite's entries and summary.
 Margins follow one convention everywhere: a check passes iff
 margin >= -tolerance.  Inequality checks record the raw slack
 (rhs - lhs), equality checks record the negated absolute deviation,
-so worst_margin is always the minimum over cases.
+so worst_margin is the minimum over cases, or NaN if any margin is NaN.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,7 +86,9 @@ class AuditReport:
 def build_report(suite: str, trials: int, seed: int, tolerance: float, entries) -> AuditReport:
     entries = tuple(entries)
     violations = sum(1 for e in entries if not e.passed)
-    worst = min((e.margin for e in entries), default=0.0)
+    margins = [e.margin for e in entries]
+    # min() would keep a leading NaN but skip a later one.
+    worst = math.nan if any(map(math.isnan, margins)) else min(margins, default=0.0)
     return AuditReport(
         suite=suite,
         trials=int(trials),

@@ -37,6 +37,7 @@ from entrokit.classical import (
     majorant_index,
     majorization_margin,
     majorizes,
+    require_slices,
     sequence_from_spec,
 )
 from entrokit.functionals import (
@@ -188,6 +189,15 @@ def test_entropy_table_names_a_bad_vector_by_its_position():
             entropy_table(vectors, [F])
     with pytest.raises(ValueError, match="^vector 1: computed entry -0.001 below floor"):
         entropy_table([[1.0], [1.001, -0.001], [0.5, 0.5]], [F], computed=True)
+
+
+def test_a_slice_is_named_only_when_it_fails():
+    def unnamed(t):
+        raise AssertionError(f"slice {t} named without a failure")
+
+    require_slices(np.array([True, True]), lambda t: "bad", unnamed)
+    with pytest.raises(ValueError, match="^vector 7: bad 1$"):
+        require_slices(np.array([True, False]), lambda t: f"bad {t}", lambda t: f"vector {[3, 7][t]}")
 
 
 def test_an_overflowing_total_is_a_value_error_not_a_warning():

@@ -332,6 +332,16 @@ def test_stacked_density_draws_are_the_single_draws(d):
     assert_same_bits(random_density(d, as_rng(7), rank=1).matrix, drawn.matrix)
 
 
+def test_ginibre_is_the_real_part_then_the_imaginary_part():
+    # One standard_normal((2, rows, cols)) call reads the stream that two
+    # (rows, cols) calls read, and leaves the generator where they leave it.
+    for rows, cols in ((1, 1), (3, 3), (7, 4)):
+        one, two = as_rng(9), as_rng(9)
+        want = two.standard_normal((rows, cols)) + 1j * two.standard_normal((rows, cols))
+        assert_same_bits(ginibre(rows, cols, one), want)
+        assert one.standard_normal() == two.standard_normal()
+
+
 def test_random_isometry_is_haar_isometry_of_its_draw():
     for rows, cols in ((1, 1), (3, 3), (7, 4)):
         want = haar_isometry(ginibre(rows, cols, as_rng(5)))
