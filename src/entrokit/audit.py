@@ -240,13 +240,14 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 
     The trial loop only draws: each dimension, the Gaussian factor of the
     state and the Gaussian of its isometry (d x d for a unitary, rows x d
-    for an embedding, every fourth trial).  The trials whose isometries
-    share a shape are then conjugated as one stack: one DensityOperator
-    for the states, one haar_isometry, one _conjugated, one DensityOperator
-    for the images and one _eigensystems on each side.  The spectra before
-    and after (of length rows for an embedding) are scored in one
-    entropy_table call.  A trial's margins fill both halves of the margin
-    array, one per case, and the keep mask picks the half of its case.
+    for an embedding, every fourth trial).  The states of one dimension are
+    then built as one stack: one DensityOperator and one _eigensystems.
+    The trials whose isometries share a shape are conjugated as one stack:
+    one haar_isometry, one _conjugated, one DensityOperator for the images
+    and one _eigensystems.  The spectra before and after (of length rows
+    for an embedding) are scored in one entropy_table call.  A trial's
+    margins fill both halves of the margin array, one per case, and the
+    keep mask picks the half of its case.
     """
     drawn_dims, factors, gaussians = [], [], []
     for t in range(trials):
@@ -255,12 +256,16 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         factors.append(rng.standard_normal((2, d, d)))  # random_density's ginibre draw
         rows = d + int(rng.integers(1, 5)) if t % 4 == 3 else d
         gaussians.append(rng.standard_normal((2, rows, d)))  # random_isometry's ginibre draw
-    vectors = [None] * (2 * trials)
-    for idx in positions_by_key([g.shape for g in gaussians]):
+    states, vectors = [None] * trials, [None] * (2 * trials)
+    for idx in positions_by_key(drawn_dims):
         rho = DensityOperator(density_from_factor(_complex_stack(factors, idx)))
-        moved = DensityOperator(_conjugated(rho.matrix, haar_isometry(_complex_stack(gaussians, idx))))
-        for t, before, after in zip(idx, _eigensystems(rho.matrix)[0], _eigensystems(moved.matrix)[0]):
-            vectors[2 * t : 2 * t + 2] = before, after
+        for t, matrix, before in zip(idx, rho.matrix, _eigensystems(rho.matrix)[0]):
+            states[t], vectors[2 * t] = matrix, before
+    for idx in positions_by_key([g.shape for g in gaussians]):
+        V = haar_isometry(_complex_stack(gaussians, idx))
+        moved = DensityOperator(_conjugated(_stack(states, idx), V))
+        for t, after in zip(idx, _eigensystems(moved.matrix)[0]):
+            vectors[2 * t + 1] = after
     h = entropy_table(vectors, functionals)
     margins = np.tile(-np.abs(h[1::2] - h[0::2]), 2)
     embeds = np.arange(trials) % 4 == 3

@@ -264,30 +264,27 @@ def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
 class GeometricTail:
     """Closed-form tail sums for the geometric family p_i = (1-r) r^i.
 
-    remainder(F, n) returns sum_{i >= n} phi(p_i) exactly for the built-in
-    families, None for functionals it cannot certify.
+    remainder(F, n) returns sum_{i >= n} phi(p_i) exactly for Shannon and
+    for every pair that declares ``powers`` (a, b, d): with the power-sum
+    tail S(beta) = sum_{i >= n} p_i**beta, that is (S(a) - S(b)) / d, or
+    S(a) / d when b is None.  Other functionals get None.
     """
 
     r: float
-
-    def power_sum_tail(self, beta: float, n: int) -> float:
-        r = self.r
-        return (1.0 - r) ** beta * r ** (beta * n) / (1.0 - r**beta)
 
     def remainder(self, F: EntropicFunctional, n: int) -> float | None:
         r = self.r
         if F.family == "shannon":
             # sum_{i>=n} p_i ln p_i in closed form, negated.
             return -(r**n * math.log(1.0 - r) + math.log(r) * r**n * (n + r / (1.0 - r)))
-        if F.family == "renyi":
-            return self.power_sum_tail(F.params["alpha"], n)
-        if F.family == "tsallis":
-            q = F.params["q"]
-            return (self.power_sum_tail(1.0, n) - self.power_sum_tail(q, n)) / (q - 1.0)
-        if F.family == "kaniadakis":
-            k = F.params["kappa"]
-            return (self.power_sum_tail(1.0 - k, n) - self.power_sum_tail(1.0 + k, n)) / (2.0 * k)
-        return None
+        if F.powers is None:
+            return None
+
+        def S(beta):
+            return (1.0 - r) ** beta * r ** (beta * n) / (1.0 - r**beta)
+
+        a, b, d = F.powers
+        return S(a) / d if b is None else (S(a) - S(b)) / d
 
 
 @dataclass(frozen=True)
@@ -467,9 +464,10 @@ def entropy_sequence(
     certified tail is reported DeclaredDivergent with value +inf, unless
     its phi has a finite slope c at 0+: then phi(x) <= c x bounds the
     phi-sum by c, as it is bounded for a decreasing/convex functional, and
-    the truncated estimate is returned instead.  Among the built-ins only
-    tsallis with q > 1 has a finite slope, 1/(q - 1); a custom pair is
-    taken to have an infinite one.
+    the truncated estimate is returned instead.  The slope is finite when
+    the pair declares ``powers`` and its smallest exponent is at least 1;
+    among the built-ins that is tsallis with q > 1, of slope 1/(q - 1).
+    Shannon and custom pairs are taken to have an infinite one.
 
     A vectorized source is read in blocks that double from STOP_WINDOW up to
     MAX_BLOCK terms and never reach past ``max_terms``.  The stopping checks
@@ -526,7 +524,7 @@ def entropy_sequence(
         if rem is not None:
             status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
             return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
-    finite_slope = F.family == "tsallis" and F.params["q"] > 1.0
+    finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
     if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)

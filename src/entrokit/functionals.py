@@ -64,8 +64,13 @@ class EntropicFunctional:
     ``phi`` maps [0, 1] to the reals and ``h`` maps the closure of the range
     of the finite sums ``sum_i phi(p_i)`` to the reals; both accept scalars
     or numpy arrays.  ``family`` tags instances produced by the built-in
-    factories so closed-form tail bounds can recognize them; custom pairs
-    leave it None.
+    factories; custom pairs leave it None.
+
+    ``powers`` declares a power family: (a, b, d) means
+    phi(x) = (x**a - x**b) / d, or x**a / d when b is None.  The Renyi,
+    Tsallis and Kaniadakis factories build phi from it, classical's
+    GeometricTail sums it in closed form and entropy_sequence reads the
+    slope of phi at 0+ from it.  Shannon and custom pairs leave it None.
     """
 
     name: str
@@ -74,10 +79,39 @@ class EntropicFunctional:
     case: FunctionalCase
     params: dict = field(default_factory=dict)
     family: str | None = None
+    powers: tuple | None = None
 
 
 def _identity(y):
     return np.asarray(y, dtype=float)[()]
+
+
+def _power_family(
+    family: str, param: str, value: float, h: Callable, case: FunctionalCase, powers: tuple
+) -> EntropicFunctional:
+    """The built-in ``family`` at ``param`` = ``value``, with the phi its ``powers`` declare.
+
+    (a, b, d) gives phi(x) = (x**a - x**b) / d, masked to +0.0 where x <= 0
+    (the formula gives -0.0 at x = 0 when d < 0), or, when b is None,
+    x**a / d unmasked, so that phi of NaN or of a negative x is x**a's.
+    """
+    a, b, d = powers
+
+    def phi(x):
+        x = np.asarray(x, dtype=float)
+        if b is None:
+            return x**a / d
+        return np.where(x > 0.0, (x**a - x**b) / d, 0.0)[()]
+
+    return EntropicFunctional(
+        name=f"{family}:{param}={format_param(value)}",
+        phi=phi,
+        h=h,
+        case=case,
+        params={param: value},
+        family=family,
+        powers=powers,
+    )
 
 
 def make_shannon() -> EntropicFunctional:
@@ -110,22 +144,12 @@ def make_renyi(alpha: float) -> EntropicFunctional:
         raise ValueError(f"alpha must be positive, finite and different from 1, got {alpha}")
     scale = 1.0 - alpha
 
-    def phi(x):
-        return np.asarray(x, dtype=float) ** alpha
-
     def h(y):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log(np.asarray(y, dtype=float)) / scale
 
     case = FunctionalCase.INCREASING_CONCAVE if alpha < 1.0 else FunctionalCase.DECREASING_CONVEX
-    return EntropicFunctional(
-        name=f"renyi:alpha={format_param(alpha)}",
-        phi=phi,
-        h=h,
-        case=case,
-        params={"alpha": alpha},
-        family="renyi",
-    )
+    return _power_family("renyi", "alpha", alpha, h, case, (alpha, None, 1.0))
 
 
 def make_tsallis(q: float) -> EntropicFunctional:
@@ -138,20 +162,7 @@ def make_tsallis(q: float) -> EntropicFunctional:
     # Written to be true for NaN, so a NaN q is rejected too.
     if not 0.0 < q < math.inf or q == 1.0:
         raise ValueError(f"q must be positive, finite and different from 1, got {q}")
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        # The formula gives -0.0 at x = 0 when q < 1; phi(0) is +0.0.
-        return np.where(x > 0.0, (x - x**q) / (q - 1.0), 0.0)[()]
-
-    return EntropicFunctional(
-        name=f"tsallis:q={format_param(q)}",
-        phi=phi,
-        h=_identity,
-        case=FunctionalCase.INCREASING_CONCAVE,
-        params={"q": q},
-        family="tsallis",
-    )
+    return _power_family("tsallis", "q", q, _identity, FunctionalCase.INCREASING_CONCAVE, (1.0, q, q - 1.0))
 
 
 def make_kaniadakis(kappa: float) -> EntropicFunctional:
@@ -163,20 +174,8 @@ def make_kaniadakis(kappa: float) -> EntropicFunctional:
     # Written to be true for NaN, so a NaN kappa is rejected too.
     if kappa == 0.0 or not abs(kappa) < 1.0:
         raise ValueError(f"kappa must satisfy 0 < |kappa| < 1, got {kappa}")
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        # The formula gives -0.0 at x = 0 when kappa < 0; phi(0) is +0.0.
-        return np.where(x > 0.0, (x ** (1.0 - kappa) - x ** (1.0 + kappa)) / (2.0 * kappa), 0.0)[()]
-
-    return EntropicFunctional(
-        name=f"kaniadakis:kappa={format_param(kappa)}",
-        phi=phi,
-        h=_identity,
-        case=FunctionalCase.INCREASING_CONCAVE,
-        params={"kappa": kappa},
-        family="kaniadakis",
-    )
+    powers = (1.0 - kappa, 1.0 + kappa, 2.0 * kappa)
+    return _power_family("kaniadakis", "kappa", kappa, _identity, FunctionalCase.INCREASING_CONCAVE, powers)
 
 
 def _lift(f: Callable) -> Callable:
@@ -345,20 +344,23 @@ BUILTIN_FAMILIES = {
 
 
 def parse_spec(spec: str) -> tuple[str, dict]:
-    """Split ``name:key=value,...`` into a lowercase name and finite float params."""
+    """Split ``name:key=value,...`` into a lowercase name and finite float params, each key once."""
     name, _, rest = spec.strip().partition(":")
     params = {}
     for item in rest.split(",") if rest else ():
         key, sep, value = item.partition("=")
+        key = key.strip()
         if not sep:
             raise ValueError(f"malformed parameter {item!r} in spec {spec!r}")
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r} in spec {spec!r}")
         try:
             number = float(value)
         except ValueError:
-            raise ValueError(f"non-numeric value for {key.strip()!r} in spec {spec!r}") from None
+            raise ValueError(f"non-numeric value for {key!r} in spec {spec!r}") from None
         if not np.isfinite(number):
-            raise ValueError(f"non-finite value for {key.strip()!r} in spec {spec!r}")
-        params[key.strip()] = number
+            raise ValueError(f"non-finite value for {key!r} in spec {spec!r}")
+        params[key] = number
     return name.strip().lower(), params
 
 

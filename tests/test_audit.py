@@ -31,6 +31,9 @@ from entrokit.functionals import FunctionalCase, make_custom
 from entrokit.gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from entrokit.quantum import (
     RANK_CUTOFF,
+    DensityOperator,
+    _conjugated,
+    _eigensystems,
     _ensembles,
     conjugate_isometry,
     eigen_spectrum,
@@ -403,6 +406,38 @@ def test_schur_suite_mixes_each_dimension_as_one_stack(monkeypatch, trials, dims
         "jensen-integral-match": 5 * trials,
         "jensen-direction": 5 * trials,
     }
+
+
+@pytest.mark.parametrize("trials,dims", [(7, (2, 8)), (40, (1, 12)), (200, (2, 8))])
+def test_isometry_suite_solves_each_dimension_once(monkeypatch, trials, dims):
+    # The states of one dimension are one stack, validated and eigensolved
+    # once; the images are one stack per isometry shape (rows, d).
+    built, solved, conjugated = [], [], []
+
+    def counted_state(matrices):
+        built.append(np.shape(matrices))
+        return DensityOperator(matrices)
+
+    def counted_solve(matrices):
+        solved.append(np.shape(matrices))
+        return _eigensystems(matrices)
+
+    def counted_conjugate(matrices, V):
+        conjugated.append(np.shape(V))
+        return _conjugated(matrices, V)
+
+    monkeypatch.setattr(audit, "DensityOperator", counted_state)
+    monkeypatch.setattr(audit, "_eigensystems", counted_solve)
+    monkeypatch.setattr(audit, "_conjugated", counted_conjugate)
+    report = run_audit("isometry", trials=trials, seed=7, dims=dims)
+    drawn = Counter(c.dim for c in report.cases if c.functional == "shannon")
+    assert sum(drawn.values()) == trials
+    states, images = solved[: len(drawn)], solved[len(drawn) :]
+    assert len(states) == len(drawn) and {d: k for k, d, _ in states} == drawn
+    shapes = Counter((rows, d) for _, rows, d in conjugated)
+    assert len(shapes) == len(conjugated) and sum(k for k, _, _ in conjugated) == trials
+    assert images == [(k, rows, rows) for k, rows, _ in conjugated]
+    assert built == states + images
 
 
 @pytest.mark.parametrize("trials", [7, 40, 61, 400])

@@ -17,6 +17,7 @@ from entrokit.classical import (
     BistochasticMatrix,
     EntropyResult,
     EntropyStatus,
+    GeometricTail,
     ProbVector,
     SequenceSource,
     _bistochastic,
@@ -44,6 +45,7 @@ from entrokit.functionals import (
     FunctionalCase,
     functional_from_spec,
     make_custom,
+    make_kaniadakis,
     make_renyi,
     make_shannon,
     make_tsallis,
@@ -829,6 +831,44 @@ def test_geometric_other_families_closed_forms():
         assert abs(res.value - expected) < 1e-12, spec
 
 
+def reference_geometric_remainder(r, F, n):
+    """The geometric tail as one formula per built-in family, keyed by its tag."""
+
+    def power_sum_tail(beta):
+        return (1.0 - r) ** beta * r ** (beta * n) / (1.0 - r**beta)
+
+    if F.family == "shannon":
+        return -(r**n * math.log(1.0 - r) + math.log(r) * r**n * (n + r / (1.0 - r)))
+    if F.family == "renyi":
+        return power_sum_tail(F.params["alpha"])
+    if F.family == "tsallis":
+        q = F.params["q"]
+        return (power_sum_tail(1.0) - power_sum_tail(q)) / (q - 1.0)
+    k = F.params["kappa"]
+    return (power_sum_tail(1.0 - k) - power_sum_tail(1.0 + k)) / (2.0 * k)
+
+
+TAIL_FUNCTIONALS = [
+    make_shannon(), make_renyi(0.5), make_renyi(2.0), make_tsallis(0.5), make_tsallis(2.0),
+    make_kaniadakis(-0.3), make_kaniadakis(0.5),
+]
+
+
+@pytest.mark.parametrize("F", TAIL_FUNCTIONALS, ids=[F.name for F in TAIL_FUNCTIONALS])
+@pytest.mark.parametrize("r", [0.05, 0.5, 0.96, 0.999999])
+def test_geometric_tail_is_the_per_family_formula_bit_for_bit(r, F):
+    # The tail is summed from the pair's declared powers; it keeps every bit
+    # of the formula written out for each family.
+    for n in (0, 1, 64, 10_000):
+        assert GeometricTail(r).remainder(F, n) == reference_geometric_remainder(r, F, n), n
+
+
+def test_geometric_tail_needs_declared_powers():
+    tsallis = make_tsallis(2.0)
+    custom = make_custom("tsallis-copy", tsallis.phi, tsallis.h, tsallis.case, tsallis.params)
+    assert custom.powers is None and GeometricTail(0.5).remainder(custom, 3) is None
+
+
 def test_geometric_exhaustion_folds_exact_tail():
     src = SequenceSource.geometric(0.5)
     res = entropy_sequence(src, make_shannon(), max_terms=10)
@@ -878,7 +918,7 @@ def test_heavy_tail_tsallis_below_one_and_custom_pairs_stay_divergent():
     src = sequence_from_spec("heavytail")
     shannon = make_shannon()
     custom = make_custom("tsallis-copy", make_tsallis(2.0).phi, lambda y: y, FunctionalCase.INCREASING_CONCAVE)
-    for F in (make_tsallis(0.5), shannon, custom):
+    for F in (make_tsallis(0.5), make_kaniadakis(0.5), make_kaniadakis(-0.5), make_renyi(0.5), shannon, custom):
         res = entropy_sequence(src, F, max_terms=1_000)
         assert res.status is EntropyStatus.DECLARED_DIVERGENT and res.value == math.inf, F.name
 
@@ -1067,6 +1107,7 @@ def test_sequence_spec_errors():
     for spec in (
         "geometric", "geometric:r=1", "geometric:q=0.5", "nosuch:r=0.5", "heavytail:offset=1",
         "geometric:r=nan", "heavytail:offset=inf", "heavytail:offset=nan", "heavytail:offset=2.9",
+        "geometric:r=0.5,r=0.9",
     ):
         with pytest.raises(ValueError):
             sequence_from_spec(spec)

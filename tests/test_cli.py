@@ -439,6 +439,21 @@ def test_non_finite_or_non_integer_spec_is_domain_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("entropy", "--kind", "classical", "--sequence", "geometric:r=0.5,r=0.9", "--format", "json"), "r"),
+        (("functional", "validate", "renyi:alpha=2,alpha=0.5"), "alpha"),
+    ],
+)
+def test_repeated_spec_parameter_is_domain_error(capsys, argv, key):
+    # The last value once won: the geometric run reported "geometric:r=0.9" and exited 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("domain error:") and f"repeated parameter {key!r}" in err
+    assert out == ""
+
+
 def test_non_finite_density_file_is_domain_error(tmp_path, capsys):
     # json accepts the NaN literal, so the file parses and the state is invalid
     bad = write(tmp_path, "rho.json", '{"dim": 2, "re": [[0.5, NaN], [NaN, 0.5]]}')

@@ -184,6 +184,15 @@ def test_spec_roundtrip_and_names():
     assert K.params == {"kappa": 0.25}
 
 
+def test_power_families_declare_their_powers():
+    # (a, b, d): phi(x) = (x**a - x**b) / d, or x**a / d when b is None.
+    assert make_renyi(2.0).powers == (2.0, None, 1.0)
+    assert make_tsallis(0.5).powers == (1.0, 0.5, -0.5)
+    assert make_kaniadakis(-0.25).powers == (1.25, 0.75, -0.5)
+    assert make_shannon().powers is None
+    assert make_custom("c", lambda x: x, lambda y: y, FunctionalCase.INCREASING_CONCAVE).powers is None
+
+
 @pytest.mark.parametrize("value", [0.5, 2.0, 0.9999999, 1 + 1e-12, 0.9604999782348048])
 def test_names_rebuild_their_parameter_bit_for_bit(value):
     # ":g" keeps six significant digits, so 0.9999999 would be named 1; a
@@ -214,6 +223,7 @@ def test_names_rebuild_their_parameter_bit_for_bit(value):
         "renyi:alpha=abc",
         "renyi:beta=2",
         "renyi:alpha=2,beta=3",
+        "renyi:alpha=2,alpha=0.5",
         "shannon:alpha=2",
         "renyi:alpha=nan",
         "renyi:alpha=inf",
