@@ -137,6 +137,12 @@ def make_renyi(alpha: float) -> EntropicFunctional:
 
     Strictly concave phi with increasing h for 0 < alpha < 1, strictly
     convex phi with decreasing h for alpha > 1.  alpha = 1 is excluded.
+
+    The value's sensitivity to the total sum p_i is of order 1/(1 - alpha):
+    scaling p by 1 + e moves it by alpha ln(1 + e) / (1 - alpha), so a total
+    off 1 by rounding moves it by that rounding over |1 - alpha|, without
+    bound as alpha nears 1.  That is a property of the definition, not a
+    defect of its evaluation.
     """
     alpha = float(alpha)
     # Written to be true for NaN, so a NaN alpha is rejected too.

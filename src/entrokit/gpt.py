@@ -12,10 +12,12 @@ supported scale (README, "Why basic decompositions suffice").
 Every state is first screened through the model's (d + 1)-vertex simplices,
 or those of its affine hull when it is flat: barycentric coordinates prove
 most supports unable to write it (_screen).  Only the rest reach the exact
-solve (stacked rank test, lstsq), which alone accepts a decomposition and
-supplies its weights.  Model construction screens only the vertices no
-separating hyperplane certifies, all at once.  Each support length is
-scored in one kernel call through entropy_table.
+solve, which alone accepts a decomposition and supplies its weights: per
+support size one stacked rank test, lstsq on each full-rank support, then
+one residual and weight-floor test on the stacked solutions, bit for bit
+the per-support tests (_exact_solutions).  Model construction screens
+only the vertices no separating hyperplane certifies, all at once.  Each
+support length is scored in one kernel call through entropy_table.
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -64,13 +66,13 @@ class Decomposition:
         if len(set(self.support)) != len(self.support):
             raise ValueError("support indices must be distinct")
         # Both tests are written to be false for NaN, so NaN weights are rejected.
-        if not (float(w.min()) > WEIGHT_FLOOR):
+        if not (np.minimum.reduce(w) > WEIGHT_FLOOR):
             raise ValueError(f"weights must exceed {WEIGHT_FLOOR}")
-        if not (abs(float(w.sum()) - 1.0) <= RESIDUAL_TOL):
+        if not (abs(np.add.reduce(w) - 1.0) <= RESIDUAL_TOL):
             raise ValueError(f"weights must sum to 1 within {RESIDUAL_TOL}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "support", tuple(int(i) for i in self.support))
+        object.__setattr__(self, "support", tuple(map(int, self.support)))
 
     def barycenter(self, model: "ConvexModel") -> np.ndarray:
         return self.weights @ model.vertices[list(self.support)]
@@ -93,17 +95,20 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
     RESIDUAL_TOL), and solutions touching the weight floor; those belong to
     a smaller support that is enumerated separately.  The rank test is one
     stacked matrix_rank call: numpy's stacked SVD gives each matrix bit for
-    bit the singular values of a call on that matrix alone.
+    bit the singular values of a call on that matrix alone.  lstsq runs on
+    each full-rank system, and the residual and floor tests then run once,
+    on the stacked solutions: numpy's stacked matmul gives each product bit
+    for bit what a @ w on that system alone gives, and max and min are
+    exact, so each support is accepted or rejected as its own tests would.
     """
-    if not len(a):
-        return
     b = np.concatenate([x, [1.0]])
-    full = np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2]
-    for c in np.flatnonzero(full).tolist():
-        w, *_ = np.linalg.lstsq(a[c], b, rcond=None)
-        if float(np.max(np.abs(a[c] @ w - b))) > RESIDUAL_TOL or float(w.min()) <= WEIGHT_FLOOR:
-            continue
-        yield c, w
+    full = np.flatnonzero(np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2])
+    W = np.empty((len(full), a.shape[2]))
+    for i, c in enumerate(full.tolist()):
+        W[i], *_ = np.linalg.lstsq(a[c], b, rcond=None)
+    residual = np.abs((a[full] @ W[..., None])[..., 0] - b).max(axis=1)
+    accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))
+    yield from zip(full[accepted].tolist(), W[accepted])
 
 
 @functools.lru_cache(maxsize=VERTEX_CAP * (DIM_CAP + 1))
@@ -113,6 +118,11 @@ def _subsets(n: int, k: int) -> tuple:
     masks = (1 << subsets).sum(axis=1)
     subsets.flags.writeable = masks.flags.writeable = False
     return subsets, masks
+
+
+def _norm(x: np.ndarray, axis) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of real x (vector or Frobenius): its sum, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
 def _screen(a: np.ndarray, b: np.ndarray):
@@ -138,15 +148,15 @@ def _screen(a: np.ndarray, b: np.ndarray):
     m, eye = len(b), np.eye(a.shape[1])
     with np.errstate(all="ignore"):
         singular = ~(np.abs(np.linalg.det(a)) > 0)
-        z = np.linalg.solve(np.where(singular[:, None, None], eye, a), np.c_[b.T, eye])
-        w, inv = z[:, :, :m], np.linalg.norm(z[:, :, m:], axis=(1, 2))
-        size = np.linalg.norm(a, axis=(1, 2))
+        z = np.linalg.solve(np.where(singular[:, None, None], eye, a), np.concatenate([b.T, eye], axis=1))
+        w, inv = z[:, :, :m], _norm(z[:, :, m:], (1, 2))
+        size = _norm(a, (1, 2))
         ill = singular | ~(size * inv * SCREEN_COND < 1)
-        rho = np.linalg.norm(a @ w - b.T, axis=1)
-        rho += 1e-14 * (size[:, None] * (1 + np.linalg.norm(w, axis=1)) + np.linalg.norm(b, axis=1))
+        rho = _norm(a @ w - b.T, 1)
+        rho += 1e-14 * (size[:, None] * (1 + _norm(w, 1)) + _norm(b, 1))
         bound = (1 + 1e-6) * inv[:, None] * (3 * RESIDUAL_TOL + rho)
         proof = (np.abs(w) > bound[:, None]) & ~ill[:, None, None]
-    return ~np.any(proof & (w < 0), axis=1), proof, ill
+    return ~(proof & (w < 0)).any(axis=1), proof, ill
 
 
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
@@ -184,8 +194,8 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
         lam, vecs = np.linalg.eigh(A @ A.T)
         k = d + 1 - max(1, int(np.sum(lam <= SCREEN_COND**2 * lam[-1])))
         R, Q = vecs[:, :-k].T, vecs[:, -k:]
-        far = np.linalg.norm(R @ B, axis=0) - SCREEN_RESIDUAL * np.linalg.norm(B, axis=0)
-        cleared[far > np.linalg.norm(R @ A, axis=0).max()] = True
+        far = _norm(R @ B, 0) - SCREEN_RESIDUAL * _norm(B, 0)
+        cleared[far > _norm(R @ A, 0).max()] = True
     for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
     cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
@@ -194,8 +204,9 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     for t, x in enumerate(targets):
         for subsets, masks in (_subsets(n, k) for k in range(1, min(n, d + 1) + 1)):
             kept = subsets[~cleared[t, masks]]
-            for c, w in _exact_solutions(_systems(V, kept), x):
-                yield t, tuple(kept[c].tolist()), w
+            if len(kept):
+                for c, w in _exact_solutions(_systems(V, kept), x):
+                    yield t, tuple(kept[c].tolist()), w
 
 
 def _centered(V: np.ndarray, points: np.ndarray):
@@ -233,19 +244,18 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     < SCREEN_RESIDUAL, and a certified margin exceeds every margin an
     accepted support allows.
     """
-    n = V.shape[0]
+    n, d = V.shape
     V, _ = _centered(V, V)
-    certified = np.zeros(n, dtype=bool)
     if n < 2 or float(np.abs(V).max()) > CERTIFY_SCALE:
-        return certified
-    for anchor in (np.zeros(V.shape[1]), V.mean(axis=0)):
-        C = V - anchor
-        G = C @ V.T
-        own = G.diagonal().copy()
-        np.fill_diagonal(G, -np.inf)
-        M = G.max(axis=1)
-        certified |= own - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=1) + np.abs(M))
-    return certified
+        return np.zeros(n, dtype=bool)
+    anchors = np.zeros((2, 1, d))
+    anchors[1, 0] = V.mean(axis=0)
+    C = V - anchors
+    G = C @ V.T
+    own = G.diagonal(axis1=1, axis2=2).copy()
+    G[:, range(n), range(n)] = -np.inf
+    M = G.max(axis=2)
+    return (own - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=2) + np.abs(M))).any(axis=0)
 
 
 def _first_non_extreme(V: np.ndarray) -> int | None:
@@ -328,7 +338,7 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != model.ambient_dim:
         raise ValueError(f"state has dimension {x.size}, model is {model.ambient_dim}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("state must be finite")
     return x
 
@@ -409,6 +419,5 @@ def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:
     decs = enumerate_basic_decompositions(model, x)
     if not decs:
         return None
-    spectra = [np.sort(d.weights)[::-1] for d in decs]
-    best = majorant_index(spectra)
-    return None if best is None else spectra[best]
+    best = majorant_index([d.weights for d in decs])
+    return None if best is None else np.sort(decs[best].weights)[::-1]

@@ -399,7 +399,11 @@ def test_models_without_a_full_simplex_go_straight_to_the_exact_solve(monkeypatc
     V = model.vertices
     off = np.zeros(model.ambient_dim)
     off[-1] = 1e-3
-    for x in (*V, V.mean(axis=0), 0.3 * V[0] + 0.7 * V[-1], V.mean(axis=0) + off, V[0] + 0.5 * RESIDUAL_TOL):
+    # the last two straddle the residual threshold: support (0,) is accepted at the first, rejected at the second
+    for x in (
+        *V, V.mean(axis=0), 0.3 * V[0] + 0.7 * V[-1], V.mean(axis=0) + off,
+        V[0] + 0.5 * RESIDUAL_TOL, V[0] + 1.0 * RESIDUAL_TOL, V[0] + 1.0000001 * RESIDUAL_TOL,
+    ):
         assert_enumeration_is_the_reference(model, x)
 
 
