@@ -345,20 +345,22 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 
 @_suite("gpt-argmin", INEQ_TOL, trials=200, dims=(2, 3))
 def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
-    """Blended decompositions never beat the basic-decomposition minimum.
+    """Blends never beat the basic-decomposition minimum, and the majorant never exceeds it.
 
     The trial loop draws each model and interior point, enumerates its basic
     decompositions (gpt_majorant reuses that enumeration) and, with two or
     more of them, draws one blend of two per functional.  It only collects
-    the decomposition weights, the blends and the zero-padded majorant.
-    Scoring runs after the draws, one kernel call per (length, functional):
-    entropy_table scores the blends and majorants, and the weights twice:
-    as they are for the majorant check, and under from_computation's rule
-    (computed=True) for each trial's minimum, picked by first_least as
-    minimize_entropy picks it.  A trial's two cases per functional fill a
-    row of a (trials, 2 * functionals) margin array, and the keep mask
-    drops a case the trial has no blends or no majorant for.  Margins are
-    bit for bit a per-trial loop's.
+    the decomposition weights, the blends and the zero-padded majorant, the
+    join of the weight spectra, which every trial has.  Scoring runs after
+    the draws, one kernel call per (length, functional): entropy_table
+    scores the blends and majorants, and the weights under
+    from_computation's rule (computed=True) for each trial's minimum, picked
+    by first_least as minimize_entropy picks it.  Per functional a trial
+    checks that no blend beats the minimum (argmin-optimality) and that the
+    majorant's entropy is at most the minimum (majorant-minimal), in a row
+    of a (trials, 2 * functionals) margin array; the keep mask drops the
+    blend case of a trial with one decomposition.  Margins are bit for bit
+    a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
@@ -373,7 +375,7 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         majorant = gpt_majorant(model, x)
         first = len(weights)
         weights += [dec.weights for dec in decs]
-        blends = major = None
+        blends = None
         if len(decs) >= 2:
             blends = len(vectors)
             for _ in functionals:
@@ -383,26 +385,23 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
                 blend[list(decs[i].support)] += t * decs[i].weights
                 blend[list(decs[j].support)] += (1.0 - t) * decs[j].weights
                 vectors.append(blend)
-        if majorant is not None:
-            major = len(vectors)
-            vectors.append(np.pad(majorant, (0, max(0, n - majorant.size))))
-        drawn.append((d, first, len(weights), blends, major))
+        vectors.append(np.zeros(n))  # padded by a slice, far cheaper per trial than np.pad
+        vectors[-1][: majorant.size] = majorant
+        drawn.append((d, first, len(weights), blends, len(vectors) - 1))
     h = entropy_table(vectors, functionals)
-    scores = entropy_table(weights, functionals)
     least = entropy_table(weights, functionals, computed=True)
     columns = np.arange(len(functionals))
     margins = np.zeros((trials, 2 * len(functionals)))
-    keep = np.zeros(margins.shape, bool)
+    keep = np.ones(margins.shape, bool)
     for t, (_, first, stop, blends, major) in enumerate(drawn):
-        if blends is not None:
-            own = least[first:stop]
-            pick = first_least(own)
-            margins[t, 0::2] = h[blends + columns, columns] - np.where(pick >= 0, own[pick, columns], np.inf)
-            keep[t, 0::2] = True
-        if major is not None:
-            # min over a list is the left fold of min(a, b), as a loop over the decompositions takes it.
-            margins[t, 1::2] = [min(column) for column in (scores[first:stop] - h[major]).T.tolist()]
-            keep[t, 1::2] = True
+        own = least[first:stop]
+        pick = first_least(own)
+        minimum = np.where(pick >= 0, own[pick, columns], np.inf)
+        margins[t, 1::2] = minimum - h[major]
+        if blends is None:
+            keep[t, 0::2] = False
+        else:
+            margins[t, 0::2] = h[blends + columns, columns] - minimum
     cases = ("argmin-optimality", "majorant-minimal")
     pairs = [(case, INEQ_TOL, F.name) for F in functionals for case in cases]
     return _entries(margins, pairs, [d for d, *_ in drawn], keep)

@@ -88,8 +88,9 @@ class ProbVector:
 class EntropyStatus(Enum):
     """What an entropy value means; the CLI prints ``.value`` as ``status``.
 
-    EXACT: the value is the entropy (finite input, certified tail or gpt minimum).
-    TRUNCATED_ESTIMATE: the value is a truncated sequence sum.
+    EXACT: the value is the entropy (finite input, gpt minimum, or a sequence
+        whose certified tail remainder is folded in, also when max_terms ran out).
+    TRUNCATED_ESTIMATE: the value is a truncated sum of a sequence without a certified tail.
     DECLARED_DIVERGENT: max_terms ran out with the phi-sum still growing; the value is +inf.
     OUTSIDE_HULL: the gpt state is outside the model's hull; value +inf, decomposition null.
     """
@@ -326,40 +327,25 @@ def _log_square_normalizer(offset: int) -> float:
 class SequenceSource:
     """A lazily indexed probability sequence p_0, p_1, ...
 
-    ``fn`` maps an index array to values when ``vectorized`` is true, or a
-    single index to a value otherwise; ``vectorized`` is read-only, and
-    entropy_sequence reads a vectorized source in blocks.  ``declared_monotone``
+    ``fn`` maps an int64 index array to an array of one value per index;
+    entropy_sequence reads the source in blocks.  ``declared_monotone``
     promises nonincreasing values and is probed on every block actually read.
     ``tail`` optionally supplies certified remainders of sum phi(p_i).
     """
 
-    def __init__(
-        self,
-        fn: Callable,
-        declared_monotone: bool = False,
-        tail=None,
-        name: str = "custom",
-        vectorized: bool = False,
-    ):
-        self._vectorized = bool(vectorized)
-        # Reads go through an index-array function; a per-index fn is lifted
-        # once, and still called with Python ints, in order, once per index.
-        self._read = fn if vectorized else (
-            lambda idx: np.array([float(fn(int(i))) for i in idx], dtype=float)
-        )
+    def __init__(self, fn: Callable, declared_monotone: bool = False, tail=None, name: str = "custom"):
+        self._read = fn
         self.declared_monotone = bool(declared_monotone)
         self.tail = tail
         self.name = name
         self._last = (-1, 0.0)  # index and value of the last term a monotone read checked
 
-    @property
-    def vectorized(self) -> bool:
-        return self._vectorized
-
     def values(self, start: int, stop: int) -> np.ndarray:
         if start < 0 or stop < start:
             raise ValueError("invalid index range")
         vals = np.asarray(self._read(np.arange(start, stop, dtype=np.int64)), dtype=float)
+        if vals.shape != (stop - start,):
+            raise ValueError(f"sequence {self.name!r} must return one value per index, got shape {vals.shape}")
         # Written to be false for NaN, so a NaN value is rejected too.
         if vals.size and not (-1e-15 <= float(vals.min()) and float(vals.max()) <= 1.0 + 1e-15):
             raise ValueError(f"sequence {self.name!r} produced a value outside [0, 1]")
@@ -387,7 +373,6 @@ class SequenceSource:
             declared_monotone=True,
             tail=GeometricTail(r),
             name=f"geometric:r={format_param(r)}",
-            vectorized=True,
         )
 
     @classmethod
@@ -407,15 +392,12 @@ class SequenceSource:
             declared_monotone=True,
             tail=None,
             name=f"heavytail:offset={offset}",
-            vectorized=True,
         )
 
     @classmethod
     def from_vector(cls, values) -> "SequenceSource":
-        """Embed a finite vector as a sequence padded with zeros."""
-        vec = np.asarray(values, dtype=float).ravel()
-        if vec.size == 0:
-            raise ValueError("finite sequence must be non-empty")
+        """Embed a finite probability vector, validated as ProbVector validates it, padded with zeros."""
+        vec = ProbVector(np.asarray(values, dtype=float).ravel()).entries
         frozen = tuple(float(v) for v in vec)
         monotone = bool(np.all(np.diff(vec) <= 1e-15))
 
@@ -425,13 +407,7 @@ class SequenceSource:
             out[inside] = vec[idx[inside]]
             return out
 
-        return cls(
-            fn=fn,
-            declared_monotone=monotone,
-            tail=FiniteTail(frozen),
-            name="finite",
-            vectorized=True,
-        )
+        return cls(fn=fn, declared_monotone=monotone, tail=FiniteTail(frozen), name="finite")
 
 
 def sequence_from_spec(spec: str) -> SequenceSource:
@@ -456,11 +432,13 @@ def entropy_sequence(
 ) -> EntropyResult:
     """Evaluate h(sum phi(p_i)) over a lazy sequence with explicit stopping.
 
-    Stops when a tail descriptor certifies the remaining phi-sum below
-    ``increment_tol`` (status Exact, remainder folded into the value), when
-    the phi-sum increment over a trailing window of STOP_WINDOW terms falls
-    below ``increment_tol`` (status TruncatedEstimate), or when ``max_terms``
-    is exhausted.  At exhaustion an increasing/concave functional without a
+    A source whose tail descriptor gives F a certified remainder (a number,
+    not None) is read until that remainder falls below ``increment_tol`` or
+    ``max_terms`` runs out; either way the remainder is folded into the value
+    and the status is Exact.  Any other source stops when the phi-sum
+    increment over a trailing window of STOP_WINDOW terms falls below
+    ``increment_tol`` (status TruncatedEstimate), or when ``max_terms`` is
+    exhausted.  At exhaustion an increasing/concave functional without a
     certified tail is reported DeclaredDivergent with value +inf, unless
     its phi has a finite slope c at 0+: then phi(x) <= c x bounds the
     phi-sum by c, as it is bounded for a decreasing/convex functional, and
@@ -469,16 +447,14 @@ def entropy_sequence(
     among the built-ins that is tsallis with q > 1, of slope 1/(q - 1).
     Shannon and custom pairs are taken to have an infinite one.
 
-    A vectorized source is read in blocks that double from STOP_WINDOW up to
-    MAX_BLOCK terms and never reach past ``max_terms``.  The stopping checks
-    run on each block's window sums as arrays, the tail descriptor asked
-    window by window up to the stopping window, so the value, status and
-    ``terms_used`` are those of a window-by-window read.  A read can reach
-    past the stopping window, at most to the end of its block; a value there
-    outside [0, 1], or breaking a declared monotonicity, raises ValueError
-    although it would not have entered the sum.  A non-vectorized source
-    calls its function once per index, so blocks would save it nothing; it is
-    read one window at a time and never past the stopping window.
+    The source is read in blocks that double from STOP_WINDOW up to
+    MAX_BLOCK terms and never reach past ``max_terms``.  The window rule
+    runs on each block's window sums as an array, and the tail descriptor is
+    asked window by window, so the value, status and ``terms_used`` are
+    those of a window-by-window read.  A read can reach past the stopping
+    window, at most to the end of its block; a value there outside [0, 1],
+    or breaking a declared monotonicity, raises ValueError although it
+    would not have entered the sum.
     """
     max_terms = as_count(max_terms, "max_terms")
     if max_terms < 1:
@@ -491,7 +467,7 @@ def entropy_sequence(
     n = 0
     last_chunk = math.inf
     block = STOP_WINDOW
-    block_cap = MAX_BLOCK if src.vectorized else STOP_WINDOW
+    certified = src.tail is not None and src.tail.remainder(F, 0) is not None
     while n < max_terms:
         stop = min(n + block, max_terms)
         phis = np.asarray(F.phi(src.values(n, stop)))
@@ -505,25 +481,24 @@ def entropy_sequence(
             sums[-1] = np.sum(phis[full * STOP_WINDOW :])
         chunks = np.abs(sums[1:])
         np.cumsum(sums, out=sums)
-        # Only full windows can stop the read as a truncated estimate.
-        small = np.flatnonzero(chunks[:full] < increment_tol)
-        last = int(small[0]) if small.size else chunks.size - 1
-        if src.tail is not None:
-            for k in range(last + 1):
+        if certified:
+            for k in range(chunks.size):
                 end = min(n + STOP_WINDOW * (k + 1), stop)
                 rem = src.tail.remainder(F, end)
-                if rem is not None and abs(rem) < increment_tol:
+                if abs(rem) < increment_tol:
                     return EntropyResult(float(F.h(sums[k + 1] + rem)), EntropyStatus.EXACT, end, abs(rem))
-        if small.size:
-            end, value = n + STOP_WINDOW * (last + 1), float(F.h(sums[last + 1]))
-            return EntropyResult(value, EntropyStatus.TRUNCATED_ESTIMATE, end, float(chunks[last]))
+        else:
+            # Only full windows can stop the read as a truncated estimate.
+            small = np.flatnonzero(chunks[:full] < increment_tol)
+            if small.size:
+                k = int(small[0])
+                end, value = n + STOP_WINDOW * (k + 1), float(F.h(sums[k + 1]))
+                return EntropyResult(value, EntropyStatus.TRUNCATED_ESTIMATE, end, float(chunks[k]))
         partial, n, last_chunk = float(sums[-1]), stop, float(chunks[-1])
-        block = min(2 * block, block_cap)
-    if src.tail is not None:
+        block = min(2 * block, MAX_BLOCK)
+    if certified:
         rem = src.tail.remainder(F, n)
-        if rem is not None:
-            status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
-            return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
+        return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
     finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
     if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
@@ -540,7 +515,7 @@ def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
     ``blocks`` are 2-d arrays holding one vector per row; each block is
     sorted in one call, and all rows are zero-padded to a common length.
     Entries must be finite, or ValueError is raised (a domain error, not a
-    negative margin).  The callers decide which totals must agree.
+    negative margin).  The callers decide what the totals must satisfy.
     """
     if not blocks or min(b.shape[1] for b in blocks) == 0:
         raise ValueError("majorization needs non-empty inputs")
@@ -554,6 +529,32 @@ def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(totals).all():
         raise ValueError("majorization needs finite entries")
     return padded.cumsum(axis=1), totals
+
+
+def _join(vectors) -> np.ndarray:
+    """The least upper bound of ``vectors`` under majorization, sorted nonincreasing.
+
+    Each vector is scaled to total one.  The join's partial sums are the
+    least concave majorant of the largest scaled partial sum at each length
+    (Cicalese & Vaccaro, IEEE Trans. Inf. Theory 48, 933, 2002), so the join
+    majorizes every vector, and every vector that majorizes them all
+    majorizes it.  It has the longest vector's length; totals must be positive.
+    The vectors of one length are sorted as one block.
+    """
+    arrays = [_entries(v) for v in vectors]
+    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in positions_by_key(map(len, arrays))])
+    if not (partial[:, -1] > 0.0).all():
+        raise ValueError("the majorization join needs positive totals")
+    top = np.concatenate([[0.0], (partial / partial[:, -1:]).max(axis=0)])
+    hull, y = [0], top.tolist()
+    for k in range(1, len(y)):
+        # The upper hull drops its last point j while j is on or below the chord from the point before it to k.
+        while len(hull) > 1 and (
+            (y[hull[-1]] - y[hull[-2]]) * (k - hull[-1]) <= (y[k] - y[hull[-1]]) * (hull[-1] - hull[-2])
+        ):
+            hull.pop()
+        hull.append(k)
+    return np.diff(np.interp(np.arange(len(y)), hull, top[hull]))
 
 
 def majorization_margin(p, q) -> float:
@@ -579,27 +580,6 @@ def _row_margins(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         "row",
     )
     return np.min(partial[:k] - partial[k:], axis=1)
-
-
-def majorant_index(vectors) -> int | None:
-    """Index of the first vector that majorizes every one in ``vectors``, or None.
-
-    Row i is picked iff majorizes(vectors[i], v) holds for every v, decided
-    from the partial-sum matrix C: row i qualifies iff
-    min(C[i] - C.max(axis=0)) >= -PARTIAL_SUM_TOL, which is exact because
-    rounding is monotone, so min_j fl(a - b_j) = fl(a - max_j b_j).
-
-    All totals must agree within SUM_TOL, largest against smallest, or
-    ValueError is raised.  This is stricter than a pairwise majorizes loop,
-    which compares totals only pair by pair and stops at the first failing
-    pair: totals 1 - 0.9e-9, 1 and 1 + 0.9e-9 raise here.
-    """
-    partial, totals = _partial_sums([_entries(v).reshape(1, -1) for v in vectors])
-    low, high = float(totals.min()), float(totals.max())
-    if high - low > SUM_TOL:
-        raise ValueError(f"totals differ beyond {SUM_TOL}: {low!r} vs {high!r}")
-    hits = np.flatnonzero(np.min(partial - partial.max(axis=0), axis=1) >= -PARTIAL_SUM_TOL)
-    return int(hits[0]) if hits.size else None
 
 
 def majorizes(p, q) -> bool:

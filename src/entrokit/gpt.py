@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import entropy_table, majorant_index
+from .classical import _join, entropy_table
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -410,14 +410,14 @@ def first_least(values: np.ndarray) -> np.ndarray:
 
 
 def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:
-    """A basic weight spectrum majorizing every other one, if it exists.
+    """The join of the basic weight spectra: the least vector majorizing each one.
 
-    Spectra are the sorted weight vectors of the basic decompositions,
-    zero-padded as needed.  Returns None when x is outside the hull or no
-    spectrum dominates all others.
+    The spectra are the weight vectors of the basic decompositions, sorted
+    nonincreasing and each scaled to total one.  Under majorization they
+    always have a join (classical._join), with the largest support's length,
+    so this returns None only when x is outside the hull.  By Schur
+    concavity its entropy is at most gpt_entropy's, with equality when one
+    basic spectrum majorizes all the others, since the join is then that one.
     """
     decs = enumerate_basic_decompositions(model, x)
-    if not decs:
-        return None
-    best = majorant_index([d.weights for d in decs])
-    return None if best is None else np.sort(decs[best].weights)[::-1]
+    return _join([d.weights for d in decs]) if decs else None

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+from fractions import Fraction
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from entrokit.classical import (
     SequenceSource,
     _bistochastic,
     _computed_rows,
+    _join,
     _log_square_normalizer,
     _mix_rows,
     _probability_rows,
@@ -35,7 +37,6 @@ from entrokit.classical import (
     PARTIAL_SUM_TOL,
     ROW_SUM_TOL,
     jensen_step_oracle,
-    majorant_index,
     majorization_margin,
     majorizes,
     require_slices,
@@ -384,8 +385,8 @@ def test_majorization_rejects_non_finite_entries(p, q):
     for call in (
         lambda: majorizes(p, q),
         lambda: majorization_margin(p, q),
-        lambda: majorant_index([p, q]),
-        lambda: majorant_index([q, p]),
+        lambda: _join([p, q]),
+        lambda: _join([q, p]),
     ):
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -405,7 +406,62 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
         q = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
         assert majorizes(p, q) == (majorization_margin(p, q) >= -PARTIAL_SUM_TOL)
         assert majorizes(q, p) == (majorization_margin(q, p) >= -PARTIAL_SUM_TOL)
-        assert (majorant_index([p, q]) == 0) == majorizes(p, q)
+        join = _join([p, q])
+        assert majorizes(join, p) and majorizes(join, q)
+        # the join of a comparable pair is the greater one, zero-padded
+        if majorization_margin(p, q) > 0 and len(p) >= len(q):
+            assert np.allclose(join, np.sort(p)[::-1], rtol=0, atol=1e-15)
+
+
+def reference_join(vectors):
+    """The join in exact rationals: each point of the least concave majorant is the highest chord over it."""
+    rows = [sorted((Fraction(float(v)) for v in np.ravel(vec)), reverse=True) for vec in vectors]
+    length = max(map(len, rows))
+    top = [max(sum(row[:k], Fraction(0)) / sum(row, Fraction(0)) for row in rows) for k in range(length + 1)]
+
+    def chord(i, j, k):
+        return top[k] if i == j else top[i] + (top[j] - top[i]) * (k - i) / (j - i)
+
+    hull = [max(chord(i, j, k) for i in range(k + 1) for j in range(k, length + 1)) for k in range(length + 1)]
+    return np.array([float(b - a) for a, b in zip(hull, hull[1:])])
+
+
+def random_vector_sets(seed, count):
+    """Sets of one to six Dirichlet vectors of lengths 1 to 6, some with repeated entries or totals off 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vectors = [rng.dirichlet(np.ones(int(rng.integers(1, 7)))) for _ in range(int(rng.integers(1, 7)))]
+        if rng.random() < 0.3:
+            vectors.append(np.full(len(vectors[0]), 1.0 / len(vectors[0])))
+        if rng.random() < 0.3:
+            vectors[0] = vectors[0] * (1.0 + float(rng.uniform(-2e-9, 2e-9)))
+        yield vectors
+
+
+def test_join_is_an_upper_bound_of_every_input():
+    for vectors in random_vector_sets(29, 300):
+        join = _join(vectors)
+        assert join.shape == (max(len(v) for v in vectors),)
+        assert np.all(np.diff(join) <= 1e-15) and abs(join.sum() - 1.0) <= 1e-15
+        assert all(majorizes(join, v / v.sum()) for v in vectors)
+
+
+def test_join_is_the_exact_least_concave_majorant():
+    for vectors in random_vector_sets(31, 300):
+        assert np.allclose(_join(vectors), reference_join(vectors), rtol=0, atol=1e-15)
+    # incomparable spectra: partial sums (0.6, 0.9, 1) and (0.55, 0.95, 1)
+    incomparable = [[0.6, 0.3, 0.1], [0.55, 0.4, 0.05]]
+    assert np.allclose(_join(incomparable), [0.6, 0.35, 0.05], rtol=0, atol=1e-15)
+    # the largest partial sums (0.5, 0.625, 0.75, 1, 1) are not concave: the
+    # hull bridges lengths 1 to 4, so no input's entries appear past the first
+    bridged = [[0.5, 0.125, 0.125, 0.125, 0.125], [0.25, 0.25, 0.25, 0.25]]
+    assert np.allclose(_join(bridged), [0.5, 1 / 6, 1 / 6, 1 / 6, 0.0], rtol=0, atol=1e-15)
+
+
+def test_join_rejects_empty_and_zero_total_inputs():
+    for vectors in ([], [[]], [[0.0, 0.0], [1.0]]):
+        with pytest.raises(ValueError):
+            _join(vectors)
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (3, 3), (4, 6), (6, 4), (5, 1)])
@@ -768,42 +824,55 @@ def test_geometric_rejects_bad_ratio():
 
 
 def test_sequence_rejects_out_of_range_values():
-    for fn in (lambda i: 1.5, lambda i: math.nan if i == 1 else 0.1):
+    for fn in (lambda idx: np.full(idx.shape, 1.5), lambda idx: np.where(idx == 1, math.nan, 0.1)):
         src = SequenceSource(fn=fn, name="bad")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             src.values(0, 3)
 
 
+def test_sequence_needs_one_value_per_index():
+    # a function of one index, called on the index array, gives one value for all of them
+    for fn in (lambda i: 0.5, lambda idx: np.full((len(idx), 1), 0.5), lambda idx: np.full(len(idx) + 1, 0.5)):
+        with pytest.raises(ValueError, match="one value per index"):
+            SequenceSource(fn=fn, name="scalar").values(0, 3)
+
+
+def test_finite_sequence_is_validated_as_a_probability_vector():
+    for bad in ([0.9, 0.9], [1.5, -0.5], [math.nan, 1.0], []):
+        with pytest.raises(ValueError):
+            SequenceSource.from_vector(bad)
+
+
 def test_sequence_monotone_probe_catches_lies():
-    src = SequenceSource(fn=lambda i: 0.01 * (i % 7), declared_monotone=True, name="liar")
+    src = SequenceSource(fn=lambda idx: 0.01 * (idx % 7), declared_monotone=True, name="liar")
     with pytest.raises(ValueError):
         src.values(0, 10)
 
 
 def test_monotone_probe_spans_chunk_boundary():
     # jump exactly at index 64 so the violation straddles two fetches
-    src = SequenceSource(fn=lambda i: 0.001 if i < 64 else 0.002, declared_monotone=True, name="bump")
+    src = SequenceSource(fn=lambda idx: np.where(idx < 64, 0.001, 0.002), declared_monotone=True, name="bump")
     src.values(0, 64)
     with pytest.raises(ValueError):
         src.values(64, 70)
 
 
-def test_a_per_index_sequence_reads_each_index_once():
+def test_a_sequence_reads_each_index_once():
     # The step into a block is checked against the last value of the block
     # before, kept from that read: index 63 was once read a second time.
     calls = collections.Counter()
 
-    def fn(i):
-        calls[i] += 1
-        return 6.0 / (math.pi * (i + 1)) ** 2
+    def fn(idx):
+        calls.update(idx.tolist())
+        return 6.0 / (np.pi * (idx + 1.0)) ** 2
 
     entropy_sequence(SequenceSource(fn, declared_monotone=True), make_shannon(), max_terms=300)
     assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
-    bump = SequenceSource(fn=lambda i: 0.001 if i < 64 else 0.002, declared_monotone=True, name="bump")
+    bump = SequenceSource(fn=lambda idx: np.where(idx < 64, 0.001, 0.002), declared_monotone=True, name="bump")
     with pytest.raises(ValueError, match="declared monotone but increased"):
         entropy_sequence(bump, make_shannon(), max_terms=300)
     # A read that no read ended before still checks its first step.
-    fresh = SequenceSource(fn=lambda i: 0.001 if i < 64 else 0.002, declared_monotone=True, name="bump")
+    fresh = SequenceSource(fn=lambda idx: np.where(idx < 64, 0.001, 0.002), declared_monotone=True, name="bump")
     with pytest.raises(ValueError, match="declared monotone but increased"):
         fresh.values(64, 70)
 
@@ -873,9 +942,27 @@ def test_geometric_exhaustion_folds_exact_tail():
     src = SequenceSource.geometric(0.5)
     res = entropy_sequence(src, make_shannon(), max_terms=10)
     assert res.terms_used == 10
-    assert res.status is EntropyStatus.TRUNCATED_ESTIMATE
-    # the remainder formula is exact, so the folded value still matches
+    # the remainder formula is exact, so the folded value is the entropy
+    assert res.status is EntropyStatus.EXACT
     assert abs(res.value - 2 * LN2) < 1e-12
+    assert res.increment_at_stop == GeometricTail(0.5).remainder(make_shannon(), 10) > 1e-12
+
+
+@pytest.mark.parametrize(
+    "r,spec",
+    [(0.999999, "shannon"), (0.99, "renyi:alpha=0.5"), (0.99, "kaniadakis:kappa=0.5"), (0.9999, "tsallis:q=2")],
+)
+def test_certified_tail_stops_only_on_its_remainder(r, spec):
+    # The trailing-window rule once stopped the r = 0.99 streams 2.1e-13 short
+    # of the closed form, and r = 0.999999 ended as a truncated estimate.
+    F = functional_from_spec(spec)
+    res = entropy_sequence(SequenceSource.geometric(r), F)
+    assert res.status is EntropyStatus.EXACT
+    closed = F.h(GeometricTail(r).remainder(F, 0))
+    assert abs(res.value - closed) <= 1e-13 * max(1.0, abs(closed)), (res, closed)
+    if r == 0.999999:
+        assert res.terms_used == 10_000
+        assert abs(res.value - (-math.log(1 - r) - r * math.log(r) / (1 - r))) <= 1e-9
 
 
 def test_finite_vector_as_sequence():
@@ -936,17 +1023,15 @@ def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
         full_window = stop - n == STOP_WINDOW
         n = stop
         last_chunk = abs(chunk)
-        if src.tail is not None:
-            rem = src.tail.remainder(F, n)
-            if rem is not None and abs(rem) < increment_tol:
-                return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
-        if full_window and last_chunk < increment_tol:
-            return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
-    if src.tail is not None:
-        rem = src.tail.remainder(F, n)
+        rem = None if src.tail is None else src.tail.remainder(F, n)
         if rem is not None:
-            status = EntropyStatus.EXACT if abs(rem) < increment_tol else EntropyStatus.TRUNCATED_ESTIMATE
-            return EntropyResult(float(F.h(partial + rem)), status, n, abs(rem))
+            # a certified tail alone stops the read, the window rule never
+            if abs(rem) < increment_tol:
+                return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
+        elif full_window and last_chunk < increment_tol:
+            return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+    if rem is not None:
+        return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
     # tsallis with q > 1 is the built-in whose phi has a finite slope at 0+: its sum is bounded.
     if F.case is FunctionalCase.INCREASING_CONCAVE and not (F.family == "tsallis" and F.params["q"] > 1.0):
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
@@ -978,8 +1063,8 @@ def test_blocked_heavy_tail_and_finite_are_the_windowed_loop():
             assert_blocked_is_windowed(SequenceSource.from_vector(vec), functional_from_spec(spec))
 
 
-def test_blocked_custom_scalar_source_is_the_windowed_loop():
-    src = SequenceSource(fn=lambda i: 6.0 / (math.pi * (i + 1)) ** 2, declared_monotone=True)
+def test_blocked_custom_source_is_the_windowed_loop():
+    src = SequenceSource(fn=lambda idx: 6.0 / (np.pi * (idx + 1.0)) ** 2, declared_monotone=True)
     for spec in ALL_SPECS:
         assert_blocked_is_windowed(src, functional_from_spec(spec), max_terms=5000)
 
@@ -992,7 +1077,6 @@ def test_zero_window_stops_on_and_inside_block_ends(support):
     src = SequenceSource(
         fn=lambda idx: np.where(idx < support, 1.0 / support, 0.0),
         declared_monotone=True,
-        vectorized=True,
     )
     # with max_terms at support + 36 the only zero window is short, and a
     # short window never stops the read
@@ -1026,7 +1110,7 @@ class CountingSource:
         self.reads.append((start, stop))
         return self.base.values(start, stop)
 
-    def __getattr__(self, attr):  # tail, declared_monotone, vectorized, name
+    def __getattr__(self, attr):  # tail, declared_monotone, name
         return getattr(self.base, attr)
 
 
@@ -1052,19 +1136,6 @@ def test_sequence_reads_stay_within_max_terms_and_one_block(base, F, max_terms):
         assert len(src.reads) < 100
     if base.tail is None and max_terms == 1_000_000:
         assert res.status is EntropyStatus.DECLARED_DIVERGENT
-
-
-def test_scalar_source_is_read_one_window_at_a_time():
-    # a per-index function gains nothing from blocks, so it is never asked
-    # for a value past the stopping window
-    base = SequenceSource(fn=lambda i: 6.0 / (math.pi * (i + 1)) ** 2, declared_monotone=True)
-    src = CountingSource(base)
-    res = entropy_sequence(src, make_shannon(), max_terms=5000)
-    assert all(b - a <= STOP_WINDOW for a, b in src.reads)
-    assert src.reads[-1][1] == res.terms_used
-    assert not base.vectorized and SequenceSource.geometric(0.5).vectorized
-    with pytest.raises(AttributeError):
-        base.vectorized = True
 
 
 def test_heavy_tail_normalization():

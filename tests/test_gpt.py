@@ -8,7 +8,7 @@ import pytest
 
 from entrokit import gpt
 from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS, run_audit
-from entrokit.classical import ProbVector, entropy_finite, majorant_index, majorizes
+from entrokit.classical import ProbVector, _join, entropy_finite, entropy_table, majorization_margin, majorizes
 from entrokit.functionals import functional_from_spec, make_shannon
 from entrokit.gpt import (
     VERTEX_CAP,
@@ -714,13 +714,14 @@ def test_square_center_majorant():
     assert np.allclose(spectrum, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
-def test_majorant_missing_for_incomparable_spectra():
+def test_majorant_of_incomparable_spectra_is_their_join():
     model = ConvexModel(INCOMPARABLE_QUAD)
     decs = enumerate_basic_decompositions(model, INCOMPARABLE_POINT)
     spectra = [np.sort(d.weights)[::-1] for d in decs]
     assert np.allclose(spectra[0], [0.6, 0.3, 0.1], rtol=0, atol=1e-9)
     assert np.allclose(spectra[1], [0.55, 0.4, 0.05], rtol=0, atol=1e-9)
-    assert gpt_majorant(model, INCOMPARABLE_POINT) is None
+    # neither spectrum majorizes the other; the join takes the larger partial sums (0.6, 0.95, 1)
+    assert np.allclose(gpt_majorant(model, INCOMPARABLE_POINT), [0.6, 0.35, 0.05], rtol=0, atol=1e-9)
 
 
 def test_majorant_on_simplex_is_the_unique_spectrum():
@@ -745,46 +746,68 @@ def test_majorant_entropy_is_minimal_across_decompositions():
             assert h_dec >= h_maj - 1e-9
 
 
-def reference_majorant(spectra):
-    """The pairwise loop: the first spectrum that majorizes every other one."""
+def exact_majorant(spectra):
+    """The first spectrum whose partial sums are, without tolerance, at least every other one's."""
     for candidate in spectra:
-        if all(majorizes(candidate, other) for other in spectra):
+        if all(majorization_margin(candidate, other) >= 0.0 for other in spectra):
             return candidate
     return None
 
 
-def test_majorant_matrix_picks_the_pairwise_candidate():
-    rng = as_rng(41)
-    found = missing = 0
+def sphere_states(seed, per_dim):
+    """(model, interior point) pairs of random sphere models with 2 to 4 dimensions and up to 8 vertices."""
+    rng = as_rng(seed)
     for d in (2, 3, 4):
-        for _ in range(40):
+        for _ in range(per_dim):
             model = random_sphere_model(int(rng.integers(d + 2, 9)), d, rng)
-            x = random_interior_point(model, rng)
-            spectra = [np.sort(dec.weights)[::-1] for dec in enumerate_basic_decompositions(model, x)]
-            want = reference_majorant(spectra)
-            got = gpt_majorant(model, x)
-            if want is None:
-                missing += 1
-                assert got is None and majorant_index(spectra) is None
-            else:
-                found += 1
-                assert spectra[majorant_index(spectra)] is want and np.array_equal(got, want)
+            yield model, random_interior_point(model, rng)
+
+
+def test_join_is_the_basic_majorant_where_one_exists():
+    found = missing = 0
+    for model, x in sphere_states(41, 40):
+        spectra = [np.sort(dec.weights)[::-1] for dec in enumerate_basic_decompositions(model, x)]
+        got, want = gpt_majorant(model, x), exact_majorant(spectra)
+        assert all(majorizes(got, spectrum) for spectrum in spectra)
+        if want is None:
+            missing += 1
+        else:
+            found += 1
+            padded = np.pad(want / want.sum(), (0, got.size - want.size))
+            assert np.allclose(got, padded, rtol=0, atol=4 * np.finfo(float).eps), (got, want)
     assert found and missing
 
 
-def test_majorant_index_on_unequal_lengths_and_totals():
-    assert majorant_index([[0.5, 0.5], [1.0], [0.4, 0.3, 0.3]]) == 1
-    assert majorant_index([[0.5, 0.5], [1.0], [0.0, 1.0]]) == 1  # ties: the first one
-    assert majorant_index([[0.6, 0.3, 0.1], [0.55, 0.4, 0.05]]) is None
-    assert majorant_index([ProbVector([0.25, 0.75])]) == 0
-    with pytest.raises(ValueError):
-        majorant_index([[0.5, 0.5], [0.5, 0.4]])
-    with pytest.raises(ValueError):
-        majorant_index([])
-    # each pair of totals agrees within SUM_TOL but the spread does not: the
-    # pairwise loop fails every candidate on a partial sum before it compares
-    # the outer two totals and returns None; the matrix form raises
+def test_join_entropy_bounds_the_gpt_entropy():
+    functionals = [functional_from_spec(spec) for spec in DEFAULT_FUNCTIONAL_SPECS]
+    for model, x in sphere_states(43, 30):
+        bound = entropy_table([gpt_majorant(model, x)], functionals, computed=True)[0]
+        for F, h in zip(functionals, bound):
+            assert h <= gpt_entropy(model, x, F)[0] + 1e-12, F.name
+
+
+def test_join_of_states_at_the_hull_needs_no_common_total():
+    # Each accepted weight vector sums to 1 within RESIDUAL_TOL, so two of them
+    # can differ by 2e-9: here supports (0, 1) and (0, 3) sum to 1 + 5e-10 and
+    # 1 - 5e-10.  The join scales each to total one.
+    model = ConvexModel([[1.0, -1.0], [0.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
+    x = model.vertices[0] + 1e-9
+    decs = enumerate_basic_decompositions(model, x)
+    sums = [float(d.weights.sum()) for d in decs]
+    assert max(sums) - min(sums) > 9e-10
+    join = gpt_majorant(model, x)
+    assert join.shape == (3,) and abs(join.sum() - 1.0) <= 1e-15
+    assert np.allclose(join, [1.0, 0.0, 0.0], rtol=0, atol=1e-8)
+    assert all(majorizes(join, d.weights / d.weights.sum()) for d in decs)
+
+
+def test_join_on_unequal_lengths_and_totals():
+    assert np.array_equal(_join([[0.5, 0.5], [1.0], [0.4, 0.3, 0.3]]), [1.0, 0.0, 0.0])
+    assert np.array_equal(_join([ProbVector([0.25, 0.75])]), [0.75, 0.25])
+    # totals pairwise within SUM_TOL but not largest against smallest, and a
+    # total far from one: each vector is scaled to total one
     spread = [[1.0], [0.5, 0.5 - 0.9e-9], [0.4 + 0.9e-9, 0.3, 0.3]]
-    assert reference_majorant(spread) is None
+    assert np.allclose(_join(spread), [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(_join([[0.5, 0.5], [0.5, 0.4]]), [5 / 9, 4 / 9], rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        majorant_index(spread)
+        _join([])
