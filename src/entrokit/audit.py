@@ -41,7 +41,7 @@ from .classical import (
     positions_by_key,
 )
 from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
-from .gpt import DIM_CAP, enumerate_basic_decompositions, first_least, gpt_majorant
+from .gpt import DIM_CAP, enumerate_basic_decompositions, gpt_majorant
 from .quantum import (
     DensityOperator,
     _conjugated,
@@ -347,25 +347,26 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Blends never beat the basic-decomposition minimum, and the majorant never exceeds it.
 
-    The trial loop draws each model and interior point, enumerates its basic
+    The trial loop only draws: each model and interior point, its basic
     decompositions (gpt_majorant reuses that enumeration) and, with two or
-    more of them, draws one blend of two per functional.  It only collects
-    the decomposition weights, the blends and the zero-padded majorant, the
-    join of the weight spectra, which every trial has.  Scoring runs after
-    the draws, one kernel call per (length, functional): entropy_table
-    scores the blends and majorants, and the weights under
-    from_computation's rule (computed=True) for each trial's minimum, picked
-    by first_least as minimize_entropy picks it.  Per functional a trial
-    checks that no blend beats the minimum (argmin-optimality) and that the
-    majorant's entropy is at most the minimum (majorant-minimal), in a row
-    of a (trials, 2 * functionals) margin array; the keep mask drops the
-    blend case of a trial with one decomposition.  Margins are bit for bit
-    a per-trial loop's.
+    more of them, a pair and a share t per functional for a blend.  It
+    collects the weights and the zero-padded majorant, the join of the
+    weight spectra, which every trial has.  Each (length, support sizes)
+    key's blends are then built as one (k, length) scatter.  Scoring runs
+    one kernel call per (length, functional): entropy_table scores the
+    blends and majorants, and the weights under from_computation's rule
+    (computed=True).  A trial's minimum is one np.minimum.reduceat over its
+    weight rows, the value first_least picks for minimize_entropy.  The
+    margins fill a (trials, 2 * functionals) array by whole columns: no
+    blend beats the minimum (argmin-optimality), and the majorant's entropy
+    is at most it (majorant-minimal); the keep mask drops the blend case of
+    a trial with one decomposition.  Margins are bit for bit a per-trial
+    loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
         raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
-    drawn, weights, vectors = [], [], []
+    drawn, firsts, weights, majorants, picks = [], [], [], [], []
     for _ in range(trials):
         d = _draw_dim(rng, dims)
         n = int(rng.integers(d + 2, 9))
@@ -373,38 +374,38 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         x = random_interior_point(model, rng)
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
-        first = len(weights)
+        drawn.append(d)
+        firsts.append(len(weights))
         weights += [dec.weights for dec in decs]
-        blends = None
         if len(decs) >= 2:
-            blends = len(vectors)
             for _ in functionals:
                 i, j = rng.choice(len(decs), size=2, replace=False)
-                t = float(rng.uniform(0.2, 0.8))
-                blend = np.zeros(n)
-                blend[list(decs[i].support)] += t * decs[i].weights
-                blend[list(decs[j].support)] += (1.0 - t) * decs[j].weights
-                vectors.append(blend)
-        vectors.append(np.zeros(n))  # padded by a slice, far cheaper per trial than np.pad
-        vectors[-1][: majorant.size] = majorant
-        drawn.append((d, first, len(weights), blends, len(vectors) - 1))
-    h = entropy_table(vectors, functionals)
+                picks.append((n, decs[i], decs[j], float(rng.uniform(0.2, 0.8))))
+        majorants.append(np.zeros(n))  # padded by a slice, far cheaper per trial than np.pad
+        majorants[-1][: majorant.size] = majorant
+    blends = [None] * len(picks)
+    for idx in positions_by_key((n, a.weights.size, b.weights.size) for n, a, b, _ in picks):
+        ns, first, second, t = zip(*(picks[p] for p in idx))
+        stack, rows, t = np.zeros((len(idx), ns[0])), np.arange(len(idx))[:, None], np.array(t)[:, None]
+        for side, share in ((first, t), (second, 1.0 - t)):
+            stack[rows, [dec.support for dec in side]] += share * np.array([dec.weights for dec in side])
+        for p, blend in zip(idx, stack):
+            blends[p] = blend
+    h = entropy_table(blends + majorants, functionals)
     least = entropy_table(weights, functionals, computed=True)
-    columns = np.arange(len(functionals))
-    margins = np.zeros((trials, 2 * len(functionals)))
+    # first_least picks the least value below +inf, and min is exact; a trial with no such value keeps +inf.
+    minimum = np.minimum.reduceat(np.where(least < np.inf, least, np.inf), firsts)
+    width, blended = len(functionals), np.diff(firsts + [len(weights)]) >= 2
+    margins = np.zeros((trials, 2 * width))
+    margins[:, 1::2] = minimum - h[len(blends) :]
+    # Blend row r is for functional r % width, of the (r // width)-th trial with blends.
+    blend_h = h[: len(blends)].reshape(-1, width, width).diagonal(axis1=1, axis2=2)
+    margins[blended, 0::2] = blend_h - minimum[blended]
     keep = np.ones(margins.shape, bool)
-    for t, (_, first, stop, blends, major) in enumerate(drawn):
-        own = least[first:stop]
-        pick = first_least(own)
-        minimum = np.where(pick >= 0, own[pick, columns], np.inf)
-        margins[t, 1::2] = minimum - h[major]
-        if blends is None:
-            keep[t, 0::2] = False
-        else:
-            margins[t, 0::2] = h[blends + columns, columns] - minimum
+    keep[~blended, 0::2] = False
     cases = ("argmin-optimality", "majorant-minimal")
     pairs = [(case, INEQ_TOL, F.name) for F in functionals for case in cases]
-    return _entries(margins, pairs, [d for d, *_ in drawn], keep)
+    return _entries(margins, pairs, drawn, keep)
 
 
 def run_audit(suite: str, trials=None, seed=7, dims=None, functional_specs=None) -> AuditReport:

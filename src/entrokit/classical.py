@@ -539,10 +539,11 @@ def _join(vectors) -> np.ndarray:
     (Cicalese & Vaccaro, IEEE Trans. Inf. Theory 48, 933, 2002), so the join
     majorizes every vector, and every vector that majorizes them all
     majorizes it.  It has the longest vector's length; totals must be positive.
-    The vectors of one length are sorted as one block.
+    The vectors of one length are sorted as one block, regrouped only when lengths differ.
     """
     arrays = [_entries(v) for v in vectors]
-    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in positions_by_key(map(len, arrays))])
+    groups = [range(len(arrays))] if len({len(a) for a in arrays}) == 1 else positions_by_key(map(len, arrays))
+    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in groups])
     if not (partial[:, -1] > 0.0).all():
         raise ValueError("the majorization join needs positive totals")
     top = np.concatenate([[0.0], (partial / partial[:, -1:]).max(axis=0)])

@@ -15,9 +15,10 @@ most supports unable to write it (_screen).  Only the rest reach the exact
 solve, which alone accepts a decomposition and supplies its weights: per
 support size one stacked rank test, lstsq on each full-rank support, then
 one residual and weight-floor test on the stacked solutions, bit for bit
-the per-support tests (_exact_solutions).  Model construction screens
-only the vertices no separating hyperplane certifies, all at once.  Each
-support length is scored in one kernel call through entropy_table.
+the per-support tests (_exact_solutions).  Decompositions wrap the rows
+of each size's block of solutions, checked once.  Model construction
+screens only the vertices no separating hyperplane certifies, all at
+once.  Each support length is scored in one kernel call (entropy_table).
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -74,6 +75,23 @@ class Decomposition:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "support", tuple(map(int, self.support)))
 
+    @classmethod
+    def _rows(cls, supports: np.ndarray, W: np.ndarray) -> list:
+        """A Decomposition per row of an exact-solve block, wrapping W's rows read-only.
+
+        The floor and sum tests above run once on the block, bit for bit per
+        row: min is exact, and numpy sums a row of at most DIM_CAP + 1 entries
+        as it sums that row alone.  The first failing row raises their error.
+        """
+        ok = (np.minimum.reduce(W, axis=1) > WEIGHT_FLOOR) & (abs(np.add.reduce(W, axis=1) - 1.0) <= RESIDUAL_TOL)
+        for i in np.flatnonzero(~ok)[:1]:
+            cls(support=supports[i].tolist(), weights=W[i])
+        W.setflags(write=False)
+        decs = [object.__new__(cls) for _ in W]
+        for dec, support, w in zip(decs, supports.tolist(), W):
+            dec.__dict__.update(support=tuple(support), weights=w)
+        return decs
+
     def barycenter(self, model: "ConvexModel") -> np.ndarray:
         return self.weights @ model.vertices[list(self.support)]
 
@@ -87,7 +105,7 @@ def _systems(V: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _exact_solutions(a: np.ndarray, x: np.ndarray):
-    """(position, weights) of each stacked system in ``a`` that writes x, in order.
+    """(positions, W): where in ``a`` the stacked systems that write x are, in order, and their weights as rows.
 
     The exact solve, which alone accepts a support and supplies its weights.
     It rejects affinely dependent supports (rank below the support size at
@@ -108,16 +126,20 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
         W[i], *_ = np.linalg.lstsq(a[c], b, rcond=None)
     residual = np.abs((a[full] @ W[..., None])[..., 0] - b).max(axis=1)
     accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))
-    yield from zip(full[accepted].tolist(), W[accepted])
+    return full[accepted], W[accepted]
 
 
 @functools.lru_cache(maxsize=VERTEX_CAP * (DIM_CAP + 1))
-def _subsets(n: int, k: int) -> tuple:
-    """The k-subsets of range(n) in lex order and their bitmasks (bit i: vertex i), read-only."""
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
-    masks = (1 << subsets).sum(axis=1)
-    subsets.flags.writeable = masks.flags.writeable = False
-    return subsets, masks
+def _subsets(n: int, top: int) -> tuple:
+    """Each k-subset of range(n) for k = 1..top, in lex order, and its bitmask (bit i: vertex i).
+
+    Returns the subsets of each size, all their masks in one array and each size's start in it, read-only.
+    """
+    subsets = [np.array(list(itertools.combinations(range(n), k)), dtype=np.intp) for k in range(1, top + 1)]
+    masks = np.concatenate([(1 << s).sum(axis=1) for s in subsets])
+    for array in (*subsets, masks):
+        array.flags.writeable = False
+    return tuple(subsets), masks, tuple(np.cumsum([0] + [len(s) for s in subsets]).tolist())
 
 
 def _norm(x: np.ndarray, axis) -> np.ndarray:
@@ -148,7 +170,8 @@ def _screen(a: np.ndarray, b: np.ndarray):
     m, eye = len(b), np.eye(a.shape[1])
     with np.errstate(all="ignore"):
         singular = ~(np.abs(np.linalg.det(a)) > 0)
-        z = np.linalg.solve(np.where(singular[:, None, None], eye, a), np.concatenate([b.T, eye], axis=1))
+        square = np.where(singular[:, None, None], eye, a) if singular.any() else a
+        z = np.linalg.solve(square, np.concatenate([b.T, eye], axis=1))
         w, inv = z[:, :, :m], _norm(z[:, :, m:], (1, 2))
         size = _norm(a, (1, 2))
         ill = singular | ~(size * inv * SCREEN_COND < 1)
@@ -160,14 +183,15 @@ def _screen(a: np.ndarray, b: np.ndarray):
 
 
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
-    """(target position, support, weights) of each basic decomposition of each row of ``targets``.
+    """(target position, supports, W) for the basic decompositions of each row of ``targets``, one block per size.
 
     Coordinates are _centered, and the exact solve divides coordinate i by
     s_i = max(1, S_i / SOLVE_SCALE), S_i the screen's power of two: row i
     is held to RESIDUAL_TOL * s_i, above its rounding, and lstsq sees no
-    rows that dwarf the weight-sum row.  Targets in order, then supports
-    by size and lex order.  cleared[j] holds the 2^n bitmasks the proofs
-    rule out for target j, closed downward, and those meeting exclude[j].
+    rows that dwarf the weight-sum row.  Targets in order, then a block per
+    support size, supports in lex order.  cleared[j] holds the 2^n bitmasks
+    the proofs rule out for target j, closed downward, and those meeting
+    exclude[j]; one index into all sizes' masks reads target j's open ones.
     A model with n <= d sends every support.  If every simplex is ill (a
     flat model), eigh(A A^T) splits off the hull Q (all but the smallest
     eigenvalue and any below SCREEN_COND^2 times the largest) from the
@@ -178,11 +202,13 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     n, d = V.shape
     V, targets = _centered(V, targets)
     scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=0))[1])
-    A, B = (np.vstack([(P / scale).T, np.ones(len(P))]) for P in (V, targets))
+    A, B = np.ones((d + 1, n)), np.ones((d + 1, len(targets)))
+    A[:d], B[:d] = (V / scale).T, (targets / scale).T
     cleared = np.zeros((len(targets), 1 << n), dtype=bool)
     Q, k = None, d + 1
     while n > d:
-        subsets, masks = _subsets(n, k)
+        subsets, masks, starts = _subsets(n, k)
+        subsets, masks = subsets[-1], masks[starts[-2] :]
         a = A[:, subsets].transpose(1, 0, 2)
         keep, proof, ill = _screen(a, B.T) if Q is None else _screen(Q.T @ a, (Q.T @ B).T)
         c, p, j = np.nonzero(proof)
@@ -198,15 +224,19 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
         cleared[far > _norm(R @ A, 0).max()] = True
     for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
-    cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
+    if np.any(exclude):
+        cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
     solve_scale = np.maximum(1.0, scale / SOLVE_SCALE)
     V, targets = V / solve_scale, targets / solve_scale
+    subsets, masks, starts = _subsets(n, min(n, d + 1))
+    open_ = ~cleared[:, masks]
+    counts = np.add.reduceat(open_, starts[:-1], axis=1)
     for t, x in enumerate(targets):
-        for subsets, masks in (_subsets(n, k) for k in range(1, min(n, d + 1) + 1)):
-            kept = subsets[~cleared[t, masks]]
-            if len(kept):
-                for c, w in _exact_solutions(_systems(V, kept), x):
-                    yield t, tuple(kept[c].tolist()), w
+        for k in np.flatnonzero(counts[t]).tolist():
+            kept = subsets[k][open_[t, starts[k] : starts[k + 1]]]
+            positions, W = _exact_solutions(_systems(V, kept), x)
+            if len(positions):
+                yield t, kept[positions], W
 
 
 def _centered(V: np.ndarray, points: np.ndarray):
@@ -329,9 +359,9 @@ class ConvexModel:
 
 
 def _iter_solutions(V: np.ndarray, x: np.ndarray):
-    # Lexicographic subset order fixes tie-breaking everywhere downstream.
-    for _, support, w in _screened_solutions(V, x[None, :]):
-        yield support, w
+    # Supports by size, then in lex order within a size: this order fixes tie-breaking everywhere downstream.
+    for _, supports, W in _screened_solutions(V, x[None, :]):
+        yield supports, W
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
@@ -346,15 +376,11 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
 def membership(model: ConvexModel, x) -> Decomposition | None:
     """First basic decomposition of x, or None when x is outside the hull."""
     x = _check_point(model, x)
-    found = next(_iter_solutions(model.vertices, x), None)
-    if found is None:
-        return None
-    support, w = found
-    return Decomposition(support=support, weights=w)
+    return next((Decomposition(support=S[0], weights=W[0]) for S, W in _iter_solutions(model.vertices, x)), None)
 
 
 def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]:
-    """All decompositions of x on affinely independent supports, in lex order.
+    """All decompositions of x on affinely independent supports, by support size, then in lex order.
 
     The result for the last state asked about is kept on the model; asking
     again for the same state returns a new list of the same Decomposition
@@ -363,10 +389,7 @@ def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]
     x = _check_point(model, x)
     key = x.tobytes()
     if model._decompositions is None or model._decompositions[0] != key:
-        decs = tuple(
-            Decomposition(support=s, weights=w)
-            for s, w in _iter_solutions(model.vertices, x)
-        )
+        decs = tuple(dec for block in _iter_solutions(model.vertices, x) for dec in Decomposition._rows(*block))
         model._decompositions = (key, decs)
     return list(model._decompositions[1])
 
@@ -376,8 +399,8 @@ def gpt_entropy(
 ) -> tuple[float, Decomposition | None]:
     """Minimum of h(sum phi(weights)) over basic decompositions of x.
 
-    Returns (+inf, None) when x is outside the hull.  Ties are broken by
-    the lexicographically first support.
+    Returns (+inf, None) when x is outside the hull.  A tie goes to the
+    first decomposition in enumeration order: by support size, then lex order.
     """
     return minimize_entropy(enumerate_basic_decompositions(model, x), F)
 

@@ -1,5 +1,6 @@
 """Convex polytope models: decompositions, entropies, majorants."""
 
+import dataclasses
 import itertools
 import math
 
@@ -208,7 +209,9 @@ def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
     # the exact solve on every support of a size at once, unscreened
     for k in range(1, 5):
         subsets = np.array(list(itertools.combinations(range(8), k)))
-        got = dict(gpt._exact_solutions(gpt._systems(V, subsets), x))
+        positions, W = gpt._exact_solutions(gpt._systems(V, subsets), x)
+        assert W.shape == (len(positions), k)
+        got = dict(zip(positions.tolist(), W))
         for c, support in enumerate(subsets):
             want = reference_solve_support(V[support], x)
             assert (c in got) == (want is not None), support
@@ -553,6 +556,120 @@ def test_decomposition_validation():
         Decomposition(support=(0, 1), weights=np.array([math.nan, math.nan]))
     d = Decomposition(support=(0, 3), weights=np.array([0.5, 0.5]))
     assert np.allclose(d.barycenter(model), [0.0, 0.0], rtol=0, atol=1e-15)
+
+
+# Five vertices whose origin has basic decompositions of sizes 2 and 3: the
+# two-point one comes first although (0, 1, 2) is lexicographically smaller.
+ORDER_MODEL = [[-1.0, -1.0], [1.0, -1.0], [0.0, 1.0], [-2.0, 0.0], [2.0, 0.0]]
+
+
+def test_enumeration_is_by_support_size_then_lexicographic():
+    model = ConvexModel(ORDER_MODEL)
+    decs = enumerate_basic_decompositions(model, [0.0, 0.0])
+    assert [dec.support for dec in decs] == [(3, 4), (0, 1, 2), (0, 2, 4), (1, 2, 3)]
+    assert membership(model, [0.0, 0.0]).support == (3, 4)
+    assert gpt_entropy(model, [0.0, 0.0], make_shannon())[1].support == (3, 4)
+    # (0, 2, 4) and (1, 2, 3) both have weights (0.4, 0.4, 0.2) up to rounding, and tie under
+    # these functionals: the first in that order wins the tie
+    for F in (make_shannon(), functional_from_spec("renyi:alpha=2")):
+        assert minimize_entropy(decs[2:3], F)[0] == minimize_entropy(decs[3:], F)[0]
+        assert minimize_entropy(decs[2:], F)[1] is decs[2]
+
+
+def gpt_blocks(rng):
+    """Random (supports, weights) blocks of the exact solve's shapes: sizes 1..DIM_CAP + 1, 1 to 40 rows."""
+    for k in range(1, gpt.DIM_CAP + 2):
+        for m in (1, 2, 3, 7, 40):
+            supports = np.array([np.sort(rng.choice(VERTEX_CAP, size=k, replace=False)) for _ in range(m)])
+            yield supports, rng.dirichlet(np.ones(k), size=m)
+
+
+def near_threshold_rows(w, rng):
+    """Copies of one weight row moved to either side of the floor and sum thresholds, and a NaN row."""
+    k = len(w)
+    for floor in (WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0), np.nextafter(WEIGHT_FLOOR, 0.0), 0.5 * WEIGHT_FLOOR):
+        row = w.copy()
+        i = int(rng.integers(k))
+        row[(i + 1) % k] += row[i] - floor  # the sum stays within rounding of 1 when k > 1
+        row[i] = floor
+        yield row
+    for off in (RESIDUAL_TOL, -RESIDUAL_TOL, 1.5 * RESIDUAL_TOL, -1.5 * RESIDUAL_TOL):
+        row = w.copy()
+        row[0] += off
+        for _ in range(4):  # walk the last bits of the sum across the threshold
+            yield row.copy()
+            row[0] = np.nextafter(row[0], np.inf if off < 0 else -np.inf)
+    row = w.copy()
+    row[-1] = math.nan
+    yield row
+
+
+def constructor_error(support, w):
+    try:
+        Decomposition(support=tuple(support), weights=w)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def test_block_checks_are_the_constructor_checks_bit_for_bit():
+    rng = as_rng(29)
+    rejected = accepted = 0
+    for supports, W in gpt_blocks(rng):
+        for row in near_threshold_rows(W[0], rng):
+            at = int(rng.integers(len(W)))
+            block = W.copy()
+            block[at] = row
+            want = constructor_error(supports[at], row)
+            if want is None:
+                accepted += 1
+                decs = Decomposition._rows(supports, block)
+                assert [dec.support for dec in decs] == [tuple(s) for s in supports.tolist()]
+            else:
+                rejected += 1
+                with pytest.raises(ValueError) as err:
+                    Decomposition._rows(supports, block)
+                assert str(err.value) == want
+    assert accepted > 100 and rejected > 100
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ([0.5, 0.5 - RESIDUAL_TOL, math.nan], "exceed"),
+        ([0.5, 0.5 - WEIGHT_FLOOR, WEIGHT_FLOOR], "exceed"),
+        ([0.5, 0.5 + 2 * RESIDUAL_TOL, 0.25], "sum to 1"),
+    ],
+    ids=["nan", "at-floor", "sum-off"],
+)
+def test_block_check_raises_the_constructor_error_of_the_first_failing_row(row, message):
+    supports = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 5]])
+    good = np.array([0.5, 0.3, 0.2])
+    bad = np.array(row)
+    block = np.array([good, bad, good, [0.5, 0.5, math.nan]])
+    want = constructor_error((1, 2, 3), bad)
+    assert message in want
+    with pytest.raises(ValueError) as err:
+        Decomposition._rows(supports, block)
+    assert str(err.value) == want
+
+
+def test_block_decompositions_are_the_constructed_ones():
+    model = random_sphere_model(8, 3, as_rng(31))
+    x = random_interior_point(model, as_rng(32))
+    decs = enumerate_basic_decompositions(model, x)
+    assert len(decs) > 1
+    for dec in decs:
+        built = Decomposition(support=dec.support, weights=np.array(dec.weights))
+        assert type(dec) is Decomposition
+        assert not dec.weights.flags.writeable and dec.weights.ndim == 1
+        assert all(type(i) is int for i in dec.support) and type(dec.support) is tuple
+        assert dec.support == built.support and np.array_equal(dec.weights, built.weights)
+        assert repr(dec) == repr(built)
+        with pytest.raises(ValueError):
+            dec.weights[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.support = (0,)
 
 
 # ------------------------------------------------------------------ entropy
