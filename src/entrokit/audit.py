@@ -356,12 +356,11 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     one kernel call per (length, functional): entropy_table scores the
     blends and majorants, and the weights under from_computation's rule
     (computed=True).  A trial's minimum is one np.minimum.reduceat over its
-    weight rows, the value first_least picks for minimize_entropy.  The
-    margins fill a (trials, 2 * functionals) array by whole columns: no
-    blend beats the minimum (argmin-optimality), and the majorant's entropy
-    is at most it (majorant-minimal); the keep mask drops the blend case of
-    a trial with one decomposition.  Margins are bit for bit a per-trial
-    loop's.
+    weight rows, the value minimize_entropy picks.  The margins fill a
+    (trials, 2 * functionals) array by whole columns: no blend beats the
+    minimum (argmin-optimality), and the majorant's entropy is at most it
+    (majorant-minimal); the keep mask drops the blend case of a trial with
+    one decomposition.  Margins are bit for bit a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
@@ -393,7 +392,7 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
             blends[p] = blend
     h = entropy_table(blends + majorants, functionals)
     least = entropy_table(weights, functionals, computed=True)
-    # first_least picks the least value below +inf, and min is exact; a trial with no such value keeps +inf.
+    # minimize_entropy picks the least value below +inf, and min is exact; a trial with no such value keeps +inf.
     minimum = np.minimum.reduceat(np.where(least < np.inf, least, np.inf), firsts)
     width, blended = len(functionals), np.diff(firsts + [len(weights)]) >= 2
     margins = np.zeros((trials, 2 * width))

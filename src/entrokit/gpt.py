@@ -9,16 +9,17 @@ the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
 
-Every state is first screened through the model's (d + 1)-vertex simplices,
-or those of its affine hull when it is flat: barycentric coordinates prove
-most supports unable to write it (_screen).  Only the rest reach the exact
-solve, which alone accepts a decomposition and supplies its weights: per
-support size one stacked rank test, lstsq on each full-rank support, then
-one residual and weight-floor test on the stacked solutions, bit for bit
-the per-support tests (_exact_solutions).  Decompositions wrap the rows
-of each size's block of solutions, checked once.  Model construction
-screens only the vertices no separating hyperplane certifies, all at
-once.  Each support length is scored in one kernel call (entropy_table).
+Every state is first screened, in one pass, through the simplices of the
+model's affine hull, its (d + 1)-vertex simplices unless it is flat:
+barycentric coordinates prove most supports unable to write it (_screen).
+Only the rest reach the exact solve, which alone accepts a decomposition
+and supplies its weights: per support size one stacked rank test, lstsq on
+each full-rank support, then one residual and weight-floor test on the
+stacked solutions, bit for bit the per-support tests (_exact_solutions).
+Decompositions wrap the rows of each size's block of solutions, checked
+once.  Model construction screens only the vertices no separating
+hyperplane certifies, all at once.  Each support length is scored in one
+kernel call (entropy_table).
 
 A model keeps the basic decompositions of the last state it was asked
 about, so the entropy and the majorant of one state share one enumeration.
@@ -148,30 +149,36 @@ def _norm(x: np.ndarray, axis) -> np.ndarray:
 
 
 def _screen(a: np.ndarray, b: np.ndarray):
-    """(keep, proof, ill) for square systems ``a`` and each right-hand side row of ``b``.
+    """(keep, proof) for square systems ``a`` and each right-hand side row of ``b``.
 
-    ``a`` holds _systems of (d + 1)-subsets, or of k-subsets projected into
-    the affine hull, each coordinate i divided by a power of two S_i >=
-    max(1, |V_i|), exactly.  One stacked LU solve of a [w | X] = [b | I] gives
-    barycentric coordinates w and the inverse X.  Unless a is singular or
-    kappa = |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[c, p, j] = |w_p| >
-    (1 + 1e-6) |X|_F (3 RESIDUAL_TOL + rho) shows that the exact solve rejects
-    target j on every subset of c without p, and on all of them if w_p < 0
-    (keep[c, j] False); rho bounds |a w - b|_2: as computed, plus 1e-14
-    (|a|_F (1 + |w|_2) + |b|_2).  Proof (Higham, ch. 7, 9, 14): with |L| <= 1
-    and growth <= 2^4 up to 5 x 5, each column of X solves (a + E) x = e_i,
-    |E|_F < 6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  The exact solve
-    holds row i to RESIDUAL_TOL in units of s_i <= S_i, plus rounding below
-    12 eps |V_i|, so an accepted u >= 0 with u_p = 0, or u_p > 0 > w_p, has
-    |a u - b|_2 < 2.3e-9 (a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <=
-    |u - w|_2 <= |a^-1|_2 (|a u - b|_2 + |a w - b|_2), below the bound.
-    det == 0 comes first: an exact zero pivot makes solve raise for the stack.
+    ``a`` holds the systems of k-subsets in the model's affine hull (the
+    _systems of (d + 1)-subsets when it is full-dimensional), each
+    coordinate i divided by a power of two S_i >= max(1, |V_i|), exactly.
+    One stacked LU solve of a [w | X] = [b | I] gives barycentric
+    coordinates w and the inverse X.  Unless a is singular or kappa =
+    |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[c, p, j] = |w_p| > (1 + 1e-6)
+    |X|_F (3 RESIDUAL_TOL + rho) shows that the exact solve rejects target j
+    on every subset of c without p, and on all of them if w_p < 0 (keep[c, j]
+    False); rho bounds |a w - b|_2: as computed, plus 1e-14 (|a|_F (1 +
+    |w|_2) + |b|_2).  Proof (Higham, ch. 7, 9, 14): with |L| <= 1 and growth
+    <= 2^4 up to 5 x 5, each column of X solves (a + E) x = e_i, |E|_F <
+    6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  The exact solve holds row
+    i to RESIDUAL_TOL in units of s_i <= S_i, plus rounding below 12 eps
+    |V_i|, so an accepted u >= 0 with u_p = 0, or u_p > 0 > w_p, has |a u -
+    b|_2 < 2.3e-9 (a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <= |u -
+    w|_2 <= |a^-1|_2 (|a u - b|_2 + |a w - b|_2), below the bound.  solve
+    raises for the stack only at an exact zero pivot, which is det == 0;
+    those systems alone are then swapped for I and the stack solved again,
+    the rest to the same bits, since each system of a stack is solved alone.
     """
     m, eye = len(b), np.eye(a.shape[1])
+    rhs = np.concatenate([b.T, eye], axis=1)
     with np.errstate(all="ignore"):
-        singular = ~(np.abs(np.linalg.det(a)) > 0)
-        square = np.where(singular[:, None, None], eye, a) if singular.any() else a
-        z = np.linalg.solve(square, np.concatenate([b.T, eye], axis=1))
+        try:
+            z, singular = np.linalg.solve(a, rhs), False
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(a) == 0
+            z = np.linalg.solve(np.where(singular[:, None, None], eye, a), rhs)
         w, inv = z[:, :, :m], _norm(z[:, :, m:], (1, 2))
         size = _norm(a, (1, 2))
         ill = singular | ~(size * inv * SCREEN_COND < 1)
@@ -179,7 +186,7 @@ def _screen(a: np.ndarray, b: np.ndarray):
         rho += 1e-14 * (size[:, None] * (1 + _norm(w, 1)) + _norm(b, 1))
         bound = (1 + 1e-6) * inv[:, None] * (3 * RESIDUAL_TOL + rho)
         proof = (np.abs(w) > bound[:, None]) & ~ill[:, None, None]
-    return ~(proof & (w < 0)).any(axis=1), proof, ill
+    return ~(proof & (w < 0)).any(axis=1), proof
 
 
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
@@ -189,15 +196,16 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     s_i = max(1, S_i / SOLVE_SCALE), S_i the screen's power of two: row i
     is held to RESIDUAL_TOL * s_i, above its rounding, and lstsq sees no
     rows that dwarf the weight-sum row.  Targets in order, then a block per
-    support size, supports in lex order.  cleared[j] holds the 2^n bitmasks
-    the proofs rule out for target j, closed downward, and those meeting
-    exclude[j]; one index into all sizes' masks reads target j's open ones.
-    A model with n <= d sends every support.  If every simplex is ill (a
-    flat model), eigh(A A^T) splits off the hull Q (all but the smallest
-    eigenvalue and any below SCREEN_COND^2 times the largest) from the
-    rest R: Q's k-subsets are screened too, and a state with |R^T b| >
+    support size, supports in lex order.  The screen runs once, in the
+    model's affine hull: eigh(A A^T) gives its dimension k, the count of
+    eigenvalues above SCREEN_COND^2 times the largest.  When k <= d the
+    eigenvectors split the hull Q from the rest R; a state with |R^T b| >
     max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as an accepted u
-    has |R^T b| <= |R^T a u| + 2.4e-9.
+    has |R^T b| <= |R^T a u| + 2.4e-9, and A, B become Q^T A, Q^T B.  Any
+    orthonormal Q keeps the proofs valid.  _screen then takes the k-subsets.
+    cleared[j] holds the 2^n bitmasks the proofs rule out for target j,
+    closed downward, and those meeting exclude[j]; one index into all
+    sizes' masks reads target j's open ones.
     """
     n, d = V.shape
     V, targets = _centered(V, targets)
@@ -205,23 +213,20 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     A, B = np.ones((d + 1, n)), np.ones((d + 1, len(targets)))
     A[:d], B[:d] = (V / scale).T, (targets / scale).T
     cleared = np.zeros((len(targets), 1 << n), dtype=bool)
-    Q, k = None, d + 1
-    while n > d:
-        subsets, masks, starts = _subsets(n, k)
-        subsets, masks = subsets[-1], masks[starts[-2] :]
-        a = A[:, subsets].transpose(1, 0, 2)
-        keep, proof, ill = _screen(a, B.T) if Q is None else _screen(Q.T @ a, (Q.T @ B).T)
-        c, p, j = np.nonzero(proof)
-        cleared[j, masks[c] - (1 << subsets[c, p])] = True
-        c, j = np.nonzero(~keep)
-        cleared[j, masks[c]] = True
-        if Q is not None or not ill.all():
-            break
-        lam, vecs = np.linalg.eigh(A @ A.T)
-        k = d + 1 - max(1, int(np.sum(lam <= SCREEN_COND**2 * lam[-1])))
+    lam, vecs = np.linalg.eigh(A @ A.T)
+    k = int(np.sum(lam > SCREEN_COND**2 * lam[-1]))
+    if k <= d:
         R, Q = vecs[:, :-k].T, vecs[:, -k:]
         far = _norm(R @ B, 0) - SCREEN_RESIDUAL * _norm(B, 0)
         cleared[far > _norm(R @ A, 0).max()] = True
+        A, B = Q.T @ A, Q.T @ B
+    subsets, masks, starts = _subsets(n, k)
+    subsets, masks = subsets[-1], masks[starts[-2] :]
+    keep, proof = _screen(A[:, subsets].transpose(1, 0, 2), B.T)
+    c, p, j = np.nonzero(proof)
+    cleared[j, masks[c] - (1 << subsets[c, p])] = True
+    c, j = np.nonzero(~keep)
+    cleared[j, masks[c]] = True
     for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
     if np.any(exclude):
@@ -412,24 +417,17 @@ def minimize_entropy(
 
     Each weight vector is taken through ProbVector.from_computation's rule,
     and all of one support length are scored in one kernel call
-    (entropy_table with computed=True); first_least picks the minimum.
-    Returns (+inf, None) for an empty list.  Enumerate once and call this per
-    functional to evaluate several functionals on one state.
+    (entropy_table with computed=True).  The first least value below +inf
+    wins; NaN never counts.  Returns (+inf, None) for an empty list or when
+    no value is below +inf.  Enumerate once and call this per functional to
+    evaluate several functionals on one state.
     """
     if not decs:
         return np.inf, None
     values = entropy_table([d.weights for d in decs], [F], computed=True)[:, 0]
-    i = int(first_least(values))
-    return (np.inf, None) if i < 0 else (float(values[i]), decs[i])
-
-
-def first_least(values: np.ndarray) -> np.ndarray:
-    """Along axis 0, the first position holding the least value below +inf, or -1.
-
-    NaN never counts.  For a 2-d array the pick is made in each column.
-    """
     below = np.where(values < np.inf, values, np.inf)
-    return np.where(below.min(axis=0) < np.inf, below.argmin(axis=0), -1)
+    i = int(below.argmin())
+    return (float(values[i]), decs[i]) if below[i] < np.inf else (np.inf, None)
 
 
 def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:

@@ -218,6 +218,40 @@ def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
             assert want is None or np.array_equal(got[c], want), support
 
 
+def det_first_screen(a, b):
+    """_screen with det taken ahead of the solve, singular systems swapped for I before it."""
+    m, eye = len(b), np.eye(a.shape[1])
+    with np.errstate(all="ignore"):
+        singular = ~(np.abs(np.linalg.det(a)) > 0)
+        square = np.where(singular[:, None, None], eye, a) if singular.any() else a
+        z = np.linalg.solve(square, np.concatenate([b.T, eye], axis=1))
+        w, inv = z[:, :, :m], gpt._norm(z[:, :, m:], (1, 2))
+        size = gpt._norm(a, (1, 2))
+        ill = singular | ~(size * inv * gpt.SCREEN_COND < 1)
+        rho = gpt._norm(a @ w - b.T, 1)
+        rho += 1e-14 * (size[:, None] * (1 + gpt._norm(w, 1)) + gpt._norm(b, 1))
+        bound = (1 + 1e-6) * inv[:, None] * (3 * RESIDUAL_TOL + rho)
+        proof = (np.abs(w) > bound[:, None]) & ~ill[:, None, None]
+    return ~(proof & (w < 0)).any(axis=1), proof
+
+
+def test_screen_solves_first_and_keeps_the_det_first_bits():
+    # the cube's 12 coplanar 4-subsets are exactly singular, so the stacked
+    # solve raises and the screen falls back to det; without them it does not
+    V = ConvexModel(UNIT_CUBE).vertices
+    a = gpt._systems(V, np.array(list(itertools.combinations(range(8), 4))))
+    singular = np.linalg.det(a) == 0
+    assert singular.sum() == 12
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, np.eye(4))
+    b = np.array([[0.5, 0.5, 0.5, 1.0], [0.5, 0.5, 0.0, 1.0], [0.2, 0.7, 0.4, 1.0], [2.0, 0.5, 0.5, 1.0]])
+    for stack in (a, a[~singular]):
+        keep, proof = gpt._screen(stack, b)
+        want_keep, want_proof = det_first_screen(stack, b)
+        assert np.array_equal(keep, want_keep) and np.array_equal(proof, want_proof)
+        assert proof.any() and not keep.all()
+
+
 def test_enumeration_matches_independent_oracle():
     rng = as_rng(17)
     for _ in range(12):
@@ -288,18 +322,43 @@ def test_gpt_argmin_enumerates_once_per_trial(monkeypatch):
     assert len(runs) == 20
 
 
+def hull_targets(V, rng):
+    """States in, on and just off the hull of V, which need not be full-dimensional."""
+    center = V.mean(axis=0)
+    yield from (rng.dirichlet(np.ones(len(V))) @ V for _ in range(3))
+    yield from V
+    yield V[0] + 1e-9
+    yield 0.5 * (V[0] + V[-1])
+    yield center + 1e-3 * rng.normal(size=V.shape[1])  # off the hull of a flat model
+    yield 3.0 * V[0] - 2.0 * center
+
+
+def assert_screened_is_unscreened(model, targets):
+    for x in targets:
+        want = assert_enumeration_is_the_reference(model, x)
+        first = membership(model, x)
+        assert (first is None) == (not want)
+        if first is not None:
+            assert first.support == want[0][0]
+            assert np.array_equal(first.weights, want[0][1])
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_screened_enumeration_is_bitwise_the_unscreened_one(d):
     rng = as_rng(41 + d)
     for n in (d + 2, VERTEX_CAP):
         model = random_sphere_model(n, d, rng)
-        for x in screen_targets(model, rng):
-            want = assert_enumeration_is_the_reference(model, x)
-            first = membership(model, x)
-            assert (first is None) == (not want)
-            if first is not None:
-                assert first.support == want[0][0]
-                assert np.array_equal(first.weights, want[0][1])
+        assert_screened_is_unscreened(model, screen_targets(model, rng))
+    # a sphere model mapped into one more dimension by an isometry plus an offset
+    if d < gpt.DIM_CAP:
+        for n in (d + 2, VERTEX_CAP):
+            turn = np.linalg.qr(rng.normal(size=(d + 1, d + 1)))[0][:, :d]
+            V = random_sphere_model(n, d, rng).vertices @ turn.T + 5.0 * rng.normal(size=d + 1)
+            assert_screened_is_unscreened(ConvexModel(V), hull_targets(V, rng))
+    # models with n <= d, whose hull has dimension n - 1
+    for n in range(1, d + 1):
+        V = rng.normal(size=(n, d))
+        assert_screened_is_unscreened(ConvexModel(V), hull_targets(V, rng))
 
 
 def _with_vertex(V, position, point):
@@ -390,16 +449,19 @@ def record_screens_and_solves(monkeypatch):
 
 @pytest.mark.parametrize(
     "vertices",
-    [[[0.0, 0.0], [1.0, 2.0]], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]],
-    ids=["segment-in-R2", "triangle-in-R3"],
+    [
+        [[0.0, 0.0], [1.0, 2.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.25]],
+    ],
+    ids=["segment-in-R2", "triangle-in-R3", "tetrahedron-in-R4"],
 )
-def test_models_without_a_full_simplex_go_straight_to_the_exact_solve(monkeypatch, vertices):
-    def no_screen(*args):
-        raise AssertionError("a model with n <= d has no simplex to screen")
-
+def test_models_with_n_at_most_d_are_screened_in_their_hull(monkeypatch, vertices):
+    # the hull has dimension n - 1, so its one simplex, the model, is the screen
     model = ConvexModel(vertices)
-    monkeypatch.setattr(gpt, "_screen", no_screen)
+    screened, solves = record_screens_and_solves(monkeypatch)
     V = model.vertices
+    n = len(V)
     off = np.zeros(model.ambient_dim)
     off[-1] = 1e-3
     # the last two straddle the residual threshold: support (0,) is accepted at the first, rejected at the second
@@ -407,7 +469,13 @@ def test_models_without_a_full_simplex_go_straight_to_the_exact_solve(monkeypatc
         *V, V.mean(axis=0), 0.3 * V[0] + 0.7 * V[-1], V.mean(axis=0) + off,
         V[0] + 0.5 * RESIDUAL_TOL, V[0] + 1.0 * RESIDUAL_TOL, V[0] + 1.0000001 * RESIDUAL_TOL,
     ):
+        screened.clear()
         assert_enumeration_is_the_reference(model, x)
+        assert screened == [(1, n, n)]
+    # at the centroid the screen proves every smaller support empty: one lstsq, on the model itself
+    solves.clear()
+    assert [dec.support for dec in enumerate_basic_decompositions(model, V.mean(axis=0))] == [tuple(range(n))]
+    assert len(solves) == 1
 
 
 def flat_model(n, d, rng, turned, height=0.0):
@@ -428,8 +496,8 @@ FLAT = pytest.mark.parametrize(
 
 @FLAT
 def test_flat_models_are_screened_in_their_affine_hull(monkeypatch, turned, height):
-    # every 4-subset of 12 (nearly) coplanar points in R^3 is ill conditioned,
-    # so only the plane's own triangles prove anything; a state off the plane
+    # 12 (nearly) coplanar points in R^3 have a plane for their hull, so the
+    # screen takes the plane's own triangles alone; a state off the plane
     # has no support, and only the 4-subsets of the nearly flat model, which
     # pass the rank test, reach lstsq unproven
     rng = as_rng(101)
@@ -441,7 +509,7 @@ def test_flat_models_are_screened_in_their_affine_hull(monkeypatch, turned, heig
         screened.clear()
         solves.clear()
         found = len(enumerate_basic_decompositions(model, x))
-        assert screened == [(math.comb(VERTEX_CAP, 4), 4, 4), (math.comb(VERTEX_CAP, 3), 3, 3)]
+        assert screened == [(math.comb(VERTEX_CAP, 3), 3, 3)]
         assert 0 < found <= len(solves) <= found + (math.comb(VERTEX_CAP, 4) if height else 0)
         assert len(assert_enumeration_is_the_reference(model, x)) == found
     a, b = hull_edge(V)
@@ -464,7 +532,7 @@ def test_extremality_in_flat_models_is_the_unscreened_check(monkeypatch, turned,
     screened, solves = record_screens_and_solves(monkeypatch)
     assert not gpt._certified_extreme(3e8 * V).any()
     assert gpt._first_non_extreme(3e8 * V) is None
-    assert screened == [(math.comb(8, 4), 4, 4), (math.comb(8, 3), 3, 3)]
+    assert screened == [(math.comb(8, 3), 3, 3)]
     assert height or not solves
 
 
