@@ -41,7 +41,7 @@ from .classical import (
     positions_by_key,
 )
 from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
-from .gpt import DIM_CAP, enumerate_basic_decompositions, gpt_majorant
+from .gpt import DIM_CAP, _enumerate, gpt_majorant
 from .quantum import (
     DensityOperator,
     _conjugated,
@@ -343,19 +343,30 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     return _entries(margins, columns, row_dims, keep)
 
 
+def _blend_picks(draws: np.ndarray, counts: np.ndarray):
+    """(i, j, t) per row u of draws (trials, k, 3): with L = counts[trial] >= 2, i = floor(u0 L) and
+    j = floor(u1 (L - 1)), moved past i, are distinct in range(L); t is Generator.uniform(0.2, 0.8)'s map of u2."""
+    L = counts[:, None]
+    i = (draws[..., 0] * L).astype(np.intp)
+    j = (draws[..., 1] * (L - 1)).astype(np.intp)
+    j += j >= i
+    return i, j, 0.2 + (0.8 - 0.2) * draws[..., 2]
+
+
 @_suite("gpt-argmin", INEQ_TOL, trials=200, dims=(2, 3))
 def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Blends never beat the basic-decomposition minimum, and the majorant never exceeds it.
 
-    The trial loop only draws: each model and interior point, its basic
-    decompositions (gpt_majorant reuses that enumeration) and, with two or
-    more of them, a pair and a share t per functional for a blend.  It
-    collects the weights and the zero-padded majorant, the join of the
-    weight spectra, which every trial has.  Each (length, support sizes)
-    key's blends are then built as one (k, length) scatter.  Scoring runs
-    one kernel call per (length, functional): entropy_table scores the
-    blends and majorants, and the weights under from_computation's rule
-    (computed=True).  A trial's minimum is one np.minimum.reduceat over its
+    The trial loop only draws: each model, interior point and functional's
+    uniform row.  One _enumerate call, one kernel stack per vertex shape,
+    then finds the basic decompositions and leaves them in each model's
+    cache for gpt_majorant, and with two or more of them each row gives a
+    blend's pair and share t (_blend_picks).  The weights and zero-padded
+    majorant, the join of the weight spectra, which every trial has, are
+    collected.  Each (length, support sizes) key's blends are then built as
+    one (k, length) scatter.  Scoring runs one kernel call per (length,
+    functional): entropy_table scores the blends and majorants, and the
+    weights under from_computation's rule (computed=True).  A trial's minimum is one np.minimum.reduceat over its
     weight rows, the value minimize_entropy picks.  The margins fill a
     (trials, 2 * functionals) array by whole columns: no blend beats the
     minimum (argmin-optimality), and the majorant's entropy is at most it
@@ -365,21 +376,22 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
         raise ValueError(f"gpt-argmin dims must lie in 2..{DIM_CAP}, got {lo}:{hi}")
-    drawn, firsts, weights, majorants, picks = [], [], [], [], []
+    drawn, models, states, draws = [], [], [], []
     for _ in range(trials):
-        d = _draw_dim(rng, dims)
-        n = int(rng.integers(d + 2, 9))
-        model = random_sphere_model(n, d, rng)
-        x = random_interior_point(model, rng)
-        decs = enumerate_basic_decompositions(model, x)
-        majorant = gpt_majorant(model, x)
-        drawn.append(d)
+        drawn.append(_draw_dim(rng, dims))
+        models.append(random_sphere_model(int(rng.integers(drawn[-1] + 2, 9)), drawn[-1], rng))
+        states.append(random_interior_point(models[-1], rng))
+        draws.append(rng.random((len(functionals), 3)))
+    found = _enumerate(models, states)
+    pick_i, pick_j, shares = _blend_picks(np.array(draws), np.array([len(decs) for decs in found]))
+    firsts, weights, majorants, picks = [], [], [], []
+    for model, x, decs, i, j, t in zip(models, states, found, pick_i.tolist(), pick_j.tolist(), shares.tolist()):
+        n = model.n_vertices
+        majorant = gpt_majorant(model, x)  # served from the model's cache
         firsts.append(len(weights))
         weights += [dec.weights for dec in decs]
         if len(decs) >= 2:
-            for _ in functionals:
-                i, j = rng.choice(len(decs), size=2, replace=False)
-                picks.append((n, decs[i], decs[j], float(rng.uniform(0.2, 0.8))))
+            picks += [(n, decs[a], decs[b], share) for a, b, share in zip(i, j, t)]
         majorants.append(np.zeros(n))  # padded by a slice, far cheaper per trial than np.pad
         majorants[-1][: majorant.size] = majorant
     blends = [None] * len(picks)

@@ -9,22 +9,22 @@ the basic decompositions, the ones supported on affinely independent vertex
 subsets of size at most d + 1.  Enumerating them is exact and cheap at the
 supported scale (README, "Why basic decompositions suffice").
 
-Every state is first screened, in one pass, through the simplices of the
-model's affine hull, its (d + 1)-vertex simplices unless it is flat:
-barycentric coordinates prove most supports unable to write it (_screen).
-Only the rest reach the exact solve, which alone accepts a decomposition
-and supplies its weights: per support size one stacked rank test, lstsq on
-each full-rank support, then one residual and weight-floor test on the
-stacked solutions, bit for bit the per-support tests (_exact_solutions).
-Decompositions wrap the rows of each size's block of solutions, checked
-once.  Model construction screens only the vertices no separating
-hyperplane certifies, all at once.  Each support length is scored in one
-kernel call (entropy_table).
+Each state is screened, in one pass per model, through the simplices of its
+model's affine hull: barycentric coordinates prove most supports unable to
+write it (_screen).  Only the rest reach the exact solve, which alone
+accepts a decomposition and supplies its weights, one stack per support size
+across the models of one vertex shape: one rank test, lstsq on each
+full-rank support, one residual and weight-floor test, bit for bit the
+per-support tests (_exact_solutions).  Decompositions wrap each block's
+rows, checked once.  Model construction screens only the vertices no
+separating hyperplane certifies, all at once.  Each support length is scored
+in one kernel call (entropy_table).
 
-A model keeps the basic decompositions of the last state it was asked
-about, so the entropy and the majorant of one state share one enumeration.
-The entry is safe to share because the vertices, the Decomposition objects
-and their weights are all read-only, and every caller gets a fresh list.
+A model keeps the basic decompositions of the last state enumerated for it,
+alone or in a batch (_enumerate), so the entropy and the majorant of one
+state share one enumeration.  The entry is safe to share because the
+vertices, the Decomposition objects and their weights are all read-only, and
+every caller gets a fresh list.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _join, entropy_table
+from .classical import _join, entropy_table, positions_by_key
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -106,26 +106,28 @@ def _systems(V: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _exact_solutions(a: np.ndarray, x: np.ndarray):
-    """(positions, W): where in ``a`` the stacked systems that write x are, in order, and their weights as rows.
+    """(positions, W): where in ``a`` the stacked systems that write [x_c; 1] are, in order, and their weights as rows.
 
-    The exact solve, which alone accepts a support and supplies its weights.
-    It rejects affinely dependent supports (rank below the support size at
-    pivot tolerance PIVOT_TOL), inconsistent systems (lstsq residual above
-    RESIDUAL_TOL), and solutions touching the weight floor; those belong to
-    a smaller support that is enumerated separately.  The rank test is one
-    stacked matrix_rank call: numpy's stacked SVD gives each matrix bit for
-    bit the singular values of a call on that matrix alone.  lstsq runs on
-    each full-rank system, and the residual and floor tests then run once,
-    on the stacked solutions: numpy's stacked matmul gives each product bit
-    for bit what a @ w on that system alone gives, and max and min are
-    exact, so each support is accepted or rejected as its own tests would.
+    x holds one state per system c, or one for all.  The exact solve, which
+    alone accepts a support and supplies its weights.  It rejects affinely
+    dependent supports (rank below the support size at pivot tolerance
+    PIVOT_TOL), inconsistent systems (lstsq residual above RESIDUAL_TOL),
+    and solutions touching the weight floor; those belong to a smaller
+    support that is enumerated separately.  The rank test is one stacked
+    matrix_rank call: numpy's stacked SVD gives each matrix bit for bit the
+    singular values of a call on that matrix alone.  lstsq runs on each
+    full-rank system, and the residual and floor tests then run once, on
+    the stacked solutions: numpy's stacked matmul gives each product bit for
+    bit what a @ w on that system alone gives, and max and min are exact, so
+    each support is accepted or rejected as its own tests would.
     """
-    b = np.concatenate([x, [1.0]])
+    b = np.ones(a.shape[:2])
+    b[:, :-1] = x
     full = np.flatnonzero(np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2])
     W = np.empty((len(full), a.shape[2]))
     for i, c in enumerate(full.tolist()):
-        W[i], *_ = np.linalg.lstsq(a[c], b, rcond=None)
-    residual = np.abs((a[full] @ W[..., None])[..., 0] - b).max(axis=1)
+        W[i], *_ = np.linalg.lstsq(a[c], b[c], rcond=None)
+    residual = np.abs((a[full] @ W[..., None])[..., 0] - b[full]).max(axis=1)
     accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))
     return full[accepted], W[accepted]
 
@@ -149,118 +151,128 @@ def _norm(x: np.ndarray, axis) -> np.ndarray:
 
 
 def _screen(a: np.ndarray, b: np.ndarray):
-    """(keep, proof) for square systems ``a`` and each right-hand side row of ``b``.
+    """(keep, proof) for each model's square systems ``a`` (m, C, k, k) and right-hand side rows ``b`` (m, t, k).
 
     ``a`` holds the systems of k-subsets in the model's affine hull (the
     _systems of (d + 1)-subsets when it is full-dimensional), each
     coordinate i divided by a power of two S_i >= max(1, |V_i|), exactly.
     One stacked LU solve of a [w | X] = [b | I] gives barycentric
     coordinates w and the inverse X.  Unless a is singular or kappa =
-    |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[c, p, j] = |w_p| > (1 + 1e-6)
-    |X|_F (3 RESIDUAL_TOL + rho) shows that the exact solve rejects target j
-    on every subset of c without p, and on all of them if w_p < 0 (keep[c, j]
-    False); rho bounds |a w - b|_2: as computed, plus 1e-14 (|a|_F (1 +
-    |w|_2) + |b|_2).  Proof (Higham, ch. 7, 9, 14): with |L| <= 1 and growth
-    <= 2^4 up to 5 x 5, each column of X solves (a + E) x = e_i, |E|_F <
-    6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7) |X|_F.  The exact solve holds row
-    i to RESIDUAL_TOL in units of s_i <= S_i, plus rounding below 12 eps
-    |V_i|, so an accepted u >= 0 with u_p = 0, or u_p > 0 > w_p, has |a u -
-    b|_2 < 2.3e-9 (a projection adds 2e-15 (|a|_F + |b|_2)), so |w_p| <= |u -
-    w|_2 <= |a^-1|_2 (|a u - b|_2 + |a w - b|_2), below the bound.  solve
-    raises for the stack only at an exact zero pivot, which is det == 0;
-    those systems alone are then swapped for I and the stack solved again,
-    the rest to the same bits, since each system of a stack is solved alone.
+    |a|_F |X|_F >= 1/SCREEN_COND (ill), proof[i, c, p, j] = |w_p| >
+    (1 + 1e-6) |X|_F (3 RESIDUAL_TOL + rho) shows that the exact solve
+    rejects model i's target j on every subset of c without p, and on all
+    of them if w_p < 0 (keep[i, c, j] False); rho bounds |a w - b|_2: as
+    computed, plus 1e-14 (|a|_F (1 + |w|_2) + |b|_2).  Proof (Higham, ch. 7,
+    9, 14): with |L| <= 1 and growth <= 2^4 up to 5 x 5, each column of X
+    solves (a + E) x = e_i, |E|_F < 6.7e-13 |a|_F, so |a^-1|_2 < (1 + 7e-7)
+    |X|_F.  The exact solve holds row i to RESIDUAL_TOL in units of
+    s_i <= S_i, plus rounding below 12 eps |V_i|, so an accepted u >= 0
+    with u_p = 0, or u_p > 0 > w_p, has |a u - b|_2 < 2.3e-9 (a projection
+    adds 2e-15 (|a|_F + |b|_2)), so |w_p| <= |u - w|_2 <= |a^-1|_2
+    (|a u - b|_2 + |a w - b|_2), below the bound.  solve raises for the
+    stack only at an exact zero pivot, which is det == 0; those systems
+    alone are then swapped for I and the stack solved again, the rest to
+    the same bits, since each system of a stack is solved alone.
     """
-    m, eye = len(b), np.eye(a.shape[1])
-    rhs = np.concatenate([b.T, eye], axis=1)
+    t, eye = b.shape[1], np.eye(a.shape[-1])
+    rhs = np.concatenate([b.transpose(0, 2, 1), np.broadcast_to(eye, (len(b), *eye.shape))], axis=2)[:, None]
     with np.errstate(all="ignore"):
         try:
             z, singular = np.linalg.solve(a, rhs), False
         except np.linalg.LinAlgError:
             singular = np.linalg.det(a) == 0
-            z = np.linalg.solve(np.where(singular[:, None, None], eye, a), rhs)
-        w, inv = z[:, :, :m], _norm(z[:, :, m:], (1, 2))
-        size = _norm(a, (1, 2))
+            z = np.linalg.solve(np.where(singular[..., None, None], eye, a), rhs)
+        w, inv = z[..., :t], _norm(z[..., t:], (2, 3))
+        size = _norm(a, (2, 3))
         ill = singular | ~(size * inv * SCREEN_COND < 1)
-        rho = _norm(a @ w - b.T, 1)
-        rho += 1e-14 * (size[:, None] * (1 + _norm(w, 1)) + _norm(b, 1))
-        bound = (1 + 1e-6) * inv[:, None] * (3 * RESIDUAL_TOL + rho)
-        proof = (np.abs(w) > bound[:, None]) & ~ill[:, None, None]
-    return ~(proof & (w < 0)).any(axis=1), proof
+        rho = _norm(a @ w - rhs[..., :t], 2)
+        rho += 1e-14 * (size[..., None] * (1 + _norm(w, 2)) + _norm(b, 2)[:, None])
+        bound = (1 + 1e-6) * inv[..., None] * (3 * RESIDUAL_TOL + rho)
+        proof = (np.abs(w) > bound[:, :, None]) & ~ill[..., None, None]
+    return ~(proof & (w < 0)).any(axis=2), proof
+
+
+def _solve_frame(V: np.ndarray, points: np.ndarray):
+    """(V - c, points - c, S, s) for V (n, d) or a stack (m, n, d), each model taken on its own.
+
+    c_i is the midpoint of coordinate i's range if max|V_i| >= SOLVE_SCALE,
+    else 0: uncentered, a weight sum RESIDUAL_TOL off 1 moves an offset
+    model's barycenter by RESIDUAL_TOL * max|V_i|, 0.1 near 1e8.  The screen
+    divides coordinate i by a power of two S_i >= max(1, max|V_i - c_i|),
+    the exact solve by s_i = max(1, S_i / SOLVE_SCALE): row i is held to
+    RESIDUAL_TOL * s_i, above its rounding, and lstsq sees no rows that
+    dwarf the weight-sum row.
+    """
+    if float(np.abs(V).max()) >= SOLVE_SCALE:
+        lo, hi = V.min(axis=-2, keepdims=True), V.max(axis=-2, keepdims=True)
+        c = np.where(np.maximum(-lo, hi) >= SOLVE_SCALE, 0.5 * lo + 0.5 * hi, 0.0)
+        V, points = V - c, points - c
+    scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=-2, keepdims=True))[1])
+    return V, points, scale, np.maximum(1.0, scale / SOLVE_SCALE)
 
 
 def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.ndarray = 0):
-    """(target position, supports, W) for the basic decompositions of each row of ``targets``, one block per size.
+    """(problems, supports, W) for the basic decompositions of each target, one block per support size.
 
-    Coordinates are _centered, and the exact solve divides coordinate i by
-    s_i = max(1, S_i / SOLVE_SCALE), S_i the screen's power of two: row i
-    is held to RESIDUAL_TOL * s_i, above its rounding, and lstsq sees no
-    rows that dwarf the weight-sum row.  Targets in order, then a block per
-    support size, supports in lex order.  The screen runs once, in the
-    model's affine hull: eigh(A A^T) gives its dimension k, the count of
-    eigenvalues above SCREEN_COND^2 times the largest.  When k <= d the
-    eigenvectors split the hull Q from the rest R; a state with |R^T b| >
-    max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as an accepted u
-    has |R^T b| <= |R^T a u| + 2.4e-9, and A, B become Q^T A, Q^T B.  Any
-    orthonormal Q keeps the proofs valid.  _screen then takes the k-subsets.
-    cleared[j] holds the 2^n bitmasks the proofs rule out for target j,
-    closed downward, and those meeting exclude[j]; one index into all
-    sizes' masks reads target j's open ones.
+    V stacks m models of one vertex shape, (m, n, d), and targets their
+    states, (m, t, d); problem p is target p % t of model p // t, and
+    exclude[i, j] masks vertices out of model i's target j.  Sizes ascend;
+    in a block, problems ascend and each one's supports are in lex order.
+    The screen runs once per model, in its affine hull (coordinates as
+    _solve_frame gives them): one stacked eigh(A A^T) gives each model's
+    hull dimension k, the count of eigenvalues above SCREEN_COND^2 times its
+    largest, and the models of one k share one _screen call.  When k <= d
+    the eigenvectors split the hull Q from the rest R; a state with
+    |R^T b| > max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as an
+    accepted u has |R^T b| <= |R^T a u| + 2.4e-9, and A, B become Q^T A,
+    Q^T B.  Any orthonormal Q keeps the proofs valid.  cleared[p] holds the
+    2^n bitmasks the proofs rule out for problem p, closed downward, and
+    those meeting its exclude mask.  Per support size, every problem's open
+    supports make one _exact_solutions stack.
     """
-    n, d = V.shape
-    V, targets = _centered(V, targets)
-    scale = 2.0 ** np.maximum(0, np.frexp(np.abs(V).max(axis=0))[1])
-    A, B = np.ones((d + 1, n)), np.ones((d + 1, len(targets)))
-    A[:d], B[:d] = (V / scale).T, (targets / scale).T
-    cleared = np.zeros((len(targets), 1 << n), dtype=bool)
-    lam, vecs = np.linalg.eigh(A @ A.T)
-    k = int(np.sum(lam > SCREEN_COND**2 * lam[-1]))
-    if k <= d:
-        R, Q = vecs[:, :-k].T, vecs[:, -k:]
-        far = _norm(R @ B, 0) - SCREEN_RESIDUAL * _norm(B, 0)
-        cleared[far > _norm(R @ A, 0).max()] = True
-        A, B = Q.T @ A, Q.T @ B
-    subsets, masks, starts = _subsets(n, k)
-    subsets, masks = subsets[-1], masks[starts[-2] :]
-    keep, proof = _screen(A[:, subsets].transpose(1, 0, 2), B.T)
-    c, p, j = np.nonzero(proof)
-    cleared[j, masks[c] - (1 << subsets[c, p])] = True
-    c, j = np.nonzero(~keep)
-    cleared[j, masks[c]] = True
-    for pairs in (cleared.reshape(len(targets), -1, 2, 1 << bit) for bit in range(n)):
+    (m, n, d), t = V.shape, targets.shape[1]
+    V, targets, scale, solve_scale = _solve_frame(V, targets)
+    A, B = np.ones((m, d + 1, n)), np.ones((m, d + 1, t))
+    A[:, :d], B[:, :d] = (V / scale).transpose(0, 2, 1), (targets / scale).transpose(0, 2, 1)
+    cleared = np.zeros((m, t, 1 << n), dtype=bool)
+    lam, vecs = np.linalg.eigh(A @ A.transpose(0, 2, 1))
+    hull = np.sum(lam > SCREEN_COND**2 * lam[:, -1:], axis=1)
+    for k in sorted(set(hull.tolist())):  # np.unique imports numpy.ma on first use: a cost per CLI process
+        group = np.flatnonzero(hull == k)
+        a, b = A[group], B[group]
+        if k <= d:
+            R, Q = np.split(vecs[group].transpose(0, 2, 1), [d + 1 - k], axis=1)  # as rows: R^T and Q^T
+            far = _norm(R @ b, 1) - SCREEN_RESIDUAL * _norm(b, 1)
+            cleared[group] |= (far > _norm(R @ a, 1).max(axis=1, keepdims=True))[..., None]
+            a, b = Q @ a, Q @ b
+        subsets, masks, starts = _subsets(n, k)
+        subsets, masks = subsets[-1], masks[starts[-2] :]
+        keep, proof = _screen(a[:, :, subsets].transpose(0, 2, 1, 3), b.transpose(0, 2, 1))
+        i, c, p, j = np.nonzero(proof)
+        cleared[group[i], j, masks[c] - (1 << subsets[c, p])] = True
+        i, c, j = np.nonzero(~keep)
+        cleared[group[i], j, masks[c]] = True
+    cleared = cleared.reshape(m * t, 1 << n)
+    for pairs in (cleared.reshape(m * t, -1, 2, 1 << bit) for bit in range(n)):
         pairs[:, :, 0] |= pairs[:, :, 1]
     if np.any(exclude):
-        cleared |= np.arange(1 << n) & np.asarray(exclude)[..., None] != 0
-    solve_scale = np.maximum(1.0, scale / SOLVE_SCALE)
-    V, targets = V / solve_scale, targets / solve_scale
+        cleared |= np.arange(1 << n) & np.reshape(exclude, (-1, 1)) != 0
+    V, X = (V / solve_scale).reshape(m * n, d), (targets / solve_scale).reshape(m * t, d)
     subsets, masks, starts = _subsets(n, min(n, d + 1))
     open_ = ~cleared[:, masks]
-    counts = np.add.reduceat(open_, starts[:-1], axis=1)
-    for t, x in enumerate(targets):
-        for k in np.flatnonzero(counts[t]).tolist():
-            kept = subsets[k][open_[t, starts[k] : starts[k + 1]]]
-            positions, W = _exact_solutions(_systems(V, kept), x)
+    for of_size, first, last in zip(subsets, starts, starts[1:]):
+        p, c = np.nonzero(open_[:, first:last])
+        if len(p):
+            supports = of_size[c]
+            positions, W = _exact_solutions(_systems(V, supports + n * (p // t)[:, None]), X[p])
             if len(positions):
-                yield t, kept[positions], W
-
-
-def _centered(V: np.ndarray, points: np.ndarray):
-    """V and points less c, c_i the midpoint of coordinate i's range if max|V_i| >= SOLVE_SCALE, else 0.
-
-    Uncentered, a weight sum RESIDUAL_TOL off 1 moves an offset model's
-    barycenter by RESIDUAL_TOL * max|V_i|: 0.1 near 1e8.
-    """
-    if float(np.abs(V).max()) < SOLVE_SCALE:
-        return V, points
-    lo, hi = V.min(axis=0), V.max(axis=0)
-    c = np.where(np.maximum(-lo, hi) >= SOLVE_SCALE, 0.5 * lo + 0.5 * hi, 0.0)
-    return V - c, points - c
+                yield p[positions], supports[positions], W
 
 
 def _certified_extreme(V: np.ndarray) -> np.ndarray:
     """Which vertices a separating hyperplane proves extreme for the exact solve.
 
-    V is taken in the centered coordinates (_centered) the exact solve
+    V is taken in the centered coordinates (_solve_frame) the exact solve
     works in.  For an anchor a (the origin, then the vertex centroid),
     vertex i is certified when c = v_i - a gives
         m = c.v_i - M > SCREEN_RESIDUAL * (|c|_1 + |M|),  M = max_{j != i} c.v_j.
@@ -280,7 +292,7 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     accepted support allows.
     """
     n, d = V.shape
-    V, _ = _centered(V, V)
+    V = _solve_frame(V, V)[0]
     if n < 2 or float(np.abs(V).max()) > CERTIFY_SCALE:
         return np.zeros(n, dtype=bool)
     anchors = np.zeros((2, 1, d))
@@ -302,8 +314,8 @@ def _first_non_extreme(V: np.ndarray) -> int | None:
     uncertified = np.flatnonzero(~_certified_extreme(V))
     if not uncertified.size:
         return None
-    found = next(_screened_solutions(V, V[uncertified], 1 << uncertified), None)
-    return None if found is None else int(uncertified[found[0]])
+    found = [p[0] for p, _, _ in _screened_solutions(V[None], V[uncertified][None], (1 << uncertified)[None])]
+    return int(uncertified[min(found)]) if found else None
 
 
 class ConvexModel:
@@ -316,8 +328,8 @@ class ConvexModel:
     known to be extreme.
 
     The model holds one cache entry: the basic decompositions of the last
-    state enumerate_basic_decompositions was asked about, keyed by the
-    state's bytes.  It relies on the vertices being read-only.
+    state enumerated for it, keyed by the state's bytes.  It relies on the
+    vertices being read-only.
     """
 
     __slots__ = ("vertices", "_decompositions")
@@ -356,17 +368,12 @@ class ConvexModel:
         n, d = self.vertices.shape
         if n != d + 1:
             return False
-        a = np.vstack([self.vertices.T, np.ones((1, n))])
-        return int(np.linalg.matrix_rank(a, tol=PIVOT_TOL)) == n
+        # the rank the exact solve sees: its frame keeps an offset simplex full rank
+        V, _, _, s = _solve_frame(self.vertices, self.vertices)
+        return int(np.linalg.matrix_rank(_systems(V / s, np.arange(n)[None]), tol=PIVOT_TOL)[0]) == n
 
     def __repr__(self) -> str:
         return f"ConvexModel(n={self.n_vertices}, dim={self.ambient_dim})"
-
-
-def _iter_solutions(V: np.ndarray, x: np.ndarray):
-    # Supports by size, then in lex order within a size: this order fixes tie-breaking everywhere downstream.
-    for _, supports, W in _screened_solutions(V, x[None, :]):
-        yield supports, W
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
@@ -380,23 +387,38 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
 
 def membership(model: ConvexModel, x) -> Decomposition | None:
     """First basic decomposition of x, or None when x is outside the hull."""
-    x = _check_point(model, x)
-    return next((Decomposition(support=S[0], weights=W[0]) for S, W in _iter_solutions(model.vertices, x)), None)
+    return next(iter(enumerate_basic_decompositions(model, x)), None)
 
 
 def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]:
     """All decompositions of x on affinely independent supports, by support size, then in lex order.
 
-    The result for the last state asked about is kept on the model; asking
-    again for the same state returns a new list of the same Decomposition
-    objects without enumerating.
+    The result for the last state enumerated for the model, here or in a
+    batch (_enumerate), is kept on it; asking again for the same state
+    returns a new list of the same Decomposition objects without enumerating.
     """
     x = _check_point(model, x)
-    key = x.tobytes()
-    if model._decompositions is None or model._decompositions[0] != key:
-        decs = tuple(dec for block in _iter_solutions(model.vertices, x) for dec in Decomposition._rows(*block))
-        model._decompositions = (key, decs)
+    if model._decompositions is None or model._decompositions[0] != x.tobytes():
+        _enumerate([model], [x])
     return list(model._decompositions[1])
+
+
+def _enumerate(models, states) -> list[list[Decomposition]]:
+    """enumerate_basic_decompositions(models[i], states[i]) for every i, bit for bit, one kernel call per vertex shape.
+
+    The states are as _check_point returns them, and each list is left in
+    its model's cache.  Supports by size, then in lex order within a size:
+    this order fixes tie-breaking everywhere downstream.
+    """
+    found = [[] for _ in models]
+    for group in positions_by_key(model.vertices.shape for model in models):
+        V, X = np.stack([models[i].vertices for i in group]), np.stack([states[i] for i in group])[:, None]
+        for problems, supports, W in _screened_solutions(V, X):
+            for i, dec in zip(problems.tolist(), Decomposition._rows(supports, W)):
+                found[group[i]].append(dec)
+    for model, x, decs in zip(models, states, found):
+        model._decompositions = (x.tobytes(), tuple(decs))
+    return found
 
 
 def gpt_entropy(

@@ -1,6 +1,7 @@
 """Randomized audit suites and their report plumbing."""
 
 import inspect
+import itertools
 import math
 import re
 from collections import Counter
@@ -327,13 +328,15 @@ def reference_gpt_argmin_entries(trials, seed, dims, functionals):
         n = int(rng.integers(d + 2, 9))
         model = random_sphere_model(n, d, rng)
         x = random_interior_point(model, rng)
+        draws = rng.random((len(functionals), 3))
         decs = enumerate_basic_decompositions(model, x)
         majorant = gpt_majorant(model, x)
-        for F in functionals:
+        for F, (u0, u1, u2) in zip(functionals, draws.tolist()):
             value, _ = minimize_entropy(decs, F)
             if len(decs) >= 2:
-                i, j = rng.choice(len(decs), size=2, replace=False)
-                t = float(rng.uniform(0.2, 0.8))
+                i, j = math.floor(u0 * len(decs)), math.floor(u1 * (len(decs) - 1))
+                j += j >= i
+                t = 0.2 + (0.8 - 0.2) * u2
                 blend = np.zeros(n)
                 blend[list(decs[i].support)] += t * decs[i].weights
                 blend[list(decs[j].support)] += (1.0 - t) * decs[j].weights
@@ -342,6 +345,20 @@ def reference_gpt_argmin_entries(trials, seed, dims, functionals):
             h_major = entropy_finite(np.pad(majorant, (0, n - majorant.size)), F).value
             entries.append(AuditEntry.check("majorant-minimal", value - h_major, INEQ_TOL, functional=F.name, dim=d))
     return entries
+
+
+def test_blend_picks_are_distinct_pairs_and_uniform_shares():
+    # every corner of [0, 1)^3 for L = 2..20 decompositions
+    edges = (0.0, 1.0 - 2.0**-53)
+    corners = np.array(list(itertools.product(edges, repeat=3)))
+    counts = np.arange(2, 21)
+    i, j, t = audit._blend_picks(np.broadcast_to(corners, (len(counts), *corners.shape)), counts)
+    L = counts[:, None]
+    assert ((0 <= i) & (i < L) & (0 <= j) & (j < L) & (i != j)).all()
+    assert {(a, b) for a, b in zip(i[-1], j[-1])} == {(0, 1), (0, 19), (19, 0), (19, 18)}
+    # the share of each draw is the one Generator.uniform(0.2, 0.8) makes of it
+    shares = audit._blend_picks(as_rng(9).random((4, 5, 3)), np.full(4, 3))[2]
+    assert np.array_equal(shares, as_rng(9).uniform(0.2, 0.8, (4, 5, 3))[..., 2])
 
 
 @pytest.mark.parametrize("seed", [3, 7, 2024])

@@ -157,6 +157,18 @@ def test_simplex_detection():
     assert seg.is_simplex
 
 
+@pytest.mark.parametrize("offset", [1e8, -1e8])
+def test_simplex_detection_on_offset_models(offset):
+    # the raw [V^T; 1] of the triangle has rank 2 at PIVOT_TOL; the exact
+    # solve, centered and scaled, sees rank 3 and writes the vertex mean on all three
+    triangle = ConvexModel(offset + 1e-6 * np.array(TRIANGLE))
+    assert triangle.is_simplex
+    assert gpt_entropy(triangle, triangle.vertices.mean(axis=0), make_shannon())[1].support == (0, 1, 2)
+    assert not ConvexModel(offset + 1e-6 * np.array(SQUARE)).is_simplex
+    # three points on a line are no simplex, offset or not
+    assert not ConvexModel(offset + 1e-6 * np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]), check_extreme=False).is_simplex
+
+
 # ------------------------------------------------------------ decompositions
 
 def test_square_center_decompositions_frozen():
@@ -204,7 +216,7 @@ def test_cube_coplanar_subsets_reach_the_stacked_rank_test(x, count):
     a = gpt._systems(V, subsets)
     deficient = np.array([np.linalg.matrix_rank(m, tol=PIVOT_TOL) < 4 for m in a])
     assert deficient.sum() == 12
-    assert gpt._screen(a, np.append(x, 1.0)[None, :])[0][deficient, 0].all()
+    assert gpt._screen(a[None], np.append(x, 1.0)[None, None, :])[0][0, deficient, 0].all()
     assert len(assert_enumeration_is_the_reference(model, x)) == count
     # the exact solve on every support of a size at once, unscreened
     for k in range(1, 5):
@@ -246,9 +258,9 @@ def test_screen_solves_first_and_keeps_the_det_first_bits():
         np.linalg.solve(a, np.eye(4))
     b = np.array([[0.5, 0.5, 0.5, 1.0], [0.5, 0.5, 0.0, 1.0], [0.2, 0.7, 0.4, 1.0], [2.0, 0.5, 0.5, 1.0]])
     for stack in (a, a[~singular]):
-        keep, proof = gpt._screen(stack, b)
+        keep, proof = gpt._screen(stack[None], b[None])
         want_keep, want_proof = det_first_screen(stack, b)
-        assert np.array_equal(keep, want_keep) and np.array_equal(proof, want_proof)
+        assert np.array_equal(keep, want_keep[None]) and np.array_equal(proof, want_proof[None])
         assert proof.any() and not keep.all()
 
 
@@ -267,14 +279,16 @@ def test_enumeration_matches_independent_oracle():
 
 
 def count_enumerations(monkeypatch):
+    """The state of each problem the kernel enumerates; the extremality check, which passes exclude masks, is not counted."""
     runs = []
-    iter_solutions = gpt._iter_solutions
+    kernel = gpt._screened_solutions
 
-    def counted(V, x):
-        runs.append(x.copy())
-        return iter_solutions(V, x)
+    def counted(V, targets, *exclude):
+        if not exclude:
+            runs.extend(targets.reshape(-1, targets.shape[-1]).copy())
+        return kernel(V, targets, *exclude)
 
-    monkeypatch.setattr(gpt, "_iter_solutions", counted)
+    monkeypatch.setattr(gpt, "_screened_solutions", counted)
     return runs
 
 
@@ -316,7 +330,8 @@ def test_state_outside_the_hull_caches_the_empty_list(monkeypatch):
 
 
 def test_gpt_argmin_enumerates_once_per_trial(monkeypatch):
-    # the audit's second call, inside gpt_majorant, is served from the model
+    # one problem per trial reaches the kernel, the trials stacked by vertex
+    # shape; gpt_majorant's call is then served from each model's cache
     runs = count_enumerations(monkeypatch)
     assert run_audit("gpt-argmin", trials=20, seed=5).cases
     assert len(runs) == 20
@@ -359,6 +374,80 @@ def test_screened_enumeration_is_bitwise_the_unscreened_one(d):
     for n in range(1, d + 1):
         V = rng.normal(size=(n, d))
         assert_screened_is_unscreened(ConvexModel(V), hull_targets(V, rng))
+
+
+def stacked_kernel_models(rng):
+    """Vertex arrays of every kind the kernel stacks, several of each (n, d).
+
+    Sphere models with d 1-4 and n up to VERTEX_CAP; flat, turned models
+    beside full-dimensional ones of their shape, so that hull dimensions
+    mix in one call; thin ones; ones scaled to 3e5 or offset to 1e8 beside
+    plain ones, so that their solve frames differ within a stack;
+    the cube beside a sphere model of its shape, whose stack then holds
+    exactly singular screen systems; and models with n <= d.
+    """
+    yield random_sphere_model(2, 1, rng).vertices
+    for d in (2, 3, 4):
+        for n in (d + 1, d + 2, 8, VERTEX_CAP):
+            for _ in range(2):
+                yield random_sphere_model(n, d, rng).vertices
+        for n in (d + 2, 8):
+            if d > 2:
+                yield flat_model(n, d, rng, turned=True)
+            for squash in (1e-5, 1e-7):
+                yield random_sphere_model(n, d, rng).vertices * np.r_[np.ones(d - 1), squash]
+            yield random_sphere_model(n, d, rng).vertices + 1e8
+            yield random_sphere_model(n, d, rng).vertices * 3e5
+        for n in range(1, d + 1):
+            yield rng.normal(size=(n, d))
+    yield np.array(UNIT_CUBE)
+
+
+def stacked_kernel_states(V, rng):
+    """Interior, at the vertices, V[0] + 1e-9, just off the hull and outside it."""
+    center = V.mean(axis=0)
+    yield rng.dirichlet(np.ones(len(V))) @ V
+    yield from (V[0], V[-1], V[0] + 1e-9)
+    yield V[0] + 1e-6 * (V[0] - center)
+    yield 3.0 * V[0] - 2.0 * center
+
+
+def test_stacked_enumeration_is_the_per_state_enumeration(monkeypatch):
+    rng = as_rng(107)
+    vertex_sets = [ConvexModel(V).vertices for V in stacked_kernel_models(rng)]
+    pairs = [(V, x) for V in vertex_sets for x in stacked_kernel_states(V, rng)]
+    models = [ConvexModel(V, check_extreme=False) for V, _ in pairs]
+    states = [x for _, x in pairs]
+    starts, screened, singular = [], [], []
+    kernel, screen, det = gpt._screened_solutions, gpt._screen, np.linalg.det
+    monkeypatch.setattr(gpt, "_screened_solutions", lambda *args: starts.append(len(screened)) or kernel(*args))
+    monkeypatch.setattr(gpt, "_screen", lambda a, b: screened.append(a.shape) or screen(a, b))
+    monkeypatch.setattr(np.linalg, "det", lambda a: singular.append(a.shape) or det(a))
+    found = gpt._enumerate(models, states)
+    monkeypatch.undo()
+    # one kernel call per vertex shape; where flat and full-dimensional models
+    # share one, its screen runs once per hull dimension; the cube's stack raised
+    per_call = [screened[a:b] for a, b in zip(starts, starts[1:] + [len(screened)])]
+    assert len(per_call) == len({V.shape for V in vertex_sets})
+    assert max(len({shape[2] for shape in call}) for call in per_call) == 2 and singular
+    for model, x, decs in zip(models, states, found):
+        want = enumerate_basic_decompositions(ConvexModel(model.vertices, check_extreme=False), x)
+        assert [dec.support for dec in decs] == [dec.support for dec in want]
+        assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(decs, want))
+        assert model._decompositions == (x.tobytes(), tuple(decs))
+        cached = enumerate_basic_decompositions(model, x)
+        assert cached == decs and all(a is b for a, b in zip(cached, decs))
+    assert sum(map(len, found)) > len(models)
+    # the extremality check, on the models and with an interior vertex added;
+    # the unscreened check works in raw coordinates, so offset models skip it
+    for V in vertex_sets:
+        unscreened = len(V) <= 6 and np.abs(V).max() < gpt.SOLVE_SCALE
+        assert gpt._first_non_extreme(V) is None
+        assert not unscreened or reference_first_non_extreme(V) is None
+        if len(V) > V.shape[1] + 1:
+            W = _with_vertex(V, 1, V[: V.shape[1] + 1].mean(axis=0))
+            assert gpt._first_non_extreme(W) == 1
+            assert not unscreened or reference_first_non_extreme(W) == 1
 
 
 def _with_vertex(V, position, point):
@@ -471,7 +560,7 @@ def test_models_with_n_at_most_d_are_screened_in_their_hull(monkeypatch, vertice
     ):
         screened.clear()
         assert_enumeration_is_the_reference(model, x)
-        assert screened == [(1, n, n)]
+        assert screened == [(1, 1, n, n)]
     # at the centroid the screen proves every smaller support empty: one lstsq, on the model itself
     solves.clear()
     assert [dec.support for dec in enumerate_basic_decompositions(model, V.mean(axis=0))] == [tuple(range(n))]
@@ -509,7 +598,7 @@ def test_flat_models_are_screened_in_their_affine_hull(monkeypatch, turned, heig
         screened.clear()
         solves.clear()
         found = len(enumerate_basic_decompositions(model, x))
-        assert screened == [(math.comb(VERTEX_CAP, 3), 3, 3)]
+        assert screened == [(1, math.comb(VERTEX_CAP, 3), 3, 3)]
         assert 0 < found <= len(solves) <= found + (math.comb(VERTEX_CAP, 4) if height else 0)
         assert len(assert_enumeration_is_the_reference(model, x)) == found
     a, b = hull_edge(V)
@@ -532,7 +621,7 @@ def test_extremality_in_flat_models_is_the_unscreened_check(monkeypatch, turned,
     screened, solves = record_screens_and_solves(monkeypatch)
     assert not gpt._certified_extreme(3e8 * V).any()
     assert gpt._first_non_extreme(3e8 * V) is None
-    assert screened == [(math.comb(8, 3), 3, 3)]
+    assert screened == [(1, math.comb(8, 3), 3, 3)]
     assert height or not solves
 
 
@@ -595,7 +684,7 @@ def test_generic_states_screen_only_the_simplices_and_solve_once_per_decompositi
             screened.clear()
             solves.clear()
             decs = enumerate_basic_decompositions(model, random_interior_point(model, rng))
-            assert screened == [(math.comb(n, d + 1), d + 1, d + 1)]
+            assert screened == [(1, math.comb(n, d + 1), d + 1, d + 1)]
             assert len(solves) == len(decs) > 0
 
 
