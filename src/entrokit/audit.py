@@ -44,6 +44,7 @@ from .functionals import EntropicFunctional, FunctionalCase, as_count, functiona
 from .gpt import DIM_CAP, _enumerate, gpt_majorant
 from .quantum import (
     DensityOperator,
+    _complex_pairs,
     _conjugated,
     _eigensystems,
     _ensembles,
@@ -76,14 +77,9 @@ DEFAULT_FUNCTIONAL_SPECS = (
 )
 
 
-def default_functionals() -> list[EntropicFunctional]:
-    return [functional_from_spec(s) for s in DEFAULT_FUNCTIONAL_SPECS]
-
-
 def _resolve_functionals(functional_specs) -> list[EntropicFunctional]:
-    if functional_specs is None:
-        return default_functionals()
-    out = [F if isinstance(F, EntropicFunctional) else functional_from_spec(F) for F in functional_specs]
+    specs = DEFAULT_FUNCTIONAL_SPECS if functional_specs is None else functional_specs
+    out = [F if isinstance(F, EntropicFunctional) else functional_from_spec(F) for F in specs]
     if not out:
         raise ValueError("at least one functional is required")
     return out
@@ -129,12 +125,6 @@ def _suite(name: str, tolerance: float, trials: int, dims: tuple[int, int]):
 
 def _stack(arrays, idx) -> np.ndarray:
     return np.array([arrays[t] for t in idx])
-
-
-def _complex_stack(draws, idx) -> np.ndarray:
-    """The ginibre matrices of the (2, rows, cols) real draws at idx, as one (k, rows, cols) stack."""
-    z = _stack(draws, idx)
-    return z[:, 0] + 1j * z[:, 1]
 
 
 def _draw_dim(rng, dims) -> int:
@@ -223,9 +213,9 @@ def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         gaussians.append(rng.standard_normal((2, d, d)))  # random_unitary's ginibre draw
     margins = np.empty((trials, 2 * len(functionals)))
     for idx in positions_by_key(drawn_dims):
-        rho = DensityOperator(density_from_factor(_complex_stack(factors, idx)))
+        rho = DensityOperator(density_from_factor(_complex_pairs(_stack(factors, idx))))
         spectra, eigenbases = _eigensystems(rho.matrix)
-        bases = haar_isometry(_complex_stack(gaussians, idx))
+        bases = haar_isometry(_complex_pairs(_stack(gaussians, idx)))
         rows = np.concatenate([spectra, pinch(rho, bases), pinch(rho, eigenbases)])
         base, pinched, pinned = np.split(_entropy_columns(rows, functionals), 3)
         margins[idx, 0::2] = pinched - base
@@ -258,11 +248,11 @@ def run_isometry_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
         gaussians.append(rng.standard_normal((2, rows, d)))  # random_isometry's ginibre draw
     states, vectors = [None] * trials, [None] * (2 * trials)
     for idx in positions_by_key(drawn_dims):
-        rho = DensityOperator(density_from_factor(_complex_stack(factors, idx)))
+        rho = DensityOperator(density_from_factor(_complex_pairs(_stack(factors, idx))))
         for t, matrix, before in zip(idx, rho.matrix, _eigensystems(rho.matrix)[0]):
             states[t], vectors[2 * t] = matrix, before
     for idx in positions_by_key([g.shape for g in gaussians]):
-        V = haar_isometry(_complex_stack(gaussians, idx))
+        V = haar_isometry(_complex_pairs(_stack(gaussians, idx)))
         moved = DensityOperator(_conjugated(_stack(states, idx), V))
         for t, after in zip(idx, _eigensystems(moved.matrix)[0]):
             vectors[2 * t + 1] = after
@@ -317,7 +307,7 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     weights, mixing = [None] * len(keys), np.empty(len(keys))
     for idx in positions_by_key(keys):
         matrices, p, bases = (np.array(a) for a in zip(*(held[t] for t in idx)))
-        drawn_weights, _ = _ensembles(matrices, p, bases, haar_isometry(_complex_stack(gaussians, idx)))
+        drawn_weights, _ = _ensembles(matrices, p, bases, haar_isometry(_complex_pairs(_stack(gaussians, idx))))
         mixing[idx] = _row_margins(p, drawn_weights)
         for t, w in zip(idx, drawn_weights):
             weights[t] = w

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class ProbVector:
 
     def __repr__(self) -> str:
         return f"ProbVector({np.array2string(self.entries, threshold=8)})"
-
-    def sorted_desc(self) -> np.ndarray:
-        return np.sort(self.entries)[::-1]
 
 
 class EntropyStatus(Enum):
@@ -282,7 +279,8 @@ class GeometricTail:
             return None
 
         def S(beta):
-            return (1.0 - r) ** beta * r ** (beta * n) / (1.0 - r**beta)
+            # 1 - r**beta as -expm1(beta ln r): the subtraction cancels as r -> 1.
+            return (1.0 - r) ** beta * r ** (beta * n) / -math.expm1(beta * math.log(r))
 
         a, b, d = F.powers
         return S(a) / d if b is None else (S(a) - S(b)) / d
@@ -295,10 +293,7 @@ class FiniteTail:
     values: tuple
 
     def remainder(self, F: EntropicFunctional, n: int) -> float:
-        rest = np.asarray(self.values[n:], dtype=float)
-        if rest.size == 0:
-            return 0.0
-        return float(np.sum(F.phi(rest)))
+        return float(np.sum(F.phi(np.asarray(self.values[n:], dtype=float))))
 
 
 def _inverse_log_square(idx: np.ndarray, offset: int, scale: float) -> np.ndarray:
@@ -539,11 +534,10 @@ def _join(vectors) -> np.ndarray:
     (Cicalese & Vaccaro, IEEE Trans. Inf. Theory 48, 933, 2002), so the join
     majorizes every vector, and every vector that majorizes them all
     majorizes it.  It has the longest vector's length; totals must be positive.
-    The vectors of one length are sorted as one block, regrouped only when lengths differ.
+    The vectors of each length (positions_by_key) are sorted as one block.
     """
     arrays = [_entries(v) for v in vectors]
-    groups = [range(len(arrays))] if len({len(a) for a in arrays}) == 1 else positions_by_key(map(len, arrays))
-    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in groups])
+    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in positions_by_key(map(len, arrays))])
     if not (partial[:, -1] > 0.0).all():
         raise ValueError("the majorization join needs positive totals")
     top = np.concatenate([[0.0], (partial / partial[:, -1:]).max(axis=0)])

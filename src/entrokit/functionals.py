@@ -285,18 +285,16 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
     root = abs(float(F.h(F.phi(1.0))))
     checks.append(ValidationCheck("h_at_phi_one", passed=(root <= STRICT_TOL), margin=STRICT_TOL - root))
 
+    # A convex phi comes with a decreasing h, so the direction flips the sign of both tests.
+    convex = F.case is FunctionalCase.DECREASING_CONVEX
+    curve_name = "phi_strictly_convex" if convex else "phi_strictly_concave"
+    mono_name = "h_strictly_decreasing" if convex else "h_strictly_increasing"
+
     xs = np.linspace(0.0, 1.0, grid_size)
     phi_xs = np.asarray(F.phi(xs))
     ii, jj = np.triu_indices(grid_size, k=1)
     gaps = np.asarray(F.phi(0.5 * (xs[ii] + xs[jj]))) - 0.5 * (phi_xs[ii] + phi_xs[jj])
-    if F.case is FunctionalCase.DECREASING_CONVEX:
-        gaps = -gaps
-    curve_name = (
-        "phi_strictly_concave"
-        if F.case is FunctionalCase.INCREASING_CONCAVE
-        else "phi_strictly_convex"
-    )
-    curve_margin = float(np.min(gaps))
+    curve_margin = float(np.min(-gaps if convex else gaps))
     checks.append(ValidationCheck(curve_name, passed=(curve_margin > -STRICT_TOL), margin=curve_margin))
 
     phi1 = float(F.phi(1.0))
@@ -304,12 +302,7 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
     lo, hi = sorted((phi1, uniform_sum))
     ys = np.linspace(lo, hi, grid_size)
     diffs = np.diff(np.asarray(F.h(ys)))
-    if F.case is FunctionalCase.DECREASING_CONVEX:
-        diffs = -diffs
-        mono_name = "h_strictly_decreasing"
-    else:
-        mono_name = "h_strictly_increasing"
-    mono_margin = float(np.min(diffs)) if diffs.size else 0.0
+    mono_margin = float(np.min(-diffs if convex else diffs)) if diffs.size else 0.0
     checks.append(ValidationCheck(mono_name, passed=(mono_margin > STRICT_TOL), margin=mono_margin))
 
     return ValidationReport(

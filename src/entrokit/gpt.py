@@ -56,7 +56,7 @@ CERTIFY_SCALE = 2.0**24
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Convex weights over a support of vertex indices."""
+    """Convex weights over a support of vertex indices; they write weights @ vertices[list(support)]."""
 
     support: tuple
     weights: np.ndarray
@@ -92,9 +92,6 @@ class Decomposition:
         for dec, support, w in zip(decs, supports.tolist(), W):
             dec.__dict__.update(support=tuple(support), weights=w)
         return decs
-
-    def barycenter(self, model: "ConvexModel") -> np.ndarray:
-        return self.weights @ model.vertices[list(self.support)]
 
 
 def _systems(V: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -325,7 +322,8 @@ class ConvexModel:
     subset enumeration exact and fast.  Each vertex is verified extreme at
     construction by checking it has no convex decomposition over the
     remaining vertices; check_extreme=False skips that check for inputs
-    known to be extreme.
+    known to be extreme.  A simplex needs no test of its own: each of its
+    states has one basic decomposition, its barycentric coordinates.
 
     The model holds one cache entry: the basic decompositions of the last
     state enumerated for it, keyed by the state's bytes.  It relies on the
@@ -362,15 +360,6 @@ class ConvexModel:
     @property
     def ambient_dim(self) -> int:
         return self.vertices.shape[1]
-
-    @property
-    def is_simplex(self) -> bool:
-        n, d = self.vertices.shape
-        if n != d + 1:
-            return False
-        # the rank the exact solve sees: its frame keeps an offset simplex full rank
-        V, _, _, s = _solve_frame(self.vertices, self.vertices)
-        return int(np.linalg.matrix_rank(_systems(V / s, np.arange(n)[None]), tol=PIVOT_TOL)[0]) == n
 
     def __repr__(self) -> str:
         return f"ConvexModel(n={self.n_vertices}, dim={self.ambient_dim})"

@@ -192,8 +192,12 @@ def haar_isometry(g) -> np.ndarray:
 
 def ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """A rows x cols complex Gaussian from one standard_normal((2, rows, cols)) draw, real part first."""
-    z = rng.standard_normal((2, rows, cols))
-    return z[0] + 1j * z[1]
+    return _complex_pairs(rng.standard_normal((2, rows, cols)))
+
+
+def _complex_pairs(z: np.ndarray) -> np.ndarray:
+    """z[..., 0, :, :] + i z[..., 1, :, :]: the matrix of each (2, rows, cols) real pair, real part first."""
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
 def random_isometry(rows: int, cols: int, rng=None) -> np.ndarray:
@@ -248,7 +252,8 @@ class Ensemble:
     """Weighted pure states; row i of ``states`` is the unit vector of weight i.
 
     ``weights`` may be given as any probability vector; it is stored as a
-    ProbVector, and ``states`` as a read-only (m, d) array.
+    ProbVector, and ``states`` as a read-only (m, d) array.  Its mixture
+    sum_i w_i |psi_i><psi_i| is compared with a state by check_reconstructs.
     """
 
     weights: ProbVector
@@ -272,24 +277,16 @@ class Ensemble:
         """The number m of pure states in the ensemble."""
         return len(self.weights)
 
-    def reconstruct(self) -> np.ndarray:
-        """sum_i w_i |psi_i><psi_i|."""
-        return _reconstructed(self.weights.entries, self.states)
-
     def check_reconstructs(self, rho: DensityOperator) -> float:
-        """Largest entry of |reconstruct() - rho|; ValueError if it exceeds RECONSTRUCTION_TOL."""
+        """Largest entry of |sum_i w_i |psi_i><psi_i| - rho|; ValueError if it exceeds RECONSTRUCTION_TOL."""
         _one_state(rho)
         return float(_require_reconstructs(self.weights.entries, self.states, rho.matrix))
 
 
-def _reconstructed(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """sum_i w_i |psi_i><psi_i| of one ensemble, or of each in a stack."""
-    return (states.swapaxes(-1, -2) * weights[..., None, :]) @ states.conj()
-
-
 def _require_reconstructs(weights: np.ndarray, states: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Largest entry of |_reconstructed(weights, states) - rho| per ensemble, each at most RECONSTRUCTION_TOL."""
-    dev = np.abs(_reconstructed(weights, states) - rho).max(axis=(-2, -1))
+    """Largest entry of |sum_i w_i |psi_i><psi_i| - rho| per ensemble (one or a stack), each <= RECONSTRUCTION_TOL."""
+    mixture = (states.swapaxes(-1, -2) * weights[..., None, :]) @ states.conj()
+    dev = np.abs(mixture - rho).max(axis=(-2, -1))
     message = f"ensemble reconstructs rho only to {{:.3e}} (> {RECONSTRUCTION_TOL})"
     require_slices(dev <= RECONSTRUCTION_TOL, lambda t: message.format(dev[t]), "ensemble")
     return dev

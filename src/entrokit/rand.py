@@ -12,9 +12,7 @@ SPHERE_MIN_GAP = 0.05  # least distance between two sphere-model vertices
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Pass Generators through, wrap anything else with default_rng."""
-    if isinstance(seed, np.random.Generator):
-        return seed
+    """np.random.default_rng(seed), which returns a Generator unaltered, as quantum reads ``rng``."""
     return np.random.default_rng(seed)
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 import entrokit
+from entrokit import audit
 
 
 def test_all_names_resolve():
@@ -21,6 +22,20 @@ def test_one_probability_vector_type():
     assert not hasattr(entrokit, "Spectrum")
     assert "entropy_rows" not in entrokit.__all__
     assert "majorization_margin" in entrokit.__all__
+
+
+def test_uncalled_helpers_are_gone():
+    """Helpers no library code called; each rule they restated is written once, beside it."""
+    removed = [
+        (entrokit.ConvexModel, "is_simplex"),
+        (entrokit.Decomposition, "barycenter"),
+        (entrokit.ProbVector, "sorted_desc"),
+        (entrokit.Ensemble, "reconstruct"),
+        (audit, "default_functionals"),
+        (audit, "_complex_stack"),
+    ]
+    assert [name for owner, name in removed if hasattr(owner, name)] == []
+    assert "default_functionals" not in entrokit.__all__
 
 
 def test_no_import_inside_a_function():

@@ -131,7 +131,6 @@ def test_model_accepts_square():
     model = ConvexModel(SQUARE)
     assert model.ambient_dim == 2
     assert model.n_vertices == 4
-    assert not model.is_simplex
 
 
 def test_model_rejects_interior_vertex():
@@ -151,22 +150,12 @@ def test_model_caps():
         ConvexModel(np.eye(5) * 2.0)  # dim 5 exceeds the cap
 
 
-def test_simplex_detection():
-    assert ConvexModel(TRIANGLE).is_simplex
-    seg = ConvexModel([[0.0], [1.0]])
-    assert seg.is_simplex
-
-
 @pytest.mark.parametrize("offset", [1e8, -1e8])
-def test_simplex_detection_on_offset_models(offset):
+def test_offset_triangle_writes_its_mean_on_all_three_vertices(offset):
     # the raw [V^T; 1] of the triangle has rank 2 at PIVOT_TOL; the exact
     # solve, centered and scaled, sees rank 3 and writes the vertex mean on all three
     triangle = ConvexModel(offset + 1e-6 * np.array(TRIANGLE))
-    assert triangle.is_simplex
     assert gpt_entropy(triangle, triangle.vertices.mean(axis=0), make_shannon())[1].support == (0, 1, 2)
-    assert not ConvexModel(offset + 1e-6 * np.array(SQUARE)).is_simplex
-    # three points on a line are no simplex, offset or not
-    assert not ConvexModel(offset + 1e-6 * np.array([[0.0, 0.0], [1.0, 1.0], [3.0, 3.0]]), check_extreme=False).is_simplex
 
 
 # ------------------------------------------------------------ decompositions
@@ -275,7 +264,7 @@ def test_enumeration_matches_independent_oracle():
         assert [d.support for d in got] == [s for s, _ in want]
         for d, (_, w) in zip(got, want):
             assert np.max(np.abs(d.weights - w)) < 1e-8
-            assert np.max(np.abs(d.barycenter(model) - np.asarray(x))) < 1e-9
+            assert np.max(np.abs(d.weights @ model.vertices[list(d.support)] - np.asarray(x))) < 1e-9
 
 
 def count_enumerations(monkeypatch):
@@ -712,7 +701,7 @@ def test_decomposition_validation():
     with pytest.raises(ValueError):
         Decomposition(support=(0, 1), weights=np.array([math.nan, math.nan]))
     d = Decomposition(support=(0, 3), weights=np.array([0.5, 0.5]))
-    assert np.allclose(d.barycenter(model), [0.0, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(d.weights @ model.vertices[list(d.support)], [0.0, 0.0], rtol=0, atol=1e-15)
 
 
 # Five vertices whose origin has basic decompositions of sizes 2 and 3: the
