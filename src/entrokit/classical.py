@@ -153,11 +153,11 @@ def require_stochastic_rows(Q: np.ndarray, what: str, item: str) -> None:
     require_slices(dev <= ROW_SUM_TOL, lambda t: message.format(dev[t]), item)
 
 
-def _vector(values) -> np.ndarray:
-    """``values`` as a 1-d float array; a scalar is one entry, two or more axes are rejected."""
-    arr = np.asarray(values, dtype=float)
+def _vector(values, what="probability vector", dtype=float) -> np.ndarray:
+    """``values`` as a 1-d array; a scalar is one entry, two or more axes are rejected as ``what``."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim > 1:
-        raise ValueError(f"probability vector must be 1-d, got shape {arr.shape}")
+        raise ValueError(f"{what} must be 1-d, got shape {arr.shape}")
     return arr.reshape(-1)
 
 
@@ -392,7 +392,7 @@ class SequenceSource:
     @classmethod
     def from_vector(cls, values) -> "SequenceSource":
         """Embed a finite probability vector, validated as ProbVector validates it, padded with zeros."""
-        vec = ProbVector(np.asarray(values, dtype=float).ravel()).entries
+        vec = ProbVector(values).entries
         frozen = tuple(float(v) for v in vec)
         monotone = bool(np.all(np.diff(vec) <= 1e-15))
 
@@ -647,30 +647,26 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     and Jensen's inequality relates phi(q_i) to the discrete phi-sum in the
     direction fixed by F.case.
 
-    Any 2-d ``q_rows`` is a batch with one row per line and gives four arrays
-    of shape (rows,), whose entry i equals, bit for bit, the four floats that
-    row i alone gives.  So a (1, n) slice gives four arrays of shape (1,), and
-    an (n, 1) column is n rows of width 1, not one row.
-
-    A 3-d ``q_rows`` of shape (k, r, n) is k such batches, one for each row
-    of a (k, n) array ``p``; it gives four arrays of shape (k, r), whose
-    entry [t] equals, bit for bit, the 2-d call on (q_rows[t], p[t]).  The
-    rows of ``p`` are validated as ProbVector validates a vector.  This
-    stacked form stays public until the benchmark stops tracing this name
-    (ROADMAP item 1).
-
-    Any other shape is flattened to one row and gives four floats.
+    A 1-d ``q_rows`` is one row and gives four floats.  A 3-d ``q_rows`` of
+    shape (k, r, n) is k sets of r rows, one set for each row of a (k, n)
+    array ``p``; it gives four arrays of shape (k, r), whose entry [t, i]
+    equals, bit for bit, the one-row call on (q_rows[t, i], p[t]).  The rows
+    of ``p`` are validated as ProbVector validates a vector.  This stacked
+    form stays public until the benchmark stops tracing this name (ROADMAP
+    item 1).  Any other shape raises ValueError.
     """
     rows = np.asarray(q_rows, dtype=float)
-    ndim = rows.ndim
-    if ndim == 3:
+    one = rows.ndim == 1
+    if one:
+        vals = (p if isinstance(p, ProbVector) else ProbVector(p)).entries[None]
+        rows = rows[None, None]
+    elif rows.ndim == 3:
         vals = np.asarray(p, dtype=float)
         if vals.shape != (rows.shape[0], rows.shape[2]):
             raise ValueError(f"p must be {rows.shape[0]} x {rows.shape[2]}, one row per batch")
         vals = _probability_rows(vals, ENTRY_TOL, math.inf)
     else:
-        vals = (p if isinstance(p, ProbVector) else ProbVector(p)).entries[None]
-        rows = rows[None] if ndim == 2 else rows.reshape(1, 1, -1)
+        raise ValueError(f"q_rows must be one row or a (k, r, n) stack, got shape {rows.shape}")
     require_stochastic_rows(rows, "row", "batch")
     if rows.shape[2] != vals.shape[1]:
         raise ValueError("row and vector dimensions differ")
@@ -682,8 +678,4 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     discrete_q = (rows[:, :, None, :] @ vals[:, None, :, None])[:, :, 0, 0]
     discrete_sum = (rows[:, :, None, :] @ phis[:, None, :, None])[:, :, 0, 0]
     out = (integral_f, integral_phi_f, discrete_q, discrete_sum)
-    if ndim == 3:
-        return out
-    if ndim == 2:
-        return tuple(a[0] for a in out)
-    return tuple(float(a[0, 0]) for a in out)
+    return tuple(float(a[0, 0]) for a in out) if one else out

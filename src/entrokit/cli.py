@@ -22,7 +22,7 @@ from .classical import (
     sequence_from_spec,
 )
 from .fileio import SchemaError, parse_state, read_density, read_model, read_vector
-from .functionals import BUILTIN_FAMILIES, functional_from_spec, validate_functional
+from .functionals import BUILTIN_FAMILIES, GRID_DEFAULT, functional_from_spec, validate_functional
 from .gpt import gpt_entropy
 from .quantum import quantum_entropy
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("functional", help="list built-in families or validate a pair")
     pf.add_argument("action", choices=["list", "validate"])
     pf.add_argument("spec", nargs="?", help="functional spec for validate")
-    pf.add_argument("--grid-size", type=int, default=1001)
+    pf.add_argument("--grid-size", type=int, default=GRID_DEFAULT)
     pf.add_argument("--format", choices=["json", "csv", "table"], default="table")
     pf.set_defaults(func=cmd_functional)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _join, entropy_table, positions_by_key
+from .classical import _join, _vector, entropy_table, positions_by_key
 from .functionals import EntropicFunctional
 
 PIVOT_TOL = 1e-10
@@ -62,7 +62,7 @@ class Decomposition:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = _vector(self.weights, "weights")
         if len(self.support) != w.size or w.size == 0:
             raise ValueError("support and weights must have matching nonzero length")
         if len(set(self.support)) != len(self.support):
@@ -366,7 +366,7 @@ class ConvexModel:
 
 
 def _check_point(model: ConvexModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
+    x = _vector(x, "state")
     if x.size != model.ambient_dim:
         raise ValueError(f"state has dimension {x.size}, model is {model.ambient_dim}")
     if not np.isfinite(x).all():

@@ -23,6 +23,7 @@ from .classical import (
     EntropyResult,
     ProbVector,
     _computed_rows,
+    _vector,
     entropy_finite,
     require_finite,
     require_orthonormal,
@@ -106,7 +107,7 @@ def _one_state(rho: DensityOperator) -> None:
 
 def pure_state(psi) -> DensityOperator:
     """|psi><psi| for a (not necessarily normalized) state vector."""
-    v = np.asarray(psi, dtype=complex).ravel()
+    v = _vector(psi, "state vector", complex)
     if not np.isfinite(v).all():
         raise ValueError("state vector entries must be finite")
     # Scaled by its largest entry first, so the norm neither underflows nor overflows.

@@ -1,7 +1,8 @@
-"""Audit report containers with lossless dict round-tripping.
+"""Audit report containers, written out as dicts.
 
 An AuditEntry is a plain record (a NamedTuple), one per checked case.  An
-AuditReport is a frozen dataclass holding a suite's entries and summary.
+AuditReport is a frozen dataclass holding a suite's entries and summary;
+to_dict and summary_dict give what the CLI prints.
 Margins follow one convention everywhere: a check passes iff
 margin >= -tolerance.  Inequality checks record the raw slack
 (rhs - lhs), equality checks record the negated absolute deviation,
@@ -39,17 +40,6 @@ class AuditEntry(NamedTuple):
     def to_dict(self) -> dict:
         return self._asdict()
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditEntry":
-        return cls(
-            case=data["case"],
-            margin=float(data["margin"]),
-            tolerance=float(data["tolerance"]),
-            passed=bool(data["passed"]),
-            functional=data.get("functional", ""),
-            dim=int(data.get("dim", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -69,18 +59,6 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return {**vars(self), "cases": [c.to_dict() for c in self.cases]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditReport":
-        return cls(
-            suite=data["suite"],
-            trials=int(data["trials"]),
-            violations=int(data["violations"]),
-            worst_margin=float(data["worst_margin"]),
-            seed=int(data["seed"]),
-            tolerance=float(data["tolerance"]),
-            cases=tuple(AuditEntry.from_dict(c) for c in data["cases"]),
-        )
 
 
 def build_report(suite: str, trials: int, seed: int, tolerance: float, entries) -> AuditReport:

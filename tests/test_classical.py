@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import decimal
 import math
+import re
 from fractions import Fraction
 import tracemalloc
 import warnings
@@ -707,25 +708,23 @@ def test_jensen_rows_in_one_call_are_the_one_row_calls():
             Q = bistochastic_from_unitary(random_unitary(n, rng))
             p = random_prob_vector(n, rng)
             for F in fs:
-                batch = jensen_step_oracle(Q.matrix, p, F)
-                assert all(isinstance(a, np.ndarray) and a.shape == (n,) for a in batch)
+                stack = jensen_step_oracle(Q.matrix[None], p.entries[None], F)
+                assert all(isinstance(a, np.ndarray) and a.shape == (1, n) for a in stack)
                 for i in range(n):
                     one = jensen_step_oracle(Q.matrix[i], p, F)
                     assert all(isinstance(v, float) for v in one)
-                    assert tuple(a[i] for a in batch) == one
+                    assert tuple(a[0, i] for a in stack) == one
 
 
-def test_jensen_single_row_slice_is_a_batch_of_one():
+def test_jensen_takes_one_row_or_a_stack_only():
     rng = np.random.default_rng(23)
     F = make_shannon()
     Q = bistochastic_from_unitary(random_unitary(3, rng)).matrix
     p = random_prob_vector(3, rng)
-    batch = jensen_step_oracle(Q[1:2], p, F)
-    assert all(isinstance(a, np.ndarray) and a.shape == (1,) for a in batch)
-    assert tuple(a[0] for a in batch) == jensen_step_oracle(Q[1], p, F)
-    # an (n, 1) column is n rows of width 1, not one row of width n
-    with pytest.raises(ValueError):
-        jensen_step_oracle(Q[1].reshape(-1, 1), p, F)
+    # a (1, n) slice, an (n, 1) column and a 4-d stack are neither
+    for rows in (Q[1:2], Q[1].reshape(-1, 1), Q[None, None]):
+        with pytest.raises(ValueError, match=re.escape(f"one row or a (k, r, n) stack, got shape {rows.shape}")):
+            jensen_step_oracle(rows, p, F)
 
 
 def reference_jensen_row(row, p, F):
@@ -742,7 +741,7 @@ def reference_jensen_row(row, p, F):
 
 
 @pytest.mark.parametrize("F", KERNEL_FUNCTIONALS[:5], ids=lambda F: F.name)
-def test_jensen_stacked_batches_are_the_2d_calls(F):
+def test_jensen_stacked_batches_are_the_reference_rows(F):
     rng = np.random.default_rng(29)
     for n in range(1, 13):
         k = 5
@@ -751,8 +750,6 @@ def test_jensen_stacked_batches_are_the_2d_calls(F):
         stacked = jensen_step_oracle(Qs, ps, F)
         assert all(isinstance(a, np.ndarray) and a.shape == (k, n) for a in stacked)
         for t in range(k):
-            batch = jensen_step_oracle(Qs[t], ps[t], F)
-            assert all(np.array_equal(a[t], b) for a, b in zip(stacked, batch)), (n, t)
             for i in range(n):
                 assert tuple(a[t, i] for a in stacked) == reference_jensen_row(Qs[t, i], ps[t], F)
 
@@ -803,7 +800,7 @@ def test_jensen_bad_rows_raise_in_both_forms():
     nan_entry[0, 2] = math.nan
     for rows, bad in ((negative, 1), (off_sum, 2), (too_wide, 0), (nan_row, 3), (nan_entry, 0)):
         with pytest.raises(ValueError):
-            jensen_step_oracle(rows, p, F)
+            jensen_step_oracle(rows[None], p.entries[None], F)
         with pytest.raises(ValueError):
             jensen_step_oracle(rows[bad], p, F)
 

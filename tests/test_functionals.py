@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
 from entrokit.classical import SequenceSource, entropy_finite, sequence_from_spec
 from entrokit.functionals import (
     BUILTIN_FAMILIES,
@@ -143,6 +144,32 @@ def test_validate_miscased_pair_fails():
     assert not rep.passed
     failed = {c.name for c in rep.checks if not c.passed}
     assert "phi_strictly_concave" in failed
+
+
+def all_pairs_curvature_margin(F, grid_size):
+    """The curvature margin as the least midpoint gap over every pair of the grid."""
+    xs = np.linspace(0.0, 1.0, grid_size)
+    phi_xs = np.asarray(F.phi(xs))
+    ii, jj = np.triu_indices(grid_size, k=1)
+    gaps = np.asarray(F.phi(0.5 * (xs[ii] + xs[jj]))) - 0.5 * (phi_xs[ii] + phi_xs[jj])
+    return float(np.min(-gaps if F.case is FunctionalCase.DECREASING_CONVEX else gaps))
+
+
+MISCASED_SQUARE = make_custom("square", phi=lambda x: x**2, h=lambda y: y, case=FunctionalCase.INCREASING_CONCAVE)
+
+
+@pytest.mark.parametrize("grid_size", [3, 10, 1001, 2001])
+@pytest.mark.parametrize(
+    "F",
+    [functional_from_spec(s) for s in DEFAULT_FUNCTIONAL_SPECS] + [MISCASED_SQUARE],
+    ids=lambda F: F.name,
+)
+def test_curvature_margin_is_the_all_pairs_margin(F, grid_size):
+    rep = validate_functional(F, grid_size=grid_size)
+    (curvature,) = [c for c in rep.checks if c.name.startswith("phi_strictly_")]
+    assert curvature.margin == all_pairs_curvature_margin(F, grid_size)
+    if F is MISCASED_SQUARE:
+        assert curvature.margin == -0.25
 
 
 def test_validate_catches_phi_zero_offset():

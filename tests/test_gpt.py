@@ -285,7 +285,7 @@ def test_repeated_state_is_served_from_the_model(monkeypatch):
     runs = count_enumerations(monkeypatch)
     model = ConvexModel(SQUARE)
     first = enumerate_basic_decompositions(model, [0.5, 0.0])
-    second = enumerate_basic_decompositions(model, np.array([[0.5, 0.0]]))
+    second = enumerate_basic_decompositions(model, np.array([0.5, 0.0]))
     assert len(runs) == 1
     assert second == first and second is not first
     assert all(a is b for a, b in zip(first, second))

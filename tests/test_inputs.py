@@ -22,7 +22,14 @@ from entrokit.functionals import (
     make_shannon,
     make_tsallis,
 )
-from entrokit.gpt import ConvexModel, Decomposition
+from entrokit.gpt import (
+    ConvexModel,
+    Decomposition,
+    enumerate_basic_decompositions,
+    gpt_entropy,
+    gpt_majorant,
+    membership,
+)
 from entrokit.quantum import (
     DensityOperator,
     Ensemble,
@@ -94,7 +101,35 @@ def test_a_probability_vector_has_one_axis():
         lambda: entropy_finite([[0.5], [0.5]], shannon),
         lambda: entropy_table([[[0.5], [0.5]]], [shannon]),
         lambda: Ensemble([[0.5], [0.5]], np.eye(2)),
+        lambda: SequenceSource.from_vector([[0.5, 0.25], [0.125, 0.125]]),
     ):
         with pytest.raises(ValueError, match=r"^probability vector must be 1-d, got shape \(2, (2|1)\)$"):
             call()
     assert ProbVector(1.0).entries.tolist() == [1.0]
+
+
+TRIANGLE = ConvexModel([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+COLUMN = [[0.2], [0.3]]
+
+# Each of these once flattened input with two axes into one vector.
+FLATTENED = {
+    "pure_state": (lambda: pure_state(np.eye(2)), r"state vector must be 1-d, got shape \(2, 2\)"),
+    "gpt_entropy": (lambda: gpt_entropy(TRIANGLE, COLUMN, make_shannon()), r"state must be 1-d, got shape \(2, 1\)"),
+    "enumerate_basic_decompositions": (
+        lambda: enumerate_basic_decompositions(TRIANGLE, COLUMN),
+        r"state must be 1-d, got shape \(2, 1\)",
+    ),
+    "gpt_majorant": (lambda: gpt_majorant(TRIANGLE, COLUMN), r"state must be 1-d, got shape \(2, 1\)"),
+    "membership": (lambda: membership(TRIANGLE, COLUMN), r"state must be 1-d, got shape \(2, 1\)"),
+    "Decomposition": (
+        lambda: Decomposition(support=(0, 1), weights=[[0.5], [0.5]]),
+        r"weights must be 1-d, got shape \(2, 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FLATTENED)
+def test_vector_inputs_have_one_axis(name):
+    call, message = FLATTENED[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
