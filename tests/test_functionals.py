@@ -156,18 +156,28 @@ def all_pairs_curvature_margin(F, grid_size):
 
 
 MISCASED_SQUARE = make_custom("square", phi=lambda x: x**2, h=lambda y: y, case=FunctionalCase.INCREASING_CONCAVE)
+# Linear on [0, 1/2] up to a cubic of weight 5e-7, so convex on (1/2, 1]: its full
+# span and its pairs one or two steps apart at grid 1001 all miss the violation,
+# while the pair (1/2, 1) has a gap of -3/64 * 5e-7.
+SLIGHTLY_CONVEX = make_custom(
+    "slightly_convex",
+    phi=lambda x: x + 5e-7 * ((x - 0.5) ** 3 + 0.125),
+    h=lambda y: y - (1.0 + 5e-7 * 0.25),
+    case=FunctionalCase.INCREASING_CONCAVE,
+)
 
 
 @pytest.mark.parametrize("grid_size", [3, 10, 1001, 2001])
 @pytest.mark.parametrize(
     "F",
-    [functional_from_spec(s) for s in DEFAULT_FUNCTIONAL_SPECS] + [MISCASED_SQUARE],
+    [functional_from_spec(s) for s in DEFAULT_FUNCTIONAL_SPECS] + [MISCASED_SQUARE, SLIGHTLY_CONVEX],
     ids=lambda F: F.name,
 )
 def test_curvature_margin_is_the_all_pairs_margin(F, grid_size):
     rep = validate_functional(F, grid_size=grid_size)
     (curvature,) = [c for c in rep.checks if c.name.startswith("phi_strictly_")]
     assert curvature.margin == all_pairs_curvature_margin(F, grid_size)
+    assert curvature.passed == (F not in (MISCASED_SQUARE, SLIGHTLY_CONVEX))
     if F is MISCASED_SQUARE:
         assert curvature.margin == -0.25
 
