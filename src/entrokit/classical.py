@@ -154,8 +154,8 @@ def require_stochastic_rows(Q: np.ndarray, what: str, item: str) -> None:
 
 
 def _vector(values, what="probability vector", dtype=float) -> np.ndarray:
-    """``values`` as a 1-d array; a scalar is one entry, two or more axes are rejected as ``what``."""
-    arr = np.asarray(values, dtype=dtype)
+    """``values``, or a ProbVector's entries, as a 1-d array: a scalar is one entry, 2+ axes raise as ``what``."""
+    arr = np.asarray(values.entries if isinstance(values, ProbVector) else values, dtype=dtype)
     if arr.ndim > 1:
         raise ValueError(f"{what} must be 1-d, got shape {arr.shape}")
     return arr.reshape(-1)
@@ -250,7 +250,7 @@ def entropy_table(vectors, functionals, computed: bool = False) -> np.ndarray:
     error names a bad vector as "vector i", i its position in ``vectors``,
     when ``vectors`` holds more than one.
     """
-    arrays = [v.entries if isinstance(v, ProbVector) else _vector(v) for v in vectors]
+    arrays = [_vector(v) for v in vectors]
     table = np.empty((len(arrays), len(functionals)))
     for idx in positions_by_key(len(a) for a in arrays):
         item = (lambda t, idx=idx: f"vector {idx[t]}") if len(arrays) > 1 else "row"
@@ -286,14 +286,14 @@ class GeometricTail:
         return S(a) / d if b is None else (S(a) - S(b)) / d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteTail:
-    """Exact tail for a sequence with known finite support."""
+    """Exact tail for a sequence with known finite support: ``values``, a ProbVector's read-only entries."""
 
-    values: tuple
+    values: np.ndarray
 
     def remainder(self, F: EntropicFunctional, n: int) -> float:
-        return float(np.sum(F.phi(np.asarray(self.values[n:], dtype=float))))
+        return float(np.sum(F.phi(self.values[n:])))
 
 
 def _inverse_log_square(idx: np.ndarray, offset: int, scale: float) -> np.ndarray:
@@ -376,11 +376,11 @@ class SequenceSource:
 
         The normalized sequence sums to one but its Shannon-type entropy sums
         diverge, so truncated evaluation must end in DeclaredDivergent (but
-        for tsallis with q > 1, whose sums stay below 1/(q - 1)).
+        for tsallis with q > 1, whose sums stay below 1/(q - 1)).  ``offset`` is read by as_count.
         """
-        if not float(offset).is_integer() or offset < 2:
+        offset = as_count(offset, "offset")
+        if offset < 2:
             raise ValueError(f"offset must be an integer of at least 2, got {offset}")
-        offset = int(offset)
         c = _log_square_normalizer(offset)
         return cls(
             fn=lambda idx: _inverse_log_square(idx, offset, c),
@@ -393,7 +393,6 @@ class SequenceSource:
     def from_vector(cls, values) -> "SequenceSource":
         """Embed a finite probability vector, validated as ProbVector validates it, padded with zeros."""
         vec = ProbVector(values).entries
-        frozen = tuple(float(v) for v in vec)
         monotone = bool(np.all(np.diff(vec) <= 1e-15))
 
         def fn(idx):
@@ -402,7 +401,7 @@ class SequenceSource:
             out[inside] = vec[idx[inside]]
             return out
 
-        return cls(fn=fn, declared_monotone=monotone, tail=FiniteTail(frozen), name="finite")
+        return cls(fn=fn, declared_monotone=monotone, tail=FiniteTail(vec), name="finite")
 
 
 def sequence_from_spec(spec: str) -> SequenceSource:
@@ -480,7 +479,7 @@ def entropy_sequence(
             for k in range(chunks.size):
                 end = min(n + STOP_WINDOW * (k + 1), stop)
                 rem = src.tail.remainder(F, end)
-                if abs(rem) < increment_tol:
+                if abs(rem) < increment_tol or end == max_terms:
                     return EntropyResult(float(F.h(sums[k + 1] + rem)), EntropyStatus.EXACT, end, abs(rem))
         else:
             # Only full windows can stop the read as a truncated estimate.
@@ -491,17 +490,10 @@ def entropy_sequence(
                 return EntropyResult(value, EntropyStatus.TRUNCATED_ESTIMATE, end, float(chunks[k]))
         partial, n, last_chunk = float(sums[-1]), stop, float(chunks[-1])
         block = min(2 * block, MAX_BLOCK)
-    if certified:
-        rem = src.tail.remainder(F, n)
-        return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
     finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
     if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
     return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
-
-
-def _entries(v) -> np.ndarray:
-    return np.asarray(v.entries if isinstance(v, ProbVector) else v, dtype=float)
 
 
 def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -536,7 +528,7 @@ def _join(vectors) -> np.ndarray:
     majorizes it.  It has the longest vector's length; totals must be positive.
     The vectors of each length (positions_by_key) are sorted as one block.
     """
-    arrays = [_entries(v) for v in vectors]
+    arrays = [_vector(v, "majorization input") for v in vectors]
     partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in positions_by_key(map(len, arrays))])
     if not (partial[:, -1] > 0.0).all():
         raise ValueError("the majorization join needs positive totals")
@@ -555,13 +547,12 @@ def _join(vectors) -> np.ndarray:
 def majorization_margin(p, q) -> float:
     """Minimum of cumsum(sorted p) - cumsum(sorted q); q is majorized by p iff >= 0.
 
-    p and q are vectors, compared zero-padded to a common length.  Their
-    totals must agree within SUM_TOL, or ValueError is raised.
+    p and q are vectors (or ProbVectors), compared zero-padded to a common
+    length.  Their totals must agree within SUM_TOL, or ValueError is raised,
+    as it is for input with two or more axes.
     """
-    p, q = _entries(p), _entries(q)
-    if p.ndim > 1 or q.ndim > 1:
-        raise ValueError("majorization compares two vectors, not arrays of them")
-    return float(_row_margins(p.reshape(1, -1), q.reshape(1, -1))[0])
+    p, q = _vector(p, "majorization input"), _vector(q, "majorization input")
+    return float(_row_margins(p[None], q[None])[0])
 
 
 def _row_margins(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .classical import (
     majorizes,
     sequence_from_spec,
 )
-from .fileio import SchemaError, parse_state, read_density, read_model, read_vector
+from .fileio import SchemaError, _read_text, parse_state, read_density, read_model, read_vector
 from .functionals import BUILTIN_FAMILIES, GRID_DEFAULT, functional_from_spec, validate_functional
 from .gpt import gpt_entropy
 from .quantum import quantum_entropy
@@ -110,11 +110,7 @@ def cmd_entropy(args) -> int:
     source = {"input": args.input}
     if kind == "gpt":
         model = read_model(args.input)
-        text = args.state
-        if text is None:
-            with open(args.state_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        x = parse_state(text)
+        x = parse_state(_read_text(args.state_file) if args.state is None else args.state)
         source["state"] = [float(v) for v in x]
         value, dec = gpt_entropy(model, x, F)
         status, trailing = EntropyStatus.OUTSIDE_HULL, {"decomposition": None}
@@ -146,10 +142,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_majorize(args) -> int:
-    p = read_vector(args.p_file)
-    q = read_vector(args.q_file)
-    q_under_p = majorizes(p, q)
-    p_under_q = majorizes(q, p)
+    p, q = read_vector(args.p_file), read_vector(args.q_file)
+    q_under_p, p_under_q = majorizes(p, q), majorizes(q, p)
     if q_under_p and p_under_q:
         verdict = "both"
     elif q_under_p:

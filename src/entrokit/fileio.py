@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .functionals import as_count
 from .gpt import ConvexModel
 from .quantum import DensityOperator
 
@@ -20,8 +21,12 @@ class SchemaError(Exception):
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The file at ``path`` as UTF-8 text; other bytes raise OSError naming the path (exit code 1)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise OSError(f"{path}: not UTF-8 text") from None
 
 
 def _all_numbers(values) -> bool:
@@ -103,12 +108,11 @@ def _square_matrix(path: str, data, key: str, dim: int) -> np.ndarray:
 
 
 def _dim(path: str, data: dict) -> int:
-    """The positive integer under 'dim'; 2.0 counts, 1.9, true and "2" do not."""
-    dim = data["dim"]
-    if isinstance(dim, float) and dim.is_integer():
-        dim = int(dim)
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise SchemaError(f"{path}: 'dim' must be an integer")
+    """The positive integer under 'dim', read by as_count: 2.0 counts, 1.9, true and "2" do not."""
+    try:
+        dim = as_count(data["dim"], "'dim'")
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if dim < 1:
         raise SchemaError(f"{path}: 'dim' must be positive")
     return dim

@@ -152,7 +152,7 @@ def make_renyi(alpha: float) -> EntropicFunctional:
 
     def h(y):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.asarray(y, dtype=float)) / scale
+            return np.log(np.asarray(y, dtype=float)) / scale + 0.0  # +0.0, not -0.0, at y = 1 for alpha > 1
 
     case = FunctionalCase.INCREASING_CONCAVE if alpha < 1.0 else FunctionalCase.DECREASING_CONVEX
     return _power_family("renyi", "alpha", alpha, h, case, (alpha, None, 1.0))

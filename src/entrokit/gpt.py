@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import _join, _vector, entropy_table, positions_by_key
-from .functionals import EntropicFunctional
+from .functionals import EntropicFunctional, as_count
 
 PIVOT_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -56,17 +56,21 @@ CERTIFY_SCALE = 2.0**24
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Convex weights over a support of vertex indices; they write weights @ vertices[list(support)]."""
+    """Convex weights over a support of vertex indices; they write weights @ vertices[list(support)].
+
+    The indices, read by as_count, are distinct and nonnegative; the weights are kept as a read-only copy.
+    """
 
     support: tuple
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _vector(self.weights, "weights")
-        if len(self.support) != w.size or w.size == 0:
+        support = tuple(as_count(i, "support index") for i in self.support)
+        w = _vector(self.weights, "weights").copy()
+        if len(support) != w.size or w.size == 0:
             raise ValueError("support and weights must have matching nonzero length")
-        if len(set(self.support)) != len(self.support):
-            raise ValueError("support indices must be distinct")
+        if len(set(support)) != len(support) or min(support) < 0:
+            raise ValueError("support indices must be distinct and nonnegative")
         # Both tests are written to be false for NaN, so NaN weights are rejected.
         if not (np.minimum.reduce(w) > WEIGHT_FLOOR):
             raise ValueError(f"weights must exceed {WEIGHT_FLOOR}")
@@ -74,7 +78,7 @@ class Decomposition:
             raise ValueError(f"weights must sum to 1 within {RESIDUAL_TOL}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "support", tuple(map(int, self.support)))
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def _rows(cls, supports: np.ndarray, W: np.ndarray) -> list:

@@ -253,7 +253,7 @@ class Ensemble:
     """Weighted pure states; row i of ``states`` is the unit vector of weight i.
 
     ``weights`` may be given as any probability vector; it is stored as a
-    ProbVector, and ``states`` as a read-only (m, d) array.  Its mixture
+    ProbVector, and ``states`` as a read-only (m, d) copy.  Its mixture
     sum_i w_i |psi_i><psi_i| is compared with a state by check_reconstructs.
     """
 
@@ -262,7 +262,7 @@ class Ensemble:
 
     def __post_init__(self):
         weights = self.weights if isinstance(self.weights, ProbVector) else ProbVector(self.weights)
-        states = np.asarray(self.states, dtype=complex)
+        states = np.array(self.states, dtype=complex)
         if states.ndim != 2 or len(states) != len(weights):
             raise ValueError("states must be one row per weight")
         message = f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classical import ProbVector
+from .functionals import as_count
 from .gpt import ConvexModel
 from .quantum import DensityOperator, ginibre, random_isometry  # ginibre and random_isometry are re-exported
 
@@ -28,9 +29,9 @@ def random_state_vector(d: int, rng=None) -> np.ndarray:
 
 
 def random_density_factor(d: int, rng=None, rank: int | None = None) -> np.ndarray:
-    """The complex Gaussian G, d x ``rank``, that random_density normalizes: the draw alone."""
+    """The complex Gaussian G, d x ``rank`` (read by as_count), that random_density normalizes: the draw alone."""
     rng = as_rng(rng)
-    r = d if rank is None else int(rank)
+    r = d if rank is None else as_count(rank, "rank")
     if not 1 <= r <= d:
         raise ValueError(f"rank must be in [1, {d}], got {r}")
     return ginibre(d, r, rng)

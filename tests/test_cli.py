@@ -475,6 +475,24 @@ def test_missing_file_is_io_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("call", ["classical", "quantum", "gpt-state-file", "majorize"])
+def test_a_file_that_is_not_utf8_is_unreadable(tmp_path, capsys, call):
+    # Such bytes were once decoded past the reader and reported as a domain error (exit 3).
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[0.5, 0.5]")
+    good, square = write(tmp_path, "p.json", "[0.5, 0.5]"), write(tmp_path, "square.json", SQUARE)
+    argv = {
+        "classical": ("entropy", str(bad), "--kind", "classical"),
+        "quantum": ("entropy", str(bad), "--kind", "quantum"),
+        "gpt-state-file": ("entropy", square, "--kind", "gpt", "--state-file", str(bad)),
+        "majorize": ("majorize", good, str(bad)),
+    }[call]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: not UTF-8 text\n"
+
+
 def test_schema_error_is_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "rho.json", json.dumps({"dim": 2}))
     code, _, err = run(capsys, "entropy", bad, "--kind", "quantum")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
-from entrokit.classical import SequenceSource, entropy_finite, sequence_from_spec
+from entrokit.classical import SequenceSource, entropy_finite, entropy_sequence, sequence_from_spec
 from entrokit.functionals import (
     BUILTIN_FAMILIES,
     MAX_GRID,
@@ -22,6 +22,8 @@ from entrokit.functionals import (
     make_tsallis,
     validate_functional,
 )
+from entrokit.gpt import ConvexModel, gpt_entropy
+from entrokit.quantum import pure_state, quantum_entropy
 
 LN2 = 0.6931471805599453
 
@@ -329,7 +331,7 @@ def reference_pair(family, param=None):
         if family != "renyi":
             return y
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(y) / (1.0 - param)
+            return np.log(y) / (1.0 - param) + 0.0
 
     return phi, h
 
@@ -360,6 +362,20 @@ def test_builtins_are_the_masked_formulas_bit_for_bit(family, param, F):
     for x in (0.0, 1.0, 5e-324, 0.5):
         assert np.signbit(F.phi(x)) == np.signbit(ref_phi(x)[0])
         assert F.phi(x) == ref_phi(x)[0]
+
+
+@pytest.mark.parametrize("F", [c[2] for c in REFERENCE_CASES], ids=[c[2].name for c in REFERENCE_CASES])
+def test_a_point_mass_has_entropy_plus_zero(F):
+    # Renyi's h, ln(y) / (1 - alpha), once gave -0.0 at y = 1 for alpha > 1.
+    triangle = ConvexModel([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    values = (
+        entropy_finite([1.0], F).value,
+        quantum_entropy(pure_state([1.0, 0.0]), F).value,
+        gpt_entropy(triangle, [0.0, 0.0], F)[0],
+        entropy_sequence(SequenceSource.from_vector([1.0]), F).value,
+    )
+    assert values == (0.0,) * 4
+    assert not np.signbit(values).any()
 
 
 @pytest.mark.parametrize("spec", ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5"])

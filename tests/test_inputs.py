@@ -1,4 +1,4 @@
-"""Non-finite input: every constructor and spec parser raises ValueError before any arithmetic warns."""
+"""Outside input: bad values, extra axes and non-integer counts raise ValueError; stored arrays are copies."""
 
 import math
 import warnings
@@ -13,6 +13,8 @@ from entrokit.classical import (
     bistochastic_from_unitary,
     entropy_finite,
     entropy_table,
+    majorization_margin,
+    majorizes,
     sequence_from_spec,
 )
 from entrokit.functionals import (
@@ -38,6 +40,7 @@ from entrokit.quantum import (
     pure_state,
     random_ensemble,
 )
+from entrokit.rand import random_density, random_density_factor
 
 RHO = DensityOperator(np.diag([0.7, 0.3]))
 
@@ -125,6 +128,11 @@ FLATTENED = {
         lambda: Decomposition(support=(0, 1), weights=[[0.5], [0.5]]),
         r"weights must be 1-d, got shape \(2, 1\)",
     ),
+    "majorizes": (lambda: majorizes([0.5, 0.5], [[0.5, 0.5]]), r"majorization input must be 1-d, got shape \(1, 2\)"),
+    "majorization_margin": (
+        lambda: majorization_margin([[0.5, 0.5]], [0.5, 0.5]),
+        r"majorization input must be 1-d, got shape \(1, 2\)",
+    ),
 }
 
 
@@ -133,3 +141,59 @@ def test_vector_inputs_have_one_axis(name):
     call, message = FLATTENED[name]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+# Each type that stores an array, the caller's array it is built from, and the array it stores.
+OWNERS = {
+    "ProbVector": ([0.25, 0.75], lambda a: ProbVector(a).entries),
+    "BistochasticMatrix": ([[0.25, 0.75], [0.75, 0.25]], lambda a: BistochasticMatrix(a).matrix),
+    "DensityOperator": ([[0.75, 0.0], [0.0, 0.25]], lambda a: DensityOperator(a).matrix),
+    "ConvexModel": ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], lambda a: ConvexModel(a).vertices),
+    "Decomposition": ([0.25, 0.75], lambda a: Decomposition(support=(0, 1), weights=a).weights),
+    "Ensemble": ([[1.0 + 0.0j, 0.0], [0.0, 1.0]], lambda a: Ensemble([0.5, 0.5], a).states),
+}
+
+
+@pytest.mark.parametrize("name", OWNERS)
+def test_a_stored_array_is_a_read_only_copy(name):
+    values, stored_from = OWNERS[name]
+    caller = np.array(values)
+    stored = stored_from(caller)
+    kept = stored.copy()
+    assert caller.flags.writeable and not stored.flags.writeable
+    caller.flat[0] = 0.5
+    assert np.array_equal(stored, kept)
+
+
+@pytest.mark.parametrize("support", [(0, 0.5), (0, -1), (True, False)])
+def test_support_indices_are_distinct_nonnegative_counts(support):
+    # (0, 0.5) was once truncated to (0, 0); (0, -1) and (True, False) were once taken.
+    with pytest.raises(ValueError, match="support"):
+        Decomposition(support=support, weights=[0.5, 0.5])
+
+
+def test_numpy_integer_support_indices_are_ints():
+    dec = Decomposition(support=np.array([2, 0], dtype=np.int64), weights=[0.5, 0.5])
+    assert dec.support == (2, 0) and all(type(i) is int for i in dec.support)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: random_density(3, 0, rank=2.5),
+        lambda: random_density(3, 0, rank=True),
+        lambda: SequenceSource.heavy_tail("3"),
+        lambda: SequenceSource.heavy_tail(2.5),
+    ],
+    ids=["rank=2.5", "rank=True", "offset='3'", "offset=2.5"],
+)
+def test_counts_that_are_not_integers_are_value_errors(call):
+    # rank=2.5 once drew a rank-2 state and rank=True a rank-1 one; offset "3" raised TypeError.
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_integral_counts_of_any_type_are_taken():
+    for rank in (2, 2.0, np.int64(2)):
+        assert random_density_factor(3, 0, rank=rank).shape == (3, 2)
+    assert SequenceSource.heavy_tail(3.0).name == "heavytail:offset=3"
