@@ -41,7 +41,7 @@ from .classical import (
     positions_by_key,
 )
 from .functionals import EntropicFunctional, FunctionalCase, as_count, functional_from_spec
-from .gpt import DIM_CAP, _enumerate, gpt_majorant
+from .gpt import DIM_CAP, ConvexModel, _enumerate, _require_extreme, gpt_majorant
 from .quantum import (
     DensityOperator,
     _complex_pairs,
@@ -55,11 +55,11 @@ from .quantum import (
     pinch,
 )
 from .rand import (
+    _sphere_points,
     as_rng,
     density_from_factor,
     random_density,
     random_interior_point,
-    random_sphere_model,
     random_unitary,
 )
 from .reporting import AuditEntry, AuditReport, build_report
@@ -347,21 +347,23 @@ def _blend_picks(draws: np.ndarray, counts: np.ndarray):
 def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """Blends never beat the basic-decomposition minimum, and the majorant never exceeds it.
 
-    The trial loop only draws: each model, interior point and functional's
-    uniform row.  One _enumerate call, one kernel stack per vertex shape,
-    then finds the basic decompositions and leaves them in each model's
-    cache for gpt_majorant, and with two or more of them each row gives a
-    blend's pair and share t (_blend_picks).  The weights and zero-padded
-    majorant, the join of the weight spectra, which every trial has, are
-    collected.  Each (length, support sizes) key's blends are then built as
-    one (k, length) scatter.  Scoring runs one kernel call per (length,
-    functional): entropy_table scores the blends and majorants, and the
-    weights under from_computation's rule (computed=True).  A trial's minimum is one np.minimum.reduceat over its
-    weight rows, the value minimize_entropy picks.  The margins fill a
-    (trials, 2 * functionals) array by whole columns: no blend beats the
-    minimum (argmin-optimality), and the majorant's entropy is at most it
-    (majorant-minimal); the keep mask drops the blend case of a trial with
-    one decomposition.  Margins are bit for bit a per-trial loop's.
+    The trial loop only draws: each model (built unchecked, then certified
+    one stack per vertex shape), interior point and functional's uniform
+    row.  One _enumerate call, one kernel stack per vertex shape, then finds
+    the basic decompositions and leaves them in each model's cache for
+    gpt_majorant, and with two or more of them each row gives a blend's pair
+    and share t (_blend_picks).  The weights and zero-padded majorant, the
+    join of the weight spectra, which every trial has, are collected.  Each
+    (length, support sizes) key's blends are then built as one (k, length)
+    scatter.  Scoring runs one kernel call per (length, functional):
+    entropy_table scores the blends and majorants, and the weights under
+    from_computation's rule (computed=True).  A trial's minimum is one
+    np.minimum.reduceat over its weight rows, the value minimize_entropy
+    picks.  The margins fill a (trials, 2 * functionals) array by whole
+    columns: no blend beats the minimum (argmin-optimality), and the
+    majorant's entropy is at most it (majorant-minimal); the keep mask drops
+    the blend case of a trial with one decomposition.  Margins are bit for
+    bit a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:
@@ -369,9 +371,12 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     drawn, models, states, draws = [], [], [], []
     for _ in range(trials):
         drawn.append(_draw_dim(rng, dims))
-        models.append(random_sphere_model(int(rng.integers(drawn[-1] + 2, 9)), drawn[-1], rng))
+        points = _sphere_points(int(rng.integers(drawn[-1] + 2, 9)), drawn[-1], rng)
+        models.append(ConvexModel(points, check_extreme=False))
         states.append(random_interior_point(models[-1], rng))
         draws.append(rng.random((len(functionals), 3)))
+    for group in positions_by_key(model.vertices.shape for model in models):
+        _require_extreme(np.stack([models[i].vertices for i in group]))
     found = _enumerate(models, states)
     pick_i, pick_j, shares = _blend_picks(np.array(draws), np.array([len(decs) for decs in found]))
     firsts, weights, majorants, picks = [], [], [], []

@@ -14,11 +14,12 @@ model's affine hull: barycentric coordinates prove most supports unable to
 write it (_screen).  Only the rest reach the exact solve, which alone
 accepts a decomposition and supplies its weights, one stack per support size
 across the models of one vertex shape: one rank test, lstsq on each
-full-rank support, one residual and weight-floor test, bit for bit the
-per-support tests (_exact_solutions).  Decompositions wrap each block's
-rows, checked once.  Model construction screens only the vertices no
-separating hyperplane certifies, all at once.  Each support length is scored
-in one kernel call (entropy_table).
+full-rank support of two or more points (one point has weight 1.0), one
+residual and weight-floor test, bit for bit the per-support tests
+(_exact_solutions).  Decompositions wrap each block's rows, checked once.
+Model construction screens only the vertices no separating hyperplane
+certifies, one certificate per stack of models (_require_extreme).  Each
+support length is scored in one kernel call (entropy_table).
 
 A model keeps the basic decompositions of the last state enumerated for it,
 alone or in a batch (_enumerate), so the entropy and the majorant of one
@@ -117,16 +118,17 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
     support that is enumerated separately.  The rank test is one stacked
     matrix_rank call: numpy's stacked SVD gives each matrix bit for bit the
     singular values of a call on that matrix alone.  lstsq runs on each
-    full-rank system, and the residual and floor tests then run once, on
-    the stacked solutions: numpy's stacked matmul gives each product bit for
-    bit what a @ w on that system alone gives, and max and min are exact, so
+    full-rank system of two or more points (one point has weight 1.0, the
+    only one summing to one); the residual and floor tests run once, on the
+    stacked solutions: numpy's stacked matmul gives each product bit for bit
+    what a @ w on that system alone gives, and max and min are exact, so
     each support is accepted or rejected as its own tests would.
     """
     b = np.ones(a.shape[:2])
     b[:, :-1] = x
     full = np.flatnonzero(np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2])
-    W = np.empty((len(full), a.shape[2]))
-    for i, c in enumerate(full.tolist()):
+    W = np.ones((len(full), a.shape[2]))
+    for i, c in enumerate(full.tolist() if a.shape[2] > 1 else ()):
         W[i], *_ = np.linalg.lstsq(a[c], b[c], rcond=None)
     residual = np.abs((a[full] @ W[..., None])[..., 0] - b[full]).max(axis=1)
     accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))
@@ -271,11 +273,13 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
 
 
 def _certified_extreme(V: np.ndarray) -> np.ndarray:
-    """Which vertices a separating hyperplane proves extreme for the exact solve.
+    """Which vertices a separating hyperplane proves extreme for the exact solve, (m, n) for a stack V (m, n, d).
 
-    V is taken in the centered coordinates (_solve_frame) the exact solve
-    works in.  For an anchor a (the origin, then the vertex centroid),
-    vertex i is certified when c = v_i - a gives
+    Each model of the stack is taken on its own, in the centered
+    coordinates (_solve_frame) the exact solve works in, and the stack
+    shares one Gram stack (m, 2, n, n) and one comparison: row k is bit for
+    bit the call on V[k:k + 1].  For an anchor a (the origin, then the
+    vertex centroid), vertex i is certified when c = v_i - a gives
         m = c.v_i - M > SCREEN_RESIDUAL * (|c|_1 + |M|),  M = max_{j != i} c.v_j.
     Then the exact solve rejects v_i over every support S of other vertices.
     Suppose it accepted weights w.  They are positive, and its residual
@@ -292,18 +296,13 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     < SCREEN_RESIDUAL, and a certified margin exceeds every margin an
     accepted support allows.
     """
-    n, d = V.shape
     V = _solve_frame(V, V)[0]
-    if n < 2 or float(np.abs(V).max()) > CERTIFY_SCALE:
-        return np.zeros(n, dtype=bool)
-    anchors = np.zeros((2, 1, d))
-    anchors[1, 0] = V.mean(axis=0)
-    C = V - anchors
-    G = C @ V.T
-    own = G.diagonal(axis1=1, axis2=2).copy()
-    G[:, range(n), range(n)] = -np.inf
-    M = G.max(axis=2)
-    return (own - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=2) + np.abs(M))).any(axis=0)
+    # A model beyond CERTIFY_SCALE is zeroed, and certifies nothing, as n = 1 does (M = -inf).
+    V = np.where(np.abs(V).max(axis=(1, 2), keepdims=True) <= CERTIFY_SCALE, V, 0.0)
+    C = np.stack([V, V - V.mean(axis=1, keepdims=True)], axis=1)  # anchored at the origin, then the centroid
+    G = C @ V[:, None].transpose(0, 1, 3, 2)
+    M = np.where(np.eye(V.shape[1], dtype=bool), -np.inf, G).max(axis=3)
+    return (G.diagonal(axis1=2, axis2=3) - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=3) + np.abs(M))).any(axis=1)
 
 
 def _first_non_extreme(V: np.ndarray) -> int | None:
@@ -312,21 +311,30 @@ def _first_non_extreme(V: np.ndarray) -> int | None:
     The vertices _certified_extreme leaves are screened together and solved
     in index order: the answer is that of the exact solve on every vertex.
     """
-    uncertified = np.flatnonzero(~_certified_extreme(V))
+    uncertified = np.flatnonzero(~_certified_extreme(V[None])[0])
     if not uncertified.size:
         return None
     found = [p[0] for p, _, _ in _screened_solutions(V[None], V[uncertified][None], (1 << uncertified)[None])]
     return int(uncertified[min(found)]) if found else None
 
 
+def _require_extreme(V: np.ndarray) -> None:
+    """Raise ConvexModel's error for the first model of V (m, n, d) with a non-extreme vertex, certifying V at once."""
+    for k in np.flatnonzero(~_certified_extreme(V).all(axis=1)).tolist():
+        i = _first_non_extreme(V[k])
+        if i is not None:
+            raise ValueError(f"vertex {i} is a convex combination of the others")
+
+
 class ConvexModel:
     """Convex hull of validated extreme points (rows of ``vertices``).
 
-    At most VERTEX_CAP vertices in at most DIM_CAP dimensions, which keeps the
-    subset enumeration exact and fast.  Each vertex is verified extreme at
-    construction by checking it has no convex decomposition over the
-    remaining vertices; check_extreme=False skips that check for inputs
-    known to be extreme.  A simplex needs no test of its own: each of its
+    At most VERTEX_CAP vertices in at most DIM_CAP dimensions, which keeps
+    the subset enumeration exact and fast.  Each vertex is verified extreme
+    at construction by checking it has no convex decomposition over the
+    remaining vertices (_require_extreme); check_extreme=False skips that
+    check for inputs known to be extreme or certified as a stack, as the
+    gpt-argmin audit's are.  A simplex needs no test of its own: each of its
     states has one basic decomposition, its barycentric coordinates.
 
     The model holds one cache entry: the basic decompositions of the last
@@ -350,9 +358,7 @@ class ConvexModel:
         if not np.all(np.isfinite(V)):
             raise ValueError("vertices must be finite")
         if check_extreme:
-            i = _first_non_extreme(V)
-            if i is not None:
-                raise ValueError(f"vertex {i} is a convex combination of the others")
+            _require_extreme(V[None])
         V.setflags(write=False)
         self.vertices = V
         self._decompositions = None

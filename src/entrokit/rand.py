@@ -6,7 +6,7 @@ import numpy as np
 
 from .classical import ProbVector
 from .functionals import as_count
-from .gpt import ConvexModel
+from .gpt import ConvexModel, _norm
 from .quantum import DensityOperator, ginibre, random_isometry  # ginibre and random_isometry are re-exported
 
 SPHERE_MIN_GAP = 0.05  # least distance between two sphere-model vertices
@@ -57,17 +57,20 @@ def random_prob_vector(n: int, rng=None) -> ProbVector:
     return ProbVector.from_computation(rng.dirichlet(np.ones(n)))
 
 
-def random_sphere_model(n_vertices: int, dim: int, rng=None) -> ConvexModel:
-    """A polytope whose vertices sit on the unit sphere, hence all extreme."""
-    rng = as_rng(rng)
+def _sphere_points(n_vertices: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit vectors in R^dim, pairwise at least SPHERE_MIN_GAP apart: random_sphere_model's vertices."""
     for _ in range(256):
         pts = rng.standard_normal((n_vertices, dim))
-        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        gaps = gaps + np.eye(n_vertices)  # ignore the diagonal
+        pts = pts / _norm(pts, 1)[:, None]
+        gaps = _norm(pts[:, None, :] - pts[None, :, :], 2) + np.eye(n_vertices)  # the diagonal is ignored
         if float(gaps.min()) >= SPHERE_MIN_GAP:
-            return ConvexModel(pts)
+            return pts
     raise RuntimeError("failed to place well-separated sphere vertices")
+
+
+def random_sphere_model(n_vertices: int, dim: int, rng=None) -> ConvexModel:
+    """A polytope whose vertices sit on the unit sphere, hence all extreme."""
+    return ConvexModel(_sphere_points(n_vertices, dim, as_rng(rng)))
 
 
 def random_simplex_model(dim: int, rng=None) -> ConvexModel:

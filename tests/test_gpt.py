@@ -61,13 +61,14 @@ def oracle_decompositions(vertices, x, tol=1e-9):
 
 
 def reference_solve_support(points, x):
-    """The exact solve of one support, written out on its own: rank, lstsq, checks."""
+    """The exact solve of one support, written out on its own: rank, lstsq (two or more points), checks."""
     k = points.shape[0]
     a = np.vstack([points.T, np.ones((1, k))])
     if np.linalg.matrix_rank(a, tol=PIVOT_TOL) < k:
         return None
     b = np.concatenate([x, [1.0]])
-    w, *_ = np.linalg.lstsq(a, b, rcond=None)
+    # A one-point support's weight is 1.0, the only weight that sums to one.
+    w = np.ones(1) if k == 1 else np.linalg.lstsq(a, b, rcond=None)[0]
     if float(np.max(np.abs(a @ w - b))) > RESIDUAL_TOL:
         return None
     if float(w.min()) <= WEIGHT_FLOOR:
@@ -182,6 +183,22 @@ def test_vertex_decomposes_as_itself():
     assert len(decs) == 1
     assert decs[0].support == (0,)
     assert decs[0].weights[0] == 1.0
+
+
+def test_every_vertex_has_entropy_plus_zero():
+    # a vertex's one-point support has the weight 1.0 exactly, so every
+    # functional is +0.0 there
+    rng = as_rng(127)
+    functionals = [functional_from_spec(spec) for spec in DEFAULT_FUNCTIONAL_SPECS]
+    models = [ConvexModel(TRIANGLE), ConvexModel(SQUARE)]
+    models += [random_simplex_model(d, rng) for d in range(1, 5)]
+    models += [random_sphere_model(n, d, rng) for d in range(2, 5) for n in (d + 2, 8, VERTEX_CAP)]
+    for model in models:
+        for v in model.vertices:
+            for F in functionals:
+                value, dec = gpt_entropy(model, v, F)
+                assert len(dec.support) == 1 and dec.weights[0] == 1.0, (model, F.name)
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0, (model, F.name)
 
 
 def test_outside_point_has_no_decomposition():
@@ -486,9 +503,9 @@ def test_sphere_models_at_audit_sizes_are_fully_certified(monkeypatch):
         for n in (*range(d + 2, 9), VERTEX_CAP):
             for _ in range(5):
                 model = random_sphere_model(n, d, rng)  # builds a checked ConvexModel
-                assert gpt._certified_extreme(model.vertices).all()
+                assert gpt._certified_extreme(model.vertices[None]).all()
     # beyond CERTIFY_SCALE rounding could outgrow the bound, so nothing is certified
-    assert not gpt._certified_extreme(2.0 * gpt.CERTIFY_SCALE * model.vertices).any()
+    assert not gpt._certified_extreme(2.0 * gpt.CERTIFY_SCALE * model.vertices[None]).any()
 
 
 @pytest.mark.parametrize("push", [1e-10, 1e-7])
@@ -498,7 +515,7 @@ def test_vertex_pushed_out_of_a_face_by_less_than_the_bound_goes_to_the_exact_so
     # otherwise, and the certificate, which needs a margin near 2e-6 here,
     # leaves the verdict to it either way
     V = np.array(SQUARE + [[1.0 + push, 0.0]])
-    assert list(np.flatnonzero(~gpt._certified_extreme(V))) == [4]
+    assert list(np.flatnonzero(~gpt._certified_extreme(V[None])[0])) == [4]
     screened = []
     screen = gpt._screen
     monkeypatch.setattr(gpt, "_screen", lambda *args: screened.append(1) or screen(*args))
@@ -608,7 +625,7 @@ def test_extremality_in_flat_models_is_the_unscreened_check(monkeypatch, turned,
     # beyond CERTIFY_SCALE nothing is certified, and the hull screen proves
     # every support of a flat model empty
     screened, solves = record_screens_and_solves(monkeypatch)
-    assert not gpt._certified_extreme(3e8 * V).any()
+    assert not gpt._certified_extreme(3e8 * V[None]).any()
     assert gpt._first_non_extreme(3e8 * V) is None
     assert screened == [(1, math.comb(8, 3), 3, 3)]
     assert height or not solves
@@ -682,12 +699,91 @@ def test_models_beyond_the_certify_scale_are_proven_extreme_without_a_solve(monk
     # the hyperplane certificate stops at CERTIFY_SCALE; the simplex screen,
     # on coordinates rescaled by powers of two, needs no exact solve here
     V = random_sphere_model(8, 3, as_rng(97)).vertices * np.array([3e8, 3e8, 3e8 * squash])
-    assert not gpt._certified_extreme(V).any()
+    assert not gpt._certified_extreme(V[None]).any()
     assert reference_first_non_extreme(V) is None
     sent, exact = [], gpt._exact_solutions
     monkeypatch.setattr(gpt, "_exact_solutions", lambda a, x: sent.append(len(a)) or exact(a, x))
     assert gpt._first_non_extreme(V) is None
     assert sum(sent) == 0
+
+
+def reference_certified_extreme(V):
+    """The hyperplane certificate of one model (n, d), written out an anchor at a time."""
+    n, d = V.shape
+    V = gpt._solve_frame(V, V)[0]
+    certified = np.zeros(n, dtype=bool)
+    if n < 2 or float(np.abs(V).max()) > gpt.CERTIFY_SCALE:
+        return certified
+    for anchor in (np.zeros(d), V.mean(axis=0)):
+        C = V - anchor
+        G = C @ V.T
+        own = G.diagonal().copy()
+        np.fill_diagonal(G, -np.inf)
+        M = G.max(axis=1)
+        certified |= own - M > gpt.SCREEN_RESIDUAL * (np.abs(C).sum(axis=1) + np.abs(M))
+    return certified
+
+
+def mixed_scale_models(n, d, rng):
+    """Models of one vertex shape at the scales the certificate meets, beyond CERTIFY_SCALE included."""
+    points = rng.standard_normal((n, d))
+    sphere = points / np.linalg.norm(points, axis=1, keepdims=True)
+    flat = sphere * np.r_[np.ones(d - 1), 1e-7]
+    return [sphere, sphere + 1e8, sphere * 3e7, flat, points, np.round(points), sphere * 2.0 * gpt.CERTIFY_SCALE]
+
+
+def test_stacked_certificate_is_each_models_own():
+    # every row of a stacked call is, bit for bit, the stack of one of that
+    # model and the per-anchor certificate; the stacks mix scales, so some
+    # models skip the certificate while others in the same call take it
+    rng = as_rng(109)
+    seen = set()
+    for d in range(1, gpt.DIM_CAP + 1):
+        for n in range(1, VERTEX_CAP + 1):
+            for _ in range(4):
+                pool = mixed_scale_models(n, d, rng)
+                for m in range(1, 6):
+                    stack = np.stack([pool[i] for i in rng.integers(0, len(pool), m)])
+                    got = gpt._certified_extreme(stack)
+                    assert got.shape == (m, n)
+                    for V, mask in zip(stack, got):
+                        assert np.array_equal(mask, gpt._certified_extreme(V[None])[0])
+                        assert np.array_equal(mask, reference_certified_extreme(V))
+                        seen.add((bool(mask.all()), bool(mask.any())))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_stacked_certificate_names_the_first_non_extreme_model_and_vertex():
+    rng = as_rng(113)
+    spheres = [random_sphere_model(5, 2, rng).vertices for _ in range(3)]
+    gpt._require_extreme(np.stack(spheres))
+    midpoint = _with_vertex(np.array(SQUARE), 1, [1.0, 0.0])  # vertex 1 halves the edge (0, 2)
+    center = _with_vertex(np.array(SQUARE), 3, [0.0, 0.0])
+    assert reference_first_non_extreme(midpoint) == 1 and reference_first_non_extreme(center) == 3
+    for position in range(len(spheres) + 1):
+        stack = np.stack(spheres[:position] + [midpoint] + spheres[position:])
+        with pytest.raises(ValueError, match="^vertex 1 is a convex combination of the others$"):
+            gpt._require_extreme(stack)
+    for first, i in ((midpoint, 1), (center, 3)):
+        with pytest.raises(ValueError, match=f"^vertex {i} is a convex combination of the others$"):
+            gpt._require_extreme(np.stack([spheres[0], first, midpoint, center]))
+        with pytest.raises(ValueError, match=f"^vertex {i} is a convex combination of the others$"):
+            ConvexModel(first)
+
+
+def test_gpt_argmin_certifies_every_model_once_per_vertex_shape(monkeypatch):
+    # sphere vertices are all certified, so no model reaches the screen and
+    # exact solve of _first_non_extreme, and each shape takes one certificate
+    def must_not_run(V):
+        raise AssertionError("a sphere model went on to the exact extremality check")
+
+    stacks, certify = [], gpt._certified_extreme
+    monkeypatch.setattr(gpt, "_first_non_extreme", must_not_run)
+    monkeypatch.setattr(gpt, "_certified_extreme", lambda V: stacks.append(V.shape) or certify(V))
+    report = run_audit("gpt-argmin", trials=40)
+    assert report.cases and report.violations == 0
+    assert sum(m for m, _, _ in stacks) == 40
+    assert len(stacks) == len({shape[1:] for shape in stacks})
 
 
 def test_decomposition_validation():
