@@ -87,7 +87,8 @@ class EntropyStatus(Enum):
 
     EXACT: the value is the entropy (finite input, gpt minimum, or a sequence
         whose certified tail remainder is folded in, also when max_terms ran out).
-    TRUNCATED_ESTIMATE: the value is a truncated sum of a sequence without a certified tail.
+    TRUNCATED_ESTIMATE: the value is a truncated sum of a sequence without a certified tail
+        (for tsallis with q > 1, plus the unread mass over q - 1; entropy_sequence).
     DECLARED_DIVERGENT: max_terms ran out with the phi-sum still growing; the value is +inf.
     OUTSIDE_HULL: the gpt state is outside the model's hull; value +inf, decomposition null.
     """
@@ -439,7 +440,10 @@ def entropy_sequence(
     the truncated estimate is returned instead.  The slope is finite when
     the pair declares ``powers`` and its smallest exponent is at least 1;
     among the built-ins that is tsallis with q > 1, of slope 1/(q - 1).
-    Shannon and custom pairs are taken to have an infinite one.
+    Shannon and custom pairs are taken to have an infinite one.  If such a
+    pair's a is 1 (tsallis), the x terms left unread sum to the unread mass
+    m = max(0, 1 - sum_{i < end} p_i), exactly rounded from the values
+    read, and a truncated estimate folds m / d in.
 
     The source is read in blocks that double from STOP_WINDOW up to
     MAX_BLOCK terms and never reach past ``max_terms``.  The window rule
@@ -457,14 +461,22 @@ def entropy_sequence(
     # any stream, a divergent one too, after its first window.
     if not (0.0 < increment_tol < math.inf):
         raise ValueError(f"increment_tol must be finite and positive, got {increment_tol!r}")
-    partial = 0.0
-    n = 0
-    last_chunk = math.inf
-    block = STOP_WINDOW
+    partial, n, last_chunk, block = 0.0, 0, math.inf, STOP_WINDOW
     certified = src.tail is not None and src.tail.remainder(F, 0) is not None
+    finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
+    mass_term, read = finite_slope and F.powers[0] == 1.0, []  # the values read are kept for the mass alone
+
+    def truncated(phi_sum, end, chunk) -> EntropyResult:
+        if mass_term:
+            phi_sum += max(0.0, -math.fsum(np.concatenate([[-1.0], *read])[: end + 1])) / F.powers[2]
+        return EntropyResult(float(F.h(phi_sum)), EntropyStatus.TRUNCATED_ESTIMATE, end, chunk)
+
     while n < max_terms:
         stop = min(n + block, max_terms)
-        phis = np.asarray(F.phi(src.values(n, stop)))
+        values = src.values(n, stop)
+        if mass_term:
+            read.append(values)
+        phis = np.asarray(F.phi(values))
         full = phis.size // STOP_WINDOW
         # The window sums behind the running partial, the short last window
         # too: a cumsum adds them to it one by one, as a loop would.
@@ -486,14 +498,12 @@ def entropy_sequence(
             small = np.flatnonzero(chunks[:full] < increment_tol)
             if small.size:
                 k = int(small[0])
-                end, value = n + STOP_WINDOW * (k + 1), float(F.h(sums[k + 1]))
-                return EntropyResult(value, EntropyStatus.TRUNCATED_ESTIMATE, end, float(chunks[k]))
+                return truncated(sums[k + 1], n + STOP_WINDOW * (k + 1), float(chunks[k]))
         partial, n, last_chunk = float(sums[-1]), stop, float(chunks[-1])
         block = min(2 * block, MAX_BLOCK)
-    finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
     if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
-    return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+    return truncated(partial, n, last_chunk)
 
 
 def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:

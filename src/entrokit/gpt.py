@@ -18,8 +18,9 @@ full-rank support of two or more points (one point has weight 1.0), one
 residual and weight-floor test, bit for bit the per-support tests
 (_exact_solutions).  Decompositions wrap each block's rows, checked once.
 Model construction screens only the vertices no separating hyperplane
-certifies, one certificate per stack of models (_require_extreme).  Each
-support length is scored in one kernel call (entropy_table).
+certifies: one certificate per stack of models, then one screened solve
+for every vertex it leaves (_require_extreme).  Each support length is
+scored in one kernel call (entropy_table).
 
 A model keeps the basic decompositions of the last state enumerated for it,
 alone or in a batch (_enumerate), so the entropy and the majorant of one
@@ -305,25 +306,19 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     return (G.diagonal(axis1=2, axis2=3) - M > SCREEN_RESIDUAL * (np.abs(C).sum(axis=3) + np.abs(M))).any(axis=1)
 
 
-def _first_non_extreme(V: np.ndarray) -> int | None:
-    """Smallest index of a vertex that is a convex combination of the others.
-
-    The vertices _certified_extreme leaves are screened together and solved
-    in index order: the answer is that of the exact solve on every vertex.
-    """
-    uncertified = np.flatnonzero(~_certified_extreme(V[None])[0])
-    if not uncertified.size:
-        return None
-    found = [p[0] for p, _, _ in _screened_solutions(V[None], V[uncertified][None], (1 << uncertified)[None])]
-    return int(uncertified[min(found)]) if found else None
-
-
 def _require_extreme(V: np.ndarray) -> None:
-    """Raise ConvexModel's error for the first model of V (m, n, d) with a non-extreme vertex, certifying V at once."""
-    for k in np.flatnonzero(~_certified_extreme(V).all(axis=1)).tolist():
-        i = _first_non_extreme(V[k])
-        if i is not None:
-            raise ValueError(f"vertex {i} is a convex combination of the others")
+    """Raise ConvexModel's error for the first model of V (m, n, d) with a non-extreme vertex, naming its smallest.
+
+    One certificate runs on the stack; one screened solve then takes every
+    vertex of the models it leaves, each excluding its own bit, or every
+    bit if certified: the first problem solved is the one to name.
+    """
+    certified, n = _certified_extreme(V), V.shape[1]
+    left = np.flatnonzero(~certified.all(axis=1))
+    exclude = np.where(certified[left], (1 << n) - 1, 1 << np.arange(n))
+    found = [p[0] for p, _, _ in _screened_solutions(V[left], V[left], exclude)] if left.size else []
+    if found:
+        raise ValueError(f"vertex {min(found) % n} is a convex combination of the others")
 
 
 class ConvexModel:

@@ -28,15 +28,6 @@ def random_state_vector(d: int, rng=None) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_factor(d: int, rng=None, rank: int | None = None) -> np.ndarray:
-    """The complex Gaussian G, d x ``rank`` (read by as_count), that random_density normalizes: the draw alone."""
-    rng = as_rng(rng)
-    r = d if rank is None else as_count(rank, "rank")
-    if not 1 <= r <= d:
-        raise ValueError(f"rank must be in [1, {d}], got {r}")
-    return ginibre(d, r, rng)
-
-
 def density_from_factor(g) -> np.ndarray:
     """G G* / Tr(G G*) for one factor G, or for each of a (k, d, r) stack.
 
@@ -47,8 +38,11 @@ def density_from_factor(g) -> np.ndarray:
 
 
 def random_density(d: int, rng=None, rank: int | None = None) -> DensityOperator:
-    """rho = G G* / Tr(G G*) for a complex Gaussian G with ``rank`` columns."""
-    return DensityOperator(density_from_factor(random_density_factor(d, rng, rank)))
+    """rho = G G* / Tr(G G*) for G = ginibre(d, ``rank``), the rank read by as_count and d by default."""
+    r = d if rank is None else as_count(rank, "rank")
+    if not 1 <= r <= d:
+        raise ValueError(f"rank must be in [1, {d}], got {r}")
+    return DensityOperator(density_from_factor(ginibre(d, r, as_rng(rng))))
 
 
 def random_prob_vector(n: int, rng=None) -> ProbVector:

@@ -863,8 +863,10 @@ def test_a_sequence_reads_each_index_once():
         calls.update(idx.tolist())
         return 6.0 / (np.pi * (idx + 1.0)) ** 2
 
-    entropy_sequence(SequenceSource(fn, declared_monotone=True), make_shannon(), max_terms=300)
-    assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
+    for F in (make_shannon(), make_tsallis(2.0)):  # the unread mass of tsallis comes from the values read
+        calls.clear()
+        entropy_sequence(SequenceSource(fn, declared_monotone=True), F, max_terms=300)
+        assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
     bump = SequenceSource(fn=lambda idx: np.where(idx < 64, 0.001, 0.002), declared_monotone=True, name="bump")
     with pytest.raises(ValueError, match="declared monotone but increased"):
         entropy_sequence(bump, make_shannon(), max_terms=300)
@@ -1032,6 +1034,29 @@ def test_heavy_tail_tsallis_above_one_is_bounded(q):
     assert res.terms_used == 20_000
 
 
+@pytest.mark.parametrize(
+    "q, want", [(1.5, (1.1378738214, 1.1378635879)), (2.0, (0.7328065022, 0.7328065000)), (3.0, (0.4387113067,) * 2)]
+)
+def test_truncated_heavy_tail_tsallis_folds_in_its_unread_mass(q, want):
+    # phi(x) = (x - x**q) / (q - 1): the x terms left unread sum to the mass
+    # m, and their x**q terms to at most k c**q + r**q, with c = p_{n-1} the
+    # largest term left, k = floor(m / c) and r = m - k c (the tail of mass m
+    # and cap c that majorizes all others).  The blocked sum rounds each term
+    # through at most STOP_WINDOW additions in its window and n / STOP_WINDOW
+    # in the running sum.
+    src, F = sequence_from_spec("heavytail"), make_tsallis(q)
+    for n, value in zip((10_000, 1_000_000), want):
+        res = entropy_sequence(src, F, max_terms=n)
+        assert res.status is EntropyStatus.TRUNCATED_ESTIMATE and res.terms_used == n
+        p = src.values(0, n)
+        m, c = -math.fsum([-1.0, *p.tolist()]), float(p[-1])
+        k = math.floor(m / c)
+        upper = math.fsum(F.phi(p).tolist()) + m / (q - 1.0)
+        rounding = (STOP_WINDOW + n // STOP_WINDOW + 4) * 2.0**-52 * upper
+        assert upper - (k * c**q + (m - k * c) ** q) / (q - 1.0) - rounding <= res.value <= upper + rounding
+        assert abs(res.value - value) <= 1e-9
+
+
 def test_heavy_tail_tsallis_below_one_and_custom_pairs_stay_divergent():
     src = sequence_from_spec("heavytail")
     shannon = make_shannon()
@@ -1046,9 +1071,20 @@ def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
     partial = 0.0
     n = 0
     last_chunk = math.inf
+    read = []
+    # tsallis with q > 1 is the built-in whose phi has a finite slope at 0+: its sum is bounded,
+    # and a truncated read adds its x term's tail, the unread mass, over q - 1.
+    bounded = F.family == "tsallis" and F.params["q"] > 1.0
+
+    def truncated(partial, n, last_chunk):
+        if bounded:
+            partial += max(0, 1 - sum(map(Fraction, read))) / (F.params["q"] - 1.0)
+        return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+
     while n < max_terms:
         stop = min(n + STOP_WINDOW, max_terms)
         vals = src.values(n, stop)
+        read.extend(vals.tolist() if bounded else ())
         chunk = float(np.sum(np.asarray(F.phi(vals))))
         partial += chunk
         full_window = stop - n == STOP_WINDOW
@@ -1060,13 +1096,12 @@ def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
             if abs(rem) < increment_tol:
                 return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
         elif full_window and last_chunk < increment_tol:
-            return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+            return truncated(partial, n, last_chunk)
     if rem is not None:
         return EntropyResult(float(F.h(partial + rem)), EntropyStatus.EXACT, n, abs(rem))
-    # tsallis with q > 1 is the built-in whose phi has a finite slope at 0+: its sum is bounded.
-    if F.case is FunctionalCase.INCREASING_CONCAVE and not (F.family == "tsallis" and F.params["q"] > 1.0):
+    if F.case is FunctionalCase.INCREASING_CONCAVE and not bounded:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)
-    return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
+    return truncated(partial, n, last_chunk)
 
 
 def assert_blocked_is_windowed(src, F, **kwargs):
@@ -1085,7 +1120,7 @@ def test_blocked_geometric_is_the_windowed_loop(r):
 
 def test_blocked_heavy_tail_and_finite_are_the_windowed_loop():
     heavy = SequenceSource.heavy_tail()
-    for spec in ("shannon", "renyi:alpha=2"):
+    for spec in ("shannon", "renyi:alpha=2", "tsallis:q=2"):
         for max_terms in (10, 1000, 100_001):
             assert_blocked_is_windowed(heavy, functional_from_spec(spec), max_terms=max_terms)
     rng = np.random.default_rng(23)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ def reference_first_non_extreme(V):
         others = np.delete(V, i, axis=0)
         if others.shape[0] and next(reference_solutions(others, V[i], d), None) is not None:
             return i
+    return None
+
+
+def first_non_extreme(V):
+    """The vertex _require_extreme names for the one model V (n, d), or None when it raises nothing."""
+    try:
+        gpt._require_extreme(V[None])
+    except ValueError as error:
+        return int(re.fullmatch(r"vertex (\d+) is a convex combination of the others", str(error))[1])
     return None
 
 
@@ -448,11 +458,11 @@ def test_stacked_enumeration_is_the_per_state_enumeration(monkeypatch):
     # the unscreened check works in raw coordinates, so offset models skip it
     for V in vertex_sets:
         unscreened = len(V) <= 6 and np.abs(V).max() < gpt.SOLVE_SCALE
-        assert gpt._first_non_extreme(V) is None
+        assert first_non_extreme(V) is None
         assert not unscreened or reference_first_non_extreme(V) is None
         if len(V) > V.shape[1] + 1:
             W = _with_vertex(V, 1, V[: V.shape[1] + 1].mean(axis=0))
-            assert gpt._first_non_extreme(W) == 1
+            assert first_non_extreme(W) == 1
             assert not unscreened or reference_first_non_extreme(W) == 1
 
 
@@ -472,7 +482,7 @@ def test_extremality_names_the_same_vertex_as_the_unscreened_check(d):
 def _assert_extremality_is_the_unscreened_check(V):
     d = V.shape[1]
     assert reference_first_non_extreme(V) is None
-    assert gpt._first_non_extreme(V) is None
+    assert first_non_extreme(V) is None
     ConvexModel(V)
     a, b = hull_edge(V)
     nudge = np.full(d, 1e-11 / math.sqrt(d))
@@ -487,7 +497,7 @@ def _assert_extremality_is_the_unscreened_check(V):
     for label, W in bad.items():
         i = reference_first_non_extreme(W)
         assert i is not None, label
-        assert gpt._first_non_extreme(W) == i, label
+        assert first_non_extreme(W) == i, label
         with pytest.raises(ValueError, match=f"^vertex {i} is a convex combination of the others$"):
             ConvexModel(W)
 
@@ -521,7 +531,7 @@ def test_vertex_pushed_out_of_a_face_by_less_than_the_bound_goes_to_the_exact_so
     monkeypatch.setattr(gpt, "_screen", lambda *args: screened.append(1) or screen(*args))
     want = reference_first_non_extreme(V)
     assert want == (4 if push < gpt.RESIDUAL_TOL else None)
-    assert gpt._first_non_extreme(V) == want
+    assert first_non_extreme(V) == want
     assert screened
 
 
@@ -626,7 +636,7 @@ def test_extremality_in_flat_models_is_the_unscreened_check(monkeypatch, turned,
     # every support of a flat model empty
     screened, solves = record_screens_and_solves(monkeypatch)
     assert not gpt._certified_extreme(3e8 * V[None]).any()
-    assert gpt._first_non_extreme(3e8 * V) is None
+    assert first_non_extreme(3e8 * V) is None
     assert screened == [(1, math.comb(8, 3), 3, 3)]
     assert height or not solves
 
@@ -703,7 +713,7 @@ def test_models_beyond_the_certify_scale_are_proven_extreme_without_a_solve(monk
     assert reference_first_non_extreme(V) is None
     sent, exact = [], gpt._exact_solutions
     monkeypatch.setattr(gpt, "_exact_solutions", lambda a, x: sent.append(len(a)) or exact(a, x))
-    assert gpt._first_non_extreme(V) is None
+    assert first_non_extreme(V) is None
     assert sum(sent) == 0
 
 
@@ -772,18 +782,34 @@ def test_stacked_certificate_names_the_first_non_extreme_model_and_vertex():
 
 
 def test_gpt_argmin_certifies_every_model_once_per_vertex_shape(monkeypatch):
-    # sphere vertices are all certified, so no model reaches the screen and
-    # exact solve of _first_non_extreme, and each shape takes one certificate
-    def must_not_run(V):
-        raise AssertionError("a sphere model went on to the exact extremality check")
+    # sphere vertices are all certified, so no model goes on to the screened
+    # solve of _require_extreme, and each shape takes one certificate
+    stacks, masks, certified_extreme = [], [], gpt._certified_extreme
 
-    stacks, certify = [], gpt._certified_extreme
-    monkeypatch.setattr(gpt, "_first_non_extreme", must_not_run)
-    monkeypatch.setattr(gpt, "_certified_extreme", lambda V: stacks.append(V.shape) or certify(V))
+    def certify(V):
+        stacks.append(V.shape)
+        masks.append(certified_extreme(V))
+        return masks[-1]
+
+    monkeypatch.setattr(gpt, "_certified_extreme", certify)
     report = run_audit("gpt-argmin", trials=40)
     assert report.cases and report.violations == 0
+    assert all(mask.all() for mask in masks)
     assert sum(m for m, _, _ in stacks) == 40
     assert len(stacks) == len({shape[1:] for shape in stacks})
+
+
+def test_one_certificate_per_stack(monkeypatch):
+    # the circle is certified; scaled past CERTIFY_SCALE it is extreme but
+    # uncertified; the square's appended center is the stack's one fault
+    circle = random_sphere_model(5, 2, as_rng(127)).vertices
+    stack = np.stack([circle, 3e8 * circle, np.array(SQUARE + [[0.0, 0.0]])])
+    calls, certify = [], gpt._certified_extreme
+    assert [mask.all() for mask in certify(stack)] == [True, False, False]
+    monkeypatch.setattr(gpt, "_certified_extreme", lambda V: calls.append(V.shape) or certify(V))
+    with pytest.raises(ValueError, match="^vertex 4 is a convex combination of the others$"):
+        gpt._require_extreme(stack)
+    assert calls == [(3, 5, 2)]
 
 
 def test_decomposition_validation():

@@ -40,7 +40,7 @@ from entrokit.quantum import (
     pure_state,
     random_ensemble,
 )
-from entrokit.rand import random_density, random_density_factor
+from entrokit.rand import random_density
 
 RHO = DensityOperator(np.diag([0.7, 0.3]))
 
@@ -194,6 +194,8 @@ def test_counts_that_are_not_integers_are_value_errors(call):
 
 
 def test_integral_counts_of_any_type_are_taken():
-    for rank in (2, 2.0, np.int64(2)):
-        assert random_density_factor(3, 0, rank=rank).shape == (3, 2)
+    want = random_density(3, 0, rank=2).matrix
+    assert np.linalg.matrix_rank(want) == 2
+    for rank in (2.0, np.int64(2)):
+        assert np.array_equal(random_density(3, 0, rank=rank).matrix, want)
     assert SequenceSource.heavy_tail(3.0).name == "heavytail:offset=3"

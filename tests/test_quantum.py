@@ -32,7 +32,6 @@ from entrokit.rand import (
     density_from_factor,
     ginibre,
     random_density,
-    random_density_factor,
     random_isometry,
     random_state_vector,
     random_unitary,
@@ -324,11 +323,11 @@ def test_stacked_forms_are_the_single_calls_bit_for_bit(d):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_stacked_density_draws_are_the_single_draws(d):
     rng = as_rng(200 + d)
-    factors = [random_density_factor(d, rng) for _ in range(3)]
+    factors = [ginibre(d, d, rng) for _ in range(3)]
     stacked = density_from_factor(np.array(factors))
     for t, g in enumerate(factors):
         assert_same_bits(stacked[t], density_from_factor(g))
-    drawn = DensityOperator(density_from_factor(random_density_factor(d, as_rng(7), rank=1)))
+    drawn = DensityOperator(density_from_factor(ginibre(d, 1, as_rng(7))))
     assert_same_bits(random_density(d, as_rng(7), rank=1).matrix, drawn.matrix)
 
 
@@ -356,7 +355,7 @@ def test_random_isometry_is_haar_isometry_of_its_draw():
 def test_a_stack_of_one_is_the_unstacked_call():
     rng = as_rng(211)
     for d in (1, 3, 6):
-        g = random_density_factor(d, rng)
+        g = ginibre(d, d, rng)
         rho = DensityOperator(density_from_factor(g))
         one = DensityOperator(density_from_factor(g[None]))
         assert not rho.stacked and one.stacked
