@@ -14,8 +14,8 @@ so a body only draws and scores.
 Every suite draws all its cases first and scores them afterwards, one
 kernel call per (vector length, functional).  Its draws, and each margin
 bit for bit, are those of a loop that scores every case as it is drawn.
-The trial loops only draw (each Gaussian as the real pair of one
-standard_normal call, as ginibre reads it), and the linear algebra runs
+The trial loops only draw (each Gaussian as the real pair ginibre reads,
+a pinching trial's two from one call), and the linear algebra runs
 once per stack of trials that share a shape, by the private kernels of
 classical and quantum.  Suites that hold one stack per dimension score it
 with classical._entropy_columns, the others through entropy_table.  The
@@ -198,24 +198,24 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
 def run_pinching_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     """H never drops under pinching, with equality in the eigenbasis.
 
-    The trial loop only draws: each dimension, the Gaussian factor of the
-    state and that of its random unitary.  The linear algebra then runs
+    The trial loop only draws: each dimension, then in one call the Gaussian
+    factor of the state and that of its random unitary.  The algebra runs
     once per dimension, on the stack of that dimension's trials: one
     DensityOperator, one _eigensystems, one haar_isometry and two pinch
     calls, in the random bases and in the eigenbases.  The spectra and both
     diagonals of a dimension are scored by one _entropy_columns call.
     """
-    drawn_dims, factors, gaussians = [], [], []
+    drawn_dims, draws = [], []
     for _ in range(trials):
         d = _draw_dim(rng, dims)
         drawn_dims.append(d)
-        factors.append(rng.standard_normal((2, d, d)))  # random_density's ginibre draw
-        gaussians.append(rng.standard_normal((2, d, d)))  # random_unitary's ginibre draw
+        draws.append(rng.standard_normal((2, 2, d, d)))  # random_density's, then random_unitary's ginibre draw
     margins = np.empty((trials, 2 * len(functionals)))
     for idx in positions_by_key(drawn_dims):
-        rho = DensityOperator(density_from_factor(_complex_pairs(_stack(factors, idx))))
+        pairs = _stack(draws, idx)
+        rho = DensityOperator(density_from_factor(_complex_pairs(pairs[:, 0])))
         spectra, eigenbases = _eigensystems(rho.matrix)
-        bases = haar_isometry(_complex_pairs(_stack(gaussians, idx)))
+        bases = haar_isometry(_complex_pairs(pairs[:, 1]))
         rows = np.concatenate([spectra, pinch(rho, bases), pinch(rho, eigenbases)])
         base, pinched, pinned = np.split(_entropy_columns(rows, functionals), 3)
         margins[idx, 0::2] = pinched - base

@@ -87,8 +87,8 @@ class EntropyStatus(Enum):
 
     EXACT: the value is the entropy (finite input, gpt minimum, or a sequence
         whose certified tail remainder is folded in, also when max_terms ran out).
-    TRUNCATED_ESTIMATE: the value is a truncated sum of a sequence without a certified tail
-        (for tsallis with q > 1, plus the unread mass over q - 1; entropy_sequence).
+    TRUNCATED_ESTIMATE: the value is a truncated sum of a sequence without a certified tail (entropy_sequence;
+        tsallis q > 1 adds the unread mass, summed in the phi-sum's windows, over q - 1).
     DECLARED_DIVERGENT: max_terms ran out with the phi-sum still growing; the value is +inf.
     OUTSIDE_HULL: the gpt state is outside the model's hull; value +inf, decomposition null.
     """
@@ -442,8 +442,9 @@ def entropy_sequence(
     among the built-ins that is tsallis with q > 1, of slope 1/(q - 1).
     Shannon and custom pairs are taken to have an infinite one.  If such a
     pair's a is 1 (tsallis), the x terms left unread sum to the unread mass
-    m = max(0, 1 - sum_{i < end} p_i), exactly rounded from the values
-    read, and a truncated estimate folds m / d in.
+    m = max(0, 1 - sum_{i < end} p_i), and a truncated estimate folds m / d
+    in.  The mass is summed in the phi-sum's windows and cumsum, so it is
+    off by at most (STOP_WINDOW + end / STOP_WINDOW) eps, as that sum is.
 
     The source is read in blocks that double from STOP_WINDOW up to
     MAX_BLOCK terms and never reach past ``max_terms``.  The window rule
@@ -461,45 +462,42 @@ def entropy_sequence(
     # any stream, a divergent one too, after its first window.
     if not (0.0 < increment_tol < math.inf):
         raise ValueError(f"increment_tol must be finite and positive, got {increment_tol!r}")
-    partial, n, last_chunk, block = 0.0, 0, math.inf, STOP_WINDOW
     certified = src.tail is not None and src.tail.remainder(F, 0) is not None
     finite_slope = F.powers is not None and min(e for e in F.powers[:2] if e is not None) >= 1.0
-    mass_term, read = finite_slope and F.powers[0] == 1.0, []  # the values read are kept for the mass alone
+    mass_term = finite_slope and F.powers[0] == 1.0 and not certified
+    partial, n, last_chunk, block = np.zeros(1 + mass_term), 0, math.inf, STOP_WINDOW  # phi-sum[, mass]
 
-    def truncated(phi_sum, end, chunk) -> EntropyResult:
-        if mass_term:
-            phi_sum += max(0.0, -math.fsum(np.concatenate([[-1.0], *read])[: end + 1])) / F.powers[2]
+    def truncated(run, end, chunk) -> EntropyResult:
+        phi_sum = run[0] + max(0.0, 1.0 - run[1]) / F.powers[2] if mass_term else run[0]
         return EntropyResult(float(F.h(phi_sum)), EntropyStatus.TRUNCATED_ESTIMATE, end, chunk)
 
     while n < max_terms:
         stop = min(n + block, max_terms)
         values = src.values(n, stop)
-        if mass_term:
-            read.append(values)
-        phis = np.asarray(F.phi(values))
-        full = phis.size // STOP_WINDOW
-        # The window sums behind the running partial, the short last window
-        # too: a cumsum adds them to it one by one, as a loop would.
-        sums = np.empty(full + 1 + (phis.size > full * STOP_WINDOW))
-        sums[0] = partial
-        sums[1 : full + 1] = phis[: full * STOP_WINDOW].reshape(-1, STOP_WINDOW).sum(axis=1)
-        if sums.size > full + 1:
-            sums[-1] = np.sum(phis[full * STOP_WINDOW :])
-        chunks = np.abs(sums[1:])
-        np.cumsum(sums, out=sums)
+        rows = np.stack([F.phi(values), values]) if mass_term else np.asarray(F.phi(values))[None]
+        r, full = rows.shape[0], rows.shape[1] // STOP_WINDOW
+        # Each row's window sums, the short last window too, behind its running
+        # partial: a cumsum adds them one by one, as a loop would.
+        sums = np.empty((r, full + 1 + (rows.shape[1] > full * STOP_WINDOW)))
+        sums[:, 0] = partial
+        sums[:, 1 : full + 1] = rows[:, : full * STOP_WINDOW].reshape(r, -1, STOP_WINDOW).sum(axis=2)
+        if sums.shape[1] > full + 1:
+            sums[:, -1] = np.sum(rows[:, full * STOP_WINDOW :], axis=1)
+        chunks = np.abs(sums[0, 1:])
+        np.cumsum(sums, axis=1, out=sums)
         if certified:
             for k in range(chunks.size):
                 end = min(n + STOP_WINDOW * (k + 1), stop)
                 rem = src.tail.remainder(F, end)
                 if abs(rem) < increment_tol or end == max_terms:
-                    return EntropyResult(float(F.h(sums[k + 1] + rem)), EntropyStatus.EXACT, end, abs(rem))
+                    return EntropyResult(float(F.h(sums[0, k + 1] + rem)), EntropyStatus.EXACT, end, abs(rem))
         else:
             # Only full windows can stop the read as a truncated estimate.
             small = np.flatnonzero(chunks[:full] < increment_tol)
             if small.size:
                 k = int(small[0])
-                return truncated(sums[k + 1], n + STOP_WINDOW * (k + 1), float(chunks[k]))
-        partial, n, last_chunk = float(sums[-1]), stop, float(chunks[-1])
+                return truncated(sums[:, k + 1], n + STOP_WINDOW * (k + 1), float(chunks[k]))
+        partial, n, last_chunk = sums[:, -1], stop, float(chunks[-1])
         block = min(2 * block, MAX_BLOCK)
     if F.case is FunctionalCase.INCREASING_CONCAVE and not finite_slope:
         return EntropyResult(math.inf, EntropyStatus.DECLARED_DIVERGENT, n, last_chunk)

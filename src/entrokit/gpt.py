@@ -116,20 +116,22 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
     dependent supports (rank below the support size at pivot tolerance
     PIVOT_TOL), inconsistent systems (lstsq residual above RESIDUAL_TOL),
     and solutions touching the weight floor; those belong to a smaller
-    support that is enumerated separately.  The rank test is one stacked
-    matrix_rank call: numpy's stacked SVD gives each matrix bit for bit the
-    singular values of a call on that matrix alone.  lstsq runs on each
-    full-rank system of two or more points (one point has weight 1.0, the
-    only one summing to one); the residual and floor tests run once, on the
-    stacked solutions: numpy's stacked matmul gives each product bit for bit
-    what a @ w on that system alone gives, and max and min are exact, so
-    each support is accepted or rejected as its own tests would.
+    support that is enumerated separately.  One point has rank 1 (its
+    weight-sum entry 1 is above PIVOT_TOL) and weight 1.0, the only one
+    summing to one; larger supports take one stacked matrix_rank call
+    (numpy's stacked SVD gives each matrix bit for bit the singular values
+    of a call on that matrix alone) and lstsq on each full-rank system.  The
+    residual and floor tests run once, on the stacked solutions: numpy's
+    stacked matmul gives each product bit for bit what a @ w on that system
+    alone gives, and max and min are exact, so each support is accepted or
+    rejected as its own tests would.
     """
     b = np.ones(a.shape[:2])
     b[:, :-1] = x
-    full = np.flatnonzero(np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2])
+    one_point = a.shape[2] == 1
+    full = np.arange(len(a)) if one_point else np.flatnonzero(np.linalg.matrix_rank(a, tol=PIVOT_TOL) == a.shape[2])
     W = np.ones((len(full), a.shape[2]))
-    for i, c in enumerate(full.tolist() if a.shape[2] > 1 else ()):
+    for i, c in enumerate(() if one_point else full.tolist()):
         W[i], *_ = np.linalg.lstsq(a[c], b[c], rcond=None)
     residual = np.abs((a[full] @ W[..., None])[..., 0] - b[full]).max(axis=1)
     accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))

@@ -863,7 +863,7 @@ def test_a_sequence_reads_each_index_once():
         calls.update(idx.tolist())
         return 6.0 / (np.pi * (idx + 1.0)) ** 2
 
-    for F in (make_shannon(), make_tsallis(2.0)):  # the unread mass of tsallis comes from the values read
+    for F in (make_shannon(), make_tsallis(2.0)):  # tsallis also sums each read's mass, for its unread-mass term
         calls.clear()
         entropy_sequence(SequenceSource(fn, declared_monotone=True), F, max_terms=300)
         assert sorted(calls) == list(range(300)) and set(calls.values()) == {1}
@@ -1057,6 +1057,20 @@ def test_truncated_heavy_tail_tsallis_folds_in_its_unread_mass(q, want):
         assert abs(res.value - value) <= 1e-9
 
 
+def test_truncated_tsallis_stream_keeps_no_values():
+    # The unread mass is summed in the phi-sum's windows, so a read holds one
+    # block at a time: keeping every value read for one fsum peaked at 16 MB.
+    src = SequenceSource.heavy_tail()
+    tracemalloc.start()
+    try:
+        res = entropy_sequence(src, make_tsallis(2.0), max_terms=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status is EntropyStatus.TRUNCATED_ESTIMATE and res.terms_used == 10**6
+    assert peak < 2e6, peak
+
+
 def test_heavy_tail_tsallis_below_one_and_custom_pairs_stay_divergent():
     src = sequence_from_spec("heavytail")
     shannon = make_shannon()
@@ -1071,20 +1085,21 @@ def reference_entropy_sequence(src, F, max_terms=10_000, increment_tol=1e-12):
     partial = 0.0
     n = 0
     last_chunk = math.inf
-    read = []
+    mass = 0.0
     # tsallis with q > 1 is the built-in whose phi has a finite slope at 0+: its sum is bounded,
-    # and a truncated read adds its x term's tail, the unread mass, over q - 1.
+    # and a truncated read adds its x term's tail, the unread mass, over q - 1.  The mass read
+    # is summed window by window, as the phi-sum is.
     bounded = F.family == "tsallis" and F.params["q"] > 1.0
 
     def truncated(partial, n, last_chunk):
         if bounded:
-            partial += max(0, 1 - sum(map(Fraction, read))) / (F.params["q"] - 1.0)
+            partial += max(0.0, 1.0 - mass) / (F.params["q"] - 1.0)
         return EntropyResult(float(F.h(partial)), EntropyStatus.TRUNCATED_ESTIMATE, n, last_chunk)
 
     while n < max_terms:
         stop = min(n + STOP_WINDOW, max_terms)
         vals = src.values(n, stop)
-        read.extend(vals.tolist() if bounded else ())
+        mass += float(np.sum(vals))
         chunk = float(np.sum(np.asarray(F.phi(vals))))
         partial += chunk
         full_window = stop - n == STOP_WINDOW

@@ -195,6 +195,18 @@ def test_vertex_decomposes_as_itself():
     assert decs[0].weights[0] == 1.0
 
 
+def test_one_point_supports_take_no_rank_test(monkeypatch):
+    # a one-point support's weight-sum entry 1 makes its rank 1, so only the
+    # stacks of larger supports are ranked
+    ranked, matrix_rank = [], np.linalg.matrix_rank
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda a, **kw: ranked.append(a.shape) or matrix_rank(a, **kw))
+    model = ConvexModel(TRIANGLE)
+    for spec in ("shannon", "renyi:alpha=0.5"):
+        value, dec = gpt_entropy(model, [1.0, 0.0], functional_from_spec(spec))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0 and dec.support == (1,), spec
+    assert ranked and all(shape[1:] != (3, 1) for shape in ranked), ranked
+
+
 def test_every_vertex_has_entropy_plus_zero():
     # a vertex's one-point support has the weight 1.0 exactly, so every
     # functional is +0.0 there
