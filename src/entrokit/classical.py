@@ -7,9 +7,10 @@ are invariant under permutation of the input, bit for bit.
 Public functions take and return one object, each by running a private
 kernel with a leading stack axis on a stack of one; the audit calls the
 kernels on whole stacks.  One kernel, _probability_rows, decides what a
-probability vector is; require_orthonormal and require_stochastic_rows are
-the one check of orthonormal columns and of stochastic rows.
-jensen_step_oracle alone still takes a stack (ROADMAP item 1).
+probability vector is, under the rule its caller names; require_orthonormal
+and require_stochastic_rows are the one check of orthonormal columns and of
+stochastic rows.  The tolerances quantum and gpt share live here (README,
+"Tolerances"); jensen_step_oracle alone still takes a stack (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import numpy as np
 
 from .functionals import EntropicFunctional, FunctionalCase, as_count, format_param, parse_spec
 
-ENTRY_TOL = 1e-12
-SUM_TOL = 1e-9
-COMPUTED_FLOOR = 1e-9  # negativity absorbed by ProbVector.from_computation
-PARTIAL_SUM_TOL = 1e-12
-ROW_SUM_TOL = 1e-10
-ORTHONORMAL_TOL = 1e-8
+ZERO_TOL = 1e-12  # this small is zero: a negative input entry, a drift, an eigenvalue, a weight
+SUM_TOL = 1e-9  # a total, a vector's sum or a trace, is one
+COMPUTED_FLOOR = 1e-9  # negativity a computed vector or a spectrum may carry
+STRUCTURE_TOL = 1e-10  # Hermitian input, stochastic rows, unit state vectors
+PRODUCT_TOL = 1e-8  # a product meets its target: A*A = I, an ensemble's mixture = rho
+SEQUENCE_TOL = 1e-15  # a sequence value this far outside [0, 1], or a rise this small, is rounding
+# (floor, drift) of each rule of _probability_rows
+_RULES = {"input": (ZERO_TOL, math.inf), "renormalize": (ZERO_TOL, -math.inf), "computed": (COMPUTED_FLOOR, ZERO_TOL)}
 STOP_WINDOW = 64  # trailing-window length for sequence truncation
 # Largest sequence read; reads double from STOP_WINDOW up to it.  Its float64
 # arrays (128,000 bytes) stay under glibc's 128 KiB mmap threshold.
@@ -38,7 +41,7 @@ MAX_BLOCK = 16_000
 class ProbVector:
     """A validated finite probability vector.
 
-    Entries in [-ENTRY_TOL, 0) are clipped to zero; anything more negative is
+    Entries in [-ZERO_TOL, 0) are clipped to zero; anything more negative is
     rejected.  The total must be within SUM_TOL of one.  Renormalization is
     off by default because silently rescaling masks data errors; pass
     renormalize=True to opt in.  Input with two or more axes is rejected.
@@ -51,7 +54,7 @@ class ProbVector:
         arr = _vector(values)
         if arr.size == 0:
             raise ValueError("probability vector must be non-empty")
-        self.entries = _probability_rows(arr[None], ENTRY_TOL, -math.inf if renormalize else math.inf)[0]
+        self.entries = _probability_rows(arr[None], "renormalize" if renormalize else "input")[0]
 
     @classmethod
     def from_computation(cls, values) -> "ProbVector":
@@ -59,7 +62,7 @@ class ProbVector:
 
         Negative entries down to -COMPUTED_FLOOR are clipped to zero, and the
         vector is renormalized only when the drift |sum - 1| exceeds
-        PARTIAL_SUM_TOL.  Intended for spectra, pinched diagonals, and other
+        ZERO_TOL.  Intended for spectra, pinched diagonals, and other
         arithmetic products, not for user data.
         """
         vec = cls.__new__(cls)  # validated once, under this rule alone
@@ -136,22 +139,22 @@ def require_finite(stack: np.ndarray, message: str, item: str) -> None:
 
 
 def require_orthonormal(A: np.ndarray, what: str, item: str) -> None:
-    """require_slices for a matrix, or a stack, with finite entries and |A*A - I|_max <= ORTHONORMAL_TOL."""
+    """require_slices for a matrix, or a stack, with finite entries and |A*A - I|_max <= PRODUCT_TOL."""
     require_finite(A, f"{what} entries must be finite", item)
     dev = np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])).max(axis=(-2, -1))
-    message = f"{what} is not orthonormal within {ORTHONORMAL_TOL} (deviation {{:.3e}})"
-    require_slices(dev <= ORTHONORMAL_TOL, lambda t: message.format(dev[t]), item)
+    message = f"{what} is not orthonormal within {PRODUCT_TOL} (deviation {{:.3e}})"
+    require_slices(dev <= PRODUCT_TOL, lambda t: message.format(dev[t]), item)
 
 
 def require_stochastic_rows(Q: np.ndarray, what: str, item: str) -> None:
-    """require_slices for a (k, r, n) stack of finite, nonnegative rows summing to 1 within ROW_SUM_TOL."""
+    """require_slices for a (k, r, n) stack of finite, nonnegative rows summing to 1 within STRUCTURE_TOL."""
     if Q.size == 0:
         raise ValueError(f"{what} must be non-empty")
     require_finite(Q, f"{what} entries must be finite", item)
     require_slices(Q.min(axis=(1, 2)) >= 0.0, lambda t: f"{what} entries must be nonnegative", item)
     dev = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
-    message = f"{what} sums deviate from 1 by {{:.3e}} (> {ROW_SUM_TOL})"
-    require_slices(dev <= ROW_SUM_TOL, lambda t: message.format(dev[t]), item)
+    message = f"{what} sums deviate from 1 by {{:.3e}} (> {STRUCTURE_TOL})"
+    require_slices(dev <= STRUCTURE_TOL, lambda t: message.format(dev[t]), item)
 
 
 def _vector(values, what="probability vector", dtype=float) -> np.ndarray:
@@ -162,17 +165,18 @@ def _vector(values, what="probability vector", dtype=float) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def _probability_rows(rows: np.ndarray, floor: float, drift: float, item="row") -> np.ndarray:
+def _probability_rows(rows: np.ndarray, rule: str, item="row") -> np.ndarray:
     """Each row of a (k, n) float array as a probability vector, in one read-only array.
 
-    The one rule for probability vectors.  Entries must be finite and at
-    least -floor; negative ones are set to zero.  A row whose total drifts
-    from one by more than ``drift`` is divided by it (the total must be
-    positive and finite), and every other row must sum to one within
-    SUM_TOL.  ProbVector takes (ENTRY_TOL, inf), or (ENTRY_TOL, -inf) to
-    renormalize; computed vectors take (COMPUTED_FLOOR, PARTIAL_SUM_TOL).
+    The one rule for probability vectors, under ``rule``: "input"
+    (ProbVector), "renormalize" or "computed" (ProbVector.from_computation),
+    whose (floor, drift) _RULES holds.  Entries must be finite and at least
+    -floor; negative ones are set to zero.  A row whose total drifts from
+    one by more than ``drift`` is divided by it (the total must be positive
+    and finite), and every other row must sum to one within SUM_TOL.
     Errors name row t as require_slices names it after ``item``.
     """
+    floor, drift = _RULES[rule]
     clipped = np.where(rows < 0.0, 0.0, rows)
     # A total that overflows is rejected below by a ValueError, not warned about here.
     with np.errstate(over="ignore"):
@@ -180,13 +184,12 @@ def _probability_rows(rows: np.ndarray, floor: float, drift: float, item="row") 
     drifts = np.abs(totals - 1.0)
     # Two reductions pass the usual case; a NaN or an infinite entry fails them.
     if not (float(rows.min(initial=0.0)) >= -floor and float(drifts.max(initial=0.0)) <= min(drift, SUM_TOL)):
-        computed = floor == COMPUTED_FLOOR
         require_slices(np.isfinite(rows).all(axis=1), lambda t: "probability vector entries must be finite", item)
         low = rows.min(axis=1, initial=0.0)
-        below = "computed entry {} below floor" if computed else "entry {} is below the negativity tolerance"
+        below = "computed entry {} below floor" if rule == "computed" else "entry {} is below the negativity tolerance"
         require_slices(low >= -floor, lambda t: f"{below.format(float(low[t]))} -{floor}", item)
         off = drifts > drift
-        nothing = "computed vector has" if computed else "cannot renormalize a vector with"
+        nothing = "computed vector has" if rule == "computed" else "cannot renormalize a vector with"
         require_slices(~off | (totals > 0.0), lambda t: f"{nothing} non-positive total", item)
         require_slices(~off | (totals < math.inf), lambda t: f"{nothing} total above the float range", item)
         require_slices(
@@ -202,7 +205,7 @@ def _probability_rows(rows: np.ndarray, floor: float, drift: float, item="row") 
 
 def _computed_rows(rows: np.ndarray) -> np.ndarray:
     """_probability_rows under ProbVector.from_computation's rule."""
-    return _probability_rows(rows, COMPUTED_FLOOR, PARTIAL_SUM_TOL)
+    return _probability_rows(rows, "computed")
 
 
 def _entropy_kernel(entries: np.ndarray, F: EntropicFunctional):
@@ -232,8 +235,7 @@ def _entropy_columns(rows: np.ndarray, functionals, computed: bool = False, item
     The rows are validated once, under the rule ``computed`` picks, and
     scored with one _entropy_kernel call per functional.
     """
-    floor, drift = (COMPUTED_FLOOR, PARTIAL_SUM_TOL) if computed else (ENTRY_TOL, math.inf)
-    rows = _probability_rows(rows, floor, drift, item)
+    rows = _probability_rows(rows, "computed" if computed else "input", item)
     table = np.empty((len(rows), len(functionals)))
     for j, F in enumerate(functionals):
         table[:, j] = _entropy_kernel(rows, F)
@@ -343,7 +345,7 @@ class SequenceSource:
         if vals.shape != (stop - start,):
             raise ValueError(f"sequence {self.name!r} must return one value per index, got shape {vals.shape}")
         # Written to be false for NaN, so a NaN value is rejected too.
-        if vals.size and not (-1e-15 <= float(vals.min()) and float(vals.max()) <= 1.0 + 1e-15):
+        if vals.size and not (-SEQUENCE_TOL <= float(vals.min()) and float(vals.max()) <= 1.0 + SEQUENCE_TOL):
             raise ValueError(f"sequence {self.name!r} produced a value outside [0, 1]")
         vals = np.clip(vals, 0.0, 1.0)
         if self.declared_monotone and vals.size:
@@ -353,7 +355,7 @@ class SequenceSource:
             if start > 0 and index != start - 1:
                 prev = float(self._read(np.array([start - 1], dtype=np.int64))[0])
             step = float(vals[0]) - min(max(prev, 0.0), 1.0) if start > 0 else 0.0
-            if step > 1e-15 or np.any(np.diff(vals) > 1e-15):
+            if step > SEQUENCE_TOL or np.any(np.diff(vals) > SEQUENCE_TOL):
                 raise ValueError(f"sequence {self.name!r} is declared monotone but increased")
             self._last = (stop - 1, float(vals[-1]))
         return vals
@@ -394,7 +396,7 @@ class SequenceSource:
     def from_vector(cls, values) -> "SequenceSource":
         """Embed a finite probability vector, validated as ProbVector validates it, padded with zeros."""
         vec = ProbVector(values).entries
-        monotone = bool(np.all(np.diff(vec) <= 1e-15))
+        monotone = bool(np.all(np.diff(vec) <= SEQUENCE_TOL))
 
         def fn(idx):
             out = np.zeros(idx.shape, dtype=float)
@@ -577,8 +579,8 @@ def _row_margins(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def majorizes(p, q) -> bool:
-    """True iff q is majorized by p within PARTIAL_SUM_TOL; see majorization_margin."""
-    return majorization_margin(p, q) >= -PARTIAL_SUM_TOL
+    """True iff q is majorized by p within ZERO_TOL; see majorization_margin."""
+    return majorization_margin(p, q) >= -ZERO_TOL
 
 
 class BistochasticMatrix:
@@ -606,7 +608,7 @@ def _bistochastic(Q: np.ndarray) -> np.ndarray:
 
 
 def bistochastic_from_unitary(U) -> BistochasticMatrix:
-    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > ORTHONORMAL_TOL."""
+    """|U_ij|^2 for a unitary U; rejects matrices with ||U*U - I||_max > PRODUCT_TOL."""
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("unitary must be square")
@@ -663,7 +665,7 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
         vals = np.asarray(p, dtype=float)
         if vals.shape != (rows.shape[0], rows.shape[2]):
             raise ValueError(f"p must be {rows.shape[0]} x {rows.shape[2]}, one row per batch")
-        vals = _probability_rows(vals, ENTRY_TOL, math.inf)
+        vals = _probability_rows(vals, "input")
     else:
         raise ValueError(f"q_rows must be one row or a (k, r, n) stack, got shape {rows.shape}")
     require_stochastic_rows(rows, "row", "batch")

@@ -280,7 +280,7 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
     checks = []
 
     phi0 = float(F.phi(0.0))
-    checks.append(ValidationCheck("phi_at_zero", passed=(phi0 == 0.0), margin=-abs(phi0)))
+    checks.append(ValidationCheck("phi_at_zero", passed=(phi0 == 0.0), margin=0.0 - abs(phi0)))
 
     root = abs(float(F.h(F.phi(1.0))))
     checks.append(ValidationCheck("h_at_phi_one", passed=(root <= STRICT_TOL), margin=STRICT_TOL - root))

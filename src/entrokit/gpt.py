@@ -37,15 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import _join, _vector, entropy_table, positions_by_key
+from .classical import ZERO_TOL, _join, _vector, entropy_table, positions_by_key
 from .functionals import EntropicFunctional, as_count
 
+# The solve's own tolerances (README, "Tolerances"); its weight floor is classical's ZERO_TOL.
 PIVOT_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 # Coordinates below SOLVE_SCALE are solved as given; larger ones are centered
 # and scaled first (_screened_solutions).
 SOLVE_SCALE = 2.0**16
-WEIGHT_FLOOR = 1e-12
 VERTEX_CAP = 12
 DIM_CAP = 4
 # Screen slack (the bounds are in _screen).
@@ -74,8 +74,8 @@ class Decomposition:
         if len(set(support)) != len(support) or min(support) < 0:
             raise ValueError("support indices must be distinct and nonnegative")
         # Both tests are written to be false for NaN, so NaN weights are rejected.
-        if not (np.minimum.reduce(w) > WEIGHT_FLOOR):
-            raise ValueError(f"weights must exceed {WEIGHT_FLOOR}")
+        if not (np.minimum.reduce(w) > ZERO_TOL):
+            raise ValueError(f"weights must exceed {ZERO_TOL}")
         if not (abs(np.add.reduce(w) - 1.0) <= RESIDUAL_TOL):
             raise ValueError(f"weights must sum to 1 within {RESIDUAL_TOL}")
         w.setflags(write=False)
@@ -90,7 +90,7 @@ class Decomposition:
         row: min is exact, and numpy sums a row of at most DIM_CAP + 1 entries
         as it sums that row alone.  The first failing row raises their error.
         """
-        ok = (np.minimum.reduce(W, axis=1) > WEIGHT_FLOOR) & (abs(np.add.reduce(W, axis=1) - 1.0) <= RESIDUAL_TOL)
+        ok = (np.minimum.reduce(W, axis=1) > ZERO_TOL) & (abs(np.add.reduce(W, axis=1) - 1.0) <= RESIDUAL_TOL)
         for i in np.flatnonzero(~ok)[:1]:
             cls(support=supports[i].tolist(), weights=W[i])
         W.setflags(write=False)
@@ -134,7 +134,7 @@ def _exact_solutions(a: np.ndarray, x: np.ndarray):
     for i, c in enumerate(() if one_point else full.tolist()):
         W[i], *_ = np.linalg.lstsq(a[c], b[c], rcond=None)
     residual = np.abs((a[full] @ W[..., None])[..., 0] - b[full]).max(axis=1)
-    accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= WEIGHT_FLOOR))
+    accepted = ~((residual > RESIDUAL_TOL) | (W.min(axis=1) <= ZERO_TOL))
     return full[accepted], W[accepted]
 
 

@@ -20,6 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (
+    COMPUTED_FLOOR,
+    PRODUCT_TOL,
+    STRUCTURE_TOL,
+    SUM_TOL,
+    ZERO_TOL,
     EntropyResult,
     ProbVector,
     _computed_rows,
@@ -31,13 +36,6 @@ from .classical import (
 )
 from .functionals import EntropicFunctional, as_count
 from .reporting import AuditEntry
-
-HERMITIAN_TOL = 1e-10
-TRACE_TOL = 1e-9
-EIGENVALUE_FLOOR = 1e-9
-RECONSTRUCTION_TOL = 1e-8
-STATE_NORM_TOL = 1e-10
-RANK_CUTOFF = 1e-12
 
 
 class DensityOperator:
@@ -63,21 +61,21 @@ class DensityOperator:
         require_finite(rho, "density operator entries must be finite", "state")
         dev = np.abs(rho - _adjoint(rho)).max(axis=(-2, -1))
         require_slices(
-            dev <= HERMITIAN_TOL,
-            lambda t: f"matrix is not Hermitian within {HERMITIAN_TOL} (deviation {dev[t]:.3e})",
+            dev <= STRUCTURE_TOL,
+            lambda t: f"matrix is not Hermitian within {STRUCTURE_TOL} (deviation {dev[t]:.3e})",
             "state",
         )
         rho = 0.5 * (rho + _adjoint(rho))
         trace = np.trace(rho, axis1=-2, axis2=-1).real
         require_slices(
-            np.abs(trace - 1.0) <= TRACE_TOL,
-            lambda t: f"trace is {float(trace[t])!r}, outside 1 +/- {TRACE_TOL}",
+            np.abs(trace - 1.0) <= SUM_TOL,
+            lambda t: f"trace is {float(trace[t])!r}, outside 1 +/- {SUM_TOL}",
             "state",
         )
         low = np.linalg.eigvalsh(rho).min(axis=-1)
         require_slices(
-            low >= -EIGENVALUE_FLOOR,
-            lambda t: f"eigenvalue {float(low[t])} below the positivity floor -{EIGENVALUE_FLOOR}",
+            low >= -COMPUTED_FLOOR,
+            lambda t: f"eigenvalue {float(low[t])} below the positivity floor -{COMPUTED_FLOOR}",
             "state",
         )
         rho.setflags(write=False)
@@ -122,13 +120,12 @@ def pure_state(psi) -> DensityOperator:
 def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
     """Spectrum in nonincreasing order and matching eigenbasis (columns).
 
-    Eigenvalues below RANK_CUTOFF are set to exactly zero, and
-    ProbVector.from_computation renormalizes when the resulting drift exceeds
-    PARTIAL_SUM_TOL.  The hard zero matters: structurally null eigenvalues
-    come back from the solver as +-1e-16 jitter, and sub-linear phi
-    (x**alpha, alpha < 1) amplifies that jitter to ~1e-8 unless it is
-    removed.  Degenerate clusters come out of the Hermitian solver already
-    orthonormalized.
+    Eigenvalues below ZERO_TOL are set to exactly zero, and the spectrum is
+    renormalized when its drift then exceeds ZERO_TOL (the computed rule).
+    The hard zero matters: structurally null eigenvalues come back from the
+    solver as +-1e-16 jitter, and sub-linear phi (x**alpha, alpha < 1)
+    amplifies that jitter to ~1e-8 unless it is removed.  Degenerate
+    clusters come out of the Hermitian solver already orthonormalized.
 
     The solve runs once per state: every call returns the same pair, and
     the basis is read-only.
@@ -145,7 +142,7 @@ def _eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(matrices)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
-    w[w < RANK_CUTOFF] = 0.0
+    w[w < ZERO_TOL] = 0.0
     v.setflags(write=False)
     return _computed_rows(w), v
 
@@ -265,9 +262,9 @@ class Ensemble:
         states = np.array(self.states, dtype=complex)
         if states.ndim != 2 or len(states) != len(weights):
             raise ValueError("states must be one row per weight")
-        message = f"ensemble states must be finite unit vectors within {STATE_NORM_TOL}"
+        message = f"ensemble states must be finite unit vectors within {STRUCTURE_TOL}"
         require_finite(states, message, "ensemble")
-        if not float(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max()) <= STATE_NORM_TOL:
+        if not float(np.abs(np.linalg.norm(states, axis=-1) - 1.0).max()) <= STRUCTURE_TOL:
             raise ValueError(message)
         states.setflags(write=False)
         object.__setattr__(self, "weights", weights)
@@ -279,29 +276,29 @@ class Ensemble:
         return len(self.weights)
 
     def check_reconstructs(self, rho: DensityOperator) -> float:
-        """Largest entry of |sum_i w_i |psi_i><psi_i| - rho|; ValueError if it exceeds RECONSTRUCTION_TOL."""
+        """Largest entry of |sum_i w_i |psi_i><psi_i| - rho|; ValueError if it exceeds PRODUCT_TOL."""
         _one_state(rho)
         return float(_require_reconstructs(self.weights.entries, self.states, rho.matrix))
 
 
 def _require_reconstructs(weights: np.ndarray, states: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Largest entry of |sum_i w_i |psi_i><psi_i| - rho| per ensemble (one or a stack), each <= RECONSTRUCTION_TOL."""
+    """Largest entry of |sum_i w_i |psi_i><psi_i| - rho| per ensemble (one or a stack), each <= PRODUCT_TOL."""
     mixture = (states.swapaxes(-1, -2) * weights[..., None, :]) @ states.conj()
     dev = np.abs(mixture - rho).max(axis=(-2, -1))
-    message = f"ensemble reconstructs rho only to {{:.3e}} (> {RECONSTRUCTION_TOL})"
-    require_slices(dev <= RECONSTRUCTION_TOL, lambda t: message.format(dev[t]), "ensemble")
+    message = f"ensemble reconstructs rho only to {{:.3e}} (> {PRODUCT_TOL})"
+    require_slices(dev <= PRODUCT_TOL, lambda t: message.format(dev[t]), "ensemble")
     return dev
 
 
 def _rank(spectrum: ProbVector) -> int:
-    """The number of eigenvalues above RANK_CUTOFF in a spectrum from eigen_spectrum."""
-    return int(np.sum(spectrum.entries > RANK_CUTOFF))
+    """The number of eigenvalues above ZERO_TOL in a spectrum from eigen_spectrum."""
+    return int(np.sum(spectrum.entries > ZERO_TOL))
 
 
 def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ensemble:
     """Sample a size-m pure-state ensemble for rho via an isometric mixing.
 
-    With r the number of eigenvalues above RANK_CUTOFF, any m x r matrix M
+    With r the number of eigenvalues above ZERO_TOL, any m x r matrix M
     with M*M = I turns the scaled eigenvectors sqrt(lambda_i) v_i into an
     ensemble of m states averaging back to rho; M defaults to a random
     isometry.  Pass mixing=np.eye(r) to obtain the spectral decomposition.

@@ -20,6 +20,7 @@ from entrokit.audit import (
     run_audit,
 )
 from entrokit.classical import (
+    ZERO_TOL,
     _mix_rows,
     _unitary_squares,
     apply_bistochastic,
@@ -31,7 +32,6 @@ from entrokit.classical import (
 from entrokit.functionals import FunctionalCase, make_custom
 from entrokit.gpt import enumerate_basic_decompositions, gpt_majorant, minimize_entropy
 from entrokit.quantum import (
-    RANK_CUTOFF,
     DensityOperator,
     _conjugated,
     _eigensystems,
@@ -292,7 +292,7 @@ def reference_ensemble_entries(trials, seed, dims, functionals):
         rank = int(rng.integers(1, d + 1))
         rho = random_density(d, rng, rank=rank)
         spectrum, _ = eigen_spectrum(rho)
-        r = int(np.sum(spectrum.entries > RANK_CUTOFF))
+        r = int(np.sum(spectrum.entries > ZERO_TOL))
         spectral_h = {F.name: quantum_entropy(rho, F).value for F in functionals}
         infimum = {F.name: inf_ensemble_entropy(rho, F, trials=0)[0] for F in functionals}
         budget = (trials - drawn) // (n_states - s)
@@ -465,7 +465,7 @@ def test_ensemble_suite_draws_each_random_ensemble_once(monkeypatch, trials):
     stacked, single, unmixed = [], [], []
 
     def counted_stack(matrices, spectra, bases, mixings):
-        ranks = np.sum(spectra > RANK_CUTOFF, axis=1)
+        ranks = np.sum(spectra > ZERO_TOL, axis=1)
         assert all(M.shape[1] == r for r, M in zip(ranks, mixings))
         stacked.append([(len(s), int(r), len(M)) for s, r, M in zip(spectra, ranks, mixings)])
         return _ensembles(matrices, spectra, bases, mixings)

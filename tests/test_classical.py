@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from entrokit.classical import (
-    COMPUTED_FLOOR,
-    ENTRY_TOL,
     MAX_BLOCK,
     STOP_WINDOW,
     BistochasticMatrix,
@@ -36,8 +34,8 @@ from entrokit.classical import (
     entropy_finite,
     entropy_sequence,
     entropy_table,
-    PARTIAL_SUM_TOL,
-    ROW_SUM_TOL,
+    STRUCTURE_TOL,
+    ZERO_TOL,
     jensen_step_oracle,
     majorization_margin,
     majorizes,
@@ -168,7 +166,7 @@ def test_entropy_table_validates_each_row_as_probvector_does():
     for bad in (
         [good, [math.nan, 1.0]],
         [good, [math.inf, 0.0]],
-        [good, [1.0 + 1e-11, -1e-11]],  # below -ENTRY_TOL
+        [good, [1.0 + 1e-11, -1e-11]],  # below -ZERO_TOL
         [good, [0.5, 0.4]],  # off-sum row
         good,  # two 1-entry vectors, each summing to 0.5
         [[]],
@@ -176,7 +174,7 @@ def test_entropy_table_validates_each_row_as_probvector_does():
     ):
         with pytest.raises(ValueError):
             entropy_table(bad, [F])
-    # entries in [-ENTRY_TOL, 0) are clipped to zero, as ProbVector clips them
+    # entries in [-ZERO_TOL, 0) are clipped to zero, as ProbVector clips them
     rows = [[1.0 + 5e-13, -5e-13], good]
     assert entropy_table(rows, [F])[:, 0].tolist() == [entropy_finite(row, F).value for row in rows]
 
@@ -221,9 +219,9 @@ def test_an_overflowing_total_is_a_value_error_not_a_warning():
 def test_computed_rows_are_from_computation_row_by_row():
     rows = np.array([
         [0.5, 0.5, 0.0],
-        [0.6, 0.4 + 3e-12, -5e-10],  # drift past PARTIAL_SUM_TOL and negative jitter
+        [0.6, 0.4 + 3e-12, -5e-10],  # drift past ZERO_TOL and negative jitter
         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
-        [0.2, 0.3, 0.5 + 1e-13],  # drift within PARTIAL_SUM_TOL: kept as is
+        [0.2, 0.3, 0.5 + 1e-13],  # drift within ZERO_TOL: kept as is
     ])
     out = _computed_rows(rows)
     assert not out.flags.writeable
@@ -241,9 +239,9 @@ def test_entropy_table_stacks_lengths_in_first_seen_order_and_never_pads(monkeyp
     want = [entropy_finite(v, F).value for v in items]
     stacks = []
 
-    def recording(rows, floor, drift, *names):
+    def recording(rows, rule, *names):
         stacks.append(rows.tolist())
-        return kernel(rows, floor, drift, *names)
+        return kernel(rows, rule, *names)
 
     kernel = _probability_rows
     monkeypatch.setattr("entrokit.classical._probability_rows", recording)
@@ -255,15 +253,15 @@ def test_entropy_table_stacks_lengths_in_first_seen_order_and_never_pads(monkeyp
 
 
 RULES = {
-    "probvector": ((ENTRY_TOL, math.inf), ProbVector),
-    "renormalize": ((ENTRY_TOL, -math.inf), lambda v: ProbVector(v, renormalize=True)),
-    "from_computation": ((COMPUTED_FLOOR, PARTIAL_SUM_TOL), ProbVector.from_computation),
+    "probvector": ("input", ProbVector),
+    "renormalize": ("renormalize", lambda v: ProbVector(v, renormalize=True)),
+    "from_computation": ("computed", ProbVector.from_computation),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_probability_rows_are_the_single_vectors_bit_for_bit(rule):
-    (floor, drift), single = RULES[rule]
+    name, single = RULES[rule]
     rng = np.random.default_rng(83)
     for n in (1, 2, 3, 7, 8, 9, 16, 33):
         base = rng.dirichlet(np.ones(n))
@@ -279,13 +277,13 @@ def test_probability_rows_are_the_single_vectors_bit_for_bit(rule):
             except ValueError as err:
                 rejected.append((row, str(err)))
         assert accepted and rejected, (rule, n)
-        out = _probability_rows(np.array([row for row, _ in accepted]), floor, drift)
+        out = _probability_rows(np.array([row for row, _ in accepted]), name)
         assert not out.flags.writeable
         for got, (_, want) in zip(out, accepted):
             assert got.tobytes() == want.tobytes(), (rule, n)
         for row, message in rejected:
             with pytest.raises(ValueError) as err:
-                _probability_rows(np.array([accepted[0][0], row]), floor, drift)
+                _probability_rows(np.array([accepted[0][0], row]), name)
             assert str(err.value) == f"row 1: {message}"
 
 
@@ -405,8 +403,8 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
     for _ in range(200):
         p = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
         q = rng.dirichlet(np.ones(int(rng.integers(1, 7))))
-        assert majorizes(p, q) == (majorization_margin(p, q) >= -PARTIAL_SUM_TOL)
-        assert majorizes(q, p) == (majorization_margin(q, p) >= -PARTIAL_SUM_TOL)
+        assert majorizes(p, q) == (majorization_margin(p, q) >= -ZERO_TOL)
+        assert majorizes(q, p) == (majorization_margin(q, p) >= -ZERO_TOL)
         join = _join([p, q])
         assert majorizes(join, p) and majorizes(join, q)
         # the join of a comparable pair is the greater one, zero-padded
@@ -624,7 +622,7 @@ def test_bistochastic_kernel_errors_name_the_first_bad_matrix():
         (with_entry(Q, (2, 0, 1), math.nan), "matrix 2: bistochastic matrix row entries must be finite"),
         (with_entry(with_entry(Q, (3, 1, 1), math.inf), (1, 0, 0), math.nan), "matrix 1: .*finite"),
         (with_entry(Q, (1, 0, 0), -1e-3), "matrix 1: .*nonnegative"),
-        (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * ROW_SUM_TOL), "matrix 3: bistochastic matrix row sums"),
+        (with_entry(Q, (3, 2, 2), Q[3, 2, 2] + 10 * STRUCTURE_TOL), "matrix 3: bistochastic matrix row sums"),
         (with_entry(Q[:1], (0, 0, 0), -1e-3), "bistochastic matrix row entries must be nonnegative"),
     ):
         with pytest.raises(ValueError, match=f"^{message}"):
@@ -772,7 +770,7 @@ def test_jensen_stacked_batches_reject_bad_inputs():
         (Qs, with_entry(ps, (0, 3), ps[0, 3] + 1e-6)),  # p row off its sum
         (with_entry(Qs, (1, 2, 0), math.nan), ps),
         (with_entry(Qs, (2, 1, 1), -1e-3), ps),
-        (with_entry(Qs, (0, 3, 2), Qs[0, 3, 2] + 10 * ROW_SUM_TOL), ps),  # q row off its sum
+        (with_entry(Qs, (0, 3, 2), Qs[0, 3, 2] + 10 * STRUCTURE_TOL), ps),  # q row off its sum
         (Qs, ps[:2]),  # k mismatch
         (Qs[:2], ps),
         (Qs, ps[:, :3] / ps[:, :3].sum(axis=1, keepdims=True)),  # n mismatch

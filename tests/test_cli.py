@@ -402,6 +402,12 @@ def test_functional_validate_pass(capsys, spec):
     assert record["grid_size"] == 1001
 
 
+def test_functional_validate_prints_a_zero_phi_at_zero_margin_unsigned(capsys):
+    code, out, _ = run(capsys, "functional", "validate", "shannon", "--format", "json")
+    assert code == 0
+    assert '{"margin":0.0,"name":"phi_at_zero","passed":true}' in out
+
+
 @pytest.mark.parametrize("grid_size", ["2", "200000"])
 def test_functional_validate_grid_outside_its_bounds_is_domain_error(capsys, grid_size):
     code, out, err = run(capsys, "functional", "validate", "shannon", "--grid-size", grid_size)

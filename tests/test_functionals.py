@@ -194,6 +194,13 @@ def test_validate_catches_phi_zero_offset():
     assert "phi_at_zero" in failed
 
 
+@pytest.mark.parametrize("spec", DEFAULT_FUNCTIONAL_SPECS)
+def test_phi_at_zero_margin_is_positive_zero_when_phi_vanishes(spec):
+    # -abs(0.0) is -0.0, which JSON prints as "-0.0"; 0.0 - abs(0.0) is +0.0.
+    check = next(c for c in validate_functional(functional_from_spec(spec)).checks if c.name == "phi_at_zero")
+    assert check.passed and check.margin == 0.0 and math.copysign(1.0, check.margin) == 1.0
+
+
 def test_validate_catches_non_monotone_h():
     F = make_custom(
         "downhill",

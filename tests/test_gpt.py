@@ -10,7 +10,15 @@ import pytest
 
 from entrokit import gpt
 from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS, run_audit
-from entrokit.classical import ProbVector, _join, entropy_finite, entropy_table, majorization_margin, majorizes
+from entrokit.classical import (
+    ZERO_TOL,
+    ProbVector,
+    _join,
+    entropy_finite,
+    entropy_table,
+    majorization_margin,
+    majorizes,
+)
 from entrokit.functionals import functional_from_spec, make_shannon
 from entrokit.gpt import (
     VERTEX_CAP,
@@ -18,7 +26,6 @@ from entrokit.gpt import (
     Decomposition,
     PIVOT_TOL,
     RESIDUAL_TOL,
-    WEIGHT_FLOOR,
     enumerate_basic_decompositions,
     gpt_entropy,
     gpt_majorant,
@@ -72,7 +79,7 @@ def reference_solve_support(points, x):
     w = np.ones(1) if k == 1 else np.linalg.lstsq(a, b, rcond=None)[0]
     if float(np.max(np.abs(a @ w - b))) > RESIDUAL_TOL:
         return None
-    if float(w.min()) <= WEIGHT_FLOOR:
+    if float(w.min()) <= ZERO_TOL:
         return None
     return w
 
@@ -867,7 +874,7 @@ def gpt_blocks(rng):
 def near_threshold_rows(w, rng):
     """Copies of one weight row moved to either side of the floor and sum thresholds, and a NaN row."""
     k = len(w)
-    for floor in (WEIGHT_FLOOR, np.nextafter(WEIGHT_FLOOR, 1.0), np.nextafter(WEIGHT_FLOOR, 0.0), 0.5 * WEIGHT_FLOOR):
+    for floor in (ZERO_TOL, np.nextafter(ZERO_TOL, 1.0), np.nextafter(ZERO_TOL, 0.0), 0.5 * ZERO_TOL):
         row = w.copy()
         i = int(rng.integers(k))
         row[(i + 1) % k] += row[i] - floor  # the sum stays within rounding of 1 when k > 1
@@ -917,7 +924,7 @@ def test_block_checks_are_the_constructor_checks_bit_for_bit():
     "row,message",
     [
         ([0.5, 0.5 - RESIDUAL_TOL, math.nan], "exceed"),
-        ([0.5, 0.5 - WEIGHT_FLOOR, WEIGHT_FLOOR], "exceed"),
+        ([0.5, 0.5 - ZERO_TOL, ZERO_TOL], "exceed"),
         ([0.5, 0.5 + 2 * RESIDUAL_TOL, 0.25], "sum to 1"),
     ],
     ids=["nan", "at-floor", "sum-off"],
@@ -1042,7 +1049,7 @@ def test_minimize_entropy_keeps_the_first_of_tied_decompositions():
 
 
 def test_minimize_entropy_divides_out_drift_as_from_computation_does():
-    # Decomposition admits a weight sum 1 +/- 1e-10; drift above PARTIAL_SUM_TOL is divided out
+    # Decomposition admits a weight sum 1 +/- 1e-10; drift above ZERO_TOL is divided out
     dec = Decomposition(support=(0, 1), weights=np.array([0.7, 0.3 + 5e-11]))
     for F in (make_shannon(), functional_from_spec("renyi:alpha=2")):
         value, _ = minimize_entropy([dec], F)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from entrokit.audit import run_audit
-from entrokit.classical import ProbVector, entropy_finite, majorizes
+from entrokit.classical import ZERO_TOL, ProbVector, entropy_finite, majorizes
 from entrokit.functionals import functional_from_spec, make_renyi, make_shannon
 from entrokit.quantum import (
-    RANK_CUTOFF,
     DensityOperator,
     Ensemble,
     _conjugated,
@@ -122,16 +121,16 @@ def test_eigen_spectrum_is_a_sorted_probvector_with_hard_zeros():
         assert spectrum.values is spectrum.entries
         assert np.all(np.diff(spectrum.entries) <= 0.0)
         raw = np.linalg.eigvalsh(rho.matrix)
-        assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw >= RANK_CUTOFF)
-        assert np.all((spectrum.entries == 0.0) | (spectrum.entries >= RANK_CUTOFF))
+        assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw >= ZERO_TOL)
+        assert np.all((spectrum.entries == 0.0) | (spectrum.entries >= ZERO_TOL))
 
 
 def reference_eigen_spectrum(rho):
-    """A fresh solve: eigh, nonincreasing order, hard zeros below RANK_CUTOFF."""
+    """A fresh solve: eigh, nonincreasing order, hard zeros below ZERO_TOL."""
     w, v = np.linalg.eigh(rho.matrix)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    w[w < RANK_CUTOFF] = 0.0
+    w[w < ZERO_TOL] = 0.0
     return ProbVector.from_computation(w), v
 
 
@@ -604,7 +603,7 @@ def test_ensemble_kernel_is_the_single_calls_bit_for_bit(d):
     rng = as_rng(100 + d)
     for rank in range(1, d + 1):
         rho = random_density(d, rng, rank=rank)
-        r = int(np.sum(eigen_spectrum(rho)[0].entries > RANK_CUTOFF))
+        r = int(np.sum(eigen_spectrum(rho)[0].entries > ZERO_TOL))
         for m in (r, r + 1, r + 2):
             mixing = haar_isometry(np.array([ginibre(m, r, rng) for _ in range(5)]))
             assert_slices_are_single_calls(rho, m, mixing)
@@ -649,7 +648,7 @@ def test_ensemble_kernel_takes_a_different_state_per_slice(d, r, m):
     # One stack, one (d, r, m): each slice has its own state, spectrum and basis.
     rng = as_rng(40 + d + r + m)
     rhos = [random_density(d, rng, rank=r) for _ in range(5)]
-    assert all(int(np.sum(eigen_spectrum(rho)[0].entries > RANK_CUTOFF)) == r for rho in rhos)
+    assert all(int(np.sum(eigen_spectrum(rho)[0].entries > ZERO_TOL)) == r for rho in rhos)
     assert len({eigen_spectrum(rho)[0].entries.tobytes() for rho in rhos}) == len(rhos)
     mixing = haar_isometry(np.array([ginibre(m, r, rng) for _ in rhos]))
     weights, states = _ensembles(*state_stack(rhos), mixing)
