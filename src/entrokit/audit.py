@@ -26,6 +26,7 @@ records in one row-major pass.
 from __future__ import annotations
 
 from collections.abc import Sized
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -62,11 +63,7 @@ from .rand import (
     random_interior_point,
     random_unitary,
 )
-from .reporting import AuditEntry, AuditReport, build_report
-
-INEQ_TOL = 1e-9
-EQ_TOL = 1e-12
-ISOMETRY_EQ_TOL = 1e-8
+from .reporting import EQ_TOL, INEQ_TOL, ISOMETRY_EQ_TOL, AuditEntry, AuditReport, build_report
 
 DEFAULT_FUNCTIONAL_SPECS = (
     "shannon",
@@ -137,17 +134,16 @@ def _entries(margins, columns, dims, keep=None) -> list[AuditEntry]:
     ``columns`` holds one (case, tolerance, functional name) triple per
     column and ``dims`` one dimension per row; where the boolean array
     ``keep`` is false no entry is made.  Each entry equals what
-    AuditEntry.check builds, with Python float, bool and int fields.
+    AuditEntry.check builds, with Python float, bool and int fields.  Each
+    field is flattened once and the records come from one flat zip.
     """
-    passed = margins >= -np.array([tolerance for _, tolerance, _ in columns])
-    kept = np.ones(margins.shape, bool) if keep is None else keep
+    cases, tolerances, names = zip(*columns)
+    passed = (margins >= -np.array(tolerances)).ravel().tolist()
+    rows, dims = len(margins), np.repeat(dims, len(columns)).tolist()
+    fields = zip(cases * rows, margins.ravel().tolist(), tolerances * rows, passed, names * rows, dims)
     # tuple.__new__ is what AuditEntry's own __new__ calls, less its argument binding.
-    return [
-        tuple.__new__(AuditEntry, (case, margin, tolerance, ok, name, dim))
-        for dim, margin_row, ok_row, keep_row in zip(dims, margins.tolist(), passed.tolist(), kept.tolist())
-        for (case, tolerance, name), margin, ok, k in zip(columns, margin_row, ok_row, keep_row)
-        if k
-    ]
+    records = map(tuple.__new__, repeat(AuditEntry), fields)
+    return list(records if keep is None else compress(records, keep.ravel().tolist()))
 
 
 @_suite("schur", INEQ_TOL, trials=500, dims=(2, 8))

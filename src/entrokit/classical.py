@@ -24,7 +24,7 @@ import numpy as np
 
 from .functionals import EntropicFunctional, FunctionalCase, as_count, format_param, parse_spec
 
-ZERO_TOL = 1e-12  # this small is zero: a negative input entry, a drift, an eigenvalue, a weight
+ZERO_TOL = 1e-12  # at most this is zero: a negative input entry, a drift, an eigenvalue, a weight
 SUM_TOL = 1e-9  # a total, a vector's sum or a trace, is one
 COMPUTED_FLOOR = 1e-9  # negativity a computed vector or a spectrum may carry
 STRUCTURE_TOL = 1e-10  # Hermitian input, stochastic rows, unit state vectors
@@ -139,22 +139,32 @@ def require_finite(stack: np.ndarray, message: str, item: str) -> None:
 
 
 def require_orthonormal(A: np.ndarray, what: str, item: str) -> None:
-    """require_slices for a matrix, or a stack, with finite entries and |A*A - I|_max <= PRODUCT_TOL."""
-    require_finite(A, f"{what} entries must be finite", item)
-    dev = np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])).max(axis=(-2, -1))
-    message = f"{what} is not orthonormal within {PRODUCT_TOL} (deviation {{:.3e}})"
-    require_slices(dev <= PRODUCT_TOL, lambda t: message.format(dev[t]), item)
+    """require_slices for a matrix, or a stack, with finite entries and |A*A - I|_max <= PRODUCT_TOL.
+
+    A passing stack costs one pass; a failing one (a NaN or inf fails) is diagnosed per slice as before.
+    """
+    with np.errstate(all="ignore"):
+        dev = np.abs(A.conj().swapaxes(-1, -2) @ A - np.eye(A.shape[-1])).max(axis=(-2, -1))
+    if not dev.max(initial=0.0) <= PRODUCT_TOL:
+        require_finite(A, f"{what} entries must be finite", item)
+        message = f"{what} is not orthonormal within {PRODUCT_TOL} (deviation {{:.3e}})"
+        require_slices(dev <= PRODUCT_TOL, lambda t: message.format(dev[t]), item)
 
 
 def require_stochastic_rows(Q: np.ndarray, what: str, item: str) -> None:
-    """require_slices for a (k, r, n) stack of finite, nonnegative rows summing to 1 within STRUCTURE_TOL."""
+    """require_slices for a (k, r, n) stack of finite, nonnegative rows summing to 1 within STRUCTURE_TOL.
+
+    A passing stack costs one pass; a failing one (a NaN or inf fails) is diagnosed per slice as before.
+    """
     if Q.size == 0:
         raise ValueError(f"{what} must be non-empty")
-    require_finite(Q, f"{what} entries must be finite", item)
-    require_slices(Q.min(axis=(1, 2)) >= 0.0, lambda t: f"{what} entries must be nonnegative", item)
-    dev = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
-    message = f"{what} sums deviate from 1 by {{:.3e}} (> {STRUCTURE_TOL})"
-    require_slices(dev <= STRUCTURE_TOL, lambda t: message.format(dev[t]), item)
+    with np.errstate(all="ignore"):
+        dev = np.abs(Q.sum(axis=2) - 1.0).max(axis=1)
+    if not (Q.min() >= 0.0 and dev.max() <= STRUCTURE_TOL):
+        require_finite(Q, f"{what} entries must be finite", item)
+        require_slices(Q.min(axis=(1, 2)) >= 0.0, lambda t: f"{what} entries must be nonnegative", item)
+        message = f"{what} sums deviate from 1 by {{:.3e}} (> {STRUCTURE_TOL})"
+        require_slices(dev <= STRUCTURE_TOL, lambda t: message.format(dev[t]), item)
 
 
 def _vector(values, what="probability vector", dtype=float) -> np.ndarray:
@@ -654,7 +664,8 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     equals, bit for bit, the one-row call on (q_rows[t, i], p[t]).  The rows
     of ``p`` are validated as ProbVector validates a vector.  This stacked
     form stays public until the benchmark stops tracing this name (ROADMAP
-    item 1).  Any other shape raises ValueError.
+    item 1).  Any other shape raises ValueError.  A passing stack is
+    checked in one pass, and a failing one raises as before.
     """
     rows = np.asarray(q_rows, dtype=float)
     one = rows.ndim == 1
@@ -672,7 +683,8 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     if rows.shape[2] != vals.shape[1]:
         raise ValueError("row and vector dimensions differ")
     phis = np.asarray(F.phi(vals))
-    lengths = np.diff(np.cumsum(rows, axis=-1), axis=-1, prepend=0.0)
+    lengths = np.cumsum(rows, axis=-1)  # then the differences np.diff(..., prepend=0.0) takes, in place
+    lengths[..., 1:] = np.diff(lengths, axis=-1)
     integral_f = np.sum(lengths * vals[:, None, :], axis=-1)
     integral_phi_f = np.sum(lengths * phis[:, None, :], axis=-1)
     # A stacked matmul repeats np.dot row by row, bit for bit; rows @ vals does not.

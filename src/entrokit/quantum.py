@@ -35,7 +35,7 @@ from .classical import (
     require_slices,
 )
 from .functionals import EntropicFunctional, as_count
-from .reporting import AuditEntry
+from .reporting import INEQ_TOL, AuditEntry
 
 
 class DensityOperator:
@@ -120,7 +120,7 @@ def pure_state(psi) -> DensityOperator:
 def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
     """Spectrum in nonincreasing order and matching eigenbasis (columns).
 
-    Eigenvalues below ZERO_TOL are set to exactly zero, and the spectrum is
+    Eigenvalues at most ZERO_TOL are set to exactly zero, and the spectrum is
     renormalized when its drift then exceeds ZERO_TOL (the computed rule).
     The hard zero matters: structurally null eigenvalues come back from the
     solver as +-1e-16 jitter, and sub-linear phi (x**alpha, alpha < 1)
@@ -142,7 +142,7 @@ def _eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(matrices)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
-    w[w < ZERO_TOL] = 0.0
+    w[w <= ZERO_TOL] = 0.0
     v.setflags(write=False)
     return _computed_rows(w), v
 
@@ -228,7 +228,7 @@ def pinching_inequality_audit(
     rho: DensityOperator,
     basis,
     F: EntropicFunctional,
-    tolerance: float = 1e-9,
+    tolerance: float = INEQ_TOL,
 ) -> AuditEntry:
     """Record H(pinched diagonal) - H(rho), which must be >= -tolerance.
 

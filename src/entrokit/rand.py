@@ -6,7 +6,7 @@ import numpy as np
 
 from .classical import ProbVector
 from .functionals import as_count
-from .gpt import ConvexModel, _norm
+from .gpt import PIVOT_TOL, ConvexModel, _norm
 from .quantum import DensityOperator, ginibre, random_isometry  # ginibre and random_isometry are re-exported
 
 SPHERE_MIN_GAP = 0.05  # least distance between two sphere-model vertices
@@ -73,7 +73,7 @@ def random_simplex_model(dim: int, rng=None) -> ConvexModel:
     for _ in range(256):
         pts = rng.standard_normal((dim + 1, dim))
         diffs = pts[1:] - pts[0]
-        if np.linalg.matrix_rank(diffs, tol=1e-8) == dim:
+        if np.linalg.matrix_rank(diffs, tol=PIVOT_TOL) == dim:
             return ConvexModel(pts)
     raise RuntimeError("failed to draw an affinely independent simplex")
 

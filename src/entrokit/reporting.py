@@ -15,6 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+INEQ_TOL = 1e-9  # the audit tolerances, beside the rule they set (README, "Tolerances")
+EQ_TOL = 1e-12
+ISOMETRY_EQ_TOL = 1e-8
+
 
 class AuditEntry(NamedTuple):
     """One checked case; a plain record, as cheap to build as a tuple."""

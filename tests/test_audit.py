@@ -557,6 +557,26 @@ def test_a_nan_margin_makes_the_worst_margin_nan(margins):
     assert math.isnan(report.worst_margin)
 
 
+def test_entries_are_the_per_cell_checks_row_by_row():
+    margins = np.array([[0.5, -2e-9, 1e-13, -1e-13], [math.nan, 0.0, -5e-10, 3.0], [-1.0, 2e-12, -2e-12, 0.25]])
+    columns = [("a", INEQ_TOL, "shannon"), ("b", EQ_TOL, ""), ("c", EQ_TOL, "renyi"), ("d", INEQ_TOL, "tsallis")]
+    dims = [2, 5, 3]
+    keep = np.array([[True, False, True, True], [True, True, False, True], [False, True, True, True]])
+    everything = np.ones(keep.shape, bool)
+    for mask, got in ((keep, audit._entries(margins, columns, dims, keep)), (everything, audit._entries(margins, columns, dims))):
+        expected = [
+            AuditEntry.check(case, margins[r, c], tolerance, name, dims[r])
+            for r in range(3)
+            for c, (case, tolerance, name) in enumerate(columns)
+            if mask[r, c]
+        ]
+        # repr compares the NaN margin too, which == on the records would not.
+        assert repr(got) == repr(expected)
+        assert [tuple(map(type, e)) for e in got] == [tuple(map(type, e)) for e in expected]
+        assert [type(e) for e in got] == [AuditEntry] * int(mask.sum())
+    assert [e.case for e in audit._entries(margins, columns, dims, keep) if not e.passed] == ["a", "c"]
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_entry_fields_are_python_scalars(suite):
     # A numpy scalar would change an entry's repr and the JSON the CLI writes.

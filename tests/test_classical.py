@@ -39,7 +39,9 @@ from entrokit.classical import (
     jensen_step_oracle,
     majorization_margin,
     majorizes,
+    require_orthonormal,
     require_slices,
+    require_stochastic_rows,
     sequence_from_spec,
 )
 from entrokit.functionals import (
@@ -635,6 +637,21 @@ def test_bistochastic_kernel_errors_name_the_first_bad_matrix():
         _unitary_squares(with_entry(Us, (1, 0, 0), math.inf))
     with pytest.raises(ValueError, match=r"^unitary is not orthonormal .*deviation"):
         _unitary_squares(with_entry(Us[:1], (0, 0, 0), 2.0))
+
+
+@pytest.mark.parametrize("bad, value", [(2, math.nan), (3, math.inf)])
+def test_a_non_finite_slice_is_named_by_both_structure_checks_without_a_warning(bad, value):
+    # A passing stack clears each check in one pass; a failing one is still diagnosed finite entries first.
+    rng = np.random.default_rng(73)
+    U = np.array([random_unitary(3, rng) for _ in range(5)])
+    Q = np.abs(U) ** 2
+    U[bad, 1, 2] = Q[bad, 1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^matrix {bad}: row entries must be finite$"):
+            require_stochastic_rows(Q, "row", "matrix")
+        with pytest.raises(ValueError, match=f"^matrix {bad}: unitary entries must be finite$"):
+            require_orthonormal(U, "unitary", "matrix")
 
 
 def test_single_bistochastic_calls_reject_stacks():

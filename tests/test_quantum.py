@@ -15,6 +15,7 @@ from entrokit.quantum import (
     _conjugated,
     _eigensystems,
     _ensembles,
+    _rank,
     conjugate_isometry,
     eigen_spectrum,
     haar_isometry,
@@ -112,6 +113,15 @@ def test_structural_zeros_are_exact():
     assert spectrum.values[3:].tolist() == [0.0, 0.0, 0.0]
 
 
+def test_an_eigenvalue_of_exactly_zero_tol_is_zero_to_the_spectrum_the_rank_and_the_spectral_ensemble():
+    # At most ZERO_TOL is zero, for an eigenvalue as for a weight; all three readers agree at the edge.
+    rho = DensityOperator(np.diag([1.0 - ZERO_TOL, ZERO_TOL]))
+    spectrum, _ = eigen_spectrum(rho)
+    assert np.linalg.eigvalsh(rho.matrix)[0] == ZERO_TOL
+    assert spectrum.entries[1] == 0.0
+    assert np.count_nonzero(spectrum.entries) == _rank(spectrum) == len(spectral_ensemble(rho).weights) == 1
+
+
 def test_eigen_spectrum_is_a_sorted_probvector_with_hard_zeros():
     rng = as_rng(31)
     for d, rank in ((2, 1), (4, 2), (6, 6), (7, 3)):
@@ -121,16 +131,16 @@ def test_eigen_spectrum_is_a_sorted_probvector_with_hard_zeros():
         assert spectrum.values is spectrum.entries
         assert np.all(np.diff(spectrum.entries) <= 0.0)
         raw = np.linalg.eigvalsh(rho.matrix)
-        assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw >= ZERO_TOL)
-        assert np.all((spectrum.entries == 0.0) | (spectrum.entries >= ZERO_TOL))
+        assert np.count_nonzero(spectrum.entries) == np.count_nonzero(raw > ZERO_TOL)
+        assert np.all((spectrum.entries == 0.0) | (spectrum.entries > ZERO_TOL))
 
 
 def reference_eigen_spectrum(rho):
-    """A fresh solve: eigh, nonincreasing order, hard zeros below ZERO_TOL."""
+    """A fresh solve: eigh, nonincreasing order, hard zeros at most ZERO_TOL."""
     w, v = np.linalg.eigh(rho.matrix)
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
-    w[w < ZERO_TOL] = 0.0
+    w[w <= ZERO_TOL] = 0.0
     return ProbVector.from_computation(w), v
 
 
