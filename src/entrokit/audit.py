@@ -281,7 +281,8 @@ def run_ensemble_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     ensemble's entropy, the value inf_ensemble_entropy returns for each
     functional, and its scored draws.  The margin array has a row per draw
     and then one per state, for its infimum; the keep mask picks each row's
-    cases.  Each margin is bit for bit a draw-by-draw loop's.
+    cases.  Each margin is bit for bit a draw-by-draw loop's.  At default
+    trials the draws make about 50 stacks, not one per (state, size).
     """
     n_states = max(1, trials // 20)
     states, vectors, keys, gaussians, held = [], [], [], [], []

@@ -292,7 +292,8 @@ def validate_functional(F: EntropicFunctional, grid_size: int = GRID_DEFAULT) ->
 
     xs = np.linspace(0.0, 1.0, grid_size)
     phi_xs = np.asarray(F.phi(xs))
-    # Pairs i < j, 64 rows i at a time, so the arrays hold O(grid_size) pairs.
+    # Pairs i < j, 64 rows i at a time, so the arrays hold O(grid_size) pairs (about 6 MB
+    # at MAX_GRID); nearest pairs alone miss a convex stretch whose gap per step is below tolerance.
     ks, margins = np.arange(grid_size), []
     for lo in range(0, grid_size - 1, 64):
         ii, jj = np.nonzero(ks[lo : lo + 64, None] < ks)

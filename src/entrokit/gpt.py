@@ -231,7 +231,10 @@ def _screened_solutions(V: np.ndarray, targets: np.ndarray, exclude: int | np.nd
     the eigenvectors split the hull Q from the rest R; a state with
     |R^T b| > max_i |R^T a_i| + SCREEN_RESIDUAL |b| has no support, as an
     accepted u has |R^T b| <= |R^T a u| + 2.4e-9, and A, B become Q^T A,
-    Q^T B.  Any orthonormal Q keeps the proofs valid.  cleared[p] holds the
+    Q^T B.  Any orthonormal Q keeps the proofs valid; the eigenvectors make
+    them strong.  For a generic interior state every support smaller than
+    the hull's simplices is then proven empty, so the exact solve runs once
+    per simplex that holds the state.  cleared[p] holds the
     2^n bitmasks the proofs rule out for problem p, closed downward, and
     those meeting its exclude mask.  Per support size, every problem's open
     supports make one _exact_solutions stack.
@@ -300,7 +303,8 @@ def _certified_extreme(V: np.ndarray) -> np.ndarray:
     accepted support allows.
     """
     V = _solve_frame(V, V)[0]
-    # A model beyond CERTIFY_SCALE is zeroed, and certifies nothing, as n = 1 does (M = -inf).
+    # A model beyond CERTIFY_SCALE is zeroed, and certifies nothing, as n = 1 does (M = -inf);
+    # the screen, blind to scale, still proves a well-conditioned one extreme.
     V = np.where(np.abs(V).max(axis=(1, 2), keepdims=True) <= CERTIFY_SCALE, V, 0.0)
     C = np.stack([V, V - V.mean(axis=1, keepdims=True)], axis=1)  # anchored at the origin, then the centroid
     G = C @ V[:, None].transpose(0, 1, 3, 2)

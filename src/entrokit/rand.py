@@ -63,7 +63,7 @@ def _sphere_points(n_vertices: int, dim: int, rng: np.random.Generator) -> np.nd
 
 
 def random_sphere_model(n_vertices: int, dim: int, rng=None) -> ConvexModel:
-    """A polytope whose vertices sit on the unit sphere, hence all extreme."""
+    """A polytope whose vertices sit on the unit sphere, hence all extreme, each certified without a subset solve."""
     return ConvexModel(_sphere_points(n_vertices, dim, as_rng(rng)))
 
 

@@ -21,7 +21,10 @@ ISOMETRY_EQ_TOL = 1e-8
 
 
 class AuditEntry(NamedTuple):
-    """One checked case; a plain record, as cheap to build as a tuple."""
+    """One checked case; a plain record, as cheap to build as a tuple.
+
+    Its fields hold Python float, bool and int: a numpy scalar would change its repr and the JSON output.
+    """
 
     case: str
     margin: float

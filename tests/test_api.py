@@ -1,6 +1,7 @@
 """The package namespace: every exported name exists and is listed once."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -50,3 +51,13 @@ def test_no_import_inside_a_function():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+def test_readme_names_no_private_function():
+    """The README states the user's contract; internals (_name, module._name) live in docstrings.
+
+    A name counts where it starts a word, a code span, a call or an attribute;
+    a subscript such as the _max of |A - A*|_max does not.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"(?:^|(?<=[\s`(\[.@]))_[A-Za-z]\w*", readme, flags=re.MULTILINE) == []

@@ -270,6 +270,16 @@ def test_majorize_verdicts(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "incomparable"
 
 
+def test_majorize_pair_equal_up_to_drift_is_both(tmp_path, capsys):
+    # The totals differ by 5e-10, which SUM_TOL accepts: neither vector is above the other.
+    a = write(tmp_path, "a.json", "[0.5, 0.5]")
+    b = write(tmp_path, "b.json", "[0.5, 0.5000000005]")
+    for argv in ((a, b), (b, a)):
+        code, out, _ = run(capsys, "majorize", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "both"
+
+
 def test_majorize_total_mismatch_is_domain_error(tmp_path, capsys):
     a = write(tmp_path, "a.json", "[0.7, 0.2]")
     b = write(tmp_path, "b.json", "[0.5, 0.5]")
