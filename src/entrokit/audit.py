@@ -32,9 +32,9 @@ import numpy as np
 
 from .classical import (
     _bistochastic,
-    _computed_rows,
     _entropy_columns,
     _mix_rows,
+    _probability_rows,
     _row_margins,
     _unitary_squares,
     entropy_table,
@@ -153,7 +153,7 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     The trial loop only draws: each dimension n, a Haar unitary and the
     Dirichlet draw random_prob_vector makes.  The trials of one dimension
     are then handled as one stack: one _unitary_squares, _bistochastic,
-    _computed_rows for the vectors p, _mix_rows and row-paired _row_margins,
+    _probability_rows for the vectors p, _mix_rows and row-paired _row_margins,
     one _entropy_columns call on p and Qp together, and one
     jensen_step_oracle per functional, all on the same stacked Q and p.
     The margins fill one (trials, 1 + 3 * functionals) array, and each is
@@ -169,7 +169,7 @@ def run_schur_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     margins = np.empty((trials, 1 + 3 * len(functionals)))
     for idx in positions_by_key(drawn_dims):
         Q = _bistochastic(_unitary_squares(_stack(unitaries, idx)))
-        p = _computed_rows(_stack(draws, idx))
+        p = _probability_rows(_stack(draws, idx), "computed")
         q = _mix_rows(Q, p)
         margins[idx, 0] = _row_margins(p, q)
         hp, hq = np.split(_entropy_columns(np.concatenate([p, q]), functionals), 2)

@@ -16,7 +16,7 @@ stochastic rows.  The tolerances quantum and gpt share live here (README,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -67,7 +67,7 @@ class ProbVector:
         arithmetic products, not for user data.
         """
         vec = cls.__new__(cls)  # validated once, under this rule alone
-        vec.entries = _computed_rows(_vector(values)[None])[0]
+        vec.entries = _probability_rows(_vector(values)[None], "computed")[0]
         return vec
 
     def __len__(self) -> int:
@@ -214,11 +214,6 @@ def _probability_rows(rows: np.ndarray, rule: str, item="row") -> np.ndarray:
     return clipped
 
 
-def _computed_rows(rows: np.ndarray) -> np.ndarray:
-    """_probability_rows under ProbVector.from_computation's rule."""
-    return _probability_rows(rows, "computed")
-
-
 def _entropy_kernel(entries: np.ndarray, F: EntropicFunctional):
     """h(sum phi) along the last axis, each sum taken in sorted order."""
     return F.h(np.sum(np.sort(np.asarray(F.phi(entries)), axis=-1), axis=-1))
@@ -305,12 +300,20 @@ class GeometricTail:
 
 @dataclass(frozen=True, eq=False)
 class FiniteTail:
-    """Exact tail for a sequence with known finite support: ``values``, a ProbVector's read-only entries."""
+    """Exact tail for a sequence with known finite support: ``values``, a ProbVector's read-only entries.
+
+    The first remainder asked of a functional evaluates phi once on ``values``
+    and keeps its suffix sums, each summed from the last entry; later ones of
+    that functional read them, so a stream's remainders cost one pass.
+    """
 
     values: np.ndarray
+    _suffix: list = field(default_factory=lambda: [None, None], init=False, repr=False)  # [F, phi's suffix sums]
 
     def remainder(self, F: EntropicFunctional, n: int) -> float:
-        return float(np.sum(F.phi(self.values[n:])))
+        if self._suffix[0] is not F:
+            self._suffix[:] = F, np.append(np.cumsum(np.asarray(F.phi(self.values), dtype=float)[::-1])[::-1], 0.0)
+        return float(self._suffix[1][min(n, len(self.values))])
 
 
 def _inverse_log_square(idx: np.ndarray, offset: int, scale: float) -> np.ndarray:
@@ -655,7 +658,7 @@ def apply_bistochastic(Q: BistochasticMatrix, p) -> ProbVector:
 def _mix_rows(Q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Q[t] p[t] for (k, n, n) bistochastic Q and (k, n) probability rows, as computed rows."""
     # A stacked matrix-vector product repeats Q[t] @ p[t] bit for bit; einsum does not.
-    return _computed_rows((Q @ p[:, :, None])[:, :, 0])
+    return _probability_rows((Q @ p[:, :, None])[:, :, 0], "computed")
 
 
 def jensen_step_oracle(q_rows, p, F: EntropicFunctional):

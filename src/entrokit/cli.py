@@ -284,7 +284,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

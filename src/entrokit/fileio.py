@@ -70,8 +70,6 @@ def read_vector(path: str) -> np.ndarray:
             values.append(float(line))
         except ValueError:
             raise SchemaError(f"{path}:{lineno}: not a number: {line!r}") from None
-    if not values:
-        raise SchemaError(f"{path}: no numeric rows found")
     return np.array(values, dtype=float)
 
 

@@ -27,7 +27,7 @@ from .classical import (
     ZERO_TOL,
     EntropyResult,
     ProbVector,
-    _computed_rows,
+    _probability_rows,
     _vector,
     entropy_finite,
     require_finite,
@@ -138,13 +138,13 @@ def eigen_spectrum(rho: DensityOperator) -> tuple[ProbVector, np.ndarray]:
 
 
 def _eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigen_spectrum of each density matrix of a stack by one eigh: spectra as _computed_rows, bases."""
+    """eigen_spectrum of each density matrix of a stack by one eigh: spectra as computed rows, bases."""
     w, v = np.linalg.eigh(matrices)
     w = w[..., ::-1].copy()
     v = v[..., ::-1].copy()
     w[w <= ZERO_TOL] = 0.0
     v.setflags(write=False)
-    return _computed_rows(w), v
+    return _probability_rows(w, "computed"), v
 
 
 def quantum_entropy(rho: DensityOperator, F: EntropicFunctional) -> EntropyResult:
@@ -221,16 +221,11 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
         raise ValueError(f"basis must be {' x '.join(map(str, rho.matrix.shape))}")
     require_orthonormal(B, "basis", "state")
     diag = np.einsum("...ij,...jk,...ki->...i", _adjoint(B), rho.matrix, B).real
-    return _computed_rows(diag) if diag.ndim == 2 else ProbVector.from_computation(diag)
+    return _probability_rows(diag, "computed") if diag.ndim == 2 else ProbVector.from_computation(diag)
 
 
-def pinching_inequality_audit(
-    rho: DensityOperator,
-    basis,
-    F: EntropicFunctional,
-    tolerance: float = INEQ_TOL,
-) -> AuditEntry:
-    """Record H(pinched diagonal) - H(rho), which must be >= -tolerance.
+def pinching_inequality_audit(rho: DensityOperator, basis, F: EntropicFunctional) -> AuditEntry:
+    """Record H(pinched diagonal) - H(rho), which must be >= -INEQ_TOL.
 
     A stack is rejected by quantum_entropy, its first call.
     """
@@ -239,7 +234,7 @@ def pinching_inequality_audit(
     return AuditEntry.check(
         case="pinching-inequality",
         margin=rhs - lhs,
-        tolerance=tolerance,
+        tolerance=INEQ_TOL,
         functional=F.name,
         dim=rho.dim,
     )
@@ -269,11 +264,6 @@ class Ensemble:
         states.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "states", states)
-
-    @property
-    def size(self) -> int:
-        """The number m of pure states in the ensemble."""
-        return len(self.weights)
 
     def check_reconstructs(self, rho: DensityOperator) -> float:
         """Largest entry of |sum_i w_i |psi_i><psi_i| - rho|; ValueError if it exceeds PRODUCT_TOL."""
@@ -317,7 +307,7 @@ def random_ensemble(rho: DensityOperator, m: int, rng=None, mixing=None) -> Ense
 
 
 def _ensembles(matrices, spectra, bases, mixings) -> tuple[np.ndarray, np.ndarray]:
-    """Weights, as _computed_rows, and states of random_ensemble(state t, m, mixing=mixings[t]).
+    """Weights, as computed rows, and states of random_ensemble(state t, m, mixing=mixings[t]).
 
     State t, which may differ from slice to slice, is given as its (k, d, d)
     density matrix and its (k, d) spectrum and (k, d, d) basis from
@@ -333,7 +323,7 @@ def _ensembles(matrices, spectra, bases, mixings) -> tuple[np.ndarray, np.ndarra
     norms = np.sqrt(np.where(kept, weights, 1.0))[..., None]
     states = np.where(kept[..., None], tilde / norms, np.eye(1, matrices.shape[-1])[0])
     states.setflags(write=False)
-    weights = _computed_rows(weights)
+    weights = _probability_rows(weights, "computed")
     _require_reconstructs(weights, states, matrices)
     return weights, states
 

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import entrokit
-from entrokit import audit
+from entrokit import audit, classical
 
 
 def test_all_names_resolve():
@@ -34,6 +34,8 @@ def test_uncalled_helpers_are_gone():
         (entrokit.Ensemble, "reconstruct"),
         (audit, "default_functionals"),
         (audit, "_complex_stack"),
+        (entrokit.Ensemble, "size"),
+        (classical, "_computed_rows"),
     ]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     assert "default_functionals" not in entrokit.__all__

@@ -206,7 +206,7 @@ def reference_pinching_entries(trials, seed, dims, functionals):
         basis = random_unitary(d, rng)
         _, eigenbasis = eigen_spectrum(rho)
         for F in functionals:
-            entries.append(pinching_inequality_audit(rho, basis, F, tolerance=INEQ_TOL))
+            entries.append(pinching_inequality_audit(rho, basis, F))
             base = quantum_entropy(rho, F).value
             pinned = entropy_finite(pinch(rho, eigenbasis), F).value
             entries.append(

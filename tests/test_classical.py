@@ -22,7 +22,6 @@ from entrokit.classical import (
     ProbVector,
     SequenceSource,
     _bistochastic,
-    _computed_rows,
     _join,
     _log_square_normalizer,
     _mix_rows,
@@ -54,6 +53,7 @@ from entrokit.functionals import (
     make_tsallis,
 )
 from entrokit.rand import random_prob_vector, random_unitary
+from oracles import exact_geometric
 
 LN2 = 0.6931471805599453
 ALL_SPECS = ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5"]
@@ -225,14 +225,14 @@ def test_computed_rows_are_from_computation_row_by_row():
         [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0],
         [0.2, 0.3, 0.5 + 1e-13],  # drift within ZERO_TOL: kept as is
     ])
-    out = _computed_rows(rows)
+    out = _probability_rows(rows, "computed")
     assert not out.flags.writeable
     for row, want in zip(out, rows):
         assert row.tobytes() == ProbVector.from_computation(want).entries.tobytes()
     with pytest.raises(ValueError, match="below floor"):
-        _computed_rows(np.array([[1.0 + 1e-8, -1e-8]]))
+        _probability_rows(np.array([[1.0 + 1e-8, -1e-8]]), "computed")
     with pytest.raises(ValueError, match="finite"):
-        _computed_rows(np.array([[0.5, 0.5], [math.nan, 1.0]]))
+        _probability_rows(np.array([[0.5, 0.5], [math.nan, 1.0]]), "computed")
 
 
 def test_entropy_table_stacks_lengths_in_first_seen_order_and_never_pads(monkeypatch):
@@ -479,7 +479,7 @@ def test_join_rejects_empty_and_zero_total_inputs():
 def test_row_margins_are_the_single_calls_bit_for_bit(n, width):
     rng = np.random.default_rng(100 * n + width)
     p = ProbVector.from_computation(rng.dirichlet(np.ones(n)))
-    rows = _computed_rows(rng.dirichlet(np.ones(width), size=7)).copy()
+    rows = _probability_rows(rng.dirichlet(np.ones(width), size=7), "computed").copy()
     rows[3] = np.sort(rows[3])  # an ascending row, and one equal to p where it fits
     if width == n:
         rows[5] = p.entries
@@ -489,7 +489,7 @@ def test_row_margins_are_the_single_calls_bit_for_bit(n, width):
     for margin, row in zip(margins.tolist(), rows):
         assert margin == majorization_margin(p, row)
     # Row t of p against row t of q, as the schur suite takes them.
-    leads = _computed_rows(rng.dirichlet(np.ones(n), size=7)).copy()
+    leads = _probability_rows(rng.dirichlet(np.ones(n), size=7), "computed").copy()
     leads[6] = np.sort(leads[6])
     if width == n:
         leads[4] = rows[4]
@@ -606,7 +606,7 @@ def test_bistochastic_kernels_are_the_single_calls_bit_for_bit(n):
     rng = np.random.default_rng(60 + n)
     k = 7
     Us = np.array([random_unitary(n, rng) for _ in range(k)])
-    ps = _computed_rows(rng.dirichlet(np.ones(n), size=k))
+    ps = _probability_rows(rng.dirichlet(np.ones(n), size=k), "computed")
     Q = _bistochastic(_unitary_squares(Us))
     assert Q.shape == (k, n, n) and not Q.flags.writeable
     qs = _mix_rows(Q, ps)
@@ -956,25 +956,6 @@ def test_geometric_tail_is_the_per_family_formula_bit_for_bit(r, F):
         assert GeometricTail(r).remainder(F, n) == reference_geometric_remainder(r, F, n), n
 
 
-def decimal_geometric_entropy(r, F):
-    """The geometric entropy in closed form, at 50 digits from the exact doubles r and the pair's parameter."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        R, one = decimal.Decimal(r), decimal.Decimal(1)
-        if F.family == "shannon":
-            return -(one - R).ln() - R * R.ln() / (one - R)
-        p = decimal.Decimal(next(iter(F.params.values())))
-
-        def power_sum(beta):  # sum_i p_i**beta over the whole sequence
-            return (one - R) ** beta / (one - R**beta)
-
-        if F.family == "renyi":
-            return power_sum(p).ln() / (one - p)
-        if F.family == "tsallis":
-            return (one - power_sum(p)) / (p - one)
-        return (power_sum(one - p) - power_sum(one + p)) / (2 * p)
-
-
 DECIMAL_SPECS = ["shannon", "renyi:alpha=0.5", "renyi:alpha=2", "tsallis:q=2", "kaniadakis:kappa=0.5", "tsallis:q=0.5"]
 
 
@@ -985,7 +966,7 @@ def test_geometric_entropy_matches_the_decimal_closed_form(r, spec):
     # cancel there: 9e-11 relative at r = 0.999999.
     F = functional_from_spec(spec)
     res = entropy_sequence(SequenceSource.geometric(r), F)
-    want = decimal_geometric_entropy(r, F)
+    want = exact_geometric(r, F.family, *F.params.values())
     assert res.status is EntropyStatus.EXACT
     assert abs((decimal.Decimal(res.value) - want) / want) <= decimal.Decimal(1e-15), (res, want)
 
@@ -1033,6 +1014,18 @@ def test_finite_vector_as_sequence():
     res2 = entropy_sequence(src2, make_shannon())
     direct = entropy_finite(ProbVector([0.5, 0.25, 0.25]), make_shannon())
     assert abs(res2.value - direct.value) < 1e-15
+
+
+def test_a_finite_stream_evaluates_phi_once_per_entry():
+    # The finite tail once summed phi over the whole rest of the vector at
+    # every 64-term window, quadratic in N: 796,256 entries on this vector.
+    shannon, seen = make_shannon(), []
+    F = dataclasses.replace(shannon, phi=lambda x: (seen.append(np.size(x)), shannon.phi(x))[1])
+    p = np.random.default_rng(5).dirichlet(np.ones(10_000))
+    res = entropy_sequence(SequenceSource.from_vector(p), F)
+    assert sum(seen) <= 3 * len(p)
+    assert (res.status, res.terms_used, res.increment_at_stop) == (EntropyStatus.EXACT, 10_000, 0.0)
+    assert abs(res.value - entropy_finite(p, shannon).value) <= 1e-12 * res.value
 
 
 def test_heavy_tail_declares_divergence_for_concave_case():

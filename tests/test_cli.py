@@ -478,6 +478,31 @@ def test_non_finite_density_file_is_domain_error(tmp_path, capsys):
     assert err.startswith("domain error:")
 
 
+@pytest.mark.parametrize("state", ["[0.0]", "[NaN, 0.0]"], ids=["dimension", "nan"])
+def test_gpt_state_of_the_wrong_dimension_or_not_finite_is_domain_error(tmp_path, capsys, state):
+    model = write(tmp_path, "square.json", SQUARE)
+    code, out, err = run(capsys, "entropy", model, "--kind", "gpt", "--state", state)
+    assert (code, out) == (3, "")
+    assert err.startswith("domain error: state ")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]', "invalid JSON"),
+        ('{"dim": 2, "re": [[0.5, 0.0], [0.5]]}', "'re' rows must have equal lengths"),
+        ('{"dim": 2, "re": [[1' + "0" * 399 + ', 0.0], [0.0, 0.5]]}', "'re' entry out of float range"),
+    ],
+    ids=["invalid-json", "ragged", "400-digit"],
+)
+def test_malformed_density_file_is_schema_error(tmp_path, capsys, text, message):
+    # JSON reads 1e400 as inf, a domain error; only an integer literal overflows the float range.
+    bad = write(tmp_path, "rho.json", text)
+    code, out, err = run(capsys, "entropy", bad, "--kind", "quantum")
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: ") and message in err
+
+
 def test_functional_validate_needs_spec(capsys):
     code, _, err = run(capsys, "functional", "validate")
     assert code == 2

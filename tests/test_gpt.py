@@ -1,9 +1,11 @@
 """Convex polytope models: decompositions, entropies, majorants."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +37,7 @@ from entrokit.gpt import (
 )
 from entrokit.quantum import DensityOperator, quantum_entropy
 from entrokit.rand import as_rng, random_interior_point, random_simplex_model, random_sphere_model
-from oracles import exact_decompositions
+from oracles import entropy_error_bound, exact_decompositions, exact_entropy
 
 LN2 = 0.6931471805599453
 
@@ -1244,32 +1246,79 @@ def test_exact_oracle_on_the_square():
     assert exact_decompositions(SQUARE, [2.0, 0.0]) == []
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_dyadic_models_have_the_exact_support_lists_and_weights(d):
-    # Four models, each at three interior states, three vertices and three midpoints of two vertices.
+@functools.cache
+def dyadic_cases(d) -> tuple:
+    """Four dyadic models, each at three interior states, three vertices and three midpoints of two vertices.
+
+    Drawn at seed 1 and returned as [(model, x, exact_decompositions(V, x))].
+    """
     rng = np.random.default_rng(1)
-    differing, errors = [], []
+    cases = []
     for _ in range(4):
         model = dyadic_model(d, rng)
         V, n = model.vertices, model.n_vertices
         states = [rng.dirichlet(np.ones(n)) @ V for _ in range(3)]
         states += [V[i] for i in rng.choice(n, min(3, n), replace=False)]
         states += [V[rng.choice(n, 2, replace=False)].mean(axis=0) for _ in range(3)]
-        for x in states:
-            want = exact_decompositions(V, x)
-            got = enumerate_basic_decompositions(model, x)
-            if [support for support, _ in want] != [dec.support for dec in got]:
-                differing.append(x)
-                continue
-            for (support, exact), dec in zip(want, got):
-                # The forward error of a backward-stable solve of a consistent full-rank system,
-                # (d + 1) x k: m k kappa eps with m k = (d + 1) k, taken four times over.
-                A = np.vstack([V[list(support)].T, np.ones(len(support))])
-                bound = 4 * A.size * np.linalg.cond(A) * np.finfo(float).eps
-                error = max(abs(float(w - Fraction(v))) for w, v in zip(exact, dec.weights.tolist()))
-                if error > bound:
-                    errors.append((x, support, error, bound))
+        cases += [(model, x, exact_decompositions(V, x)) for x in states]
+    return tuple(cases)
+
+
+def weight_error_bound(V, support) -> float:
+    """The forward error of the weights of a backward-stable solve of a consistent full-rank system.
+
+    The system is (d + 1) x k: m k kappa eps with m k = (d + 1) k, taken four times over.
+    """
+    A = np.vstack([V[list(support)].T, np.ones(len(support))])
+    return 4 * A.size * np.linalg.cond(A) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_dyadic_models_have_the_exact_support_lists_and_weights(d):
+    differing, errors = [], []
+    for model, x, want in dyadic_cases(d):
+        got = enumerate_basic_decompositions(model, x)
+        if [support for support, _ in want] != [dec.support for dec in got]:
+            differing.append(x)
+            continue
+        for (support, exact), dec in zip(want, got):
+            bound = weight_error_bound(model.vertices, support)
+            error = max(abs(float(w - Fraction(v))) for w, v in zip(exact, dec.weights.tolist()))
+            if error > bound:
+                errors.append((x, support, error, bound))
     assert differing == [] and errors == []
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gpt_entropy_is_within_a_stated_bound_of_the_exact_minimum(d):
+    # gpt_entropy scores the weights ProbVector.from_computation makes of each
+    # solve.  The solve is within delta = weight_error_bound of the exact k
+    # weights; from_computation may divide by their float total t, with
+    # |t - 1| <= tau = k delta + gamma(k - 1)(1 + k delta), which moves each
+    # weight (at most 1) by (delta + tau) / (1 - tau) and rounds it by
+    # u (1 + delta) / (1 - tau).  entropy_error_bound carries that weight error
+    # and the evaluation's own through phi and h, and over one support list
+    # |min_j a_j - min_j b_j| <= max_j |a_j - b_j|.
+    u = np.finfo(float).eps / 2
+    beyond = []
+    for model, x, exact in dyadic_cases(d):
+        decs = enumerate_basic_decompositions(model, x)
+        assert [dec.support for dec in decs] == [support for support, _ in exact]
+        errors = []
+        for dec in decs:
+            k, delta = len(dec.support), weight_error_bound(model.vertices, dec.support)
+            tau = k * delta + (k - 1) * u / (1 - (k - 1) * u) * (1 + k * delta)
+            errors.append((delta + tau + u * (1 + delta)) / (1 - tau))
+        for F in map(functional_from_spec, DEFAULT_FUNCTIONAL_SPECS):
+            value, _ = gpt_entropy(model, x, F)
+            want = min(exact_entropy(w, F.family, *F.params.values()) for _, w in exact)
+            bound = max(
+                entropy_error_bound(ProbVector.from_computation(dec.weights).entries, F, error)
+                for dec, error in zip(decs, errors)
+            )
+            if abs(Decimal(value) - want) > Decimal(bound):
+                beyond.append((x.tolist(), F.name, value, float(want), bound))
+    assert beyond == []
 
 
 @pytest.mark.parametrize("thickness", [1e-5, 1e-6, pytest.param(1e-7, marks=THIN_DEFECT), pytest.param(1e-8, marks=THIN_DEFECT)])

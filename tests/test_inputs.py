@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from entrokit.audit import run_audit
 from entrokit.classical import (
     BistochasticMatrix,
     ProbVector,
@@ -199,3 +200,42 @@ def test_integral_counts_of_any_type_are_taken():
     for rank in (2.0, np.int64(2)):
         assert np.array_equal(random_density(3, 0, rank=rank).matrix, want)
     assert SequenceSource.heavy_tail(3.0).name == "heavytail:offset=3"
+
+
+SQUARE = ConvexModel([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: gpt_entropy(SQUARE, [0.0], make_shannon()), "state has dimension 1, model is 2"),
+        (lambda: gpt_entropy(SQUARE, [math.nan, 0.0], make_shannon()), "state must be finite"),
+        (lambda: ConvexModel([1.0, 0.0]), "vertices must be a 2-d array, one point per row"),
+        (lambda: ConvexModel(np.empty((0, 2))), "model needs at least one vertex and one dimension"),
+        (lambda: ConvexModel(np.empty((2, 0))), "model needs at least one vertex and one dimension"),
+        (lambda: Decomposition((0, 1), [1.0]), "support and weights must have matching nonzero length"),
+        (lambda: pure_state([0.0, 0.0]), "state vector must be nonzero"),
+        (lambda: random_density(3, 0, rank=0), r"rank must be in \[1, 3\], got 0"),
+        (lambda: random_density(3, 0, rank=4), r"rank must be in \[1, 3\], got 4"),
+        (lambda: run_audit("schur", trials=1, functional_specs=[]), "at least one functional is required"),
+        (lambda: SequenceSource.geometric(0.5).values(5, 2), "invalid index range"),
+        (lambda: sequence_from_spec("heavytail:r=2"), "heavytail takes at most the parameter offset"),
+    ],
+    ids=[
+        "gpt-state-dimension",
+        "gpt-state-nan",
+        "model-1d-vertices",
+        "model-no-vertex",
+        "model-no-dimension",
+        "decomposition-lengths",
+        "pure-state-zero",
+        "rank-0",
+        "rank-above-d",
+        "audit-no-functional",
+        "sequence-range",
+        "heavytail-parameter",
+    ],
+)
+def test_each_remaining_rejection_names_its_input(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

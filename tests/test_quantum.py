@@ -499,7 +499,7 @@ def test_random_ensemble_reconstructs_and_is_majorized():
         r = int(np.count_nonzero(spectrum.values > 1e-12))
         m = r + int(rng.integers(0, 4))
         ens = random_ensemble(rho, m, rng)
-        assert ens.size == m
+        assert len(ens.weights) == m
         ens.check_reconstructs(rho)
         assert majorizes(spectrum.values, ens.weights.entries)
 
@@ -602,7 +602,7 @@ def assert_slices_are_single_calls(rho, m, mixing):
     assert not weights.flags.writeable and not states.flags.writeable
     for t, M in enumerate(mixing):
         single = random_ensemble(rho, m, mixing=M)
-        assert single.size == m
+        assert len(single.weights) == m
         assert_same_bits(weights[t], single.weights.entries)
         assert_same_bits(states[t], single.states)
     return weights, states
@@ -684,7 +684,7 @@ def test_ensemble_kernel_names_the_slice_that_fails_to_reconstruct():
 
 def test_ensemble_holds_one_ensemble():
     plain = Ensemble(weights=[0.5, 0.5], states=np.eye(2))
-    assert isinstance(plain.weights, ProbVector) and plain.size == 2
+    assert isinstance(plain.weights, ProbVector) and len(plain.weights) == 2
     assert not plain.states.flags.writeable
     assert plain.check_reconstructs(DensityOperator(np.eye(2) / 2)) == 0.0
     with pytest.raises(ValueError, match="probability vector must be 1-d"):

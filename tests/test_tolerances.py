@@ -99,12 +99,13 @@ def test_merged_tolerance_names_are_gone():
 
 
 def test_probability_rules_are_named_not_numbered():
-    """Every caller of _probability_rows names its rule; no call passes a threshold."""
+    """Every caller of _probability_rows, in every module, names its rule; no call passes a threshold."""
     calls = []
-    for node in ast.walk(ast.parse((SRC / "classical.py").read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_probability_rows":
-            calls.append(ast.unparse(node.args[1]))
-    assert len(calls) == 4
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_probability_rows":
+                calls.append(ast.unparse(node.args[1]))
+    assert len(calls) == 9
     assert all(set(re.findall(r"'(\w+)'", call)) <= set(classical._RULES) and "TOL" not in call for call in calls)
 
 
