@@ -347,20 +347,19 @@ def run_gpt_argmin_audit(trials, rng, dims, functionals) -> list[AuditEntry]:
     The trial loop only draws: each model (built unchecked, then certified
     one stack per vertex shape), interior point and functional's uniform
     row.  One _enumerate call, one kernel stack per vertex shape, then finds
-    the basic decompositions and leaves them in each model's cache for
-    gpt_majorant, and with two or more of them each row gives a blend's pair
-    and share t (_blend_picks).  The weights and zero-padded majorant, the
-    join of the weight spectra, which every trial has, are collected.  Each
-    (length, support sizes) key's blends are then built as one (k, length)
-    scatter.  Scoring runs one kernel call per (length, functional):
-    entropy_table scores the blends and majorants, and the weights under
-    from_computation's rule (computed=True).  A trial's minimum is one
-    np.minimum.reduceat over its weight rows, the value minimize_entropy
-    picks.  The margins fill a (trials, 2 * functionals) array by whole
-    columns: no blend beats the minimum (argmin-optimality), and the
-    majorant's entropy is at most it (majorant-minimal); the keep mask drops
-    the blend case of a trial with one decomposition.  Margins are bit for
-    bit a per-trial loop's.
+    the basic decompositions and, in one pass, their weight spectra's join,
+    which every trial has, leaving both in each model's cache for
+    gpt_majorant.  With two or more decompositions each row gives a blend's
+    pair and share t (_blend_picks); each (length, support sizes) key's
+    blends are one (k, length) scatter.  Scoring runs one kernel call per
+    (length, functional): entropy_table scores the blends and zero-padded
+    majorants, and the weights under from_computation's rule
+    (computed=True).  A trial's minimum is one np.minimum.reduceat over its
+    weight rows, the value minimize_entropy picks.  The margins fill a
+    (trials, 2 * functionals) array by whole columns: no blend beats the
+    minimum (argmin-optimality), and the majorant's entropy is at most it
+    (majorant-minimal); the keep mask drops the blend case of a trial with
+    one decomposition.  Margins are bit for bit a per-trial loop's.
     """
     lo, hi = dims
     if lo < 2 or hi > DIM_CAP:

@@ -547,29 +547,41 @@ def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _join(vectors) -> np.ndarray:
-    """The least upper bound of ``vectors`` under majorization, sorted nonincreasing.
+    """The least upper bound of ``vectors`` under majorization, sorted nonincreasing: _joins on a stack of one."""
+    rows = [_vector(v, "majorization input")[None] for v in vectors]
+    return _joins(rows, [[0]] * len(rows), 1)[0]
 
-    Each vector is scaled to total one.  The join's partial sums are the
-    least concave majorant of the largest scaled partial sum at each length
-    (Cicalese & Vaccaro, IEEE Trans. Inf. Theory 48, 933, 2002), so the join
-    majorizes every vector, and every vector that majorizes them all
-    majorizes it.  It has the longest vector's length; totals must be positive.
-    The vectors of each length (positions_by_key) are sorted as one block.
+
+def _joins(blocks, owners, count: int) -> list:
+    """Each owner's join, read-only: entry k joins the rows owner k < count owns, or is None if it owns none.
+
+    Each vector is scaled to total one; totals must be positive.  The join's
+    partial sums are the least concave majorant of the largest scaled partial
+    sum at each length (Cicalese & Vaccaro, IEEE Trans. Inf. Theory 48, 933,
+    2002): the least vector majorizing them all.  ``owners`` names each row's
+    owner, one array per block.  One _partial_sums call and one per-owner
+    max serve all rows; padding reads 1.0 past a row's end and max is exact,
+    so each join, cut to its longest row, is bit for bit its rows' alone.
     """
-    arrays = [_vector(v, "majorization input") for v in vectors]
-    partial, _ = _partial_sums([np.array([arrays[i] for i in idx]) for idx in positions_by_key(map(len, arrays))])
+    partial, _ = _partial_sums(blocks)
     if not (partial[:, -1] > 0.0).all():
         raise ValueError("the majorization join needs positive totals")
-    top = np.concatenate([[0.0], (partial / partial[:, -1:]).max(axis=0)])
-    hull, y = [0], top.tolist()
-    for k in range(1, len(y)):
-        # The upper hull drops its last point j while j is on or below the chord from the point before it to k.
-        while len(hull) > 1 and (
-            (y[hull[-1]] - y[hull[-2]]) * (k - hull[-1]) <= (y[k] - y[hull[-1]]) * (hull[-1] - hull[-2])
-        ):
-            hull.pop()
-        hull.append(k)
-    return np.diff(np.interp(np.arange(len(y)), hull, top[hull]))
+    owner, width, top = np.concatenate(owners), np.zeros(count, dtype=np.intp), np.zeros((count, partial.shape[1] + 1))
+    np.maximum.at(top[:, 1:], owner, partial / partial[:, -1:])  # scaled partial sums are positive: zeros never win
+    np.maximum.at(width, owner, np.repeat([b.shape[1] for b in blocks], [len(b) for b in blocks]))
+    for y, length, curve in zip(top.tolist(), width.tolist(), top):
+        hull = [0]
+        for k in range(1, length + 1):
+            # The upper hull drops its last point j while j is on or below the chord from the point before it to k.
+            while len(hull) > 1 and (
+                (y[hull[-1]] - y[hull[-2]]) * (k - hull[-1]) <= (y[k] - y[hull[-1]]) * (hull[-1] - hull[-2])
+            ):
+                hull.pop()
+            hull.append(k)
+        curve[: length + 1] = np.interp(np.arange(length + 1), hull, [y[j] for j in hull])
+    steps = np.diff(top, axis=1)
+    steps.setflags(write=False)
+    return [row[:length] if length else None for row, length in zip(steps, width.tolist())]
 
 
 def majorization_margin(p, q) -> float:

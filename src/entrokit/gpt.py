@@ -23,10 +23,10 @@ for every vertex it leaves (_require_extreme).  Each support length is
 scored in one kernel call (entropy_table).
 
 A model keeps the basic decompositions of the last state enumerated for it,
-alone or in a batch (_enumerate), so the entropy and the majorant of one
-state share one enumeration.  The entry is safe to share because the
-vertices, the Decomposition objects and their weights are all read-only, and
-every caller gets a fresh list.
+alone or in a batch (_enumerate), and their join, taken for a whole batch in
+one pass: a state's entropy and majorant share one enumeration.  The entry
+is safe to share because the vertices, the Decomposition objects, their
+weights and the join are all read-only, and every caller gets a fresh list.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ZERO_TOL, _join, _vector, entropy_table, positions_by_key
+from .classical import ZERO_TOL, _joins, _vector, entropy_table, positions_by_key
 from .functionals import EntropicFunctional, as_count
 
 # The solve's own tolerances (README, "Tolerances"); its weight floor is classical's ZERO_TOL.
@@ -339,8 +339,8 @@ class ConvexModel:
     states has one basic decomposition, its barycentric coordinates.
 
     The model holds one cache entry: the basic decompositions of the last
-    state enumerated for it, keyed by the state's bytes.  It relies on the
-    vertices being read-only.
+    state enumerated for it and their join, keyed by the state's bytes.  It
+    relies on the vertices being read-only.
     """
 
     __slots__ = ("vertices", "_decompositions")
@@ -394,8 +394,8 @@ def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]
     """All decompositions of x on affinely independent supports, by support size, then in lex order.
 
     The result for the last state enumerated for the model, here or in a
-    batch (_enumerate), is kept on it; asking again for the same state
-    returns a new list of the same Decomposition objects without enumerating.
+    batch (_enumerate), is kept on it with its join; asking again for the
+    same state returns a new list of the same Decompositions, unenumerated.
     """
     x = _check_point(model, x)
     if model._decompositions is None or model._decompositions[0] != x.tobytes():
@@ -406,18 +406,21 @@ def enumerate_basic_decompositions(model: ConvexModel, x) -> list[Decomposition]
 def _enumerate(models, states) -> list[list[Decomposition]]:
     """enumerate_basic_decompositions(models[i], states[i]) for every i, bit for bit, one kernel call per vertex shape.
 
-    The states are as _check_point returns them, and each list is left in
-    its model's cache.  Supports by size, then in lex order within a size:
-    this order fixes tie-breaking everywhere downstream.
+    The states are as _check_point returns them; each list and its join, one
+    _joins call for all the solve's blocks, are left in its model's cache.
+    Supports by size, then in lex order: this order fixes all tie-breaking.
     """
-    found = [[] for _ in models]
+    found, blocks, owners = [[] for _ in models], [], []
     for group in positions_by_key(model.vertices.shape for model in models):
         V, X = np.stack([models[i].vertices for i in group]), np.stack([states[i] for i in group])[:, None]
         for problems, supports, W in _screened_solutions(V, X):
-            for i, dec in zip(problems.tolist(), Decomposition._rows(supports, W)):
-                found[group[i]].append(dec)
-    for model, x, decs in zip(models, states, found):
-        model._decompositions = (x.tobytes(), tuple(decs))
+            owners.append(np.array(group)[problems])
+            blocks.append(W)
+            for i, dec in zip(owners[-1].tolist(), Decomposition._rows(supports, W)):
+                found[i].append(dec)
+    joins = _joins(blocks, owners, len(models)) if blocks else [None] * len(models)
+    for model, x, decs, join in zip(models, states, found, joins):
+        model._decompositions = (x.tobytes(), tuple(decs), join)
     return found
 
 
@@ -455,12 +458,13 @@ def minimize_entropy(
 def gpt_majorant(model: ConvexModel, x) -> np.ndarray | None:
     """The join of the basic weight spectra: the least vector majorizing each one.
 
-    The spectra are the weight vectors of the basic decompositions, sorted
-    nonincreasing and each scaled to total one.  Under majorization they
-    always have a join (classical._join), with the largest support's length,
-    so this returns None only when x is outside the hull.  By Schur
+    The spectra are the basic decompositions' weight vectors, sorted
+    nonincreasing and each scaled to total one; they always have a join, with
+    the largest support's length, so this returns None only when x is outside
+    the hull.  Each call returns the join the enumeration keeps (_joins), not
+    a copy, read-only; the decompositions come as a fresh list.  By Schur
     concavity its entropy is at most gpt_entropy's, with equality when one
     basic spectrum majorizes all the others, since the join is then that one.
     """
-    decs = enumerate_basic_decompositions(model, x)
-    return _join([d.weights for d in decs]) if decs else None
+    enumerate_basic_decompositions(model, x)
+    return model._decompositions[2]

@@ -23,6 +23,7 @@ from entrokit.classical import (
     SequenceSource,
     _bistochastic,
     _join,
+    _joins,
     _log_square_normalizer,
     _mix_rows,
     _probability_rows,
@@ -38,6 +39,7 @@ from entrokit.classical import (
     jensen_step_oracle,
     majorization_margin,
     majorizes,
+    positions_by_key,
     require_orthonormal,
     require_slices,
     require_stochastic_rows,
@@ -397,6 +399,7 @@ def test_majorization_rejects_non_finite_entries(p, q):
         lambda: majorization_margin(p, q),
         lambda: _join([p, q]),
         lambda: _join([q, p]),
+        lambda: _joins(*batch_of([[[0.5, 0.5]], [p, q], [[1.0]]]), 3),
     ):
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -449,6 +452,13 @@ def random_vector_sets(seed, count):
         yield vectors
 
 
+def batch_of(sets):
+    """The vectors of all ``sets`` as _joins takes them: one block per length, each row owned by its set's index."""
+    rows = [(k, v) for k, vectors in enumerate(sets) for v in vectors]
+    groups = positions_by_key(len(v) for _, v in rows)
+    return [np.array([rows[i][1] for i in g]) for g in groups], [np.array([rows[i][0] for i in g]) for g in groups]
+
+
 def test_join_is_an_upper_bound_of_every_input():
     for vectors in random_vector_sets(29, 300):
         join = _join(vectors)
@@ -458,8 +468,11 @@ def test_join_is_an_upper_bound_of_every_input():
 
 
 def test_join_is_the_exact_least_concave_majorant():
-    for vectors in random_vector_sets(31, 300):
-        assert np.allclose(_join(vectors), reference_join(vectors), rtol=0, atol=1e-15)
+    # the sets are the owners of one batch, lengths 1 to 6 mixed within each
+    sets = list(random_vector_sets(31, 300))
+    for vectors, join in zip(sets, _joins(*batch_of(sets), len(sets)), strict=True):
+        assert not join.flags.writeable and join.tobytes() == _join(vectors).tobytes()
+        assert np.allclose(join, reference_join(vectors), rtol=0, atol=1e-15)
     # incomparable spectra: partial sums (0.6, 0.9, 1) and (0.55, 0.95, 1)
     incomparable = [[0.6, 0.3, 0.1], [0.55, 0.4, 0.05]]
     assert np.allclose(_join(incomparable), [0.6, 0.35, 0.05], rtol=0, atol=1e-15)
@@ -470,9 +483,15 @@ def test_join_is_the_exact_least_concave_majorant():
 
 
 def test_join_rejects_empty_and_zero_total_inputs():
-    for vectors in ([], [[]], [[0.0, 0.0], [1.0]]):
-        with pytest.raises(ValueError):
+    for vectors, message in (([], "non-empty"), ([[]], "non-empty"), ([[0.0, 0.0], [1.0]], "positive totals")):
+        with pytest.raises(ValueError, match=message):
             _join(vectors)
+        # a bad row inside a batch raises the same error
+        if vectors:
+            with pytest.raises(ValueError, match=message):
+                _joins(*batch_of([[[0.5, 0.5]], vectors, [[1.0]]]), 3)
+    # an owner without rows has no join
+    assert _joins(*batch_of([[[0.5, 0.5]], [], [[1.0]]]), 3)[1] is None
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (3, 3), (4, 6), (6, 4), (5, 1)])

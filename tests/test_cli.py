@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +32,43 @@ def write(tmp_path, name, text):
 
 
 # ----------------------------------------------------------------- entropy
+
+def test_cli_commands_import_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # One fresh interpreter runs entropy on a vector, a density and a GPT model
+    # and majorize, the benchmark's cli-files command kinds.  None of them
+    # needs either module, so no CLI process pays for its import: np.unique,
+    # for one, imports numpy.ma on first use.
+    for name, data in {
+        "p.json": [0.5, 0.25, 0.25],
+        "q.json": [0.4, 0.3, 0.3],
+        "rho.json": {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]]},
+        "model.json": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+        "state.json": [0.25, 0.125],
+    }.items():
+        write(tmp_path, name, json.dumps(data))
+    calls = [
+        ["entropy", "p.json", "--kind", "classical", "--format", "json"],
+        ["entropy", "rho.json", "--kind", "quantum", "--format", "json"],
+        ["entropy", "model.json", "--kind", "gpt", "--state-file", "state.json", "--format", "json"],
+        ["majorize", "p.json", "q.json", "--format", "json"],
+    ]
+    script = """
+import contextlib, io, json, sys
+from entrokit import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            sys.exit(f"exit code not 0: {argv}")
+print(json.dumps([name for name in ("numpy.ma", "numpy.random") if name in sys.modules]))
+"""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
 
 def test_classical_entropy_json(tmp_path, capsys):
     p = write(tmp_path, "p.json", "[0.5, 0.5]")

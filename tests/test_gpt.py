@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entrokit import gpt
+from entrokit import audit, gpt
 from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS, run_audit
 from entrokit.classical import (
     ZERO_TOL,
@@ -370,10 +370,18 @@ def test_state_outside_the_hull_caches_the_empty_list(monkeypatch):
 
 def test_gpt_argmin_enumerates_once_per_trial(monkeypatch):
     # one problem per trial reaches the kernel, the trials stacked by vertex
-    # shape; gpt_majorant's call is then served from each model's cache
+    # shape, and the batch is joined in one call; gpt_majorant's call is then
+    # served, join and all, from each model's cache
     runs = count_enumerations(monkeypatch)
+    enumerations, joins, majorants = [], [], []
+    enumerate_, joins_, majorant = gpt._enumerate, gpt._joins, gpt.gpt_majorant
+    for module in (gpt, audit):
+        monkeypatch.setattr(module, "_enumerate", lambda *args: enumerations.append(1) or enumerate_(*args))
+    monkeypatch.setattr(gpt, "_joins", lambda *args: joins.append(1) or joins_(*args))
+    monkeypatch.setattr(audit, "gpt_majorant", lambda *args: majorants.append(1) or majorant(*args))
     assert run_audit("gpt-argmin", trials=20, seed=5).cases
-    assert len(runs) == 20
+    assert len(runs) == len(majorants) == 20
+    assert len(joins) == len(enumerations) == 1
 
 
 def hull_targets(V, rng):
@@ -473,7 +481,13 @@ def test_stacked_enumeration_is_the_per_state_enumeration(monkeypatch):
         want = enumerate_basic_decompositions(ConvexModel(model.vertices, check_extreme=False), x)
         assert [dec.support for dec in decs] == [dec.support for dec in want]
         assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(decs, want))
-        assert model._decompositions == (x.tobytes(), tuple(decs))
+        key, cached_decs, join = model._decompositions
+        assert (key, cached_decs) == (x.tobytes(), tuple(decs))
+        # the batch's join, kept beside the decompositions, is the per-state join, read-only
+        if decs:
+            assert not join.flags.writeable and join.tobytes() == _join([dec.weights for dec in decs]).tobytes()
+        else:
+            assert join is None
         cached = enumerate_basic_decompositions(model, x)
         assert cached == decs and all(a is b for a, b in zip(cached, decs))
     assert sum(map(len, found)) > len(models)
