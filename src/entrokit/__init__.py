@@ -22,7 +22,7 @@ from .classical import (
     majorizes,
     sequence_from_spec,
 )
-from .fileio import SchemaError, read_basis, read_density, read_model, read_vector
+from .fileio import SchemaError, read_density, read_model, read_vector
 from .functionals import (
     EntropicFunctional,
     FunctionalCase,
@@ -41,7 +41,6 @@ from .gpt import (
     enumerate_basic_decompositions,
     gpt_entropy,
     gpt_majorant,
-    membership,
     minimize_entropy,
 )
 from .quantum import (
@@ -51,7 +50,6 @@ from .quantum import (
     eigen_spectrum,
     inf_ensemble_entropy,
     pinch,
-    pinching_inequality_audit,
     pure_state,
     quantum_entropy,
     random_ensemble,
@@ -98,14 +96,11 @@ __all__ = [
     "make_renyi",
     "make_shannon",
     "make_tsallis",
-    "membership",
     "minimize_entropy",
     "pinch",
-    "pinching_inequality_audit",
     "pure_state",
     "quantum_entropy",
     "random_ensemble",
-    "read_basis",
     "read_density",
     "read_model",
     "read_vector",

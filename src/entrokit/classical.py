@@ -10,7 +10,8 @@ kernels on whole stacks.  One kernel, _probability_rows, decides what a
 probability vector is, under the rule its caller names; require_orthonormal
 and require_stochastic_rows are the one check of orthonormal columns and of
 stochastic rows.  The tolerances quantum and gpt share live here (README,
-"Tolerances"); jensen_step_oracle alone still takes a stack (ROADMAP item 1).
+"Tolerances"); jensen_step_oracle alone still takes a stack (ROADMAP item
+9, held by item 1a).
 """
 
 from __future__ import annotations
@@ -546,12 +547,6 @@ def _partial_sums(blocks) -> tuple[np.ndarray, np.ndarray]:
     return padded.cumsum(axis=1), totals
 
 
-def _join(vectors) -> np.ndarray:
-    """The least upper bound of ``vectors`` under majorization, sorted nonincreasing: _joins on a stack of one."""
-    rows = [_vector(v, "majorization input")[None] for v in vectors]
-    return _joins(rows, [[0]] * len(rows), 1)[0]
-
-
 def _joins(blocks, owners, count: int) -> list:
     """Each owner's join, read-only: entry k joins the rows owner k < count owns, or is None if it owns none.
 
@@ -689,8 +684,8 @@ def jensen_step_oracle(q_rows, p, F: EntropicFunctional):
     equals, bit for bit, the one-row call on (q_rows[t, i], p[t]).  The rows
     of ``p`` are validated as ProbVector validates a vector.  This stacked
     form stays public until the benchmark stops tracing this name (ROADMAP
-    item 1).  Any other shape raises ValueError.  A passing stack is
-    checked in one pass, and a failing one raises as before.
+    item 9, held by item 1a).  Any other shape raises ValueError.  A passing
+    stack is checked in one pass, and a failing one raises as before.
     """
     rows = np.asarray(q_rows, dtype=float)
     one = rows.ndim == 1

@@ -21,9 +21,9 @@ class SchemaError(Exception):
 
 
 def _read_text(path: str) -> str:
-    """The file at ``path`` as UTF-8 text; other bytes raise OSError naming the path (exit code 1)."""
+    """The file at ``path`` as UTF-8 text, a leading BOM dropped; other bytes raise OSError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError:
         raise OSError(f"{path}: not UTF-8 text") from None
@@ -135,7 +135,10 @@ def read_density(path: str) -> DensityOperator:
 
 
 def read_basis(path: str) -> np.ndarray:
-    """Same shape as a density file; columns are the basis vectors."""
+    """Same shape as a density file; columns are the basis vectors.
+
+    Unexported and uncalled in the package: perfbench/tracing.py binds it by name until ROADMAP item 1a.
+    """
     return _complex_matrix(path)
 
 

@@ -386,7 +386,10 @@ def _check_point(model: ConvexModel, x) -> np.ndarray:
 
 
 def membership(model: ConvexModel, x) -> Decomposition | None:
-    """First basic decomposition of x, or None when x is outside the hull."""
+    """First basic decomposition of x, or None when x is outside the hull.
+
+    Unexported and uncalled in the package: perfbench/tracing.py binds it by name until ROADMAP item 1a.
+    """
     return next(iter(enumerate_basic_decompositions(model, x)), None)
 
 

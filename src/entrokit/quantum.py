@@ -9,8 +9,8 @@ Public functions take and return one object, each by running a private
 kernel with a leading stack axis on a stack of one; the audit calls the
 kernels on whole stacks, which are cheaper than one state at a time.
 DensityOperator and pinch alone still take a (k, d, d) stack, until the
-benchmark stops tracing them (ROADMAP item 1); every other function
-rejects a stacked DensityOperator.
+benchmark stops tracing them (ROADMAP item 9, held by item 1a); every other
+function rejects a stacked DensityOperator.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class DensityOperator:
     k states of one dimension, validated together, with one stacked eigvalsh
     for positivity; an error names the first failing state of a stack of
     two or more.  The stack stays public until the benchmark, whose gates
-    count eigensolves per constructor call, is reworked (ROADMAP item 1).
-    The stored matrix is the Hermitian average (A + A*)/2 of the input,
-    which is within the acceptance tolerance of it and keeps eigensolves
-    stable.  The eigendecomposition of one state is computed on the first
-    eigen_spectrum call and kept for every later one.
+    count eigensolves per constructor call, is reworked (ROADMAP item 9,
+    held by item 1a).  The stored matrix is the Hermitian average
+    (A + A*)/2 of the input, which is within the acceptance tolerance of it
+    and keeps eigensolves stable.  The eigendecomposition of one state is
+    computed on the first eigen_spectrum call and kept for every later one.
     """
 
     __slots__ = ("matrix", "dim", "_eigen")
@@ -214,7 +214,7 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
     per state, and the result a read-only (k, d) array, each row after
     from_computation's rule; row t is, bit for bit, the single call on
     (state t, basis[t]).  The stacked form stays public until the benchmark
-    stops tracing this name (ROADMAP item 1).
+    stops tracing this name (ROADMAP item 9, held by item 1a).
     """
     B = np.asarray(basis, dtype=complex)
     if B.shape != rho.matrix.shape:
@@ -227,7 +227,9 @@ def pinch(rho: DensityOperator, basis) -> ProbVector | np.ndarray:
 def pinching_inequality_audit(rho: DensityOperator, basis, F: EntropicFunctional) -> AuditEntry:
     """Record H(pinched diagonal) - H(rho), which must be >= -INEQ_TOL.
 
-    A stack is rejected by quantum_entropy, its first call.
+    A stack is rejected by quantum_entropy, its first call.  Unexported and
+    uncalled in the package: perfbench/tracing.py binds it by name until
+    ROADMAP item 1a.
     """
     lhs = quantum_entropy(rho, F).value
     rhs = entropy_finite(pinch(rho, basis), F).value

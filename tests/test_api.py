@@ -1,6 +1,7 @@
 """The package namespace: every exported name exists and is listed once."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -36,6 +37,7 @@ def test_uncalled_helpers_are_gone():
         (audit, "_complex_stack"),
         (entrokit.Ensemble, "size"),
         (classical, "_computed_rows"),
+        (classical, "_join"),
     ]
     assert [name for owner, name in removed if hasattr(owner, name)] == []
     assert "default_functionals" not in entrokit.__all__
@@ -55,6 +57,14 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
+def test_readme_quick_start_runs_as_written(capsys):
+    """The README's Python block, run as written; a RuntimeWarning is an error there, as in every test."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.MULTILINE | re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_readme_names_no_private_function():
     """The README states the user's contract; internals (_name, module._name) live in docstrings.
 
@@ -63,3 +73,21 @@ def test_readme_names_no_private_function():
     """
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert re.findall(r"(?:^|(?<=[\s`(\[.@]))_[A-Za-z]\w*", readme, flags=re.MULTILINE) == []
+
+
+def test_readme_layout_names_the_public_surface():
+    """The README's Layout block names every __all__ name, and every public name it shows exists.
+
+    A word with an underscore or a capital letter is a name.  It resolves in
+    entrokit, or in a module named on its line, or on the line it continues,
+    as SUITES does in entrokit.audit.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```\n", 2)[1]
+    assert sorted(set(entrokit.__all__) - set(re.findall(r"\w+", block))) == []
+    unresolved, modules = [], []
+    for line in block.splitlines():
+        modules = [importlib.import_module(f"entrokit.{m}") for m in re.findall(r"(\w+)\.py", line)] or modules
+        names = [w for w in re.findall(r"\b[A-Za-z]\w*", line) if "_" in w or not w.islower()]
+        unresolved += [w for w in names if not any(hasattr(owner, w) for owner in (entrokit, *modules))]
+    assert unresolved == []

@@ -79,11 +79,13 @@ def test_suite_signature_shows_its_defaults(suite, trials, dims):
     ]
 
 
+@pytest.mark.parametrize("trials", [16, None], ids=["16-trials", "default-trials"])
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_suites_run_clean_at_small_scale(suite):
-    report = run_audit(suite, trials=16, seed=7)
+def test_suites_run_clean(suite, trials):
+    # at its default trials each suite checks the README's inequalities as shipped
+    report = run_audit(suite, trials=trials, seed=7)
     assert report.suite == suite
-    assert report.trials == 16
+    assert report.trials == (trials or default_trials(suite))
     assert report.seed == 7
     assert len(report.cases) > 0
     assert report.violations == 0, [c for c in report.cases if not c.passed][:3]
@@ -589,9 +591,13 @@ def test_entry_fields_are_python_scalars(suite):
         assert c == AuditEntry.check(c.case, c.margin, c.tolerance, c.functional, c.dim)
 
 
-def test_gpt_argmin_suite_fields():
-    report = run_audit("gpt-argmin", trials=10, seed=7)
+@pytest.mark.parametrize("trials,seed", [(10, 7), *((None, seed) for seed in (1, 2, 3, 4, 5, 7))])
+def test_gpt_argmin_suite_fields(trials, seed):
+    # the default trials also run at seeds 1-5: each functional's blend draws
+    # are mapped from one uniform row (audit._blend_picks)
+    report = run_audit("gpt-argmin", trials=trials, seed=seed)
     counts = Counter(c.case for c in report.cases)
-    assert counts["argmin-optimality"]
+    assert counts["argmin-optimality"] and report.violations == 0
     # the join exists at every state, so every trial checks it under every functional
-    assert counts["majorant-minimal"] == 10 * len(DEFAULT_FUNCTIONAL_SPECS)
+    assert counts["majorant-minimal"] == report.trials * len(DEFAULT_FUNCTIONAL_SPECS)
+    assert report.trials == (trials or default_trials("gpt-argmin"))

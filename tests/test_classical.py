@@ -22,7 +22,6 @@ from entrokit.classical import (
     ProbVector,
     SequenceSource,
     _bistochastic,
-    _join,
     _joins,
     _log_square_normalizer,
     _mix_rows,
@@ -397,8 +396,8 @@ def test_majorization_rejects_non_finite_entries(p, q):
     for call in (
         lambda: majorizes(p, q),
         lambda: majorization_margin(p, q),
-        lambda: _join([p, q]),
-        lambda: _join([q, p]),
+        lambda: _joins(*batch_of([[p, q]]), 1),
+        lambda: _joins(*batch_of([[q, p]]), 1),
         lambda: _joins(*batch_of([[[0.5, 0.5]], [p, q], [[1.0]]]), 3),
     ):
         with pytest.raises(ValueError, match="finite"):
@@ -420,7 +419,7 @@ def test_majorizes_is_margin_above_tolerance_on_unequal_lengths():
         slack = ZERO_TOL + abs(float(np.sum(p)) - float(np.sum(q)))
         assert majorizes(p, q) == (majorization_margin(p, q) >= -slack)
         assert majorizes(q, p) == (majorization_margin(q, p) >= -slack)
-        join = _join([p, q])
+        (join,) = _joins(*batch_of([[p, q]]), 1)
         assert majorizes(join, p) and majorizes(join, q)
         # the join of a comparable pair is the greater one, zero-padded
         if majorization_margin(p, q) > 0 and len(p) >= len(q):
@@ -460,8 +459,8 @@ def batch_of(sets):
 
 
 def test_join_is_an_upper_bound_of_every_input():
-    for vectors in random_vector_sets(29, 300):
-        join = _join(vectors)
+    sets = list(random_vector_sets(29, 300))
+    for vectors, join in zip(sets, _joins(*batch_of(sets), len(sets)), strict=True):
         assert join.shape == (max(len(v) for v in vectors),)
         assert np.all(np.diff(join) <= 1e-15) and abs(join.sum() - 1.0) <= 1e-15
         assert all(majorizes(join, v / v.sum()) for v in vectors)
@@ -471,21 +470,32 @@ def test_join_is_the_exact_least_concave_majorant():
     # the sets are the owners of one batch, lengths 1 to 6 mixed within each
     sets = list(random_vector_sets(31, 300))
     for vectors, join in zip(sets, _joins(*batch_of(sets), len(sets)), strict=True):
-        assert not join.flags.writeable and join.tobytes() == _join(vectors).tobytes()
+        assert not join.flags.writeable and join.tobytes() == _joins(*batch_of([vectors]), 1)[0].tobytes()
         assert np.allclose(join, reference_join(vectors), rtol=0, atol=1e-15)
     # incomparable spectra: partial sums (0.6, 0.9, 1) and (0.55, 0.95, 1)
     incomparable = [[0.6, 0.3, 0.1], [0.55, 0.4, 0.05]]
-    assert np.allclose(_join(incomparable), [0.6, 0.35, 0.05], rtol=0, atol=1e-15)
+    assert np.allclose(_joins(*batch_of([incomparable]), 1)[0], [0.6, 0.35, 0.05], rtol=0, atol=1e-15)
     # the largest partial sums (0.5, 0.625, 0.75, 1, 1) are not concave: the
     # hull bridges lengths 1 to 4, so no input's entries appear past the first
     bridged = [[0.5, 0.125, 0.125, 0.125, 0.125], [0.25, 0.25, 0.25, 0.25]]
-    assert np.allclose(_join(bridged), [0.5, 1 / 6, 1 / 6, 1 / 6, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(_joins(*batch_of([bridged]), 1)[0], [0.5, 1 / 6, 1 / 6, 1 / 6, 0.0], rtol=0, atol=1e-15)
+
+
+def test_join_on_unequal_lengths_and_totals():
+    unequal = [[0.5, 0.5], [1.0], [0.4, 0.3, 0.3]], [[0.25, 0.75]]
+    # totals pairwise within SUM_TOL but not largest against smallest, and a
+    # total far from one: each vector is scaled to total one
+    spread = [[1.0], [0.5, 0.5 - 0.9e-9], [0.4 + 0.9e-9, 0.3, 0.3]], [[0.5, 0.5], [0.5, 0.4]]
+    exact, close = _joins(*batch_of(unequal), 2), _joins(*batch_of(spread), 2)
+    assert np.array_equal(exact[0], [1.0, 0.0, 0.0]) and np.array_equal(exact[1], [0.75, 0.25])
+    assert np.allclose(close[0], [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert np.allclose(close[1], [5 / 9, 4 / 9], rtol=0, atol=1e-15)
 
 
 def test_join_rejects_empty_and_zero_total_inputs():
     for vectors, message in (([], "non-empty"), ([[]], "non-empty"), ([[0.0, 0.0], [1.0]], "positive totals")):
         with pytest.raises(ValueError, match=message):
-            _join(vectors)
+            _joins(*batch_of([vectors]), 1)
         # a bad row inside a batch raises the same error
         if vectors:
             with pytest.raises(ValueError, match=message):

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS
 from entrokit.reporting import AuditEntry, build_report
 
 LN2 = 0.6931471805599453
+LN3 = 1.0986122886681098
 
 
 def run(capsys, *argv):
@@ -29,6 +32,12 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def subprocess_env():
+    """The environment, with the package's source directory first on PYTHONPATH, for a fresh interpreter."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ----------------------------------------------------------------- entropy
@@ -61,13 +70,41 @@ for argv in json.loads(sys.argv[1]):
             sys.exit(f"exit code not 0: {argv}")
 print(json.dumps([name for name in ("numpy.ma", "numpy.random") if name in sys.modules]))
 """
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(calls)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, json.dumps(calls)],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_readme_command_line_runs_as_written(tmp_path):
+    """Each line of the README's command-line block as a python -m entrokit process, the one run of __main__.py.
+
+    The lines read the four files the block names.  A call that exits
+    nonzero, writes to stderr or prints nothing fails, and a RuntimeWarning
+    is an error there.
+    """
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    assert lines and all(line.startswith("entrokit ") for line in lines), lines
+    for name, data in {
+        "p.json": [0.5, 0.25, 0.25],
+        "q.json": [0.4, 0.3, 0.3],
+        "rho.json": {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]]},
+        "square.json": {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+    }.items():
+        write(tmp_path, name, json.dumps(data))
+    python, env = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entrokit"], subprocess_env()
+
+    def call(line):
+        return subprocess.run(python + shlex.split(line)[1:], cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    # a few processes at a time: one after another they took 2.7 s on two cores
+    with ThreadPoolExecutor(4) as pool:
+        done = list(pool.map(call, lines))
+    failed = [(line, r.returncode, r.stderr) for line, r in zip(lines, done) if r.returncode or r.stderr or not r.stdout]
+    assert failed == []
 
 
 def test_classical_entropy_json(tmp_path, capsys):
@@ -109,16 +146,20 @@ def test_sequence_entropy_needs_no_input_file(capsys):
     assert record["terms_used"] == 64
 
 
-def test_sequence_divergence_reported(capsys):
+@pytest.mark.parametrize(
+    "functional,max_terms", [("shannon", 2000), ("shannon", 1_000_000), ("kaniadakis:kappa=0.5", 1_000_000)]
+)
+def test_sequence_divergence_reported(capsys, functional, max_terms):
+    # kaniadakis:kappa=0.5 diverges too: its smallest power, 1 - kappa, is below 1
     code, out, _ = run(
-        capsys, "entropy", "--kind", "classical", "--sequence", "heavytail",
-        "--max-terms", "2000", "--format", "json",
+        capsys, "entropy", "--kind", "classical", "--sequence", "heavytail", "--functional", functional,
+        "--max-terms", str(max_terms), "--format", "json",
     )
     assert code == 0
     record = json.loads(out)
     assert record["status"] == "declared_divergent"
     assert record["value"] == "inf"
-    assert record["terms_used"] == 2000
+    assert record["terms_used"] == max_terms
 
 
 def test_quantum_entropy_from_file(tmp_path, capsys):
@@ -143,27 +184,39 @@ def test_quantum_entropy_complex_density(tmp_path, capsys):
     assert abs(record["value"] - 0.5623351446188083) < 1e-10
 
 
-def test_gpt_entropy_inline_state(tmp_path, capsys):
-    model = write(
-        tmp_path, "square.json",
-        json.dumps({"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}),
-    )
-    code, out, _ = run(
-        capsys, "entropy", model, "--kind", "gpt", "--state", "[0.0, 0.0]", "--format", "json"
-    )
+@pytest.mark.parametrize(
+    "model,state,value,support",
+    [
+        ({"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}, "[0.0, 0.0]", LN2, [0, 3]),
+        # A triangle in R^3 and a square lifted into R^3 have fewer dimensions
+        # than their space, so the screen works in their affine hull: ln 3 at
+        # the triangle's centroid, ln 2 at the square's center.
+        (
+            {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0.5], [0, 1, 0]]},
+            "[0.3333333333333333, 0.3333333333333333, 0.16666666666666666]", LN3, [0, 1, 2],
+        ),
+        ({"dim": 3, "vertices": [[1, 0, 0.5], [0, 1, 0.5], [-1, 0, 0.5], [0, -1, 0.5]]}, "[0, 0, 0.5]", LN2, [0, 2]),
+    ],
+    ids=["square", "triangle-in-R3", "square-in-R3"],
+)
+def test_gpt_entropy_inline_state(tmp_path, capsys, model, state, value, support):
+    path = write(tmp_path, "model.json", json.dumps(model))
+    code, out, _ = run(capsys, "entropy", path, "--kind", "gpt", "--state", state, "--format", "json")
     assert code == 0
     record = json.loads(out)
-    assert abs(record["value"] - LN2) < 1e-10
-    assert record["decomposition"]["support"] == [0, 3]
+    assert abs(record["value"] - value) < 1e-10
+    assert record["decomposition"]["support"] == support
     assert record["status"] == "exact"
 
 
-def test_gpt_entropy_state_file_and_outside(tmp_path, capsys):
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+def test_gpt_entropy_state_file_and_outside(tmp_path, capsys, bom):
+    # a state file with a byte-order mark, as some editors save UTF-8, reads as the same text
     model = write(
         tmp_path, "square.json",
         json.dumps({"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}),
     )
-    state = write(tmp_path, "x.json", "[3.0, 0.0]")
+    state = write(tmp_path, "x.json", bom + "[3.0, 0.0]")
     code, out, _ = run(
         capsys, "entropy", model, "--kind", "gpt", "--state-file", state, "--format", "json"
     )

@@ -14,13 +14,20 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def test_read_vector_json(tmp_path):
-    p = write(tmp_path, "p.json", "[0.5, 0.25, 0.25]")
+# Excel's "CSV UTF-8" and some editors start a UTF-8 file with a byte-order
+# mark; every reader reads it as the same text.
+BOM = pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+
+
+@BOM
+def test_read_vector_json(tmp_path, bom):
+    p = write(tmp_path, "p.json", bom + "[0.5, 0.25, 0.25]")
     assert np.array_equal(read_vector(p), [0.5, 0.25, 0.25])
 
 
-def test_read_vector_csv_single_column(tmp_path):
-    p = write(tmp_path, "p.csv", "0.5\n0.25\n\n0.25\n")
+@BOM
+def test_read_vector_csv_single_column(tmp_path, bom):
+    p = write(tmp_path, "p.csv", bom + "0.5\n0.25\n\n0.25\n")
     assert np.array_equal(read_vector(p), [0.5, 0.25, 0.25])
 
 
@@ -43,14 +50,15 @@ def test_read_vector_rejects_text_and_empty(tmp_path):
         read_vector(write(tmp_path, "e.json", "[0.5,"))
 
 
-def test_read_density_real_and_complex(tmp_path):
-    p = write(tmp_path, "rho.json", json.dumps({"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]]}))
+@BOM
+def test_read_density_real_and_complex(tmp_path, bom):
+    p = write(tmp_path, "rho.json", bom + json.dumps({"dim": 2, "re": [[0.5, 0.25], [0.25, 0.5]]}))
     rho = read_density(p)
     assert rho.dim == 2
     q = write(
         tmp_path,
         "rho2.json",
-        json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.25], [-0.25, 0.0]]}),
+        bom + json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.25], [-0.25, 0.0]]}),
     )
     rho2 = read_density(q)
     assert abs(rho2.matrix[0, 1] - 0.25j) < 1e-15
@@ -100,10 +108,11 @@ def test_read_basis(tmp_path):
         read_basis(write(tmp_path, "empty.json", json.dumps({"dim": 0, "re": []})))
 
 
-def test_read_model(tmp_path):
+@BOM
+def test_read_model(tmp_path, bom):
     p = write(
         tmp_path, "m.json",
-        json.dumps({"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}),
+        bom + json.dumps({"dim": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}),
     )
     model = read_model(p)
     assert model.n_vertices == 4

@@ -16,7 +16,7 @@ from entrokit.audit import DEFAULT_FUNCTIONAL_SPECS, run_audit
 from entrokit.classical import (
     ZERO_TOL,
     ProbVector,
-    _join,
+    _joins,
     entropy_finite,
     entropy_table,
     majorization_margin,
@@ -485,7 +485,8 @@ def test_stacked_enumeration_is_the_per_state_enumeration(monkeypatch):
         assert (key, cached_decs) == (x.tobytes(), tuple(decs))
         # the batch's join, kept beside the decompositions, is the per-state join, read-only
         if decs:
-            assert not join.flags.writeable and join.tobytes() == _join([dec.weights for dec in decs]).tobytes()
+            alone = _joins([dec.weights[None] for dec in decs], [[0]] * len(decs), 1)[0]
+            assert not join.flags.writeable and join.tobytes() == alone.tobytes()
         else:
             assert join is None
         cached = enumerate_basic_decompositions(model, x)
@@ -1221,18 +1222,6 @@ def test_join_of_states_at_the_hull_needs_no_common_total():
     assert join.shape == (3,) and abs(join.sum() - 1.0) <= 1e-15
     assert np.allclose(join, [1.0, 0.0, 0.0], rtol=0, atol=1e-8)
     assert all(majorizes(join, d.weights / d.weights.sum()) for d in decs)
-
-
-def test_join_on_unequal_lengths_and_totals():
-    assert np.array_equal(_join([[0.5, 0.5], [1.0], [0.4, 0.3, 0.3]]), [1.0, 0.0, 0.0])
-    assert np.array_equal(_join([ProbVector([0.25, 0.75])]), [0.75, 0.25])
-    # totals pairwise within SUM_TOL but not largest against smallest, and a
-    # total far from one: each vector is scaled to total one
-    spread = [[1.0], [0.5, 0.5 - 0.9e-9], [0.4 + 0.9e-9, 0.3, 0.3]]
-    assert np.allclose(_join(spread), [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
-    assert np.allclose(_join([[0.5, 0.5], [0.5, 0.4]]), [5 / 9, 4 / 9], rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        _join([])
 
 
 # ------------------------------------------------ the exact oracle (fractions)
